@@ -345,8 +345,19 @@ def cmd_dump(args) -> int:
 # -- entry point ------------------------------------------------------------
 
 
+def _cap_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r} (from --cap or {CAP_ENV_VAR})"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    default_cap = int(os.environ.get(CAP_ENV_VAR, DEFAULT_CAP))
+    # A string default goes through `type` like a typed value, so a bad
+    # PROCCAT_CAP is a usage error of `check` alone.
+    default_cap = os.environ.get(CAP_ENV_VAR, str(DEFAULT_CAP))
     parser = argparse.ArgumentParser(
         prog="proccat",
         description="Finite model of timed processes with a law-checking "
@@ -359,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                             + GRID_SCALE_TEXT)
     check.add_argument("--suites", default="all",
                        help="comma separated suite names, or 'all'")
-    check.add_argument("--cap", type=int, default=default_cap,
+    check.add_argument("--cap", type=_cap_arg, default=default_cap,
                        help="candidate enumeration bound "
                             f"(default {default_cap}, env {CAP_ENV_VAR})")
     check.add_argument("--mutate", default=None,
@@ -401,3 +412,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -9,6 +9,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Callable, Iterable, Sequence
 
@@ -64,15 +65,26 @@ def elem_key(e: Elem):
 
 @dataclass(frozen=True)
 class FinObj:
+    """A finite set; the constructor sorts the given elements by
+    `elem_key` and rejects duplicates."""
+
     elements: tuple
 
     def __post_init__(self) -> None:
         keys = [elem_key(e) for e in self.elements]
-        if any(b <= a for a, b in zip(keys, keys[1:])):
-            raise ValueError("elements must be strictly sorted; use fin_obj()")
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        for a, b in zip(order, order[1:]):
+            if keys[a] == keys[b]:
+                raise ValueError(f"duplicate element {self.elements[a]!r}")
+        object.__setattr__(self, "elements", tuple(self.elements[k] for k in order))
+
+    @cached_property
+    def members(self) -> frozenset:
+        """Hashed membership index, built on the first query."""
+        return frozenset(self.elements)
 
     def __contains__(self, e: Elem) -> bool:
-        return e in self.elements
+        return e in self.members
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -85,11 +97,7 @@ class FinObj:
 
 
 def fin_obj(elements: Iterable[Elem]) -> FinObj:
-    ordered = sorted(elements, key=elem_key)
-    for a, b in zip(ordered, ordered[1:]):
-        if a == b:
-            raise ValueError(f"duplicate element {a!r}")
-    return FinObj(tuple(ordered))
+    return FinObj(tuple(elements))
 
 
 EMPTY = fin_obj([])
@@ -108,7 +116,7 @@ class FinMor:
     table: dict
 
     def __post_init__(self) -> None:
-        if set(self.table) != set(self.dom.elements):
+        if self.table.keys() != self.dom.members:
             raise ValueError("map table must cover the domain exactly")
         for v in self.table.values():
             if v not in self.cod:
@@ -120,7 +128,7 @@ class FinMor:
         return self.table[e]
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k!r}->{v!r}" for k, v in sorted(self.table.items(), key=lambda kv: elem_key(kv[0])))
+        inner = ", ".join(f"{k!r}->{self.table[k]!r}" for k in self.dom.elements)
         return "[" + inner + "]"
 
 
@@ -140,7 +148,7 @@ def compose(f: FinMor, g: FinMor) -> FinMor:
 
 
 def is_injective(f: FinMor) -> bool:
-    return len(set(map(elem_key, f.table.values()))) == len(f.table)
+    return len(set(f.table.values())) == len(f.table)
 
 
 def is_bijective(f: FinMor) -> bool:

@@ -635,7 +635,7 @@ def stamp_parity_obj(scale: TimeScale) -> TemporalObj:
         dst = carrier(IndexPair(m.t, m.t0))
 
         def go(e):
-            if e.tag == 1 and e not in dst.elements:
+            if e.tag == 1 and e not in dst:
                 return UNKNOWN_STAMP
             return e
 

@@ -25,7 +25,6 @@ from .finset import (
     copairing,
     coproduct,
     coproduct_mor,
-    elem_key,
     enumerate_mors,
     fin_mor,
     fin_obj,
@@ -292,7 +291,7 @@ def t_coproduct_mor(fs: Sequence[TemporalMor]) -> TemporalMor:
 
 
 def _fn_tab(m: FinMor) -> FnTab:
-    return FnTab(tuple(sorted(m.table.items(), key=lambda kv: elem_key(kv[0]))))
+    return FnTab(tuple((e, m.table[e]) for e in m.dom.elements))
 
 
 def exponential_end(a: TemporalObj, b: TemporalObj, cap: int = DEFAULT_CAP) -> TemporalObj:

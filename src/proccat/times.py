@@ -12,7 +12,8 @@ unbounded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -84,9 +85,27 @@ def compose_index(i: IndexMor, j: IndexMor) -> IndexMor:
     return IndexMor(i.t, i.t0, j.t0p)
 
 
+def _per_scale(method):
+    """Memoize a TimeScale method on its arguments, in that scale's own
+    table: a scale of n points gives at most n * n entries per method."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def memoized(self, *args):
+        key = (name, *args)
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = method(self, *args)
+            return value
+
+    return memoized
+
+
 @dataclass(frozen=True)
 class TimeScale:
     points: tuple[Time, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.points:
@@ -109,20 +128,25 @@ class TimeScale:
     def __contains__(self, t: Time) -> bool:
         return t in self.points
 
+    @_per_scale
     def open_open(self, a: Time, b: Time) -> tuple[Time, ...]:
         return tuple(p for p in self.points if a < p < b)
 
+    @_per_scale
     def open_closed(self, a: Time, b: Time) -> tuple[Time, ...]:
         return tuple(p for p in self.points if a < p <= b)
 
+    @_per_scale
     def closed_closed(self, a: Time, b: Time) -> tuple[Time, ...]:
         return tuple(p for p in self.points if a <= p <= b)
 
+    @_per_scale
     def indices(self) -> tuple[IndexPair, ...]:
         return tuple(
             IndexPair(t, t0) for t in self.points for t0 in self.points if t <= t0
         )
 
+    @_per_scale
     def index_mors(self) -> tuple[IndexMor, ...]:
         return tuple(
             IndexMor(t, t0, t0p)

@@ -11,6 +11,7 @@ established independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .finset import DEFAULT_CAP
@@ -51,16 +52,24 @@ class TwoExitProblem:
                 raise ValueError("seed map must have answer and process exits")
         self.g = g
 
+    @cached_property
+    def _graft_parts(self) -> tuple:
+        """Everything a graft needs apart from the candidate: built on the
+        first graft, not once per search candidate.  Building it in
+        ``__init__`` instead keeps it alive for problems not yet searched,
+        which raised the peak memory of the solver suites."""
+        return (t_inj([self.b, self.target.obj], 0),
+                LiveSpace(self.w, self.a, self.answers),
+                join_live(self.target, check=False))
+
     def graft(self, cand: TemporalMor) -> TemporalMor:
         """Turn a candidate solution into a collapser of running
         processes: map each answer-or-seed result through the candidate,
         then concatenate."""
-        res = t_copairing([t_inj([self.b, self.target.obj], 0), cand])
-        lifted = live_map(
-            self.inner, LiveSpace(self.w, self.a, self.answers),
-            res=res, check=False,
-        )
-        return t_compose(join_live(self.target, check=False), lifted)
+        answer_now, answer_space, concat = self._graft_parts
+        res = t_copairing([answer_now, cand])
+        lifted = live_map(self.inner, answer_space, res=res, check=False)
+        return t_compose(concat, lifted)
 
     def classify(self, collapse: TemporalMor) -> TemporalMor:
         """Turn a collapser back into a candidate solution: run the seed

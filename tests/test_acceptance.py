@@ -8,6 +8,7 @@ as an ordinary test file.
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from proccat.cli import main as cli_main
 from proccat.laws import (
@@ -26,6 +27,8 @@ from proccat.temporal import unit_obj
 from proccat.twoexit import check_roundtrips
 
 SCALE = TimeScale.of(0, 1, 2)
+# The full machine report saved before any optimisation of the element layer.
+GOLDEN_REPORT = Path(__file__).parent / "fixtures" / "golden_report.jsonl"
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -132,5 +135,6 @@ def test_criterion_8_deterministic_check_runs(tmp_path, capsys):
     first = (tmp_path / "first" / "report.jsonl").read_bytes()
     second = (tmp_path / "second" / "report.jsonl").read_bytes()
     ok = first == second and outs[0] == outs[1] and len(first) > 0
+    ok = ok and first == GOLDEN_REPORT.read_bytes()
     with capsys.disabled():
         _report(8, "consecutive full check runs are byte-identical", ok)

@@ -1,10 +1,15 @@
 import json
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from proccat.cli import build_parser, main
+
+GOLDEN_DUMPS = json.loads(
+    (Path(__file__).parent / "fixtures" / "golden_dumps.json").read_text(encoding="utf-8"))
 
 DUMP_FULL = """\
 index (0, 2)
@@ -67,6 +72,14 @@ def test_dump_expired_bound_is_empty(capsys):
     code, out, _ = run(capsys, ["dump", "unit |>''[1] unit", "2", "2"])
     assert code == 0
     assert out == "index (2, 2)\nsize 0\n"
+
+
+@pytest.mark.parametrize("case", GOLDEN_DUMPS, ids=lambda case: case["argv"][1])
+def test_dump_matches_golden_listing(capsys, case):
+    # Listings saved before the element layer was hashed; `exp(...)`
+    # covers the order of function-table entries.
+    code, out, _ = run(capsys, case["argv"])
+    assert (code, out) == (0, case["stdout"])
 
 
 def test_dump_rejects_bad_descriptor(capsys):
@@ -153,6 +166,29 @@ def test_cap_environment_override(monkeypatch):
     monkeypatch.delenv("PROCCAT_CAP")
     args = build_parser().parse_args(["check"])
     assert args.cap == 10 ** 6
+
+
+def test_bad_cap_environment_is_a_usage_error(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("PROCCAT_CAP", "abc")
+    code, out, err = run(capsys, ["check", "--suites", "nonstop",
+                                  "--out", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert "error:" in err and "PROCCAT_CAP" in err and "'abc'" in err
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+def test_bad_cap_environment_leaves_other_commands_alone(monkeypatch, capsys):
+    monkeypatch.setenv("PROCCAT_CAP", "abc")
+    code, out, _ = run(capsys, ["scale", "validate", "finite(0,1,2)"])
+    assert (code, out) == (0, "Accept\n")
+
+
+@pytest.mark.parametrize("module", ["proccat", "proccat.cli"])
+def test_python_dash_m_entry_point(module):
+    done = subprocess.run(
+        [sys.executable, "-m", module, "scale", "validate", "finite(0,1,2)"],
+        capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "Accept\n")
 
 
 def test_installed_entry_point():

@@ -5,6 +5,7 @@ from proccat.finset import (
     Atom,
     CapExceeded,
     EMPTY,
+    FinMor,
     FnTab,
     Inj,
     Tup,
@@ -116,3 +117,50 @@ def test_enumerate_mors_respects_cap():
 def test_function_tables_are_elements():
     tab = FnTab(((Atom("a"), Atom("x")),))
     assert elem_key(tab)[0] == 3
+
+
+# -- the element layer: canonical order and hashed membership ----------------
+
+atoms = st.builds(Atom, st.sampled_from(["a", "b", "c"]))
+elements = st.recursive(
+    atoms,
+    lambda kids: st.one_of(
+        st.builds(lambda xs: Tup(tuple(xs)), st.lists(kids, max_size=3)),
+        st.builds(Inj, st.integers(min_value=0, max_value=2), kids),
+        st.builds(lambda kvs: FnTab(tuple(kvs)),
+                  st.lists(st.tuples(kids, kids), max_size=2)),
+    ),
+    max_leaves=8,
+)
+
+
+@given(st.lists(elements, unique=True, max_size=8))
+def test_fin_obj_order_is_the_key_order(xs):
+    assert fin_obj(xs).elements == tuple(sorted(xs, key=elem_key))
+
+
+@given(st.lists(elements, min_size=1, max_size=6), st.data())
+def test_fin_obj_rejects_any_duplicate(xs, data):
+    extra = data.draw(st.sampled_from(xs))
+    with pytest.raises(ValueError, match="duplicate element"):
+        fin_obj([*xs, extra])
+
+
+@given(st.lists(elements, unique=True, max_size=8), elements)
+def test_membership_agrees_with_the_element_tuple(xs, x):
+    obj = fin_obj(xs)
+    assert (x in obj) == (x in obj.elements)
+    assert all(e in obj for e in xs)
+
+
+def test_map_value_outside_the_codomain_is_named():
+    with pytest.raises(ValueError, match=r"map value v1 is outside the codomain"):
+        FinMor(flag_obj(2), flag_obj(1), {Atom("v0"): Atom("v0"), Atom("v1"): Atom("v1")})
+
+
+def test_map_table_must_cover_the_domain_exactly():
+    a = flag_obj(2)
+    with pytest.raises(ValueError, match="map table must cover the domain exactly"):
+        FinMor(a, a, {Atom("v0"): Atom("v0")})
+    with pytest.raises(ValueError, match="map table must cover the domain exactly"):
+        FinMor(a, a, {Atom(n): Atom("v0") for n in ("v0", "v1", "v2")})

@@ -130,3 +130,20 @@ def test_overlapping_union_is_a_structural_error():
 def test_only_finite_expressions_evaluate():
     with pytest.raises(ScaleParseError):
         scale_from_expr(parse_scale_expr("desc_above(0)"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_memoized_intervals_match_the_direct_filter(n):
+    points = [Fraction(k, 2) for k in range(n)]
+    scale = TimeScale(tuple(points))
+    for a in points:
+        for b in points:
+            for _ in range(2):  # the first call fills the table, the second reads it
+                assert scale.open_open(a, b) == tuple(p for p in points if a < p < b)
+                assert scale.open_closed(a, b) == tuple(p for p in points if a < p <= b)
+                assert scale.closed_closed(a, b) == tuple(p for p in points if a <= p <= b)
+    assert scale.indices() == tuple(
+        IndexPair(t, t0) for t in points for t0 in points if t <= t0)
+    assert scale.index_mors() == tuple(
+        IndexMor(t, t0, t0p) for t in points for t0 in points for t0p in points
+        if t <= t0 <= t0p)
