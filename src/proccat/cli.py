@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .finset import DEFAULT_CAP
+from .finset import DEFAULT_CAP, CapExceeded
 from .laws import MUTATIONS, SUITES, run_suites
 from .process import (
     LiveSpace,
@@ -63,7 +63,7 @@ class DescriptorError(ValueError):
 # prefix   := box' | box | dia' | dia
 # e        := prefix* atom ( OP[BOUND] e )?      right associative
 # OP       := |>'' | |>' | |>
-# BOUND    := inf | rational
+# BOUND    := inf | a point of the scale
 
 
 _SYMBOLS = ("|>''", "|>'", "|>", "[", "]", "(", ")", ",")
@@ -144,9 +144,14 @@ class _DescriptorParser:
         if tok == "inf":
             return UNBOUNDED
         try:
-            return TermBound.at(parse_fraction(tok))
+            time = parse_fraction(tok)
         except ScaleParseError as exc:
             raise DescriptorError(str(exc)) from exc
+        if time not in self.scale:
+            raise DescriptorError(
+                f"stop bound {tok} is not a point of the scale {self.scale}; "
+                "use inf or a scale point")
+        return TermBound.at(time)
 
     def term(self):
         tok = self.peek()
@@ -327,6 +332,9 @@ def cmd_dump(args) -> int:
         space = parse_descriptor(args.descriptor, scale)
     except DescriptorError as exc:
         return _fail(str(exc))
+    except CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     try:
         t, t0 = parse_fraction(args.t), parse_fraction(args.t0)
     except ScaleParseError as exc:

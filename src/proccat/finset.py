@@ -1,13 +1,18 @@
-"""Finite sets and maps with chosen products, coproducts, and exponentials.
+"""Finite sets and maps with chosen products and coproducts.
 
 Elements are canonical tagged trees so that equality and ordering are
 structural: atoms, tuples (products), tagged injections (coproducts), and
-function tables (exponentials).  Objects keep their elements sorted by a
-total structural key, which makes every enumeration in the package
-deterministic.
+function tables (elements of function spaces).  Objects keep their
+elements sorted by a total structural key, which makes every enumeration
+in the package deterministic.
+
+Products and coproducts are hash-consed: the same factor objects give the
+identical result object for as long as anything holds it (see
+`_interned`).
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
@@ -161,12 +166,37 @@ def inverse(f: FinMor) -> FinMor:
     return FinMor(f.cod, f.dom, {v: k for k, v in f.table.items()})
 
 
+# -- hash-consing -----------------------------------------------------------
+
+_INTERNED = weakref.WeakValueDictionary()
+
+
+def _interned(kind, parts: Sequence, build: Callable[[], object]):
+    """The object `build()` makes from `parts`, shared by every call with
+    the identical `parts` while anything still holds it.
+
+    The key is `kind` plus the identities of the parts, so a lookup never
+    compares carriers.  The result pins its parts: while an entry exists
+    none of its keyed ids can be reused by another object.  The table
+    holds results weakly, so it keeps nothing alive that no caller does.
+    """
+    parts = tuple(parts)
+    key = (kind, *map(id, parts))
+    found = _INTERNED.get(key)
+    if found is None:
+        found = build()
+        object.__setattr__(found, "_parts", parts)
+        _INTERNED[key] = found
+    return found
+
+
 # -- products ---------------------------------------------------------------
 
 
 def product(factors: Sequence[FinObj]) -> FinObj:
     """Chosen product: tuples in factor order; the empty product is UNIT."""
-    return fin_obj(Tup(items) for items in iter_product(*(f.elements for f in factors)))
+    return _interned("product", factors, lambda: fin_obj(
+        Tup(items) for items in iter_product(*(f.elements for f in factors))))
 
 
 def proj(factors: Sequence[FinObj], k: int) -> FinMor:
@@ -194,9 +224,8 @@ def product_mor(fs: Sequence[FinMor]) -> FinMor:
 
 
 def coproduct(summands: Sequence[FinObj]) -> FinObj:
-    return fin_obj(
-        Inj(tag, e) for tag, s in enumerate(summands) for e in s.elements
-    )
+    return _interned("coproduct", summands, lambda: fin_obj(
+        Inj(tag, e) for tag, s in enumerate(summands) for e in s.elements))
 
 
 def inj(summands: Sequence[FinObj], k: int) -> FinMor:
@@ -220,7 +249,7 @@ def coproduct_mor(fs: Sequence[FinMor]) -> FinMor:
     return fin_mor(dom, cod, lambda e: Inj(e.tag, fs[e.tag](e.value)))
 
 
-# -- exponentials -----------------------------------------------------------
+# -- enumeration of maps ---------------------------------------------------
 
 
 class CapExceeded(Exception):
@@ -231,38 +260,6 @@ class CapExceeded(Exception):
 
 
 DEFAULT_CAP = 10**6
-
-
-def exponential(base: FinObj, exp: FinObj) -> FinObj:
-    """All function tables exp -> base; |result| = |base| ** |exp|."""
-    inputs = exp.elements
-    return fin_obj(
-        FnTab(tuple(zip(inputs, outputs)))
-        for outputs in iter_product(base.elements, repeat=len(inputs))
-    )
-
-
-def apply_mor(base: FinObj, exp: FinObj) -> FinMor:
-    """Evaluation (base^exp) x exp -> base."""
-    dom = product([exponential(base, exp), exp])
-    return fin_mor(dom, base, lambda e: dict(e.items[0].entries)[e.items[1]])
-
-
-def curry(f: FinMor, a: FinObj, b: FinObj) -> FinMor:
-    """Transpose of f : a x b -> c into a -> c^b."""
-    if f.dom != product([a, b]):
-        raise ValueError("curry needs a map out of the given product")
-    cod = exponential(f.cod, b)
-    return fin_mor(
-        a, cod, lambda x: FnTab(tuple((y, f(Tup((x, y)))) for y in b.elements))
-    )
-
-
-def uncurry(g: FinMor, a: FinObj, b: FinObj, c: FinObj) -> FinMor:
-    """Inverse transpose of g : a -> c^b back to a x b -> c."""
-    if g.dom != a or g.cod != exponential(c, b):
-        raise ValueError("uncurry needs a map into the given exponential")
-    return fin_mor(product([a, b]), c, lambda e: dict(g(e.items[0]).entries)[e.items[1]])
 
 
 def enumerate_mors(dom: FinObj, cod: FinObj, cap: int = DEFAULT_CAP) -> list[FinMor]:

@@ -26,13 +26,14 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Optional
 
-from .finset import EMPTY, FinMor, FinObj, Inj, Tup, fin_mor, fin_obj
+from .finset import EMPTY, FinMor, FinObj, Inj, Tup, _interned, fin_mor, fin_obj
 from .temporal import (
     TemporalMor,
     TemporalObj,
     empty_obj,
     pointwise_coproduct,
     pointwise_product,
+    require_functor,
     temporal_mor,
     temporal_obj,
     t_identity,
@@ -95,6 +96,10 @@ def rest_after(value: ProcessValue, u: Fraction) -> ProcessValue:
 class ProcSpace:
     """The time-indexed object of strictly-future processes with values
     drawn from `a`, results drawn from `b`, under termination bound `w`.
+
+    Instances are cheap views: the carrier object is hash-consed on the
+    bound's value and the identities of `a` and `b`, so spaces built from
+    the same objects share one `obj`.
     """
 
     def __init__(self, w: TermBound, a: TemporalObj, b: TemporalObj, check: bool = False):
@@ -104,9 +109,16 @@ class ProcSpace:
         self.a = a
         self.b = b
         self.scale: TimeScale = a.scale
+        self.obj = _interned(("ProcSpace", w), (a, b), self._build)
+        self._carriers = self.obj.carrier
+        if check:
+            require_functor(self.obj)
+
+    def _build(self) -> TemporalObj:
+        # `_restrict_at` reads the carriers while the object is built.
         self._carriers = {i: self._carrier_at(i) for i in self.scale.indices()}
-        self.obj = temporal_obj(
-            self.scale, self._carriers.__getitem__, self._restrict_at, check=check
+        return temporal_obj(
+            self.scale, self._carriers.__getitem__, self._restrict_at, check=False
         )
 
     def case_of(self, i: IndexPair) -> int:
@@ -221,10 +233,6 @@ class ProcSpace:
         return fin_mor(self._carriers[src], self._carriers[dst], step)
 
 
-def proc_space(w: TermBound, a: TemporalObj, b: TemporalObj, check: bool = False) -> ProcSpace:
-    return ProcSpace(w, a, b, check=check)
-
-
 def proc_map(
     src: ProcSpace,
     dst: ProcSpace,
@@ -293,14 +301,6 @@ class StepSpace:
         self.scale = a.scale
         self.live = LiveSpace(w, a, b)
         self.obj = pointwise_coproduct([b, self.live.obj])
-
-
-def live_space(w: TermBound, a: TemporalObj, b: TemporalObj) -> LiveSpace:
-    return LiveSpace(w, a, b)
-
-
-def step_space(w: TermBound, a: TemporalObj, b: TemporalObj) -> StepSpace:
-    return StepSpace(w, a, b)
 
 
 def live_map(

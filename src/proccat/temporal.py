@@ -21,6 +21,7 @@ from .finset import (
     FnTab,
     Tup,
     UNIT,
+    _interned,
     compose as f_compose,
     copairing,
     coproduct,
@@ -63,10 +64,14 @@ def temporal_obj(
     carrier = {i: carrier_at(i) for i in scale.indices()}
     restrict = {m: restrict_at(m) for m in scale.index_mors()}
     obj = TemporalObj(scale, carrier, restrict)
-    if check:
-        report = check_functor(obj)
-        if not report.ok:
-            raise ValueError(f"not a functor: {report.witness}")
+    return require_functor(obj) if check else obj
+
+
+def require_functor(obj: TemporalObj) -> TemporalObj:
+    """obj itself, once `check_functor` passes; ValueError otherwise."""
+    report = check_functor(obj)
+    if not report.ok:
+        raise ValueError(f"not a functor: {report.witness}")
     return obj
 
 
@@ -194,27 +199,30 @@ def flag_temporal(scale: TimeScale, n: int = 2) -> TemporalObj:
 
 
 def pointwise_product(factors: Sequence[TemporalObj]) -> TemporalObj:
+    """Hash-consed like `product`: the same factor objects give the
+    identical result while it is held."""
     scale = factors[0].scale
     if any(f.scale != scale for f in factors):
         raise ValueError("factors live over different scales")
-    return temporal_obj(
+    return _interned("pointwise_product", factors, lambda: temporal_obj(
         scale,
         lambda i: product([f.at(i) for f in factors]),
         lambda m: product_mor([f.res(m) for f in factors]),
         check=False,
-    )
+    ))
 
 
 def pointwise_coproduct(summands: Sequence[TemporalObj]) -> TemporalObj:
+    """Hash-consed like `coproduct`."""
     scale = summands[0].scale
     if any(s.scale != scale for s in summands):
         raise ValueError("summands live over different scales")
-    return temporal_obj(
+    return _interned("pointwise_coproduct", summands, lambda: temporal_obj(
         scale,
         lambda i: coproduct([s.at(i) for s in summands]),
         lambda m: coproduct_mor([s.res(m) for s in summands]),
         check=False,
-    )
+    ))
 
 
 # -- combinators on morphisms ----------------------------------------------
@@ -231,14 +239,6 @@ def t_compose(f: TemporalMor, g: TemporalMor) -> TemporalMor:
     return TemporalMor(
         g.dom, f.cod, {i: f_compose(f.at(i), g.at(i)) for i in g.dom.scale.indices()}
     )
-
-
-def t_chain(*fs: TemporalMor) -> TemporalMor:
-    """Composite running the given morphisms left to right."""
-    result = fs[0]
-    for f in fs[1:]:
-        result = t_compose(f, result)
-    return result
 
 
 def t_proj(factors: Sequence[TemporalObj], k: int) -> TemporalMor:

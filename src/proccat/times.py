@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 Time = Fraction
 
@@ -158,20 +158,6 @@ class TimeScale:
 
     def __repr__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.points) + "}"
-
-
-def index_objects(scale: TimeScale) -> tuple[IndexPair, ...]:
-    return scale.indices()
-
-
-def hom(scale: TimeScale, src: IndexPair, dst: IndexPair) -> Optional[IndexMor]:
-    """The unique index morphism src -> dst if one exists, else None."""
-    for pair in (src, dst):
-        if pair.t not in scale or pair.t0 not in scale:
-            raise ValueError(f"{pair} is not an index of {scale}")
-    if src.t == dst.t and dst.t0 <= src.t0:
-        return IndexMor(src.t, dst.t0, src.t0)
-    return None
 
 
 @dataclass(frozen=True)

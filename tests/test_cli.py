@@ -92,6 +92,21 @@ def test_dump_rejects_off_scale_index(capsys):
     assert code == 2 and "not an index" in err
 
 
+@pytest.mark.parametrize("bound", ["5", "1/2"])
+def test_dump_rejects_off_scale_stop_bound(capsys, bound):
+    # 5 used to read as unbounded and 1/2 to empty the carrier.
+    code, out, err = run(capsys, ["dump", f"unit |>''[{bound}] unit", "0", "2"])
+    assert (code, out) == (2, "")
+    assert err == (f"error: stop bound {bound} is not a point of the scale "
+                   "{0, 1, 2}; use inf or a scale point\n")
+
+
+def test_dump_respects_the_cap(capsys):
+    code, out, err = run(capsys, ["dump", "exp(flag(9), flag(9))", "0", "2"])
+    assert (code, out) == (3, "")
+    assert err == "error: enumeration of 387420489 candidates exceeds cap 1000000\n"
+
+
 def test_check_writes_reports_deterministically(capsys, tmp_path):
     argv = ["check", "--suites", "nonstop,corecursion",
             "--out", str(tmp_path / "a")]

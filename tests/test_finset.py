@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from proccat.finset import (
     Tup,
     UNIT,
     UNIT_ELEM,
+    _INTERNED,
     compose,
     coproduct,
     copairing,
@@ -164,3 +167,35 @@ def test_map_table_must_cover_the_domain_exactly():
         FinMor(a, a, {Atom("v0"): Atom("v0")})
     with pytest.raises(ValueError, match="map table must cover the domain exactly"):
         FinMor(a, a, {Atom(n): Atom("v0") for n in ("v0", "v1", "v2")})
+
+
+# -- hash-consing -----------------------------------------------------------
+
+
+def test_products_and_coproducts_are_hash_consed():
+    a, b = flag_obj(2), flag_obj(3)
+    assert product([a, b]) is product([a, b])
+    assert coproduct([a, b]) is coproduct([a, b])
+    assert product([a, b]) is not product([b, a])
+
+
+@given(sizes(), sizes())
+def test_interned_objects_match_the_definitions(n, m):
+    a, b = flag_obj(n), flag_obj(m)
+    assert product([a, b]) == fin_obj(Tup((x, y)) for x in a for y in b)
+    assert coproduct([a, b]) == fin_obj(
+        [Inj(0, x) for x in a] + [Inj(1, y) for y in b])
+    assert coproduct([]) == EMPTY
+    # Equal but distinct factors are a different key with an equal value.
+    assert product([flag_obj(n), flag_obj(m)]) == product([a, b])
+    assert coproduct([flag_obj(n), flag_obj(m)]) == coproduct([a, b])
+
+
+def test_an_interned_entry_dies_with_its_last_holder():
+    a, b = flag_obj(2), flag_obj(3)
+    key = ("product", id(a), id(b))
+    p = product([a, b])
+    assert _INTERNED[key] is p
+    del p
+    gc.collect()
+    assert key not in _INTERNED

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proccat import process
 from proccat.finset import Inj, Tup, UNIT_ELEM
 from proccat.process import (
     LiveSpace,
@@ -31,6 +32,7 @@ from proccat.temporal import (
     flag_temporal,
     mor_equal,
     t_identity,
+    temporal_obj,
     unit_obj,
 )
 from proccat.times import IndexMor, IndexPair, TermBound, TimeScale, UNBOUNDED
@@ -206,3 +208,29 @@ def test_render_value_is_stable():
     assert render_value(v) == "term(1; ; ())"
     o = Ongoing(((Fraction(1), Tup(())), (Fraction(2), Tup(()))))
     assert render_value(o) == "ongoing(1 -> (), 2 -> ())"
+
+
+# -- hash-consing -----------------------------------------------------------
+
+
+def test_process_spaces_share_one_carrier_object():
+    a, b = unit_obj(SCALE), flag_temporal(SCALE, 2)
+    sp = ProcSpace(TermBound.at(1), a, b)
+    # The bound is keyed by value, the value and result objects by identity.
+    assert ProcSpace(TermBound.at(1), a, b).obj is sp.obj
+    assert ProcSpace(UNBOUNDED, a, b).obj is not sp.obj
+    assert sp._carriers is sp.obj.carrier
+    # Equal but distinct objects are a different key with an equal value.
+    again = ProcSpace(TermBound.at(1), unit_obj(SCALE), flag_temporal(SCALE, 2))
+    assert again.obj is not sp.obj and again.obj == sp.obj
+    assert temporal_obj(SCALE, sp._carrier_at, sp._restrict_at) == sp.obj
+
+
+def test_checked_process_space_runs_the_functor_check_every_time(monkeypatch):
+    checked = []
+    monkeypatch.setattr(process, "require_functor", checked.append)
+    a = unit_obj(SCALE)
+    first = ProcSpace(UNBOUNDED, a, a, check=True)
+    second = ProcSpace(UNBOUNDED, a, a, check=True)
+    assert second.obj is first.obj
+    assert len(checked) == 2 and all(obj is first.obj for obj in checked)

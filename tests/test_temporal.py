@@ -1,7 +1,15 @@
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proccat.finset import Atom, CapExceeded, fin_mor, fin_obj, flag_obj
+import proccat
+from proccat.finset import Atom, CapExceeded, Inj, Tup, _INTERNED, fin_mor, fin_obj, flag_obj
+from proccat.process import ProcSpace
 from proccat.temporal import (
     brute_nat_trans,
     check_functor,
@@ -22,7 +30,7 @@ from proccat.temporal import (
     temporal_obj,
     unit_obj,
 )
-from proccat.times import IndexPair, TimeScale
+from proccat.times import UNBOUNDED, IndexPair, TimeScale
 
 SCALE = TimeScale.of(0, 1, 2)
 SMALL = TimeScale.of(0, 1)
@@ -149,3 +157,55 @@ def test_const_obj_restricts_by_identity():
     for m in SMALL.index_mors():
         comp = obj.res(m)
         assert comp.table == {e: e for e in flag_obj(2).elements}
+
+
+# -- hash-consing -----------------------------------------------------------
+
+
+def test_pointwise_products_and_coproducts_are_hash_consed():
+    a, b = flag_temporal(SMALL, 2), flag_temporal(SMALL, 3)
+    for build in (pointwise_product, pointwise_coproduct):
+        assert build([a, b]) is build([a, b])
+        # Equal but distinct factors are a different key with an equal value.
+        assert build([flag_temporal(SMALL, 2), b]) == build([a, b])
+
+
+def test_interned_pointwise_objects_match_the_definitions():
+    # A process space restricts non-trivially, so the restriction maps
+    # are compared too, not just identities.
+    a = flag_temporal(SMALL, 2)
+    b = ProcSpace(UNBOUNDED, unit_obj(SMALL), unit_obj(SMALL)).obj
+    prod_at = {i: fin_obj(Tup((x, y)) for x in a.at(i) for y in b.at(i))
+               for i in SMALL.indices()}
+    sum_at = {i: fin_obj([Inj(0, x) for x in a.at(i)] + [Inj(1, y) for y in b.at(i)])
+              for i in SMALL.indices()}
+    direct_prod = temporal_obj(SMALL, prod_at.__getitem__, lambda m: fin_mor(
+        prod_at[m.src], prod_at[m.dst],
+        lambda e: Tup((a.res(m)(e.items[0]), b.res(m)(e.items[1])))))
+    direct_sum = temporal_obj(SMALL, sum_at.__getitem__, lambda m: fin_mor(
+        sum_at[m.src], sum_at[m.dst],
+        lambda e: Inj(e.tag, (a, b)[e.tag].res(m)(e.value))))
+    assert pointwise_product([a, b]) == direct_prod
+    assert pointwise_coproduct([a, b]) == direct_sum
+
+
+def test_an_interned_pointwise_entry_dies_with_its_last_holder():
+    a, b = flag_temporal(SMALL, 2), flag_temporal(SMALL, 3)
+    key = ("pointwise_coproduct", id(a), id(b))
+    s = pointwise_coproduct([a, b])
+    assert _INTERNED[key] is s
+    del s
+    gc.collect()
+    assert key not in _INTERNED
+
+
+def test_the_harness_leaves_no_interned_entry_behind():
+    # A table that kept every case's spaces alive would raise the peak
+    # memory of a run; a fresh interpreter starts from an empty table.
+    code = ("import gc; from proccat.finset import _INTERNED; "
+            "from proccat.laws import run_suites; run_suites(['functor']); "
+            "gc.collect(); print(len(_INTERNED))")
+    env = {**os.environ, "PYTHONPATH": str(Path(proccat.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
