@@ -419,7 +419,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`proccat dump ... | head`).  Point
+        # stdout at devnull so the flush at exit cannot raise again, and
+        # exit 128 + SIGPIPE, as a shell reports a process SIGPIPE killed.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,12 @@ function tables (elements of function spaces).  Objects keep their
 elements sorted by a total structural key, which makes every enumeration
 in the package deterministic.
 
+A map is stored by position, as in Catlab.jl's finite functions: the
+codomain position of each domain element's image.  Identity, composition,
+equality, projections, injections and (co)pairings are then integer
+arithmetic, and the element trees are only read where a map is built from
+a step function or a table, or applied to an element.
+
 Products and coproducts are hash-consed: the same factor objects give the
 identical result object for as long as anything holds it (see
 `_interned`).
@@ -15,7 +21,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iter_product
+from itertools import chain, product as iter_product, repeat
+from math import prod
 from typing import Callable, Iterable, Sequence
 
 
@@ -84,12 +91,12 @@ class FinObj:
         object.__setattr__(self, "elements", tuple(self.elements[k] for k in order))
 
     @cached_property
-    def members(self) -> frozenset:
-        """Hashed membership index, built on the first query."""
-        return frozenset(self.elements)
+    def index(self) -> dict:
+        """Position of each element, built on the first query."""
+        return dict(zip(self.elements, range(len(self.elements))))
 
     def __contains__(self, e: Elem) -> bool:
-        return e in self.members
+        return e in self.index
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -114,46 +121,81 @@ def flag_obj(n: int = 2) -> FinObj:
     return fin_obj([Atom(f"v{i}") for i in range(n)])
 
 
-@dataclass(frozen=True, eq=True)
 class FinMor:
-    dom: FinObj
-    cod: FinObj
-    table: dict
+    """A map dom -> cod, stored as `pos`: the codomain position of the
+    image of each domain element, in domain order.
 
-    def __post_init__(self) -> None:
-        if self.table.keys() != self.dom.members:
-            raise ValueError("map table must cover the domain exactly")
-        for v in self.table.values():
-            if v not in self.cod:
-                raise ValueError(f"map value {v!r} is outside the codomain")
+    Give exactly one of `table` (a dict from every domain element to its
+    image), `images` (the images in domain order) or `pos`.  Each is
+    validated once: images must lie in the codomain, positions in
+    `range(len(cod))`.
+    """
 
-    __hash__ = None  # tables are dicts; these never go in sets
+    __hash__ = None  # like the dict tables they replace, maps go in no set
+
+    def __init__(self, dom: FinObj, cod: FinObj, table: dict | None = None, *,
+                 images: Sequence[Elem] | None = None,
+                 pos: Sequence[int] | None = None) -> None:
+        if table is not None:
+            if table.keys() != dom.index.keys():
+                raise ValueError("map table must cover the domain exactly")
+            images = [table[e] for e in dom.elements]
+        # `len(x.elements)`, not `len(x)`: this runs for every map built.
+        if images is not None:
+            if len(images) != len(dom.elements):
+                raise ValueError("map images must cover the domain exactly")
+            for v in images:
+                if v not in cod:
+                    raise ValueError(f"map value {v!r} is outside the codomain")
+            pos = tuple(map(cod.index.__getitem__, images))
+        else:
+            pos = tuple(pos)
+            if len(pos) != len(dom.elements):
+                raise ValueError("map positions must cover the domain exactly")
+            n = len(cod.elements)
+            if pos and (min(pos) < 0 or max(pos) >= n):
+                bad = next(p for p in pos if not 0 <= p < n)
+                raise ValueError(f"map position {bad} is outside the codomain")
+        self.dom = dom
+        self.cod = cod
+        self.pos = pos
+
+    @cached_property
+    def table(self) -> dict:
+        """The map as a dict from each domain element to its image."""
+        return dict(zip(self.dom.elements, map(self.cod.elements.__getitem__, self.pos)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FinMor):
+            return NotImplemented
+        return self.pos == other.pos and self.dom == other.dom and self.cod == other.cod
 
     def __call__(self, e: Elem) -> Elem:
         return self.table[e]
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k!r}->{self.table[k]!r}" for k in self.dom.elements)
+        cod = self.cod.elements
+        inner = ", ".join(f"{k!r}->{cod[p]!r}" for k, p in zip(self.dom.elements, self.pos))
         return "[" + inner + "]"
 
 
 def fin_mor(dom: FinObj, cod: FinObj, fn: Callable[[Elem], Elem]) -> FinMor:
-    return FinMor(dom, cod, {e: fn(e) for e in dom})
+    return FinMor(dom, cod, images=[fn(e) for e in dom.elements])
 
 
 def identity(obj: FinObj) -> FinMor:
-    return FinMor(obj, obj, {e: e for e in obj})
+    return FinMor(obj, obj, pos=range(len(obj)))
 
 
 def compose(f: FinMor, g: FinMor) -> FinMor:
     """f after g."""
     if g.cod != f.dom:
         raise ValueError("maps not composable")
-    return FinMor(g.dom, f.cod, {e: f(g(e)) for e in g.dom})
+    return FinMor(g.dom, f.cod, pos=map(f.pos.__getitem__, g.pos))
 
 
 def is_injective(f: FinMor) -> bool:
-    return len(set(f.table.values())) == len(f.table)
+    return len(set(f.pos)) == len(f.pos)
 
 
 def is_bijective(f: FinMor) -> bool:
@@ -163,7 +205,20 @@ def is_bijective(f: FinMor) -> bool:
 def inverse(f: FinMor) -> FinMor:
     if not is_bijective(f):
         raise ValueError("map is not a bijection")
-    return FinMor(f.cod, f.dom, {v: k for k, v in f.table.items()})
+    back = [0] * len(f.pos)
+    for k, p in enumerate(f.pos):
+        back[p] = k
+    return FinMor(f.cod, f.dom, pos=back)
+
+
+class CapExceeded(Exception):
+    def __init__(self, count: int, cap: int):
+        super().__init__(f"enumeration of {count} candidates exceeds cap {cap}")
+        self.count = count
+        self.cap = cap
+
+
+DEFAULT_CAP = 10**6
 
 
 # -- hash-consing -----------------------------------------------------------
@@ -191,16 +246,36 @@ def _interned(kind, parts: Sequence, build: Callable[[], object]):
 
 
 # -- products ---------------------------------------------------------------
+#
+# A product's elements sort by their first component, then the second, and
+# so on, so position p of a product of factors sized n_0, ..., n_k has the
+# mixed-radix digits (d_0, ..., d_k) with d_0 most significant: the factor
+# positions.  A coproduct's elements sort by tag, so summand k fills the
+# positions from its offset, the sizes of the summands before it added up.
 
 
 def product(factors: Sequence[FinObj]) -> FinObj:
-    """Chosen product: tuples in factor order; the empty product is UNIT."""
-    return _interned("product", factors, lambda: fin_obj(
-        Tup(items) for items in iter_product(*(f.elements for f in factors))))
+    """Chosen product: tuples in factor order; the empty product is UNIT.
+    CapExceeded when it would have more than DEFAULT_CAP elements."""
+    def build() -> FinObj:
+        count = prod(len(f) for f in factors)
+        if count > DEFAULT_CAP:
+            raise CapExceeded(count, DEFAULT_CAP)
+        return fin_obj(Tup(items) for items in iter_product(*(f.elements for f in factors)))
+
+    return _interned("product", factors, build)
+
+
+def _digits(sizes: Sequence[int], k: int) -> tuple:
+    """Digit k of every position of a product of factors of these sizes."""
+    inner = prod(sizes[k + 1:])
+    block = tuple(chain.from_iterable(repeat(d, inner) for d in range(sizes[k])))
+    return block * prod(sizes[:k])
 
 
 def proj(factors: Sequence[FinObj], k: int) -> FinMor:
-    return fin_mor(product(factors), factors[k], lambda e: e.items[k])
+    return FinMor(product(factors), factors[k],
+                  pos=_digits([len(f) for f in factors], k))
 
 
 def pairing(fs: Sequence[FinMor]) -> FinMor:
@@ -211,13 +286,21 @@ def pairing(fs: Sequence[FinMor]) -> FinMor:
     if any(f.dom != dom for f in fs):
         raise ValueError("pairing components must share a domain")
     cod = product([f.cod for f in fs])
-    return fin_mor(dom, cod, lambda e: Tup(tuple(f(e) for f in fs)))
+    pos = fs[0].pos
+    for f in fs[1:]:
+        n = len(f.cod)
+        pos = [p * n + q for p, q in zip(pos, f.pos)]
+    return FinMor(dom, cod, pos=pos)
 
 
 def product_mor(fs: Sequence[FinMor]) -> FinMor:
     dom = product([f.dom for f in fs])
     cod = product([f.cod for f in fs])
-    return fin_mor(dom, cod, lambda e: Tup(tuple(f(x) for f, x in zip(fs, e.items))))
+    pos = [0]
+    for f in fs:
+        n = len(f.cod)
+        pos = [p * n + q for p in pos for q in f.pos]
+    return FinMor(dom, cod, pos=pos)
 
 
 # -- coproducts -------------------------------------------------------------
@@ -229,7 +312,9 @@ def coproduct(summands: Sequence[FinObj]) -> FinObj:
 
 
 def inj(summands: Sequence[FinObj], k: int) -> FinMor:
-    return fin_mor(summands[k], coproduct(summands), lambda e: Inj(k, e))
+    offset = sum(len(s) for s in summands[:k])
+    return FinMor(summands[k], coproduct(summands),
+                  pos=range(offset, offset + len(summands[k])))
 
 
 def copairing(fs: Sequence[FinMor]) -> FinMor:
@@ -240,26 +325,20 @@ def copairing(fs: Sequence[FinMor]) -> FinMor:
     if any(f.cod != cod for f in fs):
         raise ValueError("copairing components must share a codomain")
     dom = coproduct([f.dom for f in fs])
-    return fin_mor(dom, cod, lambda e: fs[e.tag](e.value))
+    return FinMor(dom, cod, pos=chain.from_iterable(f.pos for f in fs))
 
 
 def coproduct_mor(fs: Sequence[FinMor]) -> FinMor:
     dom = coproduct([f.dom for f in fs])
     cod = coproduct([f.cod for f in fs])
-    return fin_mor(dom, cod, lambda e: Inj(e.tag, fs[e.tag](e.value)))
+    pos, offset = [], 0
+    for f in fs:
+        pos.extend(offset + p for p in f.pos)
+        offset += len(f.cod)
+    return FinMor(dom, cod, pos=pos)
 
 
 # -- enumeration of maps ---------------------------------------------------
-
-
-class CapExceeded(Exception):
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"enumeration of {count} candidates exceeds cap {cap}")
-        self.count = count
-        self.cap = cap
-
-
-DEFAULT_CAP = 10**6
 
 
 def enumerate_mors(dom: FinObj, cod: FinObj, cap: int = DEFAULT_CAP) -> list[FinMor]:
@@ -267,12 +346,5 @@ def enumerate_mors(dom: FinObj, cod: FinObj, cap: int = DEFAULT_CAP) -> list[Fin
     count = len(cod) ** len(dom)
     if count > cap:
         raise CapExceeded(count, cap)
-    if len(dom) == 0:
-        return [FinMor(dom, cod, {})]
-    if len(cod) == 0:
-        return []
-    inputs = dom.elements
-    return [
-        FinMor(dom, cod, dict(zip(inputs, outputs)))
-        for outputs in iter_product(cod.elements, repeat=len(inputs))
-    ]
+    return [FinMor(dom, cod, pos=pos)
+            for pos in iter_product(range(len(cod)), repeat=len(dom))]

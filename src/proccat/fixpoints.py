@@ -265,16 +265,6 @@ class RecurProblem:
         )
 
 
-def coiter_equation_gap(pr: CoiterProblem, cand: TemporalMor) -> Optional[str]:
-    """Witness of the first violation of the defining property, or None."""
-    return pr.equation_gap(cand)
-
-
-def recur_equation_gap(pr: RecurProblem, cand: TemporalMor) -> Optional[str]:
-    """Witness of the first violation of the defining property, or None."""
-    return pr.equation_gap(cand)
-
-
 def recur_live(w: TermBound, a: TemporalObj, b: TemporalObj, c: TemporalObj,
                f: TemporalMor, check: bool = True) -> TemporalMor:
     """Pair-shaped variant: the consumer takes a current value together

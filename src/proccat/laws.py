@@ -282,16 +282,13 @@ def poison(mor: TemporalMor) -> TemporalMor:
     morphism unchanged when every component is constant."""
     for i in mor.dom.scale.indices():
         comp = mor.at(i)
-        elems = mor.dom.at(i).elements
-        for j in range(len(elems)):
-            for k in range(j + 1, len(elems)):
-                if comp(elems[j]) != comp(elems[k]):
-                    table = dict(comp.table)
-                    table[elems[j]], table[elems[k]] = (
-                        table[elems[k]], table[elems[j]]
-                    )
+        pos = list(comp.pos)
+        for j in range(len(pos)):
+            for k in range(j + 1, len(pos)):
+                if pos[j] != pos[k]:
+                    pos[j], pos[k] = pos[k], pos[j]
                     components = dict(mor.components)
-                    components[i] = FinMor(comp.dom, comp.cod, table)
+                    components[i] = FinMor(comp.dom, comp.cod, pos=pos)
                     return TemporalMor(mor.dom, mor.cod, components)
     return mor
 

@@ -24,9 +24,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import prod
 from typing import Optional
 
-from .finset import EMPTY, FinMor, FinObj, Inj, Tup, _interned, fin_mor, fin_obj
+from .finset import (
+    CapExceeded,
+    DEFAULT_CAP,
+    EMPTY,
+    FinMor,
+    FinObj,
+    Inj,
+    Tup,
+    _interned,
+    fin_mor,
+    fin_obj,
+)
 from .temporal import (
     TemporalMor,
     TemporalObj,
@@ -157,10 +169,25 @@ class ProcSpace:
         for combo in iter_product(*pools):
             yield Ongoing(tuple(zip(times, combo)))
 
+    def carrier_size(self, i: IndexPair) -> int:
+        """Element count of the carrier at i, from the sizes of the pools
+        its values are drawn from."""
+        count = sum(
+            prod(len(self.a.at(IndexPair(u, i.t0))) for u in self.scale.open_open(i.t, tp))
+            * len(self.b.at(IndexPair(tp, i.t0)))
+            for tp in self.term_times(i))
+        if self.has_ongoing(i):
+            count += prod(len(self.a.at(IndexPair(u, i.t0)))
+                          for u in self.scale.open_closed(i.t, i.t0))
+        return count
+
     def _carrier_at(self, i: IndexPair) -> FinObj:
         case = self.case_of(i)
         if case == 1:
             return EMPTY
+        count = self.carrier_size(i)
+        if count > DEFAULT_CAP:
+            raise CapExceeded(count, DEFAULT_CAP)
         elems = [self.encode(i, v) for v in self._stopped_choices(i)]
         if case == 3:
             elems.extend(self.encode(i, v) for v in self._running_choices(i))

@@ -291,7 +291,7 @@ def t_coproduct_mor(fs: Sequence[TemporalMor]) -> TemporalMor:
 
 
 def _fn_tab(m: FinMor) -> FnTab:
-    return FnTab(tuple((e, m.table[e]) for e in m.dom.elements))
+    return FnTab(tuple(zip(m.dom.elements, map(m.cod.elements.__getitem__, m.pos))))
 
 
 def exponential_end(a: TemporalObj, b: TemporalObj, cap: int = DEFAULT_CAP) -> TemporalObj:

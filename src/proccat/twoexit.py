@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Optional
 
 from .finset import DEFAULT_CAP
-from .fixpoints import CoiterProblem, coiter_equation_gap
+from .fixpoints import CoiterProblem
 from .operators import join_live
 from .process import LiveSpace, live_map
 from .temporal import (
@@ -177,7 +177,7 @@ def check_roundtrips(pr: TwoExitProblem, one_exit: Optional[TemporalMor] = None,
     one_exit_count = sum(
         1
         for x in enumerate_nat_trans(pr.c, cpr.target.obj, cap=cap)
-        if coiter_equation_gap(cpr, x) is None
+        if cpr.equation_gap(x) is None
     )
     return RoundtripReport(
         equation_ok, len(found), search_matches,

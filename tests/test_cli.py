@@ -107,6 +107,37 @@ def test_dump_respects_the_cap(capsys):
     assert err == "error: enumeration of 387420489 candidates exceeds cap 1000000\n"
 
 
+def test_dump_caps_process_carriers_before_enumerating():
+    # 8000 values at each of two points: 64,008,001 processes at (0, 2).
+    done = subprocess.run(
+        [sys.executable, "-m", "proccat", "dump",
+         "prod(flag(20),flag(20),flag(20)) |>''[inf] unit", "0", "2"],
+        capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "error: enumeration of 64008001 candidates exceeds cap 1000000\n"
+
+
+def test_dump_caps_product_carriers(capsys):
+    code, out, err = run(capsys, ["dump", "prod(flag(101), flag(100), flag(100))", "0", "2"])
+    assert (code, out) == (3, "")
+    assert err == "error: enumeration of 1010000 candidates exceeds cap 1000000\n"
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    # The listing (6,481 lines) outgrows the pipe buffer, so the dump is
+    # still writing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "proccat", "dump", "flag(80) |>''[inf] unit", "0", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first == b"index (0, 2)\n"
+    assert b"Traceback" not in err
+
+
 def test_check_writes_reports_deterministically(capsys, tmp_path):
     argv = ["check", "--suites", "nonstop,corecursion",
             "--out", str(tmp_path / "a")]

@@ -1,7 +1,8 @@
 import gc
+from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from proccat.finset import (
     Atom,
@@ -17,6 +18,7 @@ from proccat.finset import (
     compose,
     coproduct,
     copairing,
+    coproduct_mor,
     elem_key,
     enumerate_mors,
     fin_mor,
@@ -29,6 +31,7 @@ from proccat.finset import (
     is_injective,
     pairing,
     product,
+    product_mor,
     proj,
 )
 
@@ -154,6 +157,7 @@ def test_membership_agrees_with_the_element_tuple(xs, x):
     obj = fin_obj(xs)
     assert (x in obj) == (x in obj.elements)
     assert all(e in obj for e in xs)
+    assert obj.index == {e: k for k, e in enumerate(obj.elements)}
 
 
 def test_map_value_outside_the_codomain_is_named():
@@ -199,3 +203,128 @@ def test_an_interned_entry_dies_with_its_last_holder():
     del p
     gc.collect()
     assert key not in _INTERNED
+
+
+# -- positional maps against their elementwise definitions -------------------
+
+# Small flags, and products and coproducts of them nested up to two deep.
+objects = st.recursive(
+    st.integers(min_value=0, max_value=3).map(flag_obj),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3).map(product),
+        st.lists(kids, max_size=3).map(coproduct),
+    ),
+    max_leaves=4,
+)
+positional = settings(max_examples=60, deadline=None)
+
+
+def draw_map(data, dom, cod):
+    """A map dom -> cod with drawn images, built from a step function."""
+    assume(len(cod) > 0 or len(dom) == 0)
+    images = data.draw(st.lists(st.sampled_from(cod.elements) if len(cod) else st.nothing(),
+                                min_size=len(dom), max_size=len(dom)))
+    return fin_mor(dom, cod, dict(zip(dom.elements, images)).__getitem__)
+
+
+def assert_defined_by(f, dom, cod, fn):
+    """f is the map dom -> cod sending each e to fn(e), and its table
+    view says so too."""
+    assert f == fin_mor(dom, cod, fn)
+    assert (f.dom, f.cod) == (dom, cod)
+    assert f.table == {e: fn(e) for e in dom}
+    assert all(f(e) == fn(e) for e in dom)
+
+
+@positional
+@given(objects)
+def test_identity_is_elementwise(x):
+    assert_defined_by(identity(x), x, x, lambda e: e)
+
+
+@positional
+@given(objects, objects, objects, st.data())
+def test_compose_is_elementwise(x, y, z, data):
+    g, f = draw_map(data, x, y), draw_map(data, y, z)
+    assert_defined_by(compose(f, g), x, z, lambda e: f(g(e)))
+
+
+@positional
+@given(st.lists(objects, min_size=1, max_size=3), st.data())
+def test_proj_is_elementwise(factors, data):
+    k = data.draw(st.integers(min_value=0, max_value=len(factors) - 1))
+    assert_defined_by(proj(factors, k), product(factors), factors[k],
+                      lambda e: e.items[k])
+
+
+@positional
+@given(objects, st.lists(objects, min_size=1, max_size=3), st.data())
+def test_pairing_is_elementwise(x, cods, data):
+    fs = [draw_map(data, x, c) for c in cods]
+    assert_defined_by(pairing(fs), x, product(cods),
+                      lambda e: Tup(tuple(f(e) for f in fs)))
+
+
+@positional
+@given(st.lists(st.tuples(objects, objects), max_size=3), st.data())
+def test_product_mor_is_elementwise(ends, data):
+    fs = [draw_map(data, d, c) for d, c in ends]
+    doms, cods = [d for d, _ in ends], [c for _, c in ends]
+    assert_defined_by(product_mor(fs), product(doms), product(cods),
+                      lambda e: Tup(tuple(f(x) for f, x in zip(fs, e.items))))
+
+
+@positional
+@given(st.lists(objects, min_size=1, max_size=3), st.data())
+def test_inj_is_elementwise(summands, data):
+    k = data.draw(st.integers(min_value=0, max_value=len(summands) - 1))
+    assert_defined_by(inj(summands, k), summands[k], coproduct(summands),
+                      lambda e: Inj(k, e))
+
+
+@positional
+@given(st.lists(objects, min_size=1, max_size=3), objects, st.data())
+def test_copairing_is_elementwise(doms, y, data):
+    fs = [draw_map(data, d, y) for d in doms]
+    assert_defined_by(copairing(fs), coproduct(doms), y,
+                      lambda e: fs[e.tag](e.value))
+
+
+@positional
+@given(st.lists(st.tuples(objects, objects), max_size=3), st.data())
+def test_coproduct_mor_is_elementwise(ends, data):
+    fs = [draw_map(data, d, c) for d, c in ends]
+    doms, cods = [d for d, _ in ends], [c for _, c in ends]
+    assert_defined_by(coproduct_mor(fs), coproduct(doms), coproduct(cods),
+                      lambda e: Inj(e.tag, fs[e.tag](e.value)))
+
+
+@positional
+@given(objects, st.data())
+def test_inverse_is_elementwise(x, data):
+    images = data.draw(st.permutations(x.elements))
+    f = fin_mor(x, x, dict(zip(x.elements, images)).__getitem__)
+    back = {v: e for e, v in zip(x.elements, images)}
+    assert_defined_by(inverse(f), x, x, back.__getitem__)
+
+
+@positional
+@given(objects, objects)
+def test_enumerate_mors_lists_every_map_in_lexicographic_order(x, y):
+    assume(len(y) ** len(x) <= 300)
+    expected = [fin_mor(x, y, dict(zip(x.elements, outs)).__getitem__)
+                for outs in iter_product(y.elements, repeat=len(x))]
+    assert enumerate_mors(x, y) == expected
+
+
+def test_positions_must_cover_the_domain_and_lie_in_the_codomain():
+    a, b = flag_obj(3), flag_obj(2)
+    assert FinMor(a, b, pos=(0, 1, 1)) == fin_mor(a, b, lambda e: Atom("v0" if e == Atom("v0") else "v1"))
+    for bad in [(0, 1), (0, 1, 1, 0), ()]:
+        with pytest.raises(ValueError, match="map positions must cover the domain exactly"):
+            FinMor(a, b, pos=bad)
+    for bad in [(0, 1, 2), (0, -1, 1)]:
+        with pytest.raises(ValueError, match="is outside the codomain"):
+            FinMor(a, b, pos=bad)
+    with pytest.raises(ValueError, match="is outside the codomain"):
+        FinMor(a, EMPTY, pos=(0, 0, 0))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proccat import process
-from proccat.finset import Inj, Tup, UNIT_ELEM
+from proccat.finset import CapExceeded, DEFAULT_CAP, Inj, Tup, UNIT_ELEM
 from proccat.process import (
     LiveSpace,
     Ongoing,
@@ -29,6 +29,7 @@ from proccat.process import (
     strong_bound,
 )
 from proccat.temporal import (
+    empty_obj,
     flag_temporal,
     mor_equal,
     t_identity,
@@ -117,6 +118,22 @@ def test_counting_oracle_matches_carriers(na, nb, wt, pick):
     assert len(sp.obj.at(i)) == count_processes(
         SCALE, w, const_sizes(na), const_sizes(nb), i
     )
+
+
+@given(st.integers(0, 2), st.integers(0, 2), st.sampled_from([None, 0, 1, 2]))
+@settings(max_examples=30, deadline=None)
+def test_predicted_carrier_sizes_match_the_carriers(na, nb, wt):
+    w = UNBOUNDED if wt is None else TermBound.at(wt)
+    sp = ProcSpace(w, flag_temporal(SCALE, na), flag_temporal(SCALE, nb))
+    for i in SCALE.indices():
+        assert sp.carrier_size(i) == len(sp.obj.at(i))
+
+
+def test_process_carriers_over_the_cap_are_refused_before_enumeration():
+    # 1001 values at each of two points: 1001 ** 2 running views at (0, 2).
+    with pytest.raises(CapExceeded) as err:
+        ProcSpace(UNBOUNDED, flag_temporal(SCALE, 1001), empty_obj(SCALE))
+    assert err.value.count == 1001 ** 2 and err.value.cap == DEFAULT_CAP
 
 
 # -- value round trips and views --------------------------------------------
