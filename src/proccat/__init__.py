@@ -46,6 +46,8 @@ from .temporal import (
     naturality_witness,
     pointwise_coproduct,
     pointwise_product,
+    require_functor,
+    require_natural,
     temporal_mor,
     temporal_obj,
     unit_obj,

@@ -194,23 +194,6 @@ def compose(f: FinMor, g: FinMor) -> FinMor:
     return FinMor(g.dom, f.cod, pos=map(f.pos.__getitem__, g.pos))
 
 
-def is_injective(f: FinMor) -> bool:
-    return len(set(f.pos)) == len(f.pos)
-
-
-def is_bijective(f: FinMor) -> bool:
-    return is_injective(f) and len(f.dom) == len(f.cod)
-
-
-def inverse(f: FinMor) -> FinMor:
-    if not is_bijective(f):
-        raise ValueError("map is not a bijection")
-    back = [0] * len(f.pos)
-    for k, p in enumerate(f.pos):
-        back[p] = k
-    return FinMor(f.cod, f.dom, pos=back)
-
-
 class CapExceeded(Exception):
     def __init__(self, count: int, cap: int):
         super().__init__(f"enumeration of {count} candidates exceeds cap {cap}")

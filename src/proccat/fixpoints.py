@@ -56,23 +56,22 @@ class CoiterProblem:
     """
 
     def __init__(self, w: TermBound, a: TemporalObj, b: TemporalObj,
-                 c: TemporalObj, f: TemporalMor, check: bool = True):
+                 c: TemporalObj, f: TemporalMor):
         self.w, self.a, self.b, self.c = w, a, b, c
         self.mixed = LiveSpace(w, a, pointwise_coproduct([b, c]))
         self.target = LiveSpace(w, a, b)
         self._lift_space: Optional[LiveSpace] = None
         self._flatten: Optional[TemporalMor] = None
-        if check:
-            if f.dom != c:
-                raise ValueError("seed map must start from the seed object")
-            if f.cod != self.mixed.obj:
-                raise ValueError(
-                    "seed map must land in value-process pairs whose result "
-                    "is final-or-seed"
-                )
+        if f.dom != c:
+            raise ValueError("seed map must start from the seed object")
+        if f.cod != self.mixed.obj:
+            raise ValueError(
+                "seed map must land in value-process pairs whose result "
+                "is final-or-seed"
+            )
         self.f = f
 
-    def solve(self, check: bool = True) -> TemporalMor:
+    def solve(self) -> TemporalMor:
         """Iterate the seed map to exhaustion: from seeds to processes
         whose result object is final answers only."""
         memo: dict = {}
@@ -112,7 +111,7 @@ class CoiterProblem:
 
             return fin_mor(self.c.at(i), self.target.obj.at(i), step)
 
-        return temporal_mor(self.c, self.target.obj, component, check=check)
+        return temporal_mor(self.c, self.target.obj, component)
 
     def equation_gap(self, cand: TemporalMor) -> Optional[str]:
         """Check the defining property of a solution: mapping fresh seeds
@@ -123,57 +122,44 @@ class CoiterProblem:
                 self.w, self.a,
                 pointwise_coproduct([self.b, self.target.obj]),
             )
-            self._flatten = join_live(self.target, check=False)
+            self._flatten = join_live(self.target)
         onward = t_coproduct_mor([t_identity(self.b), cand])
-        lifted = live_map(self.mixed, self._lift_space, res=onward,
-                          check=False)
+        lifted = live_map(self.mixed, self._lift_space, res=onward)
         return first_difference(
             cand, t_compose(self._flatten, t_compose(lifted, self.f))
         )
 
 
 def coiter_step(w: TermBound, a: TemporalObj, b: TemporalObj, c: TemporalObj,
-                f: TemporalMor, check: bool = True) -> TemporalMor:
+                f: TemporalMor) -> TemporalMor:
     """Step-shaped variant: the seed map may answer immediately instead of
     starting a process.  ``f`` goes from ``c`` to ``b + (value-process
     pairs with result object c)``; the solution goes from ``c`` to the
     step space over ``b``."""
     live_c = LiveSpace(w, a, c)
     mixed = pointwise_coproduct([b, live_c.obj])
-    if check:
-        if f.dom != c or f.cod != mixed:
-            raise ValueError("seed map endpoints do not fit the step shape")
-    restart = live_map(live_c, LiveSpace(w, a, mixed), res=f, check=False)
-    inner = CoiterProblem(w, a, b, live_c.obj, restart, check=False).solve(check=False)
-    out = t_compose(t_coproduct_mor([t_identity(b), inner]), f)
-    if check:
-        return temporal_mor(out.dom, out.cod, out.at)
-    return out
+    if f.dom != c or f.cod != mixed:
+        raise ValueError("seed map endpoints do not fit the step shape")
+    restart = live_map(live_c, LiveSpace(w, a, mixed), res=f)
+    inner = CoiterProblem(w, a, b, live_c.obj, restart).solve()
+    return t_compose(t_coproduct_mor([t_identity(b), inner]), f)
 
 
 def coiter_proc(w: TermBound, a: TemporalObj, b: TemporalObj, c: TemporalObj,
-                f: TemporalMor, check: bool = True) -> TemporalMor:
+                f: TemporalMor) -> TemporalMor:
     """Strict-future variant: seeds map to processes whose result is
     either final or a (current value, fresh seed) pair.  The solution maps
     seeds to plain processes over ``b``."""
     ac = pointwise_product([a, c])
     src = ProcSpace(w, a, pointwise_coproduct([b, ac]))
-    if check:
-        if f.dom != c or f.cod != src.obj:
-            raise ValueError("seed map endpoints do not fit the process shape")
+    if f.dom != c or f.cod != src.obj:
+        raise ValueError("seed map endpoints do not fit the process shape")
     paired = t_product_mor([t_identity(a), f])
-    inner = CoiterProblem(w, a, b, ac, paired, check=False).solve(check=False)
+    inner = CoiterProblem(w, a, b, ac, paired).solve()
     plain = ProcSpace(w, a, b)
-    widen = proc_map(
-        src,
-        joining_space(plain),
-        res=t_coproduct_mor([t_identity(b), inner]),
-        check=False,
-    )
-    out = t_compose(join(plain, check=False), t_compose(widen, f))
-    if check:
-        return temporal_mor(out.dom, out.cod, out.at)
-    return out
+    widen = proc_map(src, joining_space(plain),
+                     res=t_coproduct_mor([t_identity(b), inner]))
+    return t_compose(join(plain), t_compose(widen, f))
 
 
 class RecurProblem:
@@ -187,22 +173,21 @@ class RecurProblem:
     """
 
     def __init__(self, w: TermBound, a: TemporalObj, b: TemporalObj,
-                 c: TemporalObj, f: TemporalMor, check: bool = True):
+                 c: TemporalObj, f: TemporalMor):
         self.w, self.a, self.b, self.c = w, a, b, c
         self.source = ProcSpace(w, a, b)
         self.paired = ProcSpace(w, pointwise_product([a, c]), b)
         self._expanded: Optional[ProcSpace] = None
         self._dup: Optional[TemporalMor] = None
-        if check:
-            if f.dom != self.paired.obj:
-                raise ValueError(
-                    "consumer must start from processes over paired values"
-                )
-            if f.cod != c:
-                raise ValueError("consumer must land in the auxiliary object")
+        if f.dom != self.paired.obj:
+            raise ValueError(
+                "consumer must start from processes over paired values"
+            )
+        if f.cod != c:
+            raise ValueError("consumer must land in the auxiliary object")
         self.f = f
 
-    def solve(self, check: bool = True) -> TemporalMor:
+    def solve(self) -> TemporalMor:
         memo: dict = {}
         active: set = set()
 
@@ -247,7 +232,7 @@ class RecurProblem:
             return fin_mor(self.source.obj.at(i), self.c.at(i),
                            lambda elem: value_at(i, elem))
 
-        return temporal_mor(self.source.obj, self.c, component, check=check)
+        return temporal_mor(self.source.obj, self.c, component)
 
     def equation_gap(self, cand: TemporalMor) -> Optional[str]:
         """Check the defining property of a solution: pairing every record
@@ -256,28 +241,23 @@ class RecurProblem:
         violation, or None."""
         if self._expanded is None:
             self._expanded = expanded_space(self.source)
-            self._dup = expand(self.source, check=False)
+            self._dup = expand(self.source)
         lift = proc_map(self._expanded, self.paired,
-                        act=t_product_mor([t_identity(self.a), cand]),
-                        check=False)
+                        act=t_product_mor([t_identity(self.a), cand]))
         return first_difference(
             cand, t_compose(self.f, t_compose(lift, self._dup))
         )
 
 
 def recur_live(w: TermBound, a: TemporalObj, b: TemporalObj, c: TemporalObj,
-               f: TemporalMor, check: bool = True) -> TemporalMor:
+               f: TemporalMor) -> TemporalMor:
     """Pair-shaped variant: the consumer takes a current value together
     with a process whose recorded values are auxiliary components.  The
     solution consumes (value, process) pairs over plain ``a``."""
     cproc = ProcSpace(w, c, b)
     src = pointwise_product([a, cproc.obj])
-    if check:
-        if f.dom != src or f.cod != c:
-            raise ValueError("consumer endpoints do not fit the pair shape")
-    relabel = proc_map(ProcSpace(w, src, b), cproc, act=f, check=False)
-    solved = RecurProblem(w, a, b, cproc.obj, relabel, check=False).solve(check=False)
-    out = t_compose(f, t_product_mor([t_identity(a), solved]))
-    if check:
-        return temporal_mor(out.dom, out.cod, out.at)
-    return out
+    if f.dom != src or f.cod != c:
+        raise ValueError("consumer endpoints do not fit the pair shape")
+    relabel = proc_map(ProcSpace(w, src, b), cproc, act=f)
+    solved = RecurProblem(w, a, b, cproc.obj, relabel).solve()
+    return t_compose(f, t_product_mor([t_identity(a), solved]))

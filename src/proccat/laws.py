@@ -65,6 +65,8 @@ from .temporal import (
     naturality_witness,
     pointwise_coproduct,
     pointwise_product,
+    require_functor,
+    require_natural,
     temporal_mor,
     temporal_obj,
     t_compose,
@@ -180,15 +182,14 @@ class ComonadInstance:
         return t_proj([x, self.outer(x).obj], 0)
 
     def dup(self, x: TemporalObj) -> TemporalMor:
-        return expand(self.outer(x), check=False)
+        return expand(self.outer(x))
 
     def full_dup(self, x: TemporalObj) -> TemporalMor:
-        return expand_live(self.carrier(x), check=False)
+        return expand_live(self.carrier(x))
 
     def lift(self, g: TemporalMor) -> TemporalMor:
         """Apply the functor to a morphism between value objects."""
-        return proc_map(self.outer(g.dom), self.outer(g.cod), act=g,
-                        check=False)
+        return proc_map(self.outer(g.dom), self.outer(g.cod), act=g)
 
 
 class MonadInstance:
@@ -210,10 +211,10 @@ class MonadInstance:
         return t_inj([y, self.inner(y).obj], 0)
 
     def flatten(self, y: TemporalObj) -> TemporalMor:
-        return join_live(self.inner(y), check=False)
+        return join_live(self.inner(y))
 
     def full_flatten(self, y: TemporalObj) -> TemporalMor:
-        return join_step(self.carrier(y), check=False)
+        return join_step(self.carrier(y))
 
 
 # -- the standard grid ------------------------------------------------------
@@ -354,19 +355,18 @@ def suite_joining(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
         sp = ProcSpace(w, a, b)
         js = joining_space(sp)
         js2 = joining_space(js)
-        jn = join(sp, check=False)
+        jn = join(sp)
         if mutated:
             jn = poison(jn)
         d = Diagram(
             nodes={"plain": sp.obj, "once": js.obj, "twice": js2.obj},
             edges={
                 "wrap": ("plain", "once",
-                         proc_map(sp, js, res=inst.unit(b), check=False)),
+                         proc_map(sp, js, res=inst.unit(b))),
                 "join": ("once", "plain", jn),
                 "collapse_inside": ("twice", "once",
-                                    proc_map(js2, js, res=inst.full_flatten(b),
-                                             check=False)),
-                "join_outer": ("twice", "once", join(js, check=False)),
+                                    proc_map(js2, js, res=inst.full_flatten(b))),
+                "join_outer": ("twice", "once", join(js)),
             },
             paths=[
                 PathEq("plain", "plain", ("wrap", "join"), ()),
@@ -390,7 +390,7 @@ def suite_interaction(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
         js = joining_space(sp)
         ex_sp = ProcSpace(w, lv.obj, b)
         mid_src = expanded_space(js)
-        jn = join(sp, check=False)
+        jn = join(sp)
         if mutated:
             jn = poison(jn)
         d = Diagram(
@@ -403,16 +403,14 @@ def suite_interaction(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
             },
             edges={
                 "join": ("outer", "plain", jn),
-                "dup": ("plain", "expanded", expand(sp, check=False)),
-                "dup_outer": ("outer", "outer_expanded",
-                              expand(js, check=False)),
+                "dup": ("plain", "expanded", expand(sp)),
+                "dup_outer": ("outer", "outer_expanded", expand(js)),
                 "across": ("outer_expanded", "expanded_outer",
                            proc_map(mid_src, joining_space(ex_sp),
-                                    act=join_live(lv, check=False),
-                                    res=expand_step(st, check=False),
-                                    check=False)),
+                                    act=join_live(lv),
+                                    res=expand_step(st))),
                 "join_expanded": ("expanded_outer", "expanded",
-                                  join(ex_sp, check=False)),
+                                  join(ex_sp)),
             },
             paths=[
                 PathEq("outer", "expanded", ("join", "dup"),
@@ -454,14 +452,14 @@ def suite_merging(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
     for label, left, right in _merge_pairs():
         m = MergeSpace(left, right)
         pair = pointwise_product([left.obj, right.obj])
-        z = m.zip(check=False)
+        z = m.zip()
         if mutated:
             z = poison(z)
         d = Diagram(
             nodes={"pair": pair, "merged": m.merged.obj},
             edges={
                 "zip": ("pair", "merged", z),
-                "split": ("merged", "pair", m.split(check=False)),
+                "split": ("merged", "pair", m.split()),
             },
             paths=[
                 PathEq("pair", "pair", ("zip", "split"), ()),
@@ -502,8 +500,7 @@ def suite_naturality(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
     for case in law_grid():
         _, a, b, w = build_case(case)
         sp = ProcSpace(w, a, b)
-        for opname, mor in (("expand", expand(sp, check=False)),
-                            ("join", join(sp, check=False))):
+        for opname, mor in (("expand", expand(sp)), ("join", join(sp))):
             witness = naturality_witness(mor)
             reports.append(LawReport("naturality",
                                      case.label + " op=" + opname,
@@ -545,7 +542,7 @@ def coiter_problems() -> list:
                     i, UNIT_ELEM, Terminated(stop, (), Inj(tag, UNIT_ELEM))
                 )
             return fin_mor(u.at(i), mixed1.obj.at(i), go)
-        return temporal_mor(u, mixed1.obj, component)
+        return require_natural(temporal_mor(u, mixed1.obj, component))
 
     out.append(("finish_next",
                 CoiterProblem(UNBOUNDED, u, u, u, build_unit(0))))
@@ -565,7 +562,8 @@ def coiter_problems() -> list:
 
     out.append(("handoff_once",
                 CoiterProblem(UNBOUNDED, u, u, f,
-                              temporal_mor(f, mixed2.obj, handoff_component))))
+                              require_natural(temporal_mor(
+                                  f, mixed2.obj, handoff_component)))))
 
     mixed3 = LiveSpace(UNBOUNDED, f, pointwise_coproduct([u, f]))
 
@@ -580,14 +578,13 @@ def coiter_problems() -> list:
 
     out.append(("alternate_values",
                 CoiterProblem(UNBOUNDED, f, u, f,
-                              temporal_mor(f, mixed3.obj,
-                                           alternate_component))))
+                              require_natural(temporal_mor(
+                                  f, mixed3.obj, alternate_component)))))
 
     wb = TermBound.at(sc.end)
     base = ProcSpace(wb, u, u)
     mixed4 = LiveSpace(wb, u, pointwise_coproduct([u, base.obj]))
-    relabel = proc_map(base, mixed4.proc,
-                       res=t_inj([u, base.obj], 0), check=False)
+    relabel = proc_map(base, mixed4.proc, res=t_inj([u, base.obj], 0))
 
     def bounded_component(i: IndexPair) -> FinMor:
         def go(p):
@@ -597,8 +594,8 @@ def coiter_problems() -> list:
 
     out.append(("bounded_replay",
                 CoiterProblem(wb, u, u, base.obj,
-                              temporal_mor(base.obj, mixed4.obj,
-                                           bounded_component))))
+                              require_natural(temporal_mor(
+                                  base.obj, mixed4.obj, bounded_component)))))
     return out
 
 
@@ -638,7 +635,7 @@ def stamp_parity_obj(scale: TimeScale) -> TemporalObj:
 
         return fin_mor(src, dst, go)
 
-    return temporal_obj(scale, carrier, restrict, check=True)
+    return require_functor(temporal_obj(scale, carrier, restrict))
 
 
 def recur_problems() -> list:
@@ -651,24 +648,23 @@ def recur_problems() -> list:
     paired_u = ProcSpace(UNBOUNDED, pointwise_product([u, u]), u)
     out.append(("collapse_unit",
                 RecurProblem(UNBOUNDED, u, u, u,
-                             temporal_mor(paired_u.obj, u,
-                                          lambda i: fin_mor(
-                                              paired_u.obj.at(i), u.at(i),
-                                              lambda e: UNIT_ELEM)))))
+                             require_natural(temporal_mor(
+                                 paired_u.obj, u,
+                                 lambda i: fin_mor(paired_u.obj.at(i), u.at(i),
+                                                   lambda e: UNIT_ELEM))))))
 
     paired_f = ProcSpace(UNBOUNDED, pointwise_product([u, f]), u)
     out.append(("constant_label",
                 RecurProblem(UNBOUNDED, u, u, f,
-                             temporal_mor(paired_f.obj, f,
-                                          lambda i: fin_mor(
-                                              paired_f.obj.at(i), f.at(i),
-                                              lambda e: V1)))))
+                             require_natural(temporal_mor(
+                                 paired_f.obj, f,
+                                 lambda i: fin_mor(paired_f.obj.at(i), f.at(i),
+                                                   lambda e: V1))))))
 
     for name, rb in (("strip_labels", u), ("carry_results", f)):
         base = ProcSpace(UNBOUNDED, u, rb)
         paired = ProcSpace(UNBOUNDED, pointwise_product([u, base.obj]), rb)
-        strip = proc_map(paired, base, act=t_proj([u, base.obj], 0),
-                         check=False)
+        strip = proc_map(paired, base, act=t_proj([u, base.obj], 0))
         out.append((name, RecurProblem(UNBOUNDED, u, rb, base.obj, strip)))
 
     stamps = stamp_parity_obj(sc)
@@ -690,8 +686,8 @@ def recur_problems() -> list:
 
     out.append(("stop_parity",
                 RecurProblem(UNBOUNDED, u, u, stamps,
-                             temporal_mor(paired_s.obj, stamps,
-                                          parity_component))))
+                             require_natural(temporal_mor(
+                                 paired_s.obj, stamps, parity_component)))))
     return out
 
 
@@ -714,7 +710,7 @@ def step_variant_problem():
         return fin_mor(f.at(i), mixed.at(i), go)
 
     return ("answer_or_wait", UNBOUNDED, u, u, f,
-            temporal_mor(f, mixed, component))
+            require_natural(temporal_mor(f, mixed, component)))
 
 
 def proc_variant_problem():
@@ -737,7 +733,7 @@ def proc_variant_problem():
         return fin_mor(f.at(i), src.obj.at(i), go)
 
     return ("stagger_restart", UNBOUNDED, u, u, f,
-            temporal_mor(f, src.obj, component))
+            require_natural(temporal_mor(f, src.obj, component)))
 
 
 def pair_variant_problem():
@@ -757,7 +753,7 @@ def pair_variant_problem():
         return fin_mor(src.at(i), stamps.at(i), go)
 
     return ("stamp_stops", UNBOUNDED, u, u, stamps,
-            temporal_mor(src, stamps, component))
+            require_natural(temporal_mor(src, stamps, component)))
 
 
 def two_exit_problems() -> list:
@@ -787,7 +783,8 @@ def two_exit_problems() -> list:
 
     out.append(("early_or_wait",
                 TwoExitProblem(UNBOUNDED, u, u, f,
-                               temporal_mor(f, cod, early_component)),
+                               require_natural(temporal_mor(
+                                   f, cod, early_component))),
                 None))
     return out
 
@@ -810,7 +807,7 @@ def uniqueness_problems() -> list:
 def suite_corecursion(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
     reports = []
     for name, pr in coiter_problems():
-        gap = pr.equation_gap(pr.solve(check=False))
+        gap = pr.equation_gap(pr.solve())
         reports.append(LawReport("corecursion", "problem=" + name,
                                  "fail" if gap else "pass", gap))
     return reports
@@ -819,7 +816,7 @@ def suite_corecursion(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
 def suite_recursion(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
     reports = []
     for name, pr in recur_problems():
-        gap = pr.equation_gap(pr.solve(check=False))
+        gap = pr.equation_gap(pr.solve())
         reports.append(LawReport("recursion", "problem=" + name,
                                  "fail" if gap else "pass", gap))
     return reports
@@ -830,35 +827,33 @@ def suite_derived(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
     reports = []
 
     name, w, a, b, c, f = step_variant_problem()
-    sol = coiter_step(w, a, b, c, f, check=False)
+    sol = coiter_step(w, a, b, c, f)
     live_c = LiveSpace(w, a, c)
-    lifted = live_map(live_c, LiveSpace(w, a, sol.cod), res=sol, check=False)
-    once = t_compose(join_live(LiveSpace(w, a, b), check=False), lifted)
+    lifted = live_map(live_c, LiveSpace(w, a, sol.cod), res=sol)
+    once = t_compose(join_live(LiveSpace(w, a, b)), lifted)
     rhs = t_compose(t_coproduct_mor([t_identity(b), once]), f)
     gap = first_difference(sol, rhs)
     reports.append(LawReport("derived", "problem=" + name,
                              "fail" if gap else "pass", gap))
 
     name, w, a, b, c, f = proc_variant_problem()
-    sol = coiter_proc(w, a, b, c, f, check=False)
+    sol = coiter_proc(w, a, b, c, f)
     plain = ProcSpace(w, a, b)
     src = ProcSpace(w, a,
                     pointwise_coproduct([b, pointwise_product([a, c])]))
     res = t_coproduct_mor([t_identity(b),
                            t_product_mor([t_identity(a), sol])])
-    rhs = t_compose(join(plain, check=False),
-                    t_compose(proc_map(src, joining_space(plain), res=res,
-                                       check=False), f))
+    rhs = t_compose(join(plain),
+                    t_compose(proc_map(src, joining_space(plain), res=res), f))
     gap = first_difference(sol, rhs)
     reports.append(LawReport("derived", "problem=" + name,
                              "fail" if gap else "pass", gap))
 
     name, w, a, b, c, f = pair_variant_problem()
-    sol = recur_live(w, a, b, c, f, check=False)
+    sol = recur_live(w, a, b, c, f)
     base = ProcSpace(w, a, b)
-    inner = t_compose(proc_map(expanded_space(base), ProcSpace(w, c, b),
-                               act=sol, check=False),
-                      expand(base, check=False))
+    inner = t_compose(proc_map(expanded_space(base), ProcSpace(w, c, b), act=sol),
+                      expand(base))
     rhs = t_compose(f, t_product_mor([t_identity(a), inner]))
     gap = first_difference(sol, rhs)
     reports.append(LawReport("derived", "problem=" + name,
@@ -882,7 +877,7 @@ def suite_uniqueness(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
         except CapExceeded as e:
             reports.append(LawReport("uniqueness", label, "cap", str(e)))
             continue
-        sol = pr.solve(check=False)
+        sol = pr.solve()
         if len(matches) == 1 and mor_equal(matches[0], sol):
             reports.append(LawReport("uniqueness", label, "pass"))
         else:

@@ -46,7 +46,7 @@ def expanded_space(sp: ProcSpace) -> ProcSpace:
     return ProcSpace(sp.w, LiveSpace(sp.w, sp.a, sp.b).obj, sp.b)
 
 
-def expand(sp: ProcSpace, check: bool = True) -> TemporalMor:
+def expand(sp: ProcSpace) -> TemporalMor:
     """Pair every recorded value with the suffix starting at its time.
 
     Stop time, final result, and the stopped/running shape are preserved;
@@ -68,25 +68,19 @@ def expand(sp: ProcSpace, check: bool = True) -> TemporalMor:
 
         return fin_mor(sp.obj.at(i), target.obj.at(i), step)
 
-    return temporal_mor(sp.obj, target.obj, component, check=check)
+    return temporal_mor(sp.obj, target.obj, component)
 
 
-def expand_live(sp: LiveSpace, check: bool = True) -> TemporalMor:
+def expand_live(sp: LiveSpace) -> TemporalMor:
     """Pair the whole running process with itself expanded: the first
     component is kept, the future part is expanded."""
-    future = t_compose(expand(sp.proc, check=False), t_proj([sp.a, sp.proc.obj], 1))
-    out = t_pairing([t_identity(sp.obj), future])
-    if check:
-        return temporal_mor(out.dom, out.cod, out.at)
-    return out
+    future = t_compose(expand(sp.proc), t_proj([sp.a, sp.proc.obj], 1))
+    return t_pairing([t_identity(sp.obj), future])
 
 
-def expand_step(sp: StepSpace, check: bool = True) -> TemporalMor:
+def expand_step(sp: StepSpace) -> TemporalMor:
     """Already-stopped results pass through; running processes expand."""
-    out = t_coproduct_mor([t_identity(sp.b), expand_live(sp.live, check=False)])
-    if check:
-        return temporal_mor(out.dom, out.cod, out.at)
-    return out
+    return t_coproduct_mor([t_identity(sp.b), expand_live(sp.live)])
 
 
 # -- joining ----------------------------------------------------------------
@@ -98,7 +92,7 @@ def joining_space(sp: ProcSpace) -> ProcSpace:
     return ProcSpace(sp.w, sp.a, StepSpace(sp.w, sp.a, sp.b).obj)
 
 
-def join(sp: ProcSpace, check: bool = True) -> TemporalMor:
+def join(sp: ProcSpace) -> TemporalMor:
     """Concatenate a process with the process its final result carries.
 
     If the outer process runs forever the result is the outer record
@@ -125,27 +119,19 @@ def join(sp: ProcSpace, check: bool = True) -> TemporalMor:
 
         return fin_mor(outer.obj.at(i), sp.obj.at(i), splice)
 
-    return temporal_mor(outer.obj, sp.obj, component, check=check)
+    return temporal_mor(outer.obj, sp.obj, component)
 
 
-def join_live(sp: LiveSpace, check: bool = True) -> TemporalMor:
+def join_live(sp: LiveSpace) -> TemporalMor:
     """Keep the current value; concatenate the future part."""
-    out = t_product_mor([t_identity(sp.a), join(sp.proc, check=False)])
-    if check:
-        return temporal_mor(out.dom, out.cod, out.at)
-    return out
+    return t_product_mor([t_identity(sp.a), join(sp.proc)])
 
 
-def join_step(sp: StepSpace, check: bool = True) -> TemporalMor:
+def join_step(sp: StepSpace) -> TemporalMor:
     """A step whose non-stopped branch carries a step-valued process: the
     already-stopped branch passes through, the other concatenates."""
-    live_part = t_compose(
-        t_inj([sp.b, sp.live.obj], 1), join_live(sp.live, check=False)
-    )
-    out = t_copairing([t_identity(sp.obj), live_part])
-    if check:
-        return temporal_mor(out.dom, out.cod, out.at)
-    return out
+    live_part = t_compose(t_inj([sp.b, sp.live.obj], 1), join_live(sp.live))
+    return t_copairing([t_identity(sp.obj), live_part])
 
 
 # -- merging ----------------------------------------------------------------
@@ -206,7 +192,7 @@ class MergeSpace:
             ]
         return sp, step, t_copairing(branches)
 
-    def project(self, first: bool, check: bool = True) -> TemporalMor:
+    def project(self, first: bool) -> TemporalMor:
         """Recover one side from the merged process: map values and the
         outcome onto that side, then concatenate."""
         sp, step, outcome_map = self._side_pieces(first)
@@ -216,21 +202,14 @@ class MergeSpace:
             ProcSpace(sp.w, sp.a, step.obj),
             act=act,
             res=outcome_map,
-            check=False,
         )
-        out = t_compose(join(sp, check=False), widen)
-        if check:
-            return temporal_mor(out.dom, out.cod, out.at)
-        return out
+        return t_compose(join(sp), widen)
 
-    def split(self, check: bool = True) -> TemporalMor:
+    def split(self) -> TemporalMor:
         """Both projections paired: merged -> left x right."""
-        out = t_pairing([self.project(True, check=False), self.project(False, check=False)])
-        if check:
-            return temporal_mor(out.dom, out.cod, out.at)
-        return out
+        return t_pairing([self.project(True), self.project(False)])
 
-    def zip(self, check: bool = True) -> TemporalMor:
+    def zip(self) -> TemporalMor:
         """The inverse of split: run two processes side by side until the
         first stop."""
         pair_obj = pointwise_product([self.left.obj, self.right.obj])
@@ -273,4 +252,4 @@ class MergeSpace:
 
             return fin_mor(pair_obj.at(i), self.merged.obj.at(i), combine)
 
-        return temporal_mor(pair_obj, self.merged.obj, component, check=check)
+        return temporal_mor(pair_obj, self.merged.obj, component)

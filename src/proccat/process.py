@@ -45,7 +45,6 @@ from .temporal import (
     empty_obj,
     pointwise_coproduct,
     pointwise_product,
-    require_functor,
     temporal_mor,
     temporal_obj,
     t_identity,
@@ -114,7 +113,7 @@ class ProcSpace:
     the same objects share one `obj`.
     """
 
-    def __init__(self, w: TermBound, a: TemporalObj, b: TemporalObj, check: bool = False):
+    def __init__(self, w: TermBound, a: TemporalObj, b: TemporalObj):
         if a.scale != b.scale:
             raise ValueError("value and result objects live over different scales")
         self.w = w
@@ -123,15 +122,11 @@ class ProcSpace:
         self.scale: TimeScale = a.scale
         self.obj = _interned(("ProcSpace", w), (a, b), self._build)
         self._carriers = self.obj.carrier
-        if check:
-            require_functor(self.obj)
 
     def _build(self) -> TemporalObj:
         # `_restrict_at` reads the carriers while the object is built.
         self._carriers = {i: self._carrier_at(i) for i in self.scale.indices()}
-        return temporal_obj(
-            self.scale, self._carriers.__getitem__, self._restrict_at, check=False
-        )
+        return temporal_obj(self.scale, self._carriers.__getitem__, self._restrict_at)
 
     def case_of(self, i: IndexPair) -> int:
         """1: bound in the past (empty); 2: bound inside the horizon
@@ -265,7 +260,6 @@ def proc_map(
     dst: ProcSpace,
     act: Optional[TemporalMor] = None,
     res: Optional[TemporalMor] = None,
-    check: bool = True,
 ) -> TemporalMor:
     """Map a process space by a morphism on values, a morphism on results,
     and a weakening of the termination bound, all applied pointwise.
@@ -295,7 +289,7 @@ def proc_map(
 
         return fin_mor(src.obj.at(i), dst.obj.at(i), step)
 
-    return temporal_mor(src.obj, dst.obj, component, check=check)
+    return temporal_mor(src.obj, dst.obj, component)
 
 
 class LiveSpace:
@@ -335,12 +329,11 @@ def live_map(
     dst: LiveSpace,
     act: Optional[TemporalMor] = None,
     res: Optional[TemporalMor] = None,
-    check: bool = True,
 ) -> TemporalMor:
     """The value morphism on the current value, the full pointwise map on
     the future part."""
     act = act if act is not None else t_identity(src.a)
-    future = proc_map(src.proc, dst.proc, act, res, check=False)
+    future = proc_map(src.proc, dst.proc, act, res)
 
     def component(i: IndexPair) -> FinMor:
         def step(elem):
@@ -348,7 +341,7 @@ def live_map(
 
         return fin_mor(src.obj.at(i), dst.obj.at(i), step)
 
-    return temporal_mor(src.obj, dst.obj, component, check=check)
+    return temporal_mor(src.obj, dst.obj, component)
 
 
 def step_map(
@@ -356,10 +349,9 @@ def step_map(
     dst: StepSpace,
     act: Optional[TemporalMor] = None,
     res: Optional[TemporalMor] = None,
-    check: bool = True,
 ) -> TemporalMor:
     res = res if res is not None else t_identity(src.b)
-    running = live_map(src.live, dst.live, act, res, check=False)
+    running = live_map(src.live, dst.live, act, res)
 
     def component(i: IndexPair) -> FinMor:
         def step(elem):
@@ -369,7 +361,7 @@ def step_map(
 
         return fin_mor(src.obj.at(i), dst.obj.at(i), step)
 
-    return temporal_mor(src.obj, dst.obj, component, check=check)
+    return temporal_mor(src.obj, dst.obj, component)
 
 
 # -- behaviors, events, and the nonstop process -----------------------------

@@ -5,6 +5,9 @@ restriction map to every index morphism, contravariantly in the observation
 time: restricting along (t, t0, t0') forgets what was learned after t0.
 Temporal morphisms are families of maps, one per index, commuting with all
 restrictions.
+
+`temporal_obj` and `temporal_mor` build without checking either law;
+`require_functor` and `require_natural` check them where a value enters.
 """
 from __future__ import annotations
 
@@ -59,12 +62,10 @@ def temporal_obj(
     scale: TimeScale,
     carrier_at: Callable[[IndexPair], FinObj],
     restrict_at: Callable[[IndexMor], FinMor],
-    check: bool = True,
 ) -> TemporalObj:
     carrier = {i: carrier_at(i) for i in scale.indices()}
     restrict = {m: restrict_at(m) for m in scale.index_mors()}
-    obj = TemporalObj(scale, carrier, restrict)
-    return require_functor(obj) if check else obj
+    return TemporalObj(scale, carrier, restrict)
 
 
 def require_functor(obj: TemporalObj) -> TemporalObj:
@@ -128,14 +129,27 @@ def temporal_mor(
     dom: TemporalObj,
     cod: TemporalObj,
     component_at: Callable[[IndexPair], FinMor],
-    check: bool = True,
 ) -> TemporalMor:
-    mor = TemporalMor(dom, cod, {i: component_at(i) for i in dom.scale.indices()})
-    if check:
-        witness = naturality_witness(mor)
-        if witness is not None:
-            raise ValueError(f"not natural: {witness}")
+    return TemporalMor(dom, cod, {i: component_at(i) for i in dom.scale.indices()})
+
+
+def require_natural(mor: TemporalMor) -> TemporalMor:
+    """mor itself, once `naturality_witness` finds nothing; ValueError
+    otherwise."""
+    witness = naturality_witness(mor)
+    if witness is not None:
+        raise ValueError(f"not natural: {witness}")
     return mor
+
+
+def _square_gap(a: TemporalObj, b: TemporalObj, m: IndexMor,
+                at_src: FinMor, at_dst: FinMor) -> Optional[tuple]:
+    """None when the naturality square of `m` commutes for the components
+    `at_src` (at m.src) and `at_dst` (at m.dst) of a family a -> b;
+    otherwise its two sides, restrict-after-map and map-after-restrict."""
+    left = f_compose(b.res(m), at_src)
+    right = f_compose(at_dst, a.res(m))
+    return None if left == right else (left, right)
 
 
 def naturality_witness(mor: TemporalMor) -> Optional[str]:
@@ -146,16 +160,12 @@ def naturality_witness(mor: TemporalMor) -> Optional[str]:
     for i in mor.dom.scale.index_mors():
         if i.is_identity:
             continue
-        left = f_compose(mor.cod.res(i), mor.at(i.src))
-        right = f_compose(mor.at(i.dst), mor.dom.res(i))
-        if left != right:
+        gap = _square_gap(mor.dom, mor.cod, i, mor.at(i.src), mor.at(i.dst))
+        if gap is not None:
+            left, right = gap
             bad = next(e for e in mor.dom.at(i.src) if left(e) != right(e))
             return f"square for {i} fails at {bad!r}: {left(bad)!r} vs {right(bad)!r}"
     return None
-
-
-def is_natural(mor: TemporalMor) -> bool:
-    return naturality_witness(mor) is None
 
 
 def mor_equal(f: TemporalMor, g: TemporalMor) -> bool:
@@ -181,9 +191,7 @@ def first_difference(f: TemporalMor, g: TemporalMor) -> Optional[str]:
 
 
 def const_obj(scale: TimeScale, value: FinObj) -> TemporalObj:
-    return temporal_obj(
-        scale, lambda i: value, lambda m: f_identity(value), check=False
-    )
+    return temporal_obj(scale, lambda i: value, lambda m: f_identity(value))
 
 
 def unit_obj(scale: TimeScale) -> TemporalObj:
@@ -208,7 +216,6 @@ def pointwise_product(factors: Sequence[TemporalObj]) -> TemporalObj:
         scale,
         lambda i: product([f.at(i) for f in factors]),
         lambda m: product_mor([f.res(m) for f in factors]),
-        check=False,
     ))
 
 
@@ -221,7 +228,6 @@ def pointwise_coproduct(summands: Sequence[TemporalObj]) -> TemporalObj:
         scale,
         lambda i: coproduct([s.at(i) for s in summands]),
         lambda m: coproduct_mor([s.res(m) for s in summands]),
-        check=False,
     ))
 
 
@@ -229,7 +235,7 @@ def pointwise_coproduct(summands: Sequence[TemporalObj]) -> TemporalObj:
 
 
 def t_identity(obj: TemporalObj) -> TemporalMor:
-    return temporal_mor(obj, obj, lambda i: f_identity(obj.at(i)), check=False)
+    return temporal_mor(obj, obj, lambda i: f_identity(obj.at(i)))
 
 
 def t_compose(f: TemporalMor, g: TemporalMor) -> TemporalMor:
@@ -243,9 +249,7 @@ def t_compose(f: TemporalMor, g: TemporalMor) -> TemporalMor:
 
 def t_proj(factors: Sequence[TemporalObj], k: int) -> TemporalMor:
     src = pointwise_product(factors)
-    return temporal_mor(
-        src, factors[k], lambda i: proj([f.at(i) for f in factors], k), check=False
-    )
+    return temporal_mor(src, factors[k], lambda i: proj([f.at(i) for f in factors], k))
 
 
 def t_pairing(fs: Sequence[TemporalMor]) -> TemporalMor:
@@ -266,9 +270,7 @@ def t_product_mor(fs: Sequence[TemporalMor]) -> TemporalMor:
 
 def t_inj(summands: Sequence[TemporalObj], k: int) -> TemporalMor:
     cod = pointwise_coproduct(summands)
-    return temporal_mor(
-        summands[k], cod, lambda i: inj([s.at(i) for s in summands], k), check=False
-    )
+    return temporal_mor(summands[k], cod, lambda i: inj([s.at(i) for s in summands], k))
 
 
 def t_copairing(fs: Sequence[TemporalMor]) -> TemporalMor:
@@ -316,20 +318,14 @@ def exponential_end(a: TemporalObj, b: TemporalObj, cap: int = DEFAULT_CAP) -> T
             if total > cap:
                 raise CapExceeded(total, cap)
             spaces.append(enumerate_mors(a.at(here), b.at(here), cap))
-        families = []
-        for choice in iter_product(*spaces):
-            ok = True
-            for x in range(len(times)):
-                for y in range(x + 1, len(times)):
-                    m = IndexMor(i.t, times[x], times[y])
-                    if f_compose(b.res(m), choice[y]) != f_compose(choice[x], a.res(m)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                families.append(Tup(tuple(_fn_tab(c) for c in choice)))
-        return fin_obj(families)
+        squares = [(IndexMor(i.t, times[x], times[y]), x, y)
+                   for x in range(len(times)) for y in range(x + 1, len(times))]
+        return fin_obj([
+            Tup(tuple(_fn_tab(c) for c in choice))
+            for choice in iter_product(*spaces)
+            if all(_square_gap(a, b, m, choice[y], choice[x]) is None
+                   for m, x, y in squares)
+        ])
 
     carrier_cache = {i: carrier_at(i) for i in scale.indices()}
 
@@ -341,7 +337,7 @@ def exponential_end(a: TemporalObj, b: TemporalObj, cap: int = DEFAULT_CAP) -> T
             lambda fam: Tup(fam.items[:keep]),
         )
 
-    return temporal_obj(scale, lambda i: carrier_cache[i], restrict_at, check=True)
+    return require_functor(temporal_obj(scale, carrier_cache.__getitem__, restrict_at))
 
 
 # -- exhaustive enumeration of natural families -----------------------------
@@ -381,9 +377,7 @@ def enumerate_nat_trans(
     chosen: dict[IndexPair, FinMor] = {}
 
     def square_ok(m: IndexMor) -> bool:
-        left = f_compose(b.res(m), chosen[m.src])
-        right = f_compose(chosen[m.dst], a.res(m))
-        return left == right
+        return _square_gap(a, b, m, chosen[m.src], chosen[m.dst]) is None
 
     def descend(k: int) -> None:
         if k == len(indices):
@@ -413,6 +407,6 @@ def brute_nat_trans(
     out = []
     for choice in iter_product(*per_index):
         cand = TemporalMor(a, b, dict(zip(indices, choice)))
-        if is_natural(cand):
+        if naturality_witness(cand) is None:
             out.append(cand)
     return out

@@ -24,7 +24,6 @@ from .temporal import (
     enumerate_nat_trans,
     mor_equal,
     pointwise_coproduct,
-    temporal_mor,
     t_compose,
     t_copairing,
     t_coproduct_mor,
@@ -40,16 +39,15 @@ class TwoExitProblem:
     process)`` satisfying :meth:`is_solution`."""
 
     def __init__(self, w: TermBound, a: TemporalObj, b: TemporalObj,
-                 c: TemporalObj, g: TemporalMor, check: bool = True):
+                 c: TemporalObj, g: TemporalMor):
         self.w, self.a, self.b, self.c = w, a, b, c
         self.inner = LiveSpace(w, a, pointwise_coproduct([b, c]))
         self.target = LiveSpace(w, a, b)
         self.answers = pointwise_coproduct([b, self.target.obj])
-        if check:
-            if g.dom != c:
-                raise ValueError("seed map must start from the seed object")
-            if g.cod != pointwise_coproduct([b, self.inner.obj]):
-                raise ValueError("seed map must have answer and process exits")
+        if g.dom != c:
+            raise ValueError("seed map must start from the seed object")
+        if g.cod != pointwise_coproduct([b, self.inner.obj]):
+            raise ValueError("seed map must have answer and process exits")
         self.g = g
 
     @cached_property
@@ -60,7 +58,7 @@ class TwoExitProblem:
         which raised the peak memory of the solver suites."""
         return (t_inj([self.b, self.target.obj], 0),
                 LiveSpace(self.w, self.a, self.answers),
-                join_live(self.target, check=False))
+                join_live(self.target))
 
     def graft(self, cand: TemporalMor) -> TemporalMor:
         """Turn a candidate solution into a collapser of running
@@ -68,7 +66,7 @@ class TwoExitProblem:
         then concatenate."""
         answer_now, answer_space, concat = self._graft_parts
         res = t_copairing([answer_now, cand])
-        lifted = live_map(self.inner, answer_space, res=res, check=False)
+        lifted = live_map(self.inner, answer_space, res=res)
         return t_compose(concat, lifted)
 
     def classify(self, collapse: TemporalMor) -> TemporalMor:
@@ -83,7 +81,7 @@ class TwoExitProblem:
         reproduces it."""
         return mor_equal(cand, self.classify(self.graft(cand)))
 
-    def solve(self, check: bool = True) -> TemporalMor:
+    def solve(self) -> TemporalMor:
         """The canonical solution, obtained through the one-exit solver:
         defer every seed through the seed map, iterate, classify."""
         inner_obj = self.inner.obj
@@ -91,15 +89,10 @@ class TwoExitProblem:
         restart = live_map(
             self.inner,
             LiveSpace(self.w, self.a, pointwise_coproduct([self.b, inner_obj])),
-            res=res, check=False,
+            res=res,
         )
-        collapse = CoiterProblem(
-            self.w, self.a, self.b, inner_obj, restart, check=False
-        ).solve(check=False)
-        out = self.classify(collapse)
-        if check:
-            return temporal_mor(out.dom, out.cod, out.at)
-        return out
+        collapse = CoiterProblem(self.w, self.a, self.b, inner_obj, restart).solve()
+        return self.classify(collapse)
 
     def search(self, cap: int = DEFAULT_CAP) -> list:
         """All solutions, found by filtering every natural map from seeds
@@ -113,12 +106,12 @@ class TwoExitProblem:
 
 
 def defer_all(w: TermBound, a: TemporalObj, b: TemporalObj, c: TemporalObj,
-              f: TemporalMor, check: bool = True) -> TwoExitProblem:
+              f: TemporalMor) -> TwoExitProblem:
     """View a one-exit seed map as a two-exit problem that never answers
     immediately."""
     inner = LiveSpace(w, a, pointwise_coproduct([b, c]))
     g = t_compose(t_inj([b, inner.obj], 1), f)
-    return TwoExitProblem(w, a, b, c, g, check=check)
+    return TwoExitProblem(w, a, b, c, g)
 
 
 def collapse_from_answers(pr: TwoExitProblem, f: TemporalMor,
@@ -164,14 +157,14 @@ def check_roundtrips(pr: TwoExitProblem, one_exit: Optional[TemporalMor] = None,
     supplied, confirm that translating solutions back and forth lands on
     the one-exit solver's answer (and that the one-exit solution is itself
     unique under exhaustive search)."""
-    cand = pr.solve(check=False)
+    cand = pr.solve()
     equation_ok = pr.is_solution(cand)
     found = pr.search(cap)
     search_matches = len(found) == 1 and mor_equal(found[0], cand)
     if one_exit is None:
         return RoundtripReport(equation_ok, len(found), search_matches)
-    cpr = CoiterProblem(pr.w, pr.a, pr.b, pr.c, one_exit, check=False)
-    sol = cpr.solve(check=False)
+    cpr = CoiterProblem(pr.w, pr.a, pr.b, pr.c, one_exit)
+    sol = cpr.solve()
     collapse_match = mor_equal(collapse_from_answers(pr, one_exit, cand), sol)
     answers_match = mor_equal(answers_from_collapse(pr, sol), cand)
     one_exit_count = sum(

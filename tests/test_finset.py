@@ -26,9 +26,6 @@ from proccat.finset import (
     flag_obj,
     identity,
     inj,
-    inverse,
-    is_bijective,
-    is_injective,
     pairing,
     product,
     product_mor,
@@ -88,17 +85,6 @@ def test_copairing_satisfies_injection_equations():
     merged = copairing([f, g])
     assert compose(merged, inj([a, b], 0)) == f
     assert compose(merged, inj([a, b], 1)) == g
-
-
-def test_bijection_roundtrip():
-    a = flag_obj(3)
-    swap = fin_mor(a, a, lambda e: Atom("v" + str((int(e.name[1]) + 1) % 3)))
-    assert is_bijective(swap)
-    assert compose(inverse(swap), swap) == identity(a)
-    collapse = fin_mor(a, a, lambda e: Atom("v0"))
-    assert not is_injective(collapse)
-    with pytest.raises(ValueError):
-        inverse(collapse)
 
 
 @given(sizes(), sizes())
@@ -297,15 +283,6 @@ def test_coproduct_mor_is_elementwise(ends, data):
     doms, cods = [d for d, _ in ends], [c for _, c in ends]
     assert_defined_by(coproduct_mor(fs), coproduct(doms), coproduct(cods),
                       lambda e: Inj(e.tag, fs[e.tag](e.value)))
-
-
-@positional
-@given(objects, st.data())
-def test_inverse_is_elementwise(x, data):
-    images = data.draw(st.permutations(x.elements))
-    f = fin_mor(x, x, dict(zip(x.elements, images)).__getitem__)
-    back = {v: e for e, v in zip(x.elements, images)}
-    assert_defined_by(inverse(f), x, x, back.__getitem__)
 
 
 @positional

@@ -24,7 +24,7 @@ from proccat.laws import (
     step_variant_problem,
 )
 from proccat.process import LiveSpace, Ongoing, ProcSpace, render_value
-from proccat.temporal import mor_equal, t_identity, unit_obj
+from proccat.temporal import mor_equal, naturality_witness, t_identity, unit_obj
 from proccat.times import IndexPair, TimeScale, UNBOUNDED
 
 SCALE = TimeScale.of(0, 1, 2)
@@ -34,7 +34,7 @@ RECUR = dict(recur_problems())
 
 
 def solved_view(pr, name_or_mor, i, z):
-    sol = pr.solve(check=False) if name_or_mor is None else name_or_mor
+    sol = pr.solve() if name_or_mor is None else name_or_mor
     x, v = pr.target.decode(i, sol.at(i)(z))
     return x, render_value(v)
 
@@ -59,7 +59,7 @@ def test_handoff_splices_the_second_round():
 
 def test_alternation_flips_every_step():
     pr = COITER["alternate_values"]
-    sol = pr.solve(check=False)
+    sol = pr.solve()
     x, v = pr.target.decode(I02, sol.at(I02)(Atom("v0")))
     assert x == Atom("v0")
     assert render_value(v) == "ongoing(1 -> v1, 2 -> v0)"
@@ -67,7 +67,7 @@ def test_alternation_flips_every_step():
 
 def test_bounded_replay_reproduces_its_seed():
     pr = COITER["bounded_replay"]
-    sol = pr.solve(check=False)
+    sol = pr.solve()
     for i in SCALE.indices():
         for p in pr.c.at(i).elements:
             x, v = pr.target.decode(i, sol.at(i)(p))
@@ -77,12 +77,25 @@ def test_bounded_replay_reproduces_its_seed():
 
 def test_every_curated_solution_satisfies_its_equation():
     for name, pr in list(COITER.items()) + list(RECUR.items()):
-        assert pr.equation_gap(pr.solve(check=False)) is None, name
+        assert pr.equation_gap(pr.solve()) is None, name
+
+
+def test_every_curated_solver_output_is_natural():
+    # The solvers build their results without checking naturality.
+    outputs = [(name, pr.solve())
+               for name, pr in list(COITER.items()) + list(RECUR.items())]
+    for solver, problem in ((coiter_step, step_variant_problem),
+                            (coiter_proc, proc_variant_problem),
+                            (recur_live, pair_variant_problem)):
+        name, *args = problem()
+        outputs.append((name, solver(*args)))
+    for name, sol in outputs:
+        assert naturality_witness(sol) is None, name
 
 
 def test_a_broken_candidate_fails_the_equation():
     for pr in (COITER["handoff_once"], RECUR["stop_parity"]):
-        broken = poison(pr.solve(check=False))
+        broken = poison(pr.solve())
         assert pr.equation_gap(broken) is not None
 
 
@@ -98,12 +111,12 @@ def test_seed_map_endpoints_are_validated():
 def test_relabeling_consumers_solve_to_the_identity():
     for name in ("strip_labels", "carry_results"):
         pr = RECUR[name]
-        assert mor_equal(pr.solve(check=False), t_identity(pr.source.obj))
+        assert mor_equal(pr.solve(), t_identity(pr.source.obj))
 
 
 def test_stop_parity_counts_steps_through_its_own_suffixes():
     pr = RECUR["stop_parity"]
-    sol = pr.solve(check=False)
+    sol = pr.solve()
     outs = {
         render_value(pr.source.decode(I02, e)): sol.at(I02)(e)
         for e in pr.source.obj.at(I02).elements
@@ -123,7 +136,7 @@ def test_stamp_object_sizes():
 
 def test_step_variant_answers_or_defers():
     name, w, a, b, c, f = step_variant_problem()
-    sol = coiter_step(w, a, b, c, f, check=False)
+    sol = coiter_step(w, a, b, c, f)
     assert sol.at(I02)(Atom("v0")) == Inj(0, UNIT_ELEM)
     out = sol.at(I02)(Atom("v1"))
     assert out.tag == 1
@@ -134,7 +147,7 @@ def test_step_variant_answers_or_defers():
 
 def test_proc_variant_agrees_with_the_paired_solver():
     name, w, a, b, c, f = proc_variant_problem()
-    sol = coiter_proc(w, a, b, c, f, check=False)
+    sol = coiter_proc(w, a, b, c, f)
     plain = ProcSpace(w, a, b)
     v0 = plain.decode(I02, sol.at(I02)(Atom("v0")))
     v1 = plain.decode(I02, sol.at(I02)(Atom("v1")))
@@ -144,7 +157,7 @@ def test_proc_variant_agrees_with_the_paired_solver():
 
 def test_pair_variant_reads_off_stop_stamps():
     name, w, a, b, c, f = pair_variant_problem()
-    sol = recur_live(w, a, b, c, f, check=False)
+    sol = recur_live(w, a, b, c, f)
     cbase = ProcSpace(w, c, b)
     src_obj = sol.dom
     for e in src_obj.at(I02).elements:

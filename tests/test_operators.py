@@ -7,15 +7,18 @@ from proccat.operators import (
     MergeSpace,
     expand,
     expand_live,
+    expand_step,
     expanded_space,
     join,
     join_live,
+    join_step,
     joining_space,
 )
 from proccat.process import (
     LiveSpace,
     Ongoing,
     ProcSpace,
+    StepSpace,
     Terminated,
     proc_map,
 )
@@ -102,8 +105,12 @@ def test_operators_are_natural():
     for a, b, w in [(U, U, UNBOUNDED), (F, U, TermBound.at(1)),
                     (U, F, TermBound.at(2)), (F, F, UNBOUNDED)]:
         sp = ProcSpace(w, a, b)
-        assert naturality_witness(expand(sp, check=False)) is None
-        assert naturality_witness(join(sp, check=False)) is None
+        lv, st = LiveSpace(w, a, b), StepSpace(w, a, b)
+        m = MergeSpace(sp, ProcSpace(UNBOUNDED, b, a))
+        for mor in (expand(sp), expand_live(lv), expand_step(st),
+                    join(sp), join_live(lv), join_step(st),
+                    m.zip(), m.split(), m.project(True), m.project(False)):
+            assert naturality_witness(mor) is None
 
 
 def test_expand_live_keeps_the_present_view():

@@ -8,8 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proccat import process
-from proccat.finset import CapExceeded, DEFAULT_CAP, Inj, Tup, UNIT_ELEM
+from proccat.finset import Atom, CapExceeded, DEFAULT_CAP, Inj, Tup, UNIT_ELEM, fin_mor
 from proccat.process import (
     LiveSpace,
     Ongoing,
@@ -20,19 +19,23 @@ from proccat.process import (
     behavior_space,
     event_space,
     event_step_space,
+    live_map,
     nonstop_space,
     nonstop_value,
     proc_map,
     render_value,
     rest_after,
     seen_value,
+    step_map,
     strong_bound,
 )
 from proccat.temporal import (
     empty_obj,
     flag_temporal,
     mor_equal,
+    naturality_witness,
     t_identity,
+    temporal_mor,
     temporal_obj,
     unit_obj,
 )
@@ -187,6 +190,23 @@ def test_proc_map_preserves_identity():
     assert mor_equal(lifted, t_identity(sp.obj))
 
 
+def test_process_maps_are_natural():
+    # The maps are built without a naturality check.
+    f, u = flag_temporal(SCALE), unit_obj(SCALE)
+    flip = temporal_mor(f, f, lambda i: fin_mor(
+        f.at(i), f.at(i), lambda e: Atom("v1") if e == Atom("v0") else Atom("v0")))
+    forget = temporal_mor(f, u, lambda i: fin_mor(f.at(i), u.at(i),
+                                                  lambda e: UNIT_ELEM))
+    for w in (UNBOUNDED, TermBound.at(1)):
+        for mor in (proc_map(ProcSpace(w, f, f), ProcSpace(UNBOUNDED, f, u),
+                             act=flip, res=forget),
+                    live_map(LiveSpace(w, f, f), LiveSpace(w, f, u),
+                             act=flip, res=forget),
+                    step_map(StepSpace(w, f, f), StepSpace(w, f, u),
+                             act=flip, res=forget)):
+            assert naturality_witness(mor) is None
+
+
 def test_bound_beyond_horizon_is_required_for_running_views():
     sp = ProcSpace(TermBound.at(2), unit_obj(SCALE), unit_obj(SCALE))
     with pytest.raises(ValueError):
@@ -241,13 +261,3 @@ def test_process_spaces_share_one_carrier_object():
     again = ProcSpace(TermBound.at(1), unit_obj(SCALE), flag_temporal(SCALE, 2))
     assert again.obj is not sp.obj and again.obj == sp.obj
     assert temporal_obj(SCALE, sp._carrier_at, sp._restrict_at) == sp.obj
-
-
-def test_checked_process_space_runs_the_functor_check_every_time(monkeypatch):
-    checked = []
-    monkeypatch.setattr(process, "require_functor", checked.append)
-    a = unit_obj(SCALE)
-    first = ProcSpace(UNBOUNDED, a, a, check=True)
-    second = ProcSpace(UNBOUNDED, a, a, check=True)
-    assert second.obj is first.obj
-    assert len(checked) == 2 and all(obj is first.obj for obj in checked)

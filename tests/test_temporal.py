@@ -1,5 +1,8 @@
 import gc
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +27,8 @@ from proccat.temporal import (
     naturality_witness,
     pointwise_coproduct,
     pointwise_product,
+    require_functor,
+    require_natural,
     t_compose,
     t_identity,
     temporal_mor,
@@ -53,9 +58,11 @@ def test_broken_restriction_is_caught():
             return e
         return fin_mor(flag_obj(2), flag_obj(2), go)
 
-    broken = temporal_obj(SMALL, carrier, restrict, check=False)
+    broken = temporal_obj(SMALL, carrier, restrict)
     rep = check_functor(broken)
     assert not rep.ok and rep.witness
+    with pytest.raises(ValueError, match="not a functor"):
+        require_functor(broken)
 
 
 def test_naturality_witness_localizes_the_failure():
@@ -68,9 +75,11 @@ def test_naturality_witness_localizes_the_failure():
             return e
         return fin_mor(a.at(i), a.at(i), go)
 
-    mor = temporal_mor(a, a, component, check=False)
+    mor = temporal_mor(a, a, component)
     witness = naturality_witness(mor)
     assert witness is not None and "square" in witness
+    with pytest.raises(ValueError, match="not natural"):
+        require_natural(mor)
 
 
 def test_first_difference_reports_the_first_index():
@@ -209,3 +218,23 @@ def test_the_harness_leaves_no_interned_entry_behind():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
+
+def test_no_function_takes_a_check_flag():
+    # Constructors, operators and solvers build without checking; checks
+    # run at the edges, through require_functor and require_natural.
+    flagged = []
+    for info in pkgutil.iter_modules(proccat.__path__):
+        module = importlib.import_module("proccat." + info.name)
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = [(name, value)]
+            if inspect.isclass(value):
+                members += [(f"{name}.{attr}", getattr(m, "__func__", m))
+                            for attr, m in vars(value).items()]
+            for qualname, fn in members:
+                if (inspect.isfunction(fn)
+                        and "check" in inspect.signature(fn).parameters):
+                    flagged.append(f"{module.__name__}.{qualname}")
+    assert flagged == []

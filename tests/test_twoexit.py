@@ -5,7 +5,7 @@ import pytest
 from proccat.finset import Atom, CapExceeded, Inj, UNIT_ELEM
 from proccat.fixpoints import CoiterProblem
 from proccat.laws import coiter_problems, two_exit_problems
-from proccat.temporal import mor_equal
+from proccat.temporal import mor_equal, naturality_witness
 from proccat.times import IndexPair, TimeScale
 from proccat.twoexit import (
     RoundtripReport,
@@ -22,19 +22,25 @@ PROBLEMS = {name: (pr, one_exit) for name, pr, one_exit in two_exit_problems()}
 
 def test_solutions_satisfy_the_two_exit_equation():
     for name, (pr, _) in PROBLEMS.items():
-        assert pr.is_solution(pr.solve(check=False)), name
+        assert pr.is_solution(pr.solve()), name
+
+
+def test_every_two_exit_solution_is_natural():
+    # The solver builds its result without checking naturality.
+    for name, (pr, _) in PROBLEMS.items():
+        assert naturality_witness(pr.solve()) is None, name
 
 
 def test_search_finds_exactly_the_solver_output():
     pr, _ = PROBLEMS["early_or_wait"]
     found = pr.search()
     assert len(found) == 1
-    assert mor_equal(found[0], pr.solve(check=False))
+    assert mor_equal(found[0], pr.solve())
 
 
 def test_early_exit_answers_immediately():
     pr, _ = PROBLEMS["early_or_wait"]
-    sol = pr.solve(check=False)
+    sol = pr.solve()
     assert sol.at(I02)(Atom("v0")) == Inj(0, UNIT_ELEM)
     out = sol.at(I02)(Atom("v1"))
     assert out.tag == 1
@@ -47,8 +53,8 @@ def test_deferred_problems_translate_both_ways():
                  "defer_handoff_once"):
         pr, one_exit = PROBLEMS[name]
         inner = CoiterProblem(pr.w, pr.a, pr.b, pr.c, one_exit)
-        one_sol = inner.solve(check=False)
-        two_sol = pr.solve(check=False)
+        one_sol = inner.solve()
+        two_sol = pr.solve()
         # the two-exit answer is the one-exit answer, marked as deferred
         assert mor_equal(two_sol, answers_from_collapse(pr, one_sol))
         assert mor_equal(collapse_from_answers(pr, one_exit, two_sol),
