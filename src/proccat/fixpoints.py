@@ -17,15 +17,14 @@ Variants cover the step-shaped and strict-future-shaped versions of both.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from .finset import FinMor, Tup, fin_mor
-from .operators import expand, expanded_space, join, join_live, joining_space
+from .finset import Inj, Tup, fin_mor
+from .operators import join, joining_space, splice
 from .process import (
     LiveSpace,
     Ongoing,
     ProcSpace,
-    StepSpace,
     Terminated,
     live_map,
     proc_map,
@@ -34,7 +33,7 @@ from .process import (
 from .temporal import (
     TemporalMor,
     TemporalObj,
-    first_difference,
+    first_mismatch,
     pointwise_coproduct,
     pointwise_product,
     temporal_mor,
@@ -44,6 +43,22 @@ from .temporal import (
     t_product_mor,
 )
 from .times import IndexPair, TermBound
+
+
+def finish_round(mixed: LiveSpace, target: LiveSpace, i: IndexPair, elem,
+                 onward: Callable):
+    """Finish one round of a seed map.  ``elem`` is a (value, process)
+    pair of ``mixed`` at ``i`` whose result is final (left) or a fresh
+    seed (right), which ``onward(here, seed)`` turns into an element of
+    the step space over ``target`` at the stop; the process is spliced
+    with it as `join` does.  Returns the element of ``target`` at ``i``."""
+    x, v = mixed.decode(i, elem)
+    if isinstance(v, Terminated):
+        r = v.result
+        if r.tag == 1:
+            r = onward(IndexPair(v.at_time, i.t0), r.value)
+        v = splice(target.proc, i.t0, v, r)
+    return target.encode(i, x, v)
 
 
 class CoiterProblem:
@@ -60,8 +75,6 @@ class CoiterProblem:
         self.w, self.a, self.b, self.c = w, a, b, c
         self.mixed = LiveSpace(w, a, pointwise_coproduct([b, c]))
         self.target = LiveSpace(w, a, b)
-        self._lift_space: Optional[LiveSpace] = None
-        self._flatten: Optional[TemporalMor] = None
         if f.dom != c:
             raise ValueError("seed map must start from the seed object")
         if f.cod != self.mixed.obj:
@@ -87,47 +100,24 @@ class CoiterProblem:
                     "its own time" % (i,)
                 )
             active.add(key)
-            x, v = self.mixed.decode(i, self.f.at(i)(z))
-            if isinstance(v, Ongoing):
-                out = (x, v)
-            elif v.result.tag == 0:
-                out = (x, Terminated(v.at_time, v.seen, v.result.value))
-            else:
-                here = IndexPair(v.at_time, i.t0)
-                x2, v2 = value_at(here, v.result.value)
-                seen = v.seen + ((v.at_time, x2),) + v2.seen
-                if isinstance(v2, Terminated):
-                    out = (x, Terminated(v2.at_time, seen, v2.result))
-                else:
-                    out = (x, Ongoing(seen))
+            out = finish_round(self.mixed, self.target, i, self.f.at(i)(z),
+                               lambda here, seed: Inj(1, value_at(here, seed)))
             active.discard(key)
             memo[key] = out
             return out
 
-        def component(i: IndexPair) -> FinMor:
-            def step(z):
-                x, v = value_at(i, z)
-                return self.target.encode(i, x, v)
-
-            return fin_mor(self.c.at(i), self.target.obj.at(i), step)
-
-        return temporal_mor(self.c, self.target.obj, component)
+        return temporal_mor(self.c, self.target.obj, lambda i: fin_mor(
+            self.c.at(i), self.target.obj.at(i), lambda z: value_at(i, z)))
 
     def equation_gap(self, cand: TemporalMor) -> Optional[str]:
         """Check the defining property of a solution: mapping fresh seeds
         through the candidate and concatenating must reproduce the
         candidate.  Returns a witness of the first violation, or None."""
-        if self._lift_space is None:
-            self._lift_space = LiveSpace(
-                self.w, self.a,
-                pointwise_coproduct([self.b, self.target.obj]),
-            )
-            self._flatten = join_live(self.target)
-        onward = t_coproduct_mor([t_identity(self.b), cand])
-        lifted = live_map(self.mixed, self._lift_space, res=onward)
-        return first_difference(
-            cand, t_compose(self._flatten, t_compose(lifted, self.f))
-        )
+        def onward(here: IndexPair, seed):
+            return Inj(1, cand.at(here)(seed))
+
+        return first_mismatch(cand, lambda i, z: finish_round(
+            self.mixed, self.target, i, self.f.at(i)(z), onward))
 
 
 def coiter_step(w: TermBound, a: TemporalObj, b: TemporalObj, c: TemporalObj,
@@ -177,8 +167,6 @@ class RecurProblem:
         self.w, self.a, self.b, self.c = w, a, b, c
         self.source = ProcSpace(w, a, b)
         self.paired = ProcSpace(w, pointwise_product([a, c]), b)
-        self._expanded: Optional[ProcSpace] = None
-        self._dup: Optional[TemporalMor] = None
         if f.dom != self.paired.obj:
             raise ValueError(
                 "consumer must start from processes over paired values"
@@ -201,52 +189,40 @@ class RecurProblem:
                     "own suffix" % (i,)
                 )
             active.add(key)
-            v = self.source.decode(i, elem)
-            seen = tuple(
-                (
-                    u,
-                    Tup(
-                        (
-                            x,
-                            value_at(
-                                IndexPair(u, i.t0),
-                                self.source.encode(
-                                    IndexPair(u, i.t0), rest_after(v, u)
-                                ),
-                            ),
-                        )
-                    ),
-                )
-                for u, x in v.seen
-            )
-            if isinstance(v, Terminated):
-                fed = Terminated(v.at_time, seen, v.result)
-            else:
-                fed = Ongoing(seen)
-            out = self.f.at(i)(self.paired.encode(i, fed))
+            out = self._consume(i, elem, value_at)
             active.discard(key)
             memo[key] = out
             return out
 
-        def component(i: IndexPair) -> FinMor:
-            return fin_mor(self.source.obj.at(i), self.c.at(i),
-                           lambda elem: value_at(i, elem))
+        return temporal_mor(self.source.obj, self.c, lambda i: fin_mor(
+            self.source.obj.at(i), self.c.at(i), lambda elem: value_at(i, elem)))
 
-        return temporal_mor(self.source.obj, self.c, component)
+    def _consume(self, i: IndexPair, elem, aux: Callable):
+        """The consumer's output on process ``elem`` at ``i`` once every
+        record is paired with ``aux(here, suffix)``, the auxiliary
+        component of the suffix starting at that record: the recursive
+        memo when solving, the candidate when checking."""
+        v = self.source.decode(i, elem)
+        seen = []
+        for u, x in v.seen:
+            here = IndexPair(u, i.t0)
+            suffix = self.source.encode(here, rest_after(v, u))
+            seen.append((u, Tup((x, aux(here, suffix)))))
+        if isinstance(v, Terminated):
+            fed = Terminated(v.at_time, tuple(seen), v.result)
+        else:
+            fed = Ongoing(tuple(seen))
+        return self.f.at(i)(self.paired.encode(i, fed))
 
     def equation_gap(self, cand: TemporalMor) -> Optional[str]:
         """Check the defining property of a solution: pairing every record
         with the candidate's output on its suffix and consuming must
         reproduce the candidate.  Returns a witness of the first
         violation, or None."""
-        if self._expanded is None:
-            self._expanded = expanded_space(self.source)
-            self._dup = expand(self.source)
-        lift = proc_map(self._expanded, self.paired,
-                        act=t_product_mor([t_identity(self.a), cand]))
-        return first_difference(
-            cand, t_compose(self.f, t_compose(lift, self._dup))
-        )
+        def aux(here: IndexPair, suffix):
+            return cand.at(here)(suffix)
+
+        return first_mismatch(cand, lambda i, elem: self._consume(i, elem, aux))
 
 
 def recur_live(w: TermBound, a: TemporalObj, b: TemporalObj, c: TemporalObj,

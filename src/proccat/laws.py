@@ -12,7 +12,7 @@ for the nonstop check) and must be caught with an element-level witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .finset import (
     Atom,
@@ -867,13 +867,11 @@ def suite_uniqueness(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
     reports = []
     for name, kind, pr in uniqueness_problems():
         label = "problem=" + name
+        dom, cod = ((pr.c, pr.target.obj) if kind == "coiter"
+                    else (pr.source.obj, pr.c))
         try:
-            if kind == "coiter":
-                cands = enumerate_nat_trans(pr.c, pr.target.obj, cap=cap)
-                matches = [x for x in cands if pr.equation_gap(x) is None]
-            else:
-                cands = enumerate_nat_trans(pr.source.obj, pr.c, cap=cap)
-                matches = [x for x in cands if pr.equation_gap(x) is None]
+            cands = enumerate_nat_trans(dom, cod, cap=cap)
+            matches = [x for x in cands if pr.equation_gap(x) is None]
         except CapExceeded as e:
             reports.append(LawReport("uniqueness", label, "cap", str(e)))
             continue

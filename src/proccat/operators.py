@@ -15,6 +15,7 @@ from .process import (
     LiveSpace,
     Ongoing,
     ProcSpace,
+    ProcessValue,
     StepSpace,
     Terminated,
     proc_map,
@@ -92,32 +93,38 @@ def joining_space(sp: ProcSpace) -> ProcSpace:
     return ProcSpace(sp.w, sp.a, StepSpace(sp.w, sp.a, sp.b).obj)
 
 
+def splice(sp: ProcSpace, t0, v: Terminated, then) -> ProcessValue:
+    """The stopped process ``v`` (horizon ``t0``) continued by ``then``, an
+    element of the step space over ``sp`` at ``v``'s stop time.  An
+    already-stopped ``then`` stops the concatenation right there;
+    otherwise the handed-over process contributes its current value at
+    the splice time and everything after."""
+    if then.tag == 0:
+        return Terminated(v.at_time, v.seen, then.value)
+    x, q_elem = then.value.items
+    q = sp.decode(IndexPair(v.at_time, t0), q_elem)
+    seen = v.seen + ((v.at_time, x),) + q.seen
+    if isinstance(q, Terminated):
+        return Terminated(q.at_time, seen, q.result)
+    return Ongoing(seen)
+
+
 def join(sp: ProcSpace) -> TemporalMor:
     """Concatenate a process with the process its final result carries.
 
     If the outer process runs forever the result is the outer record
-    unchanged.  If it stops and hands over an already-stopped result, the
-    concatenation stops right there.  Otherwise the handed-over process
-    contributes its current value at the splice time and everything after.
+    unchanged; if it stops, the two are spliced.
     """
     outer = joining_space(sp)
 
     def component(i: IndexPair) -> FinMor:
-        def splice(elem):
+        def step(elem):
             v = outer.decode(i, elem)
-            if isinstance(v, Ongoing):
-                return sp.encode(i, v)
-            if v.result.tag == 0:
-                return sp.encode(i, Terminated(v.at_time, v.seen, v.result.value))
-            x, q_elem = v.result.value.items
-            here = IndexPair(v.at_time, i.t0)
-            q = sp.decode(here, q_elem)
-            seen = v.seen + ((v.at_time, x),) + q.seen
-            if isinstance(q, Terminated):
-                return sp.encode(i, Terminated(q.at_time, seen, q.result))
-            return sp.encode(i, Ongoing(seen))
+            if isinstance(v, Terminated):
+                v = splice(sp, i.t0, v, v.result)
+            return sp.encode(i, v)
 
-        return fin_mor(outer.obj.at(i), sp.obj.at(i), splice)
+        return fin_mor(outer.obj.at(i), sp.obj.at(i), step)
 
     return temporal_mor(outer.obj, sp.obj, component)
 

@@ -179,9 +179,18 @@ def first_difference(f: TemporalMor, g: TemporalMor) -> Optional[str]:
     and the two images, as a printable witness.  None when equal."""
     if f.dom != g.dom or f.cod != g.cod:
         raise ValueError("comparing morphisms with different endpoints")
+    return first_mismatch(f, lambda i, e: g.at(i)(e))
+
+
+def first_mismatch(f: TemporalMor, image: Callable) -> Optional[str]:
+    """Where ``f`` first disagrees with ``image(i, e)``, a pointwise image
+    of every element ``e`` of ``f``'s domain at index ``i``, visited in
+    index then element order.  The witness `first_difference` prints;
+    None when they agree everywhere."""
     for i in f.dom.scale.indices():
+        fi = f.at(i)
         for e in f.dom.at(i).elements:
-            left, right = f.at(i)(e), g.at(i)(e)
+            left, right = fi(e), image(i, e)
             if left != right:
                 return f"at {i}: {e!r} maps to {left!r} vs {right!r}"
     return None

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .finset import DEFAULT_CAP
-from .fixpoints import CoiterProblem
+from .finset import DEFAULT_CAP, Inj
+from .fixpoints import CoiterProblem, finish_round
 from .operators import join_live
 from .process import LiveSpace, live_map
 from .temporal import (
     TemporalMor,
     TemporalObj,
     enumerate_nat_trans,
+    first_mismatch,
     mor_equal,
     pointwise_coproduct,
     t_compose,
@@ -30,7 +31,7 @@ from .temporal import (
     t_identity,
     t_inj,
 )
-from .times import TermBound
+from .times import IndexPair, TermBound
 
 
 class TwoExitProblem:
@@ -52,10 +53,9 @@ class TwoExitProblem:
 
     @cached_property
     def _graft_parts(self) -> tuple:
-        """Everything a graft needs apart from the candidate: built on the
-        first graft, not once per search candidate.  Building it in
-        ``__init__`` instead keeps it alive for problems not yet searched,
-        which raised the peak memory of the solver suites."""
+        """Everything a graft needs apart from the candidate, built on the
+        first graft and shared by later ones.  Building it in ``__init__``
+        instead would keep it alive for problems that are never grafted."""
         return (t_inj([self.b, self.target.obj], 0),
                 LiveSpace(self.w, self.a, self.answers),
                 join_live(self.target))
@@ -78,8 +78,18 @@ class TwoExitProblem:
 
     def is_solution(self, cand: TemporalMor) -> bool:
         """A candidate solves the problem when classifying its own graft
-        reproduces it."""
-        return mor_equal(cand, self.classify(self.graft(cand)))
+        reproduces it, checked seed by seed without building the graft:
+        a fresh seed at a stop is looked up in the candidate."""
+        def onward(here: IndexPair, seed):
+            return cand.at(here)(seed)
+
+        def image(i: IndexPair, z):
+            y = self.g.at(i)(z)
+            if y.tag == 0:
+                return y
+            return Inj(1, finish_round(self.inner, self.target, i, y.value, onward))
+
+        return first_mismatch(cand, image) is None
 
     def solve(self) -> TemporalMor:
         """The canonical solution, obtained through the one-exit solver:

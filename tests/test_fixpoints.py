@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from proccat.finset import Atom, Inj, UNIT_ELEM
+from proccat.finset import Atom, FinMor, Inj, UNIT_ELEM
 from proccat.fixpoints import (
     CoiterProblem,
     RecurProblem,
@@ -22,9 +22,31 @@ from proccat.laws import (
     recur_problems,
     stamp_parity_obj,
     step_variant_problem,
+    two_exit_problems,
+    uniqueness_problems,
 )
-from proccat.process import LiveSpace, Ongoing, ProcSpace, render_value
-from proccat.temporal import mor_equal, naturality_witness, t_identity, unit_obj
+from proccat.operators import expand, expanded_space, join_live
+from proccat.process import (
+    LiveSpace,
+    Ongoing,
+    ProcSpace,
+    live_map,
+    proc_map,
+    render_value,
+)
+from proccat.temporal import (
+    TemporalMor,
+    enumerate_nat_trans,
+    first_difference,
+    mor_equal,
+    naturality_witness,
+    pointwise_coproduct,
+    t_compose,
+    t_coproduct_mor,
+    t_identity,
+    t_product_mor,
+    unit_obj,
+)
 from proccat.times import IndexPair, TimeScale, UNBOUNDED
 
 SCALE = TimeScale.of(0, 1, 2)
@@ -97,6 +119,63 @@ def test_a_broken_candidate_fails_the_equation():
     for pr in (COITER["handoff_once"], RECUR["stop_parity"]):
         broken = poison(pr.solve())
         assert pr.equation_gap(broken) is not None
+    for name, pr, _ in two_exit_problems():
+        sol = pr.solve()
+        broken = poison(sol)
+        if mor_equal(broken, sol):
+            # One seed per index leaves poison nothing to swap.
+            broken = repoint(sol)
+        assert not mor_equal(broken, sol), name
+        assert not pr.is_solution(broken), name
+
+
+def repoint(mor):
+    """mor with its first image moved to the next codomain element."""
+    i = mor.dom.scale.indices()[0]
+    comp = mor.at(i)
+    pos = (comp.pos[0] + 1) % len(comp.cod), *comp.pos[1:]
+    return TemporalMor(mor.dom, mor.cod,
+                       {**mor.components, i: FinMor(comp.dom, comp.cod, pos=pos)})
+
+
+def reference_rhs(pr, cand):
+    """The right-hand side of a defining equation built as a whole map:
+    seeds through the seed map, fresh seeds through the candidate, then
+    concatenated; or every record paired with the candidate on its
+    suffix, then consumed.  The pointwise checks must agree with it."""
+    if isinstance(pr, CoiterProblem):
+        answers = LiveSpace(pr.w, pr.a, pointwise_coproduct([pr.b, pr.target.obj]))
+        onward = t_coproduct_mor([t_identity(pr.b), cand])
+        lifted = live_map(pr.mixed, answers, res=onward)
+        return t_compose(join_live(pr.target), t_compose(lifted, pr.f))
+    lift = proc_map(expanded_space(pr.source), pr.paired,
+                    act=t_product_mor([t_identity(pr.a), cand]))
+    return t_compose(pr.f, t_compose(lift, expand(pr.source)))
+
+
+def curated_equations():
+    """Every problem the uniqueness and two-exit suites filter candidates
+    through, with its candidate endpoints."""
+    out = []
+    for name, kind, pr in uniqueness_problems():
+        ends = (pr.c, pr.target.obj) if kind == "coiter" else (pr.source.obj, pr.c)
+        out.append((name, pr, ends))
+    for name, pr, one_exit in two_exit_problems():
+        if one_exit is not None:
+            cpr = CoiterProblem(pr.w, pr.a, pr.b, pr.c, one_exit)
+            out.append(("one_exit_" + name, cpr, (pr.c, cpr.target.obj)))
+    return out
+
+
+def test_pointwise_equation_gap_agrees_with_the_composite():
+    gaps = []
+    for name, pr, (dom, cod) in curated_equations():
+        for cand in enumerate_nat_trans(dom, cod):
+            gap = pr.equation_gap(cand)
+            assert gap == first_difference(cand, reference_rhs(pr, cand)), name
+            gaps.append(gap)
+    # One solution per problem; every other candidate has a witness.
+    assert len(gaps) == 593 and gaps.count(None) == 7
 
 
 def test_seed_map_endpoints_are_validated():

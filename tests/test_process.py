@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proccat.finset import Atom, CapExceeded, DEFAULT_CAP, Inj, Tup, UNIT_ELEM, fin_mor
+from proccat.finset import Atom, CapExceeded, DEFAULT_CAP, Tup, UNIT_ELEM, fin_mor
 from proccat.process import (
     LiveSpace,
     Ongoing,

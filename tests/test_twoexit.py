@@ -5,10 +5,11 @@ import pytest
 from proccat.finset import Atom, CapExceeded, Inj, UNIT_ELEM
 from proccat.fixpoints import CoiterProblem
 from proccat.laws import coiter_problems, two_exit_problems
-from proccat.temporal import mor_equal, naturality_witness
+from proccat.temporal import enumerate_nat_trans, mor_equal, naturality_witness
 from proccat.times import IndexPair, TimeScale
 from proccat.twoexit import (
     RoundtripReport,
+    TwoExitProblem,
     answers_from_collapse,
     check_roundtrips,
     collapse_from_answers,
@@ -69,6 +70,25 @@ def test_roundtrip_report_is_green_for_the_curated_set():
         if one_exit is not None:
             assert rep.one_exit_count == 1
             assert rep.collapse_match and rep.answers_match
+
+
+def test_pointwise_check_agrees_with_the_graft():
+    verdicts = []
+    for name, (pr, _) in PROBLEMS.items():
+        for cand in enumerate_nat_trans(pr.c, pr.answers):
+            verdict = pr.is_solution(cand)
+            assert verdict == mor_equal(cand, pr.classify(pr.graft(cand))), name
+            verdicts.append(verdict)
+    assert len(verdicts) == 1200 and sum(verdicts) == 4
+
+
+def test_search_builds_no_graft(monkeypatch):
+    def refuse(self, cand):
+        raise AssertionError("search grafted a candidate")
+
+    monkeypatch.setattr(TwoExitProblem, "graft", refuse)
+    for name, (pr, _) in PROBLEMS.items():
+        assert len(pr.search()) == 1, name
 
 
 def test_search_respects_the_cap():
