@@ -294,7 +294,8 @@ def poison(mor: TemporalMor) -> TemporalMor:
     return mor
 
 
-MUTATIONS = ("expansion", "joining", "interaction", "merging", "nonstop")
+MUTATIONS = ("expansion", "joining", "interaction", "merging", "nonstop",
+             "corecursion", "recursion")
 
 
 # -- suites over the grid ---------------------------------------------------
@@ -807,7 +808,7 @@ def uniqueness_problems() -> list:
 def suite_corecursion(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
     reports = []
     for name, pr in coiter_problems():
-        gap = pr.equation_gap(pr.solve())
+        gap = pr.equation_gap(poison(pr.solve()) if mutated else pr.solve())
         reports.append(LawReport("corecursion", "problem=" + name,
                                  "fail" if gap else "pass", gap))
     return reports
@@ -816,7 +817,7 @@ def suite_corecursion(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
 def suite_recursion(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
     reports = []
     for name, pr in recur_problems():
-        gap = pr.equation_gap(pr.solve())
+        gap = pr.equation_gap(poison(pr.solve()) if mutated else pr.solve())
         reports.append(LawReport("recursion", "problem=" + name,
                                  "fail" if gap else "pass", gap))
     return reports
@@ -923,9 +924,9 @@ SUITES: dict = {
 def run_suites(names: Optional[Sequence[str]] = None, cap: int = DEFAULT_CAP,
                mutate: Optional[str] = None) -> list:
     """Run the selected suites (all by default) and return their reports
-    sorted by suite then instance.  ``mutate`` names one of the five
-    mutations; the matching suite then runs against the broken operation
-    and is expected to fail."""
+    sorted by suite then instance.  ``mutate`` names one of the seven
+    mutations (see `MUTATIONS`); the matching suite then runs against the
+    broken operation or solution and is expected to fail."""
     chosen = sorted(SUITES) if names is None else sorted(set(names))
     for n in chosen:
         if n not in SUITES:

@@ -17,11 +17,61 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-Time = Fraction
+
+class Time(Fraction):
+    """A time point: an exact rational that hashes once.
+
+    Every carrier, restriction and component dict is keyed by pairs of
+    time points, so a point is hashed far more often than it is made.  A
+    `Time` keeps the hash `Fraction` would compute, so a plain `Fraction`
+    of the same value finds the same dict entry.  Against any `Fraction`
+    it tests equality on the lowest-terms numerator and denominator and
+    orders by integer cross-multiplication (denominators are positive).
+    Arithmetic on points returns plain `Fraction`s.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __new__(cls, numerator=0, denominator=None):
+        self = super().__new__(cls, numerator, denominator)
+        self._hash = Fraction.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    def __eq__(self, other):
+        if isinstance(other, Fraction):
+            return (self._numerator == other._numerator
+                    and self._denominator == other._denominator)
+        return Fraction.__eq__(self, other)
+
+    def __lt__(self, other):
+        if isinstance(other, Fraction):
+            return self._numerator * other._denominator < other._numerator * self._denominator
+        return Fraction.__lt__(self, other)
+
+    def __le__(self, other):
+        if isinstance(other, Fraction):
+            return self._numerator * other._denominator <= other._numerator * self._denominator
+        return Fraction.__le__(self, other)
+
+    def __gt__(self, other):
+        if isinstance(other, Fraction):
+            return self._numerator * other._denominator > other._numerator * self._denominator
+        return Fraction.__gt__(self, other)
+
+    def __ge__(self, other):
+        if isinstance(other, Fraction):
+            return self._numerator * other._denominator >= other._numerator * self._denominator
+        return Fraction.__ge__(self, other)
 
 
 def as_time(value: Union[int, str, Fraction]) -> Time:
-    return Fraction(value)
+    return value if type(value) is Time else Time(value)
 
 
 class ScaleParseError(ValueError):
@@ -42,6 +92,10 @@ class IndexPair:
     def __post_init__(self) -> None:
         if self.t > self.t0:
             raise ValueError(f"index pair needs t <= t0, got ({self.t}, {self.t0})")
+        object.__setattr__(self, "_hash", hash((self.t, self.t0)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"({self.t}, {self.t0})"
@@ -61,6 +115,10 @@ class IndexMor:
     def __post_init__(self) -> None:
         if not (self.t <= self.t0 <= self.t0p):
             raise ValueError(f"index morphism needs t <= t0 <= t0', got {self}")
+        object.__setattr__(self, "_hash", hash((self.t, self.t0, self.t0p)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def src(self) -> IndexPair:
@@ -108,6 +166,7 @@ class TimeScale:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "points", tuple(map(as_time, self.points)))
         if not self.points:
             raise ValueError("time scale needs at least one point")
         if any(b <= a for a, b in zip(self.points, self.points[1:])):
@@ -115,7 +174,7 @@ class TimeScale:
 
     @classmethod
     def of(cls, *values: Union[int, str, Fraction]) -> "TimeScale":
-        return cls(tuple(as_time(v) for v in values))
+        return cls(values)
 
     @property
     def start(self) -> Time:
@@ -337,9 +396,9 @@ def _find_asc(expr: ScaleExpr) -> Optional[AscBelow]:
 # -- textual syntax ----------------------------------------------------------
 
 
-def parse_fraction(text: str) -> Fraction:
+def parse_fraction(text: str) -> Time:
     try:
-        return Fraction(text)
+        return Time(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScaleParseError(f"bad rational {text!r}") from exc
 

@@ -305,3 +305,27 @@ def test_positions_must_cover_the_domain_and_lie_in_the_codomain():
             FinMor(a, b, pos=bad)
     with pytest.raises(ValueError, match="is outside the codomain"):
         FinMor(a, EMPTY, pos=(0, 0, 0))
+
+
+# -- product and coproduct carriers come out in key order, unsorted ----------
+
+
+def _assert_key_ordered(obj):
+    keys = [elem_key(e) for e in obj.elements]
+    assert list(obj.elements) == sorted(obj.elements, key=elem_key)
+    assert all(a < b for a, b in zip(keys, keys[1:]))  # no duplicates
+
+
+def test_product_of_every_shape_is_in_key_order():
+    shapes = fin_obj([Atom("b"), Inj(1, Atom("a")), Inj(0, Tup((Atom("c"),))),
+                      Tup(()), Tup((Atom("a"), Atom("b"))),
+                      FnTab(((Atom("a"), Atom("b")),)), FnTab(())])
+    _assert_key_ordered(product([shapes, flag_obj(2), shapes]))
+    _assert_key_ordered(coproduct([shapes, flag_obj(2), shapes]))
+    assert len(product([shapes, EMPTY, shapes])) == 0
+
+
+@given(st.lists(st.lists(elements, unique=True, max_size=4).map(fin_obj), max_size=3))
+def test_product_and_coproduct_carriers_are_in_key_order(factors):
+    _assert_key_ordered(product(factors))
+    _assert_key_ordered(coproduct(factors))

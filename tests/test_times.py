@@ -1,16 +1,22 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from proccat.process import ProcSpace
+from proccat.temporal import flag_temporal, unit_obj
 from proccat.times import (
     IndexMor,
     IndexPair,
     ScaleOverlapError,
     ScaleParseError,
     TermBound,
+    Time,
     TimeScale,
     UNBOUNDED,
+    as_time,
+    parse_fraction,
     parse_scale_expr,
     scale_from_expr,
     validate_scale,
@@ -147,3 +153,61 @@ def test_memoized_intervals_match_the_direct_filter(n):
     assert scale.index_mors() == tuple(
         IndexMor(t, t0, t0p) for t in points for t0 in points for t0p in points
         if t <= t0 <= t0p)
+
+
+# -- Time: a Fraction that hashes once --------------------------------------
+
+rationals = st.fractions(max_denominator=12)
+COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def _compares_like(x, y, fx, fy):
+    """Every comparison of x with y reads as that of the Fractions fx, fy."""
+    for op in COMPARISONS:
+        assert op(x, y) == op(fx, fy), op.__name__
+
+
+@given(rationals, rationals)
+def test_time_compares_and_hashes_like_fraction(a, b):
+    ta, tb = Time(a), Time(b)
+    assert hash(ta) == hash(a) and ta == a and a == ta
+    for y, fy in ((tb, b), (b, b)):
+        _compares_like(ta, y, a, fy)
+        _compares_like(y, ta, fy, a)
+
+
+@given(rationals, st.integers(-20, 20))
+def test_time_compares_with_int_like_fraction(a, n):
+    _compares_like(Time(a), n, a, n)
+    _compares_like(n, Time(a), n, a)
+    assert hash(Time(n)) == hash(n) == hash(Fraction(n))
+
+
+@given(rationals)
+def test_time_prints_like_fraction(a):
+    assert str(Time(a)) == str(a)
+    assert repr(Time(a)) == repr(a)
+
+
+def test_every_time_the_package_makes_is_a_time():
+    scale = TimeScale((Fraction(1, 2), Fraction(3)))
+    assert all(type(p) is Time for p in scale.points)
+    assert all(type(p) is Time for p in TimeScale.of("1/2", 3, 7).points)
+    assert type(as_time("3/4")) is Time and type(parse_fraction("-5/2")) is Time
+    assert type(TermBound.at(2).time) is Time
+    t = Time(1, 2)
+    assert as_time(t) is t
+
+
+def test_plain_fraction_keys_find_the_scales_own_entries():
+    scale = TimeScale.of("1/2", 3, 7)
+    obj = ProcSpace(UNBOUNDED, flag_temporal(scale), unit_obj(scale)).obj
+    i = IndexPair(Fraction(1, 2), Fraction(7))
+    m = IndexMor(Fraction(1, 2), Fraction(3), Fraction(7))
+    own_i = next(k for k in obj.carrier if k == i)
+    own_m = next(k for k in obj.restrict if k == m)
+    assert type(own_i.t) is Time and type(i.t) is Fraction
+    assert hash(i) == hash(own_i) and hash(m) == hash(own_m)
+    assert obj.at(i) is obj.carrier[own_i]
+    assert obj.res(m) is obj.restrict[own_m]
+    assert len(obj.at(i)) == 7  # stop at 3 or 7, or run on through both
