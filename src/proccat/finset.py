@@ -148,10 +148,11 @@ class FinMor:
         if images is not None:
             if len(images) != len(dom.elements):
                 raise ValueError("map images must cover the domain exactly")
-            for v in images:
-                if v not in cod:
-                    raise ValueError(f"map value {v!r} is outside the codomain")
-            pos = tuple(map(cod.index.__getitem__, images))
+            try:
+                pos = tuple(map(cod.index.__getitem__, images))
+            except KeyError as missing:
+                raise ValueError(
+                    f"map value {missing.args[0]!r} is outside the codomain") from None
         else:
             pos = tuple(pos)
             if len(pos) != len(dom.elements):

@@ -106,8 +106,11 @@ class CoiterProblem:
             memo[key] = out
             return out
 
-        return temporal_mor(self.c, self.target.obj, lambda i: fin_mor(
-            self.c.at(i), self.target.obj.at(i), lambda z: value_at(i, z)))
+        try:
+            return temporal_mor(self.c, self.target.obj, lambda i: fin_mor(
+                self.c.at(i), self.target.obj.at(i), lambda z: value_at(i, z)))
+        finally:
+            del value_at  # a self-reference: the memo dies with the call
 
     def equation_gap(self, cand: TemporalMor) -> Optional[str]:
         """Check the defining property of a solution: mapping fresh seeds
@@ -194,8 +197,11 @@ class RecurProblem:
             memo[key] = out
             return out
 
-        return temporal_mor(self.source.obj, self.c, lambda i: fin_mor(
-            self.source.obj.at(i), self.c.at(i), lambda elem: value_at(i, elem)))
+        try:
+            return temporal_mor(self.source.obj, self.c, lambda i: fin_mor(
+                self.source.obj.at(i), self.c.at(i), lambda elem: value_at(i, elem)))
+        finally:
+            del value_at  # a self-reference: the memo dies with the call
 
     def _consume(self, i: IndexPair, elem, aux: Callable):
         """The consumer's output on process ``elem`` at ``i`` once every

@@ -18,12 +18,18 @@ horizon.  The value recorded at time u lives in the value object at index
 Restricting the horizon from t0' down to t0 restricts every recorded value
 pointwise and forgets a stop that happens after t0, turning such a view
 back into an Ongoing one.
+
+Carriers are coproducts of products: one summand per admissible stop time
+(the record's value pools times the result pool), then, when running views
+exist, the running record's value pools.  Restriction is position
+arithmetic on those summands; it builds and decodes no element.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import chain, repeat
 from math import prod
 from typing import Optional
 
@@ -36,8 +42,10 @@ from .finset import (
     Inj,
     Tup,
     _interned,
+    coproduct,
     fin_mor,
-    fin_obj,
+    product,
+    product_mor,
 )
 from .temporal import (
     TemporalMor,
@@ -124,9 +132,11 @@ class ProcSpace:
         self._carriers = self.obj.carrier
 
     def _build(self) -> TemporalObj:
-        # `_restrict_at` reads the carriers while the object is built.
-        self._carriers = {i: self._carrier_at(i) for i in self.scale.indices()}
-        return temporal_obj(self.scale, self._carriers.__getitem__, self._restrict_at)
+        # The object keeps `_restrict_at` for `check_functor`: a copy with
+        # no `obj` builds it, so that the two form no reference cycle.
+        builder = copy.copy(self)
+        builder._carriers = {i: builder._carrier_at(i) for i in self.scale.indices()}
+        return temporal_obj(self.scale, builder._carriers.__getitem__, builder._restrict_at)
 
     def case_of(self, i: IndexPair) -> int:
         """1: bound in the past (empty); 2: bound inside the horizon
@@ -149,44 +159,45 @@ class ProcSpace:
     def has_ongoing(self, i: IndexPair) -> bool:
         return self.case_of(i) == 3
 
-    def _stopped_choices(self, i: IndexPair):
-        for tp in self.term_times(i):
-            prior = self.scale.open_open(i.t, tp)
-            value_pools = [self.a.at(IndexPair(u, i.t0)) for u in prior]
-            result_pool = self.b.at(IndexPair(tp, i.t0))
-            for combo in iter_product(*value_pools):
-                for y in result_pool:
-                    yield Terminated(tp, tuple(zip(prior, combo)), y)
-
-    def _running_choices(self, i: IndexPair):
-        times = self.scale.open_closed(i.t, i.t0)
-        pools = [self.a.at(IndexPair(u, i.t0)) for u in times]
-        for combo in iter_product(*pools):
-            yield Ongoing(tuple(zip(times, combo)))
+    def _pools(self, times, t0) -> list:
+        """The value objects at (u, t0) for each u in times."""
+        return [self.a.at(IndexPair(u, t0)) for u in times]
 
     def carrier_size(self, i: IndexPair) -> int:
         """Element count of the carrier at i, from the sizes of the pools
         its values are drawn from."""
         count = sum(
-            prod(len(self.a.at(IndexPair(u, i.t0))) for u in self.scale.open_open(i.t, tp))
+            prod(map(len, self._pools(self.scale.open_open(i.t, tp), i.t0)))
             * len(self.b.at(IndexPair(tp, i.t0)))
             for tp in self.term_times(i))
         if self.has_ongoing(i):
-            count += prod(len(self.a.at(IndexPair(u, i.t0)))
-                          for u in self.scale.open_closed(i.t, i.t0))
+            count += prod(map(len, self._pools(self.scale.open_closed(i.t, i.t0), i.t0)))
         return count
 
+    def _summands(self, i: IndexPair) -> list:
+        """The carrier's summands at i in position order: per stop time the
+        record's value pools times the result pool, then in case 3 the
+        running record's value pools."""
+        out = [product([product(self._pools(self.scale.open_open(i.t, tp), i.t0)),
+                        self.b.at(IndexPair(tp, i.t0))])
+               for tp in self.term_times(i)]
+        if self.has_ongoing(i):
+            out.append(product(self._pools(self.scale.open_closed(i.t, i.t0), i.t0)))
+        return out
+
     def _carrier_at(self, i: IndexPair) -> FinObj:
+        """The element trees `encode` makes, in `elem_key` order: the
+        stopped summands, then in case 3 the running one, as coproducts."""
         case = self.case_of(i)
         if case == 1:
             return EMPTY
         count = self.carrier_size(i)
         if count > DEFAULT_CAP:
             raise CapExceeded(count, DEFAULT_CAP)
-        elems = [self.encode(i, v) for v in self._stopped_choices(i)]
-        if case == 3:
-            elems.extend(self.encode(i, v) for v in self._running_choices(i))
-        return fin_obj(elems)
+        summands = self._summands(i)
+        if case == 2:
+            return coproduct(summands)
+        return coproduct([coproduct(summands[:-1]), summands[-1]])
 
     def encode(self, i: IndexPair, value: ProcessValue):
         """The element representing a process value at index i."""
@@ -229,30 +240,31 @@ class ProcSpace:
         """Carrier at i, decoded, in canonical element order."""
         return [self.decode(i, e) for e in self.obj.at(i)]
 
-    def _restrict_value(self, desc: TemporalObj, u, t0, t0p, x):
-        if t0 == t0p:
-            return x
-        return desc.res(IndexMor(u, t0, t0p))(x)
-
     def _restrict_at(self, m: IndexMor) -> FinMor:
-        src, dst = m.src, m.dst
+        """Restriction along m by position arithmetic on the summands.
 
-        def step(elem):
-            v = self.decode(src, elem)
-            if isinstance(v, Terminated) and v.at_time <= m.t0:
-                seen = tuple(
-                    (u, self._restrict_value(self.a, u, m.t0, m.t0p, x)) for u, x in v.seen
-                )
-                y = self._restrict_value(self.b, v.at_time, m.t0, m.t0p, v.result)
-                return self.encode(dst, Terminated(v.at_time, seen, y))
-            seen = tuple(
-                (u, self._restrict_value(self.a, u, m.t0, m.t0p, x))
-                for u, x in v.seen
-                if u <= m.t0
-            )
-            return self.encode(dst, Ongoing(seen))
-
-        return fin_mor(self._carriers[src], self._carriers[dst], step)
+        A stop by m.t0 maps by the product of its value and result
+        restrictions.  A later stop or a running record is truncated: its
+        values at the kept points (m.t, m.t0] are its leading factors, so
+        each image of their restriction repeats once per combination of
+        the factors dropped.  Summands land at offsets summed from the
+        sizes, as in `copairing`."""
+        keep = self.scale.open_closed(m.t, m.t0)
+        values = [self.a.res(IndexMor(u, m.t0, m.t0p)) for u in keep]
+        early = [tp for tp in self.term_times(m.src) if tp <= m.t0]
+        pos, offset = [], 0
+        for k, tp in enumerate(early):
+            f = product_mor([product_mor(values[:k]), self.b.res(IndexMor(tp, m.t0, m.t0p))])
+            pos.extend(map(offset.__add__, f.pos))
+            offset += len(f.cod)
+        late = self._summands(m.src)[len(early):]
+        if late:
+            running = product_mor(values)
+            for s in late:
+                if len(s):
+                    inner = len(s) // len(running.dom)
+                    pos.extend(chain.from_iterable(repeat(offset + q, inner) for q in running.pos))
+        return FinMor(self._carriers[m.src], self._carriers[m.dst], pos=pos)
 
 
 def proc_map(

@@ -13,6 +13,7 @@ unbounded.
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -136,25 +137,19 @@ class IndexMor:
         return f"({self.t}, {self.t0}, {self.t0p})"
 
 
-def compose_index(i: IndexMor, j: IndexMor) -> IndexMor:
-    """Composite i after j; j forgets down to t0', then i down to t0."""
-    if i.src != j.dst:
-        raise ValueError(f"index morphisms not composable: {i} after {j}")
-    return IndexMor(i.t, i.t0, j.t0p)
-
-
 def _per_scale(method):
     """Memoize a TimeScale method on its arguments, in that scale's own
-    table: a scale of n points gives at most n * n entries per method."""
+    table for the method: a scale of n points gives at most n * n
+    entries per method.  The argument tuple of the call is the key."""
     name = method.__name__
 
     @functools.wraps(method)
     def memoized(self, *args):
-        key = (name, *args)
+        table = self._memo[name]
         try:
-            return self._memo[key]
+            return table[args]
         except KeyError:
-            value = self._memo[key] = method(self, *args)
+            value = table[args] = method(self, *args)
             return value
 
     return memoized
@@ -163,7 +158,8 @@ def _per_scale(method):
 @dataclass(frozen=True)
 class TimeScale:
     points: tuple[Time, ...]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=lambda: defaultdict(dict), init=False,
+                        repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(map(as_time, self.points)))
@@ -214,6 +210,14 @@ class TimeScale:
             for t0p in self.points
             if t <= t0 <= t0p
         )
+
+    @_per_scale
+    def covers(self) -> tuple[IndexMor, ...]:
+        """The index morphisms (t, p, q) with q the point after p, in
+        `index_mors` order.  Every other non-identity morphism is a
+        composite of covers."""
+        after = dict(zip(self.points, self.points[1:]))
+        return tuple(m for m in self.index_mors() if after.get(m.t0) == m.t0p)
 
     def __repr__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.points) + "}"

@@ -149,6 +149,12 @@ def test_membership_agrees_with_the_element_tuple(xs, x):
 def test_map_value_outside_the_codomain_is_named():
     with pytest.raises(ValueError, match=r"map value v1 is outside the codomain"):
         FinMor(flag_obj(2), flag_obj(1), {Atom("v0"): Atom("v0"), Atom("v1"): Atom("v1")})
+    # The first value outside, in domain order, by its element repr.
+    images = [Tup((Atom("v0"), Atom("v9"))), Atom("v7")]
+    with pytest.raises(ValueError, match=r"^map value \(v0, v9\) is outside the codomain$"):
+        FinMor(flag_obj(2), flag_obj(1), images=images)
+    with pytest.raises(ValueError, match=r"^map value v2 is outside the codomain$"):
+        fin_mor(flag_obj(3), flag_obj(2), lambda e: e)
 
 
 def test_map_table_must_cover_the_domain_exactly():

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from proccat.laws import (
@@ -14,6 +16,7 @@ from proccat.laws import (
     run_suites,
 )
 from proccat.temporal import (
+    TemporalMor,
     first_difference,
     flag_temporal,
     mor_equal,
@@ -22,7 +25,7 @@ from proccat.temporal import (
     unit_obj,
 )
 from proccat.times import TimeScale
-from proccat.finset import Atom, fin_mor
+from proccat.finset import Atom, FinMor, FinObj, fin_mor
 
 SCALE = TimeScale.of(0, 1)
 
@@ -131,3 +134,21 @@ def test_uniqueness_caps_are_reported_not_raised():
     reports = run_suites(["uniqueness"], cap=1)
     assert all(r.verdict == "cap" for r in reports)
     assert all(r.witness for r in reports)
+
+
+def test_the_solver_suites_leave_no_cyclic_garbage():
+    # Maps and objects a solver or search held must die with the call
+    # (by reference counting), not wait for the cyclic collector.
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_suites(["corecursion", "derived", "recursion", "two_exit", "uniqueness"])
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage
+                if isinstance(o, (TemporalMor, FinMor, FinObj))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []

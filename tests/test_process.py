@@ -4,11 +4,15 @@ recorded value per point strictly between, and a result at the stop; a
 running view chooses one recorded value per point up to the horizon and
 exists only when the bound does not force a stop by then."""
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proccat.finset import Atom, CapExceeded, DEFAULT_CAP, Tup, UNIT_ELEM, fin_mor
+from proccat.finset import (
+    Atom, CapExceeded, DEFAULT_CAP, FinMor, Tup, UNIT_ELEM, fin_mor, fin_obj,
+)
+from proccat.laws import build_case, law_grid, stamp_parity_obj
 from proccat.process import (
     LiveSpace,
     Ongoing,
@@ -30,6 +34,7 @@ from proccat.process import (
     strong_bound,
 )
 from proccat.temporal import (
+    check_functor,
     empty_obj,
     flag_temporal,
     mor_equal,
@@ -261,3 +266,123 @@ def test_process_spaces_share_one_carrier_object():
     again = ProcSpace(TermBound.at(1), unit_obj(SCALE), flag_temporal(SCALE, 2))
     assert again.obj is not sp.obj and again.obj == sp.obj
     assert temporal_obj(SCALE, sp._carrier_at, sp._restrict_at) == sp.obj
+
+
+# -- positional carriers and restrictions against element-level ones -------
+
+
+def reference_values(sp, i):
+    """Every process value at i, enumerated from the value and result
+    pools."""
+    def pool(obj, u):
+        return obj.at(IndexPair(u, i.t0)).elements
+
+    out = []
+    for tp in sp.term_times(i):
+        prior = sp.scale.open_open(i.t, tp)
+        for combo in iter_product(*(pool(sp.a, u) for u in prior)):
+            out.extend(Terminated(tp, tuple(zip(prior, combo)), y) for y in pool(sp.b, tp))
+    if sp.has_ongoing(i):
+        times = sp.scale.open_closed(i.t, i.t0)
+        for combo in iter_product(*(pool(sp.a, u) for u in times)):
+            out.append(Ongoing(tuple(zip(times, combo))))
+    return out
+
+
+def reference_restrict(sp, m, v):
+    """Restrict each recorded value and the result along m, and forget a
+    stop after m.t0 together with the values recorded after m.t0."""
+    def down(obj, u, x):
+        return obj.res(IndexMor(u, m.t0, m.t0p))(x)
+
+    seen = tuple((u, down(sp.a, u, x)) for u, x in v.seen if u <= m.t0)
+    if isinstance(v, Terminated) and v.at_time <= m.t0:
+        return Terminated(v.at_time, seen, down(sp.b, v.at_time, v.result))
+    return Ongoing(seen)
+
+
+def assert_matches_reference(sp):
+    """Carriers are the encoded values in key order; along every index
+    morphism, identities and composites included, both the derived
+    restriction and the direct one send each element where decoding,
+    restricting and encoding does."""
+    for i in sp.scale.indices():
+        expected = fin_obj(sp.encode(i, v) for v in reference_values(sp, i))
+        assert sp.obj.at(i).elements == expected.elements
+    for m in sp.scale.index_mors():
+        src = sp.obj.at(m.src).elements
+        expected = [sp.encode(m.dst, reference_restrict(sp, m, sp.decode(m.src, e)))
+                    for e in src]
+        for f in (sp.obj.res(m), sp._restrict_at(m)):
+            assert (f.dom, f.cod) == (sp.obj.at(m.src), sp.obj.at(m.dst))
+            assert [f(e) for e in src] == expected, m
+
+
+def forgetful_obj(scale):
+    """A process space used as a value object: its restrictions forget
+    late stops, so they are not identities."""
+    return ProcSpace(UNBOUNDED, unit_obj(scale), unit_obj(scale)).obj
+
+
+KINDS = {"empty": empty_obj, "unit": unit_obj, "flag": flag_temporal,
+         "stamp": stamp_parity_obj, "forget": forgetful_obj}
+
+
+def test_grid_spaces_match_the_element_level_reference():
+    for case in law_grid():
+        _, a, b, w = build_case(case)
+        assert_matches_reference(ProcSpace(w, a, b))
+
+
+def test_off_grid_spaces_match_the_element_level_reference():
+    scale = TimeScale.of(Fraction(1, 2), 3, 7)
+    for a_kind in KINDS:
+        for b_kind in KINDS:
+            for w in (*map(TermBound.at, scale.points), UNBOUNDED):
+                a, b = KINDS[a_kind](scale), KINDS[b_kind](scale)
+                assert_matches_reference(ProcSpace(w, a, b))
+
+
+@given(st.lists(st.fractions(-3, 5, max_denominator=3), min_size=1, max_size=4,
+                unique=True),
+       st.sampled_from(sorted(KINDS)), st.sampled_from(sorted(KINDS)),
+       st.one_of(st.none(), st.integers(0, 3)))
+@settings(max_examples=40, deadline=None)
+def test_spaces_match_the_element_level_reference_on_drawn_scales(points, a_kind, b_kind,
+                                                                  w_at):
+    scale = TimeScale.of(*sorted(points))
+    w = UNBOUNDED if w_at is None else TermBound.at(scale.points[w_at % len(points)])
+    assert_matches_reference(ProcSpace(w, KINDS[a_kind](scale), KINDS[b_kind](scale)))
+
+
+FOUR = TimeScale.of(0, 1, 2, 3)
+COVER = IndexMor(Fraction(0), Fraction(1), Fraction(2))
+COMPOSITE = IndexMor(Fraction(0), Fraction(1), Fraction(3))  # COVER after (0, 2, 3)
+
+
+def swapped(f: FinMor) -> FinMor:
+    """f with the images of its first element and the first element
+    mapped elsewhere exchanged."""
+    pos = list(f.pos)
+    k = next(k for k, p in enumerate(pos) if p != pos[0])
+    pos[0], pos[k] = pos[k], pos[0]
+    return FinMor(f.dom, f.cod, pos=pos)
+
+
+@pytest.mark.parametrize("target", [COVER, COMPOSITE], ids=["cover", "composite"])
+def test_a_broken_restriction_fails_the_functor_check_with_an_element(monkeypatch, target):
+    # A swapped cover reaches the composite built from it; a swapped
+    # composite differs from the covers.  Either way the direct
+    # restriction along COMPOSITE and the composite of covers disagree.
+    restrict_at = ProcSpace._restrict_at
+
+    def broken(self, m):
+        f = restrict_at(self, m)
+        return swapped(f) if m == target else f
+
+    monkeypatch.setattr(ProcSpace, "_restrict_at", broken)
+    sp = ProcSpace(UNBOUNDED, flag_temporal(FOUR), unit_obj(FOUR))
+    report = check_functor(sp.obj)
+    assert not report.ok
+    assert report.witness.startswith(f"restriction along {COMPOSITE} is not the "
+                                     "composite of its covers at ")
