@@ -66,7 +66,6 @@ from .process import (
     nonstop_space,
     proc_map,
     render_value,
-    step_map,
 )
 from .operators import (
     MergeSpace,

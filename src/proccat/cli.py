@@ -283,12 +283,19 @@ def cmd_check(args) -> int:
         names = None
     else:
         names = [s for s in args.suites.split(",") if s]
+        if not names:
+            return _fail("--suites names no suite; give suite names or 'all'")
         unknown = sorted(set(names) - set(SUITES))
         if unknown:
             return _fail("unknown suites: " + ", ".join(unknown))
     if args.mutate is not None and args.mutate not in MUTATIONS:
         return _fail(f"unknown mutation {args.mutate!r}; "
                      "choose from " + ", ".join(MUTATIONS))
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(f"--out {args.out} is not a writable directory: {exc.strerror}")
     try:
         reports = run_suites(names, cap=args.cap, mutate=args.mutate)
     except ValueError as exc:
@@ -296,8 +303,6 @@ def cmd_check(args) -> int:
 
     human = "\n".join(_human_lines(reports)) + "\n"
     machine = "\n".join(_machine_lines(reports)) + "\n"
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(human, encoding="utf-8")
     (out / "report.jsonl").write_text(machine, encoding="utf-8")
     sys.stdout.write(machine if args.format == "machine" else human)

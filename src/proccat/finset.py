@@ -122,6 +122,9 @@ UNIT = fin_obj([UNIT_ELEM])
 
 
 def flag_obj(n: int = 2) -> FinObj:
+    """n atoms; CapExceeded above DEFAULT_CAP, as for `product`."""
+    if n > DEFAULT_CAP:
+        raise CapExceeded(n, DEFAULT_CAP)
     return fin_obj([Atom(f"v{i}") for i in range(n)])
 
 
@@ -284,14 +287,18 @@ def pairing(fs: Sequence[FinMor]) -> FinMor:
     return FinMor(dom, cod, pos=pos)
 
 
-def product_mor(fs: Sequence[FinMor]) -> FinMor:
-    dom = product([f.dom for f in fs])
-    cod = product([f.cod for f in fs])
+def product_pos(fs: Sequence[FinMor]) -> list:
+    """The positions of `product_mor(fs)`, without building its ends."""
     pos = [0]
     for f in fs:
-        n = len(f.cod)
+        n = len(f.cod.elements)
         pos = [p * n + q for p in pos for q in f.pos]
-    return FinMor(dom, cod, pos=pos)
+    return pos
+
+
+def product_mor(fs: Sequence[FinMor]) -> FinMor:
+    return FinMor(product([f.dom for f in fs]), product([f.cod for f in fs]),
+                  pos=product_pos(fs))
 
 
 # -- coproducts -------------------------------------------------------------

@@ -56,9 +56,36 @@ def finish_round(mixed: LiveSpace, target: LiveSpace, i: IndexPair, elem,
     if isinstance(v, Terminated):
         r = v.result
         if r.tag == 1:
-            r = onward(IndexPair(v.at_time, i.t0), r.value)
+            r = onward(target.scale.pairs()[v.at_time, i.t0], r.value)
         v = splice(target.proc, i.t0, v, r)
     return target.encode(i, x, v)
+
+
+def _memo_solve(dom: TemporalObj, cod: TemporalObj, step: Callable,
+                cycle: str) -> TemporalMor:
+    """The family dom -> cod whose image of z at i is ``step(i, z, rec)``,
+    where ``rec(here, z')`` is the family's own image there, computed
+    once each.  RuntimeError(``cycle % (i,)``) when an image needs
+    itself."""
+    memo: dict = {}
+    active: set = set()
+
+    def value_at(i: IndexPair, z):
+        key = (i, z)
+        if key in memo:
+            return memo[key]
+        if key in active:
+            raise RuntimeError(cycle % (i,))
+        active.add(key)
+        out = memo[key] = step(i, z, value_at)
+        active.discard(key)
+        return out
+
+    try:
+        return temporal_mor(dom, cod, lambda i: fin_mor(
+            dom.at(i), cod.at(i), lambda z: value_at(i, z)))
+    finally:
+        del value_at  # a self-reference: the memo dies with the call
 
 
 class CoiterProblem:
@@ -87,30 +114,11 @@ class CoiterProblem:
     def solve(self) -> TemporalMor:
         """Iterate the seed map to exhaustion: from seeds to processes
         whose result object is final answers only."""
-        memo: dict = {}
-        active: set = set()
-
-        def value_at(i: IndexPair, z):
-            key = (i, z)
-            if key in memo:
-                return memo[key]
-            if key in active:
-                raise RuntimeError(
-                    "seed map is not productive: a seed at %r restarts at "
-                    "its own time" % (i,)
-                )
-            active.add(key)
-            out = finish_round(self.mixed, self.target, i, self.f.at(i)(z),
-                               lambda here, seed: Inj(1, value_at(here, seed)))
-            active.discard(key)
-            memo[key] = out
-            return out
-
-        try:
-            return temporal_mor(self.c, self.target.obj, lambda i: fin_mor(
-                self.c.at(i), self.target.obj.at(i), lambda z: value_at(i, z)))
-        finally:
-            del value_at  # a self-reference: the memo dies with the call
+        return _memo_solve(
+            self.c, self.target.obj,
+            lambda i, z, rec: finish_round(self.mixed, self.target, i, self.f.at(i)(z),
+                                           lambda here, seed: Inj(1, rec(here, seed))),
+            "seed map is not productive: a seed at %r restarts at its own time")
 
     def equation_gap(self, cand: TemporalMor) -> Optional[str]:
         """Check the defining property of a solution: mapping fresh seeds
@@ -179,29 +187,9 @@ class RecurProblem:
         self.f = f
 
     def solve(self) -> TemporalMor:
-        memo: dict = {}
-        active: set = set()
-
-        def value_at(i: IndexPair, elem):
-            key = (i, elem)
-            if key in memo:
-                return memo[key]
-            if key in active:
-                raise RuntimeError(
-                    "consumer is not well founded: the process at %r is its "
-                    "own suffix" % (i,)
-                )
-            active.add(key)
-            out = self._consume(i, elem, value_at)
-            active.discard(key)
-            memo[key] = out
-            return out
-
-        try:
-            return temporal_mor(self.source.obj, self.c, lambda i: fin_mor(
-                self.source.obj.at(i), self.c.at(i), lambda elem: value_at(i, elem)))
-        finally:
-            del value_at  # a self-reference: the memo dies with the call
+        return _memo_solve(
+            self.source.obj, self.c, self._consume,
+            "consumer is not well founded: the process at %r is its own suffix")
 
     def _consume(self, i: IndexPair, elem, aux: Callable):
         """The consumer's output on process ``elem`` at ``i`` once every
@@ -209,9 +197,10 @@ class RecurProblem:
         component of the suffix starting at that record: the recursive
         memo when solving, the candidate when checking."""
         v = self.source.decode(i, elem)
+        pair = self.source.scale.pairs()
         seen = []
         for u, x in v.seen:
-            here = IndexPair(u, i.t0)
+            here = pair[u, i.t0]
             suffix = self.source.encode(here, rest_after(v, u))
             seen.append((u, Tup((x, aux(here, suffix)))))
         if isinstance(v, Terminated):

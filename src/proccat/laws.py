@@ -626,8 +626,7 @@ def stamp_parity_obj(scale: TimeScale) -> TemporalObj:
         return fin_obj(elems)
 
     def restrict(m):
-        src = carrier(IndexPair(m.t, m.t0p))
-        dst = carrier(IndexPair(m.t, m.t0))
+        src, dst = carrier(m.src), carrier(m.dst)
 
         def go(e):
             if e.tag == 1 and e not in dst:

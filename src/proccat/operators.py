@@ -10,7 +10,10 @@
 """
 from __future__ import annotations
 
-from .finset import FinMor, Inj, Tup, fin_mor
+from itertools import chain, cycle
+from math import prod
+
+from .finset import FinMor
 from .process import (
     LiveSpace,
     Ongoing,
@@ -19,8 +22,6 @@ from .process import (
     StepSpace,
     Terminated,
     proc_map,
-    rest_after,
-    seen_value,
 )
 from .temporal import (
     TemporalMor,
@@ -47,27 +48,42 @@ def expanded_space(sp: ProcSpace) -> ProcSpace:
     return ProcSpace(sp.w, LiveSpace(sp.w, sp.a, sp.b).obj, sp.b)
 
 
+def _live(sp: ProcSpace, here: IndexPair, k: int) -> list:
+    """The positions in the live object over `sp` at `here` of (value,
+    process) pairs whose process is in summand k there, in order."""
+    size, lay = len(sp._carriers[here]), sp._layout[here]
+    return [x * size + lay.offsets[k] + r
+            for x in range(len(sp.a.at(here))) for r in range(len(lay.summands[k]))]
+
+
 def expand(sp: ProcSpace) -> TemporalMor:
     """Pair every recorded value with the suffix starting at its time.
 
     Stop time, final result, and the stopped/running shape are preserved;
     only the records change, each becoming a process in its own right based
     at the record's time.
+
+    By position: the suffix after the j-th record is the same stop (or
+    the running record) at the record's index, and its digits are the
+    trailing digits of the process, so the expansion of digits j, j+1,
+    ... is the pair of value j and that suffix followed by the expansion
+    of the suffix.
     """
     target = expanded_space(sp)
 
     def component(i: IndexPair) -> FinMor:
-        def step(elem):
-            v = sp.decode(i, elem)
-            seen = tuple(
-                (u, Tup((x, sp.encode(IndexPair(u, i.t0), rest_after(v, u)))))
-                for u, x in v.seen
-            )
-            if isinstance(v, Terminated):
-                return target.encode(i, Terminated(v.at_time, seen, v.result))
-            return target.encode(i, Ongoing(seen))
-
-        return fin_mor(sp.obj.at(i), target.obj.at(i), step)
+        lay = sp._layout[i]
+        pos = []
+        for k, base in enumerate(target._layout[i].offsets):
+            tail = list(range(len(sp.b.at(lay.run[k])) if k < lay.stops else 1))
+            width = len(tail)
+            for j in reversed(range(k)):
+                here = lay.run[j]
+                live = _live(sp, here, k - j - 1)
+                tail = [p * width + c for p, c in zip(live, cycle(tail))]
+                width *= len(target.a.at(here))
+            pos.extend(map(base.__add__, tail))
+        return FinMor(sp._carriers[i], target._carriers[i], pos=pos)
 
     return temporal_mor(sp.obj, target.obj, component)
 
@@ -102,7 +118,7 @@ def splice(sp: ProcSpace, t0, v: Terminated, then) -> ProcessValue:
     if then.tag == 0:
         return Terminated(v.at_time, v.seen, then.value)
     x, q_elem = then.value.items
-    q = sp.decode(IndexPair(v.at_time, t0), q_elem)
+    q = sp.decode(sp.scale.pairs()[v.at_time, t0], q_elem)
     seen = v.seen + ((v.at_time, x),) + q.seen
     if isinstance(q, Terminated):
         return Terminated(q.at_time, seen, q.result)
@@ -114,17 +130,32 @@ def join(sp: ProcSpace) -> TemporalMor:
 
     If the outer process runs forever the result is the outer record
     unchanged; if it stops, the two are spliced.
+
+    By position: a process stopped at the k-th point is a prefix record
+    and a result, which either stops right there or hands over a value
+    and a process q at that point.  The splice is the prefix digits,
+    the handed-over value, then q's digits, in the summand of q's stop
+    (or the running record) counted k + 1 further on.
     """
     outer = joining_space(sp)
 
     def component(i: IndexPair) -> FinMor:
-        def step(elem):
-            v = outer.decode(i, elem)
-            if isinstance(v, Terminated):
-                v = splice(sp, i.t0, v, v.result)
-            return sp.encode(i, v)
-
-        return fin_mor(outer.obj.at(i), sp.obj.at(i), step)
+        lay, into = outer._layout[i], sp._layout[i]
+        pos = []
+        for k in range(lay.stops):
+            here = lay.run[k]
+            m, n = len(sp.b.at(here)), len(sp.a.at(here))
+            # (prefix multiplier, start, length) per run of consecutive images
+            rows = [(m, into.offsets[k], m)]
+            rows += [(n * len(s), into.offsets[k + 1 + q] + x * len(s), len(s))
+                     for x in range(n) for q, s in enumerate(sp._layout[here].summands)]
+            for prefix in range(prod(len(sp.a.at(p)) for p in lay.run[:k])):
+                for mult, start, length in rows:
+                    start += prefix * mult
+                    pos.extend(range(start, start + length))
+        if lay.case == 3:
+            pos.extend(range(into.offsets[-1], into.offsets[-1] + len(lay.summands[-1])))
+        return FinMor(outer._carriers[i], sp._carriers[i], pos=pos)
 
     return temporal_mor(outer.obj, sp.obj, component)
 
@@ -156,47 +187,23 @@ class MergeSpace:
     def __init__(self, left: ProcSpace, right: ProcSpace):
         if left.scale != right.scale:
             raise ValueError("merging processes over different scales")
-        self.left = left
-        self.right = right
-        self.scale = left.scale
+        self.left, self.right, self.scale = left, right, left.scale
         self.live_left = LiveSpace(left.w, left.a, left.b)
         self.live_right = LiveSpace(right.w, right.a, right.b)
-        self.outcome = pointwise_coproduct(
-            [
-                pointwise_product([left.b, right.b]),
-                pointwise_product([left.b, self.live_right.obj]),
-                pointwise_product([self.live_left.obj, right.b]),
-            ]
-        )
-        self.merged = ProcSpace(
-            w_meet(left.w, right.w),
-            pointwise_product([left.a, right.a]),
-            self.outcome,
-        )
+        # Both stop, the left stops first, the right stops first.
+        self._outcomes = [[left.b, right.b], [left.b, self.live_right.obj],
+                          [self.live_left.obj, right.b]]
+        self.outcome = pointwise_coproduct(list(map(pointwise_product, self._outcomes)))
+        self.merged = ProcSpace(w_meet(left.w, right.w),
+                                pointwise_product([left.a, right.a]), self.outcome)
 
     def _side_pieces(self, first: bool):
         sp = self.left if first else self.right
-        b1, b2 = self.left.b, self.right.b
-        l1, l2 = self.live_left.obj, self.live_right.obj
         step = StepSpace(sp.w, sp.a, sp.b)
-        into_stop = lambda factors, k: t_compose(
-            t_inj([sp.b, step.live.obj], 0), t_proj(factors, k)
-        )
-        into_run = lambda factors, k: t_compose(
-            t_inj([sp.b, step.live.obj], 1), t_proj(factors, k)
-        )
-        if first:
-            branches = [
-                into_stop([b1, b2], 0),
-                into_stop([b1, l2], 0),
-                into_run([l1, b2], 0),
-            ]
-        else:
-            branches = [
-                into_stop([b1, b2], 1),
-                into_run([b1, l2], 1),
-                into_stop([l1, b2], 1),
-            ]
+        k, running = (0, 2) if first else (1, 1)
+        branches = [t_compose(t_inj([sp.b, step.live.obj], int(n == running)),
+                              t_proj(factors, k))
+                    for n, factors in enumerate(self._outcomes)]
         return sp, step, t_copairing(branches)
 
     def project(self, first: bool) -> TemporalMor:
@@ -218,45 +225,54 @@ class MergeSpace:
 
     def zip(self) -> TemporalMor:
         """The inverse of split: run two processes side by side until the
-        first stop."""
+        first stop.
+
+        By position, a case split on the summands of the two sides: the
+        pair stops with the one that stops first (or runs on when both
+        run).  Summand k of a carrier stops at the k-th point of the
+        run, and summand len(run) is the running record."""
         pair_obj = pointwise_product([self.left.obj, self.right.obj])
 
         def component(i: IndexPair) -> FinMor:
-            def combine(elem):
-                v1 = self.left.decode(i, elem.items[0])
-                v2 = self.right.decode(i, elem.items[1])
-                t1 = v1.at_time if isinstance(v1, Terminated) else None
-                t2 = v2.at_time if isinstance(v2, Terminated) else None
-                if t1 is None and t2 is None:
-                    seen = tuple(
-                        (u, Tup((x1, seen_value(v2, u)))) for u, x1 in v1.seen
-                    )
-                    return self.merged.encode(i, Ongoing(seen))
-                if t2 is None or (t1 is not None and t1 < t2):
-                    stop, out_tag = t1, 1
-                elif t1 is None or t2 < t1:
-                    stop, out_tag = t2, 2
-                else:
-                    stop, out_tag = t1, 0
-                seen = tuple(
-                    (u, Tup((seen_value(v1, u), seen_value(v2, u))))
-                    for u in self.scale.open_open(i.t, stop)
-                )
-                here = IndexPair(stop, i.t0)
-                if out_tag == 0:
-                    outcome = Inj(0, Tup((v1.result, v2.result)))
-                elif out_tag == 1:
-                    live = Tup(
-                        (seen_value(v2, stop), self.right.encode(here, rest_after(v2, stop)))
-                    )
-                    outcome = Inj(1, Tup((v1.result, live)))
-                else:
-                    live = Tup(
-                        (seen_value(v1, stop), self.left.encode(here, rest_after(v1, stop)))
-                    )
-                    outcome = Inj(2, Tup((live, v2.result)))
-                return self.merged.encode(i, Terminated(stop, seen, outcome))
-
-            return fin_mor(pair_obj.at(i), self.merged.obj.at(i), combine)
+            pos = []
+            for k1 in range(len(self.left._layout[i].summands)):
+                blocks = [self._zip_rows(i, k1, k2)
+                          for k2 in range(len(self.right._layout[i].summands))]
+                pos.extend(chain.from_iterable(chain.from_iterable(zip(*blocks))))
+            return FinMor(pair_obj.at(i), self.merged._carriers[i], pos=pos)
 
         return temporal_mor(pair_obj, self.merged.obj, component)
+
+    def _zip_rows(self, i: IndexPair, k1: int, k2: int) -> list:
+        """Per element of summand k1 of the left carrier at i, the merged
+        positions of its pairs with summand k2 of the right one.
+
+        The pair stops (or runs) as merged summand k = min(k1, k2).  Its
+        result is both results, or the result of the side that stopped
+        with the other side's value and suffix there.  Going back from
+        it, each of the first k points pairs one value from each side."""
+        left, right = self.left, self.right
+        run = left._layout[i].run
+        k = min(k1, k2)
+        base = self.merged._layout[i].offsets[k]
+        rows, width = [[base]], 1
+        if k < len(run):
+            here = run[k]
+            lb, rb = len(left.b.at(here)), len(right.b.at(here))
+            live_l = len(self.live_left.obj.at(here))
+            live_r = len(self.live_right.obj.at(here))
+            if k1 == k2:
+                rows = [[base + y1 * rb + y2 for y2 in range(rb)] for y1 in range(lb)]
+            elif k1 < k2:
+                live = _live(right, here, k2 - k - 1)
+                rows = [[base + lb * rb + y1 * live_r + q for q in live] for y1 in range(lb)]
+            else:
+                rows = [[base + lb * rb + lb * live_r + q * rb + y2 for y2 in range(rb)]
+                        for q in _live(left, here, k1 - k - 1)]
+            width = lb * rb + lb * live_r + live_l * rb
+        for j in reversed(range(k)):
+            la, ra = len(left.a.at(run[j])), len(right.a.at(run[j]))
+            rows = [[(x * ra + z) * width + c for z in range(ra) for c in row]
+                    for x in range(la) for row in rows]
+            width *= la * ra
+        return rows

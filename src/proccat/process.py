@@ -21,17 +21,18 @@ back into an Ongoing one.
 
 Carriers are coproducts of products: one summand per admissible stop time
 (the record's value pools times the result pool), then, when running views
-exist, the running record's value pools.  Restriction is position
-arithmetic on those summands; it builds and decodes no element.
+exist, the running record's value pools.  Restriction, and every map
+between process spaces here and in `operators`, is position arithmetic on
+those summands; it builds and decodes no element.
 """
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from math import prod
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .finset import (
     CapExceeded,
@@ -43,9 +44,8 @@ from .finset import (
     Tup,
     _interned,
     coproduct,
-    fin_mor,
     product,
-    product_mor,
+    product_pos,
 )
 from .temporal import (
     TemporalMor,
@@ -56,6 +56,7 @@ from .temporal import (
     temporal_mor,
     temporal_obj,
     t_identity,
+    t_product_mor,
     unit_obj,
 )
 from .times import (
@@ -64,6 +65,7 @@ from .times import (
     TermBound,
     TimeScale,
     UNBOUNDED,
+    _per_scale,
     w_leq,
 )
 
@@ -112,129 +114,137 @@ def rest_after(value: ProcessValue, u: Fraction) -> ProcessValue:
     return Ongoing(later)
 
 
+class _Layout(NamedTuple):
+    """The carrier at one index as a coproduct of products."""
+
+    case: int  # as `ProcSpace.case_of`
+    times: tuple  # the scale points in (t, t0]
+    run: tuple  # the scale's own index pair (u, t0) for each u in times
+    stops: int  # the admissible stop times are times[:stops]
+    summands: tuple  # per stop time, then in case 3 the running record
+    offsets: tuple  # the position of each summand's first element
+
+
+@_per_scale
+def _shape(scale: TimeScale, w: TermBound, i: IndexPair) -> tuple:
+    """The (case, times, run, stops) fields of a layout at i under w,
+    which the value and result objects do not change."""
+    times = scale.open_closed(i.t, i.t0)
+    pair = scale.pairs()
+    run = tuple(pair[u, i.t0] for u in times)
+    if w.bounded:
+        if w.time < i.t:
+            return 1, times, run, 0
+        if w.time <= i.t0:
+            return 2, times, run, len(scale.open_closed(i.t, w.time))
+    return 3, times, run, len(run)
+
+
 class ProcSpace:
     """The time-indexed object of strictly-future processes with values
     drawn from `a`, results drawn from `b`, under termination bound `w`.
 
     Instances are cheap views: the carrier object is hash-consed on the
     bound's value and the identities of `a` and `b`, so spaces built from
-    the same objects share one `obj`.
+    the same objects share one `obj`, and with it `obj.layout`, the
+    `_Layout` per index that everything below reads.
     """
 
     def __init__(self, w: TermBound, a: TemporalObj, b: TemporalObj):
         if a.scale != b.scale:
             raise ValueError("value and result objects live over different scales")
-        self.w = w
-        self.a = a
-        self.b = b
-        self.scale: TimeScale = a.scale
+        self.w, self.a, self.b, self.scale = w, a, b, a.scale
         self.obj = _interned(("ProcSpace", w), (a, b), self._build)
         self._carriers = self.obj.carrier
+        self._layout = self.obj.layout
 
     def _build(self) -> TemporalObj:
         # The object keeps `_restrict_at` for `check_functor`: a copy with
         # no `obj` builds it, so that the two form no reference cycle.
         builder = copy.copy(self)
-        builder._carriers = {i: builder._carrier_at(i) for i in self.scale.indices()}
-        return temporal_obj(self.scale, builder._carriers.__getitem__, builder._restrict_at)
+        builder._layout = {i: builder._layout_at(i) for i in self.scale.indices()}
+        builder._carriers = {i: builder._carrier_at(i) for i in builder._layout}
+        obj = temporal_obj(self.scale, builder._carriers.__getitem__, builder._restrict_at)
+        object.__setattr__(obj, "layout", builder._layout)
+        return obj
+
+    def _layout_at(self, i: IndexPair) -> _Layout:
+        """Per stop time the record's value pools times the result pool,
+        then in case 3 the running record's value pools; CapExceeded
+        before any is built when they hold more than DEFAULT_CAP
+        elements."""
+        case, times, run, stops = _shape(self.scale, self.w, i)
+        pools = [self.a.at(p) for p in run]
+        ends = [self.b.at(p) for p in run[:stops]]
+        counts = [len(y) * prod(map(len, pools[:k])) for k, y in enumerate(ends)]
+        if case == 3:
+            counts.append(prod(map(len, pools)))
+        if sum(counts) > DEFAULT_CAP:
+            raise CapExceeded(sum(counts), DEFAULT_CAP)
+        summands = [product([product(pools[:k]), y]) for k, y in enumerate(ends)]
+        if case == 3:
+            summands.append(product(pools))
+        offsets = tuple(accumulate(counts[:-1], initial=0)) if counts else ()
+        return _Layout(case, times, run, stops, tuple(summands), offsets)
 
     def case_of(self, i: IndexPair) -> int:
         """1: bound in the past (empty); 2: bound inside the horizon
         (must have stopped); 3: bound beyond the horizon."""
-        if self.w.bounded:
-            if self.w.time < i.t:
-                return 1
-            if self.w.time <= i.t0:
-                return 2
-        return 3
+        return self._layout[i].case
 
     def term_times(self, i: IndexPair) -> tuple:
         """Candidate stop times at index i, ascending."""
-        case = self.case_of(i)
-        if case == 1:
-            return ()
-        hi = self.w.time if case == 2 else i.t0
-        return self.scale.open_closed(i.t, hi)
+        lay = self._layout[i]
+        return lay.times[:lay.stops]
 
     def has_ongoing(self, i: IndexPair) -> bool:
-        return self.case_of(i) == 3
-
-    def _pools(self, times, t0) -> list:
-        """The value objects at (u, t0) for each u in times."""
-        return [self.a.at(IndexPair(u, t0)) for u in times]
+        return self._layout[i].case == 3
 
     def carrier_size(self, i: IndexPair) -> int:
-        """Element count of the carrier at i, from the sizes of the pools
-        its values are drawn from."""
-        count = sum(
-            prod(map(len, self._pools(self.scale.open_open(i.t, tp), i.t0)))
-            * len(self.b.at(IndexPair(tp, i.t0)))
-            for tp in self.term_times(i))
-        if self.has_ongoing(i):
-            count += prod(map(len, self._pools(self.scale.open_closed(i.t, i.t0), i.t0)))
-        return count
-
-    def _summands(self, i: IndexPair) -> list:
-        """The carrier's summands at i in position order: per stop time the
-        record's value pools times the result pool, then in case 3 the
-        running record's value pools."""
-        out = [product([product(self._pools(self.scale.open_open(i.t, tp), i.t0)),
-                        self.b.at(IndexPair(tp, i.t0))])
-               for tp in self.term_times(i)]
-        if self.has_ongoing(i):
-            out.append(product(self._pools(self.scale.open_closed(i.t, i.t0), i.t0)))
-        return out
+        return sum(map(len, self._layout[i].summands))
 
     def _carrier_at(self, i: IndexPair) -> FinObj:
         """The element trees `encode` makes, in `elem_key` order: the
         stopped summands, then in case 3 the running one, as coproducts."""
-        case = self.case_of(i)
-        if case == 1:
+        lay = self._layout[i]
+        if lay.case == 1:
             return EMPTY
-        count = self.carrier_size(i)
-        if count > DEFAULT_CAP:
-            raise CapExceeded(count, DEFAULT_CAP)
-        summands = self._summands(i)
-        if case == 2:
-            return coproduct(summands)
-        return coproduct([coproduct(summands[:-1]), summands[-1]])
+        if lay.case == 2:
+            return coproduct(lay.summands)
+        return coproduct([coproduct(lay.summands[:-1]), lay.summands[-1]])
 
     def encode(self, i: IndexPair, value: ProcessValue):
         """The element representing a process value at index i."""
-        case = self.case_of(i)
+        lay = self._layout[i]
         if isinstance(value, Terminated):
-            if case == 1:
+            if lay.case == 1:
                 raise ValueError("no stopped values below the bound")
-            candidates = self.term_times(i)
+            candidates = lay.times[:lay.stops]
             if value.at_time not in candidates:
                 raise ValueError(f"stop time {value.at_time} not admissible at {i}")
             k = candidates.index(value.at_time)
-            expected = self.scale.open_open(i.t, value.at_time)
+            expected = lay.times[:k]
             if tuple(u for u, _ in value.seen) != expected:
                 raise ValueError(f"record times {value.seen!r} do not cover {expected}")
             inner = Inj(k, Tup((Tup(tuple(x for _, x in value.seen)), value.result)))
-            return inner if case == 2 else Inj(0, inner)
-        if case != 3:
+            return inner if lay.case == 2 else Inj(0, inner)
+        if lay.case != 3:
             raise ValueError("running values require the bound beyond the horizon")
-        expected = self.scale.open_closed(i.t, i.t0)
-        if tuple(u for u, _ in value.seen) != expected:
-            raise ValueError(f"record times {value.seen!r} do not cover {expected}")
+        if tuple(u for u, _ in value.seen) != lay.times:
+            raise ValueError(f"record times {value.seen!r} do not cover {lay.times}")
         return Inj(1, Tup(tuple(x for _, x in value.seen)))
 
     def decode(self, i: IndexPair, elem) -> ProcessValue:
         """The process value an element of the carrier at i represents."""
-        case = self.case_of(i)
-        if case == 1:
+        lay = self._layout[i]
+        if lay.case == 1:
             raise ValueError("empty carrier")
-        if case == 3:
+        if lay.case == 3:
             if elem.tag == 1:
-                times = self.scale.open_closed(i.t, i.t0)
-                return Ongoing(tuple(zip(times, elem.value.items)))
+                return Ongoing(tuple(zip(lay.times, elem.value.items)))
             elem = elem.value
-        tp = self.term_times(i)[elem.tag]
-        pair = elem.value
-        prior = self.scale.open_open(i.t, tp)
-        return Terminated(tp, tuple(zip(prior, pair.items[0].items)), pair.items[1])
+        values, result = elem.value.items
+        return Terminated(lay.times[elem.tag], tuple(zip(lay.times, values.items)), result)
 
     def values(self, i: IndexPair):
         """Carrier at i, decoded, in canonical element order."""
@@ -243,43 +253,40 @@ class ProcSpace:
     def _restrict_at(self, m: IndexMor) -> FinMor:
         """Restriction along m by position arithmetic on the summands.
 
-        A stop by m.t0 maps by the product of its value and result
-        restrictions.  A later stop or a running record is truncated: its
-        values at the kept points (m.t, m.t0] are its leading factors, so
-        each image of their restriction repeats once per combination of
-        the factors dropped.  Summands land at offsets summed from the
-        sizes, as in `copairing`."""
-        keep = self.scale.open_closed(m.t, m.t0)
-        values = [self.a.res(IndexMor(u, m.t0, m.t0p)) for u in keep]
-        early = [tp for tp in self.term_times(m.src) if tp <= m.t0]
-        pos, offset = [], 0
-        for k, tp in enumerate(early):
-            f = product_mor([product_mor(values[:k]), self.b.res(IndexMor(tp, m.t0, m.t0p))])
-            pos.extend(map(offset.__add__, f.pos))
-            offset += len(f.cod)
-        late = self._summands(m.src)[len(early):]
+        The stops by m.t0 are the target's stops; each maps by the
+        product of its value and result restrictions into its summand
+        there.  A later stop or a running record is truncated: its values
+        at the kept points (m.t, m.t0] are its leading factors, so each
+        image of their restriction repeats once per combination of the
+        factors dropped."""
+        src, dst = self._layout[m.src], self._layout[m.dst]
+        mors = self.scale.mors()
+        values = [self.a.res(mors[u, m.t0, m.t0p]) for u in dst.times]
+        pos = []
+        for k, off in zip(range(dst.stops), dst.offsets):
+            ending = self.b.res(mors[dst.times[k], m.t0, m.t0p])
+            pos.extend(map(off.__add__, product_pos([*values[:k], ending])))
+        late = [s for s in src.summands[dst.stops:] if len(s)]
         if late:
-            running = product_mor(values)
+            running = product_pos(values)
             for s in late:
-                if len(s):
-                    inner = len(s) // len(running.dom)
-                    pos.extend(chain.from_iterable(repeat(offset + q, inner) for q in running.pos))
+                inner = len(s) // len(running)
+                pos.extend(chain.from_iterable(repeat(dst.offsets[-1] + q, inner)
+                                               for q in running))
         return FinMor(self._carriers[m.src], self._carriers[m.dst], pos=pos)
 
 
-def proc_map(
-    src: ProcSpace,
-    dst: ProcSpace,
-    act: Optional[TemporalMor] = None,
-    res: Optional[TemporalMor] = None,
-) -> TemporalMor:
+def proc_map(src: ProcSpace, dst: ProcSpace, act: Optional[TemporalMor] = None,
+             res: Optional[TemporalMor] = None) -> TemporalMor:
     """Map a process space by a morphism on values, a morphism on results,
     and a weakening of the termination bound, all applied pointwise.
 
     The value map is applied to every recorded value, the result map to the
     final result; stop times and the stopped/running shape are preserved.
     The bound may only weaken (src bound at most dst bound), which keeps
-    every admissible stop time admissible.
+    every admissible stop time admissible: the destination's summands
+    start with the source's stops, so each summand maps by the product of
+    the value and result components into its namesake.
     """
     act = act if act is not None else t_identity(src.a)
     res = res if res is not None else t_identity(src.b)
@@ -291,15 +298,14 @@ def proc_map(
         raise ValueError(f"bound may only weaken: {src.w} -> {dst.w}")
 
     def component(i: IndexPair) -> FinMor:
-        def step(elem):
-            v = src.decode(i, elem)
-            seen = tuple((u, act.at(IndexPair(u, i.t0))(x)) for u, x in v.seen)
-            if isinstance(v, Terminated):
-                y = res.at(IndexPair(v.at_time, i.t0))(v.result)
-                return dst.encode(i, Terminated(v.at_time, seen, y))
-            return dst.encode(i, Ongoing(seen))
-
-        return fin_mor(src.obj.at(i), dst.obj.at(i), step)
+        s, d = src._layout[i], dst._layout[i]
+        values = [act.at(p) for p in s.run]
+        pos = []
+        for k, off in zip(range(s.stops), d.offsets):
+            pos.extend(map(off.__add__, product_pos([*values[:k], res.at(s.run[k])])))
+        if s.case == 3:
+            pos.extend(map(d.offsets[-1].__add__, product_pos(values)))
+        return FinMor(src._carriers[i], dst._carriers[i], pos=pos)
 
     return temporal_mor(src.obj, dst.obj, component)
 
@@ -309,10 +315,7 @@ class LiveSpace:
     with a strictly-future process."""
 
     def __init__(self, w: TermBound, a: TemporalObj, b: TemporalObj):
-        self.w = w
-        self.a = a
-        self.b = b
-        self.scale = a.scale
+        self.w, self.a, self.b, self.scale = w, a, b, a.scale
         self.proc = ProcSpace(w, a, b)
         self.obj = pointwise_product([a, self.proc.obj])
 
@@ -328,52 +331,17 @@ class StepSpace:
     from `b` right now, or a running process."""
 
     def __init__(self, w: TermBound, a: TemporalObj, b: TemporalObj):
-        self.w = w
-        self.a = a
-        self.b = b
-        self.scale = a.scale
+        self.w, self.a, self.b, self.scale = w, a, b, a.scale
         self.live = LiveSpace(w, a, b)
         self.obj = pointwise_coproduct([b, self.live.obj])
 
 
-def live_map(
-    src: LiveSpace,
-    dst: LiveSpace,
-    act: Optional[TemporalMor] = None,
-    res: Optional[TemporalMor] = None,
-) -> TemporalMor:
+def live_map(src: LiveSpace, dst: LiveSpace, act: Optional[TemporalMor] = None,
+             res: Optional[TemporalMor] = None) -> TemporalMor:
     """The value morphism on the current value, the full pointwise map on
     the future part."""
     act = act if act is not None else t_identity(src.a)
-    future = proc_map(src.proc, dst.proc, act, res)
-
-    def component(i: IndexPair) -> FinMor:
-        def step(elem):
-            return Tup((act.at(i)(elem.items[0]), future.at(i)(elem.items[1])))
-
-        return fin_mor(src.obj.at(i), dst.obj.at(i), step)
-
-    return temporal_mor(src.obj, dst.obj, component)
-
-
-def step_map(
-    src: StepSpace,
-    dst: StepSpace,
-    act: Optional[TemporalMor] = None,
-    res: Optional[TemporalMor] = None,
-) -> TemporalMor:
-    res = res if res is not None else t_identity(src.b)
-    running = live_map(src.live, dst.live, act, res)
-
-    def component(i: IndexPair) -> FinMor:
-        def step(elem):
-            if elem.tag == 0:
-                return Inj(0, res.at(i)(elem.value))
-            return Inj(1, running.at(i)(elem.value))
-
-        return fin_mor(src.obj.at(i), dst.obj.at(i), step)
-
-    return temporal_mor(src.obj, dst.obj, component)
+    return t_product_mor([act, proc_map(src.proc, dst.proc, act, res)])
 
 
 # -- behaviors, events, and the nonstop process -----------------------------

@@ -336,13 +336,13 @@ def exponential_end(a: TemporalObj, b: TemporalObj, cap: int = DEFAULT_CAP) -> T
         total = 1
         spaces = []
         for tq in times:
-            here = IndexPair(i.t, tq)
+            here = scale.pairs()[i.t, tq]
             total *= len(b.at(here)) ** len(a.at(here))
             if total > cap:
                 raise CapExceeded(total, cap)
             spaces.append(enumerate_mors(a.at(here), b.at(here), cap))
         # Squares along covers suffice, as in `naturality_witness`.
-        covers = [IndexMor(i.t, lo, hi) for lo, hi in zip(times, times[1:])]
+        covers = [scale.mors()[i.t, lo, hi] for lo, hi in zip(times, times[1:])]
         return fin_obj([
             Tup(tuple(_fn_tab(c) for c in choice))
             for choice in iter_product(*spaces)

@@ -16,6 +16,7 @@ import functools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Optional, Union
 
 
@@ -28,7 +29,9 @@ class Time(Fraction):
     of the same value finds the same dict entry.  Against any `Fraction`
     it tests equality on the lowest-terms numerator and denominator and
     orders by integer cross-multiplication (denominators are positive).
-    Arithmetic on points returns plain `Fraction`s.
+    Arithmetic on points returns plain `Fraction`s.  Comparisons test for
+    a `Time` operand first, since `isinstance(other, Fraction)` goes
+    through the ABC machinery.
     """
 
     __slots__ = ("_hash",)
@@ -45,28 +48,28 @@ class Time(Fraction):
         return f"Fraction({self._numerator}, {self._denominator})"
 
     def __eq__(self, other):
-        if isinstance(other, Fraction):
+        if type(other) is Time or isinstance(other, Fraction):
             return (self._numerator == other._numerator
                     and self._denominator == other._denominator)
         return Fraction.__eq__(self, other)
 
     def __lt__(self, other):
-        if isinstance(other, Fraction):
+        if type(other) is Time or isinstance(other, Fraction):
             return self._numerator * other._denominator < other._numerator * self._denominator
         return Fraction.__lt__(self, other)
 
     def __le__(self, other):
-        if isinstance(other, Fraction):
+        if type(other) is Time or isinstance(other, Fraction):
             return self._numerator * other._denominator <= other._numerator * self._denominator
         return Fraction.__le__(self, other)
 
     def __gt__(self, other):
-        if isinstance(other, Fraction):
+        if type(other) is Time or isinstance(other, Fraction):
             return self._numerator * other._denominator > other._numerator * self._denominator
         return Fraction.__gt__(self, other)
 
     def __ge__(self, other):
-        if isinstance(other, Fraction):
+        if type(other) is Time or isinstance(other, Fraction):
             return self._numerator * other._denominator >= other._numerator * self._denominator
         return Fraction.__ge__(self, other)
 
@@ -121,11 +124,12 @@ class IndexMor:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
+    # `TimeScale.index_mors` fills both with the scale's own pairs.
+    @functools.cached_property
     def src(self) -> IndexPair:
         return IndexPair(self.t, self.t0p)
 
-    @property
+    @functools.cached_property
     def dst(self) -> IndexPair:
         return IndexPair(self.t, self.t0)
 
@@ -202,14 +206,24 @@ class TimeScale:
         )
 
     @_per_scale
+    def pairs(self) -> dict:
+        """The scale's own index pair for each (t, t0)."""
+        return {(i.t, i.t0): i for i in self.indices()}
+
+    @_per_scale
     def index_mors(self) -> tuple[IndexMor, ...]:
-        return tuple(
-            IndexMor(t, t0, t0p)
-            for t in self.points
-            for t0 in self.points
-            for t0p in self.points
-            if t <= t0 <= t0p
-        )
+        pair = self.pairs()
+        out = []
+        for t, t0, t0p in combinations_with_replacement(self.points, 3):
+            m = IndexMor(t, t0, t0p)
+            m.__dict__.update(src=pair[t, t0p], dst=pair[t, t0])
+            out.append(m)
+        return tuple(out)
+
+    @_per_scale
+    def mors(self) -> dict:
+        """The scale's own index morphism for each (t, t0, t0')."""
+        return {(m.t, m.t0, m.t0p): m for m in self.index_mors()}
 
     @_per_scale
     def covers(self) -> tuple[IndexMor, ...]:

@@ -123,6 +123,13 @@ def test_dump_caps_product_carriers(capsys):
     assert err == "error: enumeration of 1010000 candidates exceeds cap 1000000\n"
 
 
+def test_dump_caps_flag_before_building_it(capsys):
+    # It used to build and list 2,000,000 atoms.
+    code, out, err = run(capsys, ["dump", "flag(2000000)", "0", "2"])
+    assert (code, out) == (3, "")
+    assert err == "error: enumeration of 2000000 candidates exceeds cap 1000000\n"
+
+
 def test_closed_pipe_exits_141_without_a_traceback():
     # The listing (6,481 lines) outgrows the pipe buffer, so the dump is
     # still writing when the reader goes away.
@@ -186,6 +193,29 @@ def test_check_rejects_unknown_suite(capsys, tmp_path):
     argv = ["check", "--suites", "nope", "--out", str(tmp_path)]
     code, _, err = run(capsys, argv)
     assert code == 2 and "unknown suites" in err
+
+
+@pytest.mark.parametrize("suites", ["", ","])
+def test_check_rejects_an_empty_suite_list(capsys, tmp_path, suites):
+    code, out, err = run(capsys, ["check", "--suites", suites, "--out", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err == "error: --suites names no suite; give suite names or 'all'\n"
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "below-a-file"])
+def test_check_rejects_an_out_path_that_is_not_a_directory(capsys, monkeypatch, tmp_path,
+                                                           under):
+    # It used to run every suite, then die with a FileExistsError traceback.
+    def never(*args, **kwargs):
+        raise AssertionError("no suite may run")
+
+    monkeypatch.setattr("proccat.cli.run_suites", never)
+    (tmp_path / "taken").write_text("")
+    out_path = tmp_path / "taken" / "reports" if under else tmp_path / "taken"
+    code, out, err = run(capsys, ["check", "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --out {out_path} is not a writable directory: ")
+    assert err.count("\n") == 1
 
 
 def test_check_rejects_mismatched_mutation(capsys, tmp_path):

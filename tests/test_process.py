@@ -30,7 +30,6 @@ from proccat.process import (
     render_value,
     rest_after,
     seen_value,
-    step_map,
     strong_bound,
 )
 from proccat.temporal import (
@@ -206,8 +205,6 @@ def test_process_maps_are_natural():
         for mor in (proc_map(ProcSpace(w, f, f), ProcSpace(UNBOUNDED, f, u),
                              act=flip, res=forget),
                     live_map(LiveSpace(w, f, f), LiveSpace(w, f, u),
-                             act=flip, res=forget),
-                    step_map(StepSpace(w, f, f), StepSpace(w, f, u),
                              act=flip, res=forget)):
             assert naturality_witness(mor) is None
 
