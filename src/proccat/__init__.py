@@ -94,7 +94,6 @@ from .twoexit import (
 )
 from .laws import (
     Diagram,
-    GridCase,
     LawReport,
     MUTATIONS,
     PathEq,

@@ -4,14 +4,21 @@ Every law here is decided by composing finite maps and comparing them
 element by element over every index of a small time scale, so a passing
 suite is a finite proof for that instance.  The standard grid sweeps one-
 to three-point scales, empty/singleton/two-point value and result
-carriers, and the three stop-bound choices.  Five deliberate mutations
+carriers, and the three stop-bound choices.  Seven deliberate mutations
 are available to confirm that each family of checks actually has teeth:
-each swaps two images inside one operation (or tightens the stop bound,
-for the nonstop check) and must be caught with an element-level witness.
+each swaps two images inside one operation or solution (or tightens the
+stop bound, for the nonstop check) and must be caught with an
+element-level witness.
+
+The grid suites run case-major: `run_suites` builds each grid case once
+and runs every selected grid suite on it before building the next, so
+the suites share the case's spaces and carriers.  The case holds what
+they built until its last suite has run, so one case is alive at a time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, wraps
 from typing import Optional, Sequence
 
 from .finset import (
@@ -158,85 +165,12 @@ def check_diagram(d: Diagram, suite: str, instance: str) -> LawReport:
     return LawReport(suite, instance, "pass")
 
 
-# -- duplication and flattening packaged as instances -----------------------
-
-
-class ComonadInstance:
-    """The process functor in its value slot, together with expansion.
-
-    The derived pieces follow the standard pattern: the carrier pairs a
-    value with a process, the counit projects the value back out, and the
-    full duplication keeps the pair while expanding its process half.
-    """
-
-    def __init__(self, w: TermBound, b: TemporalObj):
-        self.w, self.b = w, b
-
-    def outer(self, x: TemporalObj) -> ProcSpace:
-        return ProcSpace(self.w, x, self.b)
-
-    def carrier(self, x: TemporalObj) -> LiveSpace:
-        return LiveSpace(self.w, x, self.b)
-
-    def counit(self, x: TemporalObj) -> TemporalMor:
-        return t_proj([x, self.outer(x).obj], 0)
-
-    def dup(self, x: TemporalObj) -> TemporalMor:
-        return expand(self.outer(x))
-
-    def full_dup(self, x: TemporalObj) -> TemporalMor:
-        return expand_live(self.carrier(x))
-
-    def lift(self, g: TemporalMor) -> TemporalMor:
-        """Apply the functor to a morphism between value objects."""
-        return proc_map(self.outer(g.dom), self.outer(g.cod), act=g)
-
-
-class MonadInstance:
-    """The value-process-pair functor in its result slot, together with
-    joining.  The carrier adds the already-finished summand, the unit is
-    that summand's injection, and the full flattening copairs identity
-    with the pair-level one."""
-
-    def __init__(self, w: TermBound, a: TemporalObj):
-        self.w, self.a = w, a
-
-    def inner(self, y: TemporalObj) -> LiveSpace:
-        return LiveSpace(self.w, self.a, y)
-
-    def carrier(self, y: TemporalObj) -> StepSpace:
-        return StepSpace(self.w, self.a, y)
-
-    def unit(self, y: TemporalObj) -> TemporalMor:
-        return t_inj([y, self.inner(y).obj], 0)
-
-    def flatten(self, y: TemporalObj) -> TemporalMor:
-        return join_live(self.inner(y))
-
-    def full_flatten(self, y: TemporalObj) -> TemporalMor:
-        return join_step(self.carrier(y))
-
-
 # -- the standard grid ------------------------------------------------------
 
 
 GRID_SCALES = ((0,), (0, 1), (0, 1, 2))
 CARRIER_KINDS = ("empty", "unit", "flag")
 _MAKERS = {"empty": empty_obj, "unit": unit_obj, "flag": flag_temporal}
-
-
-@dataclass(frozen=True)
-class GridCase:
-    points: tuple
-    a_kind: str
-    b_kind: str
-    w_kind: str
-
-    @property
-    def label(self) -> str:
-        pts = "-".join(str(p) for p in self.points)
-        return (f"scale={pts} a={self.a_kind} b={self.b_kind} "
-                f"w={self.w_kind}")
 
 
 def _bound_choices(scale: TimeScale) -> list:
@@ -254,24 +188,57 @@ def _bound_choices(scale: TimeScale) -> list:
     return out
 
 
-def law_grid() -> tuple:
-    cases = []
+@dataclass(eq=False)
+class Case:
+    """One case as the grid suites receive it: the space `ProcSpace(w, a,
+    b)` under `label`, and for merging the other side's (w, a, b) when it
+    is not the same space.  `held` keeps what the suites built on the case
+    alive until the case is dropped, so that each later suite finds those
+    spaces and carriers still interned."""
+
+    label: str
+    a: TemporalObj
+    b: TemporalObj
+    w: TermBound
+    right: Optional[tuple] = None
+    held: list = field(default_factory=list)
+
+    @cached_property
+    def space(self) -> ProcSpace:
+        return ProcSpace(self.w, self.a, self.b)
+
+
+def law_grid():
+    """The standard grid's cases in order, built one at a time.  Each
+    scale and its carrier objects are built once for all of its cases."""
     for pts in GRID_SCALES:
         scale = TimeScale.of(*pts)
-        bounds = [name for name, _ in _bound_choices(scale)]
+        objs = {kind: _MAKERS[kind](scale) for kind in CARRIER_KINDS}
+        name = "-".join(map(str, pts))
         for ak in CARRIER_KINDS:
             for bk in CARRIER_KINDS:
-                for wn in bounds:
-                    cases.append(GridCase(pts, ak, bk, wn))
-    return tuple(cases)
+                for wn, w in _bound_choices(scale):
+                    yield Case(f"scale={name} a={ak} b={bk} w={wn}",
+                               objs[ak], objs[bk], w)
 
 
-def build_case(case: GridCase):
-    scale = TimeScale.of(*case.points)
-    a = _MAKERS[case.a_kind](scale)
-    b = _MAKERS[case.b_kind](scale)
-    w = dict(_bound_choices(scale))[case.w_kind]
-    return scale, a, b, w
+def merge_extras() -> list:
+    """Hand-picked asymmetric pairs that merging checks after the grid."""
+    sc = TimeScale.of(0, 1, 2)
+    u, f = unit_obj(sc), flag_temporal(sc)
+    bmax, bmin = TermBound.at(sc.end), TermBound.at(sc.start)
+    return [
+        Case("extra=flag-inf x unit-max", f, f, UNBOUNDED, (bmax, u, u)),
+        Case("extra=unit-min x flag-inf", u, f, bmin, (UNBOUNDED, f, u)),
+        Case("extra=flag-max x unit-inf", f, u, bmax, (UNBOUNDED, u, f)),
+    ]
+
+
+def merge_pair(case: Case) -> tuple:
+    """The label and the two spaces merging runs side by side on a case."""
+    if case.right is None:
+        return case.label + " x same", case.space, case.space
+    return case.label, case.space, ProcSpace(*case.right)
 
 
 # -- targeted mutations -----------------------------------------------------
@@ -301,173 +268,165 @@ MUTATIONS = ("expansion", "joining", "interaction", "merging", "nonstop",
 # -- suites over the grid ---------------------------------------------------
 
 
-def suite_functor(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
-    reports = []
-    for case in law_grid():
-        _, a, b, w = build_case(case)
-        rep = check_functor(ProcSpace(w, a, b).obj)
-        reports.append(LawReport("functor", case.label,
-                                 "pass" if rep.ok else "fail", rep.witness))
-    return reports
+def _grid_suite(body):
+    """The entry point `suite_<name>(cap, mutated, case)` of a grid suite
+    from its body, which checks one `Case`: the body's reports for
+    `case`, or for the whole grid (and, for merging, the extra pairs)
+    when no case is given."""
+    name = body.__name__.removeprefix("suite_")
+
+    @wraps(body)
+    def suite(cap: int = DEFAULT_CAP, mutated: bool = False,
+              case: Optional[Case] = None) -> list:
+        if case is None:
+            return _run([name], cap, name if mutated else None)
+        return body(case, mutated)
+
+    return suite
 
 
-def suite_expansion(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
-    """Expansion is undone by forgetting the attached suffixes, and
-    expanding twice agrees with expanding each attached suffix."""
-    reports = []
-    for case in law_grid():
-        _, a, b, w = build_case(case)
-        inst = ComonadInstance(w, b)
-        ua = inst.carrier(a).obj
-        uua = inst.carrier(ua).obj
-        dup = inst.dup(a)
-        if mutated:
-            dup = poison(dup)
-        d = Diagram(
-            nodes={
-                "plain": inst.outer(a).obj,
-                "packed": inst.outer(ua).obj,
-                "repacked": inst.outer(uua).obj,
-            },
-            edges={
-                "dup": ("plain", "packed", dup),
-                "forget": ("packed", "plain", inst.lift(inst.counit(a))),
-                "dup_inside": ("packed", "repacked",
-                               inst.lift(inst.full_dup(a))),
-                "dup_again": ("packed", "repacked", inst.dup(ua)),
-            },
-            paths=[
-                PathEq("plain", "plain", ("dup", "forget"), ()),
-                PathEq("plain", "repacked", ("dup", "dup_inside"),
-                       ("dup", "dup_again")),
-            ],
-        )
-        reports.append(check_diagram(d, "expansion", case.label))
-    return reports
+def _verdict(case: Case, suite: str, d: Diagram, poisoned: Optional[str],
+             label: Optional[str] = None) -> LawReport:
+    """Check d for the case, with edge `poisoned` (if any) broken by
+    `poison`; the case holds d until it is done."""
+    if poisoned is not None:
+        src, dst, mor = d.edges[poisoned]
+        d.edges[poisoned] = (src, dst, poison(mor))
+    case.held.append(d)
+    return check_diagram(d, suite, label or case.label)
 
 
-def suite_joining(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
-    """Joining undoes wrapping a result as already-finished, and collapsing
-    nested handovers inside-first or outside-first agrees."""
-    reports = []
-    for case in law_grid():
-        _, a, b, w = build_case(case)
-        inst = MonadInstance(w, a)
-        sp = ProcSpace(w, a, b)
-        js = joining_space(sp)
-        js2 = joining_space(js)
-        jn = join(sp)
-        if mutated:
-            jn = poison(jn)
-        d = Diagram(
-            nodes={"plain": sp.obj, "once": js.obj, "twice": js2.obj},
-            edges={
-                "wrap": ("plain", "once",
-                         proc_map(sp, js, res=inst.unit(b))),
-                "join": ("once", "plain", jn),
-                "collapse_inside": ("twice", "once",
-                                    proc_map(js2, js, res=inst.full_flatten(b))),
-                "join_outer": ("twice", "once", join(js)),
-            },
-            paths=[
-                PathEq("plain", "plain", ("wrap", "join"), ()),
-                PathEq("twice", "plain", ("collapse_inside", "join"),
-                       ("join_outer", "join")),
-            ],
-        )
-        reports.append(check_diagram(d, "joining", case.label))
-    return reports
+@_grid_suite
+def suite_functor(case: Case, mutated: bool) -> list:
+    rep = check_functor(case.space.obj)
+    return [LawReport("functor", case.label, "pass" if rep.ok else "fail",
+                      rep.witness)]
 
 
-def suite_interaction(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
+@_grid_suite
+def suite_expansion(case: Case, mutated: bool) -> list:
+    """The comonad laws of expansion in the value slot: expansion is
+    undone by forgetting the attached suffixes, and expanding twice
+    agrees with expanding each attached suffix."""
+    a, b, w = case.a, case.b, case.w
+    plain = case.space
+    packed = expanded_space(plain)
+    repacked = expanded_space(packed)
+    d = Diagram(
+        nodes={"plain": plain.obj, "packed": packed.obj,
+               "repacked": repacked.obj},
+        edges={
+            "dup": ("plain", "packed", expand(plain)),
+            "forget": ("packed", "plain",
+                       proc_map(packed, plain, act=t_proj([a, plain.obj], 0))),
+            "dup_inside": ("packed", "repacked",
+                           proc_map(packed, repacked,
+                                    act=expand_live(LiveSpace(w, a, b)))),
+            "dup_again": ("packed", "repacked", expand(packed)),
+        },
+        paths=[
+            PathEq("plain", "plain", ("dup", "forget"), ()),
+            PathEq("plain", "repacked", ("dup", "dup_inside"),
+                   ("dup", "dup_again")),
+        ],
+    )
+    return [_verdict(case, "expansion", d, "dup" if mutated else None)]
+
+
+@_grid_suite
+def suite_joining(case: Case, mutated: bool) -> list:
+    """The monad laws of joining in the result slot: joining undoes
+    wrapping a result as already-finished, and collapsing nested
+    handovers inside-first or outside-first agrees."""
+    step = StepSpace(case.w, case.a, case.b)
+    sp = case.space
+    js = joining_space(sp)
+    js2 = joining_space(js)
+    d = Diagram(
+        nodes={"plain": sp.obj, "once": js.obj, "twice": js2.obj},
+        edges={
+            "wrap": ("plain", "once",
+                     proc_map(sp, js, res=t_inj([case.b, step.live.obj], 0))),
+            "join": ("once", "plain", join(sp)),
+            "collapse_inside": ("twice", "once",
+                                proc_map(js2, js, res=join_step(step))),
+            "join_outer": ("twice", "once", join(js)),
+        },
+        paths=[
+            PathEq("plain", "plain", ("wrap", "join"), ()),
+            PathEq("twice", "plain", ("collapse_inside", "join"),
+                   ("join_outer", "join")),
+        ],
+    )
+    return [_verdict(case, "joining", d, "join" if mutated else None)]
+
+
+@_grid_suite
+def suite_interaction(case: Case, mutated: bool) -> list:
     """Joining then expanding equals expanding both layers and joining the
     expanded ones."""
-    reports = []
-    for case in law_grid():
-        _, a, b, w = build_case(case)
-        sp = ProcSpace(w, a, b)
-        lv = LiveSpace(w, a, b)
-        st = StepSpace(w, a, b)
-        js = joining_space(sp)
-        ex_sp = ProcSpace(w, lv.obj, b)
-        mid_src = expanded_space(js)
-        jn = join(sp)
-        if mutated:
-            jn = poison(jn)
-        d = Diagram(
-            nodes={
-                "outer": js.obj,
-                "plain": sp.obj,
-                "expanded": expanded_space(sp).obj,
-                "outer_expanded": mid_src.obj,
-                "expanded_outer": joining_space(ex_sp).obj,
-            },
-            edges={
-                "join": ("outer", "plain", jn),
-                "dup": ("plain", "expanded", expand(sp)),
-                "dup_outer": ("outer", "outer_expanded", expand(js)),
-                "across": ("outer_expanded", "expanded_outer",
-                           proc_map(mid_src, joining_space(ex_sp),
-                                    act=join_live(lv),
-                                    res=expand_step(st))),
-                "join_expanded": ("expanded_outer", "expanded",
-                                  join(ex_sp)),
-            },
-            paths=[
-                PathEq("outer", "expanded", ("join", "dup"),
-                       ("dup_outer", "across", "join_expanded")),
-            ],
-        )
-        reports.append(check_diagram(d, "interaction", case.label))
-    return reports
+    a, b, w = case.a, case.b, case.w
+    sp = case.space
+    lv = LiveSpace(w, a, b)
+    js = joining_space(sp)
+    ex_sp = expanded_space(sp)
+    mid_src = expanded_space(js)
+    d = Diagram(
+        nodes={
+            "outer": js.obj,
+            "plain": sp.obj,
+            "expanded": ex_sp.obj,
+            "outer_expanded": mid_src.obj,
+            "expanded_outer": joining_space(ex_sp).obj,
+        },
+        edges={
+            "join": ("outer", "plain", join(sp)),
+            "dup": ("plain", "expanded", expand(sp)),
+            "dup_outer": ("outer", "outer_expanded", expand(js)),
+            "across": ("outer_expanded", "expanded_outer",
+                       proc_map(mid_src, joining_space(ex_sp),
+                                act=join_live(lv),
+                                res=expand_step(StepSpace(w, a, b)))),
+            "join_expanded": ("expanded_outer", "expanded", join(ex_sp)),
+        },
+        paths=[
+            PathEq("outer", "expanded", ("join", "dup"),
+                   ("dup_outer", "across", "join_expanded")),
+        ],
+    )
+    return [_verdict(case, "interaction", d, "join" if mutated else None)]
 
 
-def _merge_pairs() -> list:
-    """Diagonal pairs from the grid plus hand-picked asymmetric pairs."""
-    pairs = []
-    for case in law_grid():
-        _, a, b, w = build_case(case)
-        pairs.append((case.label + " x same",
-                      ProcSpace(w, a, b), ProcSpace(w, a, b)))
-    sc = TimeScale.of(0, 1, 2)
-    u, f = unit_obj(sc), flag_temporal(sc)
-    bmax = TermBound.at(sc.end)
-    bmin = TermBound.at(sc.start)
-    extras = [
-        ("extra=flag-inf x unit-max",
-         ProcSpace(UNBOUNDED, f, f), ProcSpace(bmax, u, u)),
-        ("extra=unit-min x flag-inf",
-         ProcSpace(bmin, u, f), ProcSpace(UNBOUNDED, f, u)),
-        ("extra=flag-max x unit-inf",
-         ProcSpace(bmax, f, u), ProcSpace(UNBOUNDED, u, f)),
-    ]
-    pairs.extend(extras)
-    return pairs
-
-
-def suite_merging(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
+@_grid_suite
+def suite_merging(case: Case, mutated: bool) -> list:
     """Running two processes side by side until the first stop is a
     bijection: splitting recovers both, and zipping the split recovers
     the merged process."""
+    label, left, right = merge_pair(case)
+    m = MergeSpace(left, right)
+    d = Diagram(
+        nodes={"pair": pointwise_product([left.obj, right.obj]),
+               "merged": m.merged.obj},
+        edges={
+            "zip": ("pair", "merged", m.zip()),
+            "split": ("merged", "pair", m.split()),
+        },
+        paths=[
+            PathEq("pair", "pair", ("zip", "split"), ()),
+            PathEq("merged", "merged", ("split", "zip"), ()),
+        ],
+    )
+    return [_verdict(case, "merging", d, "zip" if mutated else None, label)]
+
+
+@_grid_suite
+def suite_naturality(case: Case, mutated: bool) -> list:
+    """Expansion and joining commute with restriction at every instance."""
     reports = []
-    for label, left, right in _merge_pairs():
-        m = MergeSpace(left, right)
-        pair = pointwise_product([left.obj, right.obj])
-        z = m.zip()
-        if mutated:
-            z = poison(z)
-        d = Diagram(
-            nodes={"pair": pair, "merged": m.merged.obj},
-            edges={
-                "zip": ("pair", "merged", z),
-                "split": ("merged", "pair", m.split()),
-            },
-            paths=[
-                PathEq("pair", "pair", ("zip", "split"), ()),
-                PathEq("merged", "merged", ("split", "zip"), ()),
-            ],
-        )
-        reports.append(check_diagram(d, "merging", label))
+    for opname, op in (("expand", expand), ("join", join)):
+        witness = naturality_witness(op(case.space))
+        reports.append(LawReport("naturality", case.label + " op=" + opname,
+                                 "fail" if witness else "pass", witness))
     return reports
 
 
@@ -492,20 +451,6 @@ def suite_nonstop(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
         label = "scale=" + "-".join(str(p) for p in pts)
         reports.append(LawReport("nonstop", label,
                                  "fail" if witness else "pass", witness))
-    return reports
-
-
-def suite_naturality(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
-    """Expansion and joining commute with restriction at every instance."""
-    reports = []
-    for case in law_grid():
-        _, a, b, w = build_case(case)
-        sp = ProcSpace(w, a, b)
-        for opname, mor in (("expand", expand(sp)), ("join", join(sp))):
-            witness = naturality_witness(mor)
-            reports.append(LawReport("naturality",
-                                     case.label + " op=" + opname,
-                                     "fail" if witness else "pass", witness))
     return reports
 
 
@@ -920,6 +865,28 @@ SUITES: dict = {
 }
 
 
+GRID_SUITES = ("expansion", "functor", "interaction", "joining", "merging",
+               "naturality")
+
+
+def _run(chosen: Sequence[str], cap: int, mutate: Optional[str]) -> list:
+    """The chosen suites' reports in run order: the grid suites case by
+    case, each case dropped with what they built on it before the next
+    is built, then merging's extra pairs, then the other suites."""
+    grid = [n for n in chosen if n in GRID_SUITES]
+    reports = []
+    for case in law_grid() if grid else ():
+        for n in grid:
+            reports.extend(SUITES[n](cap, n == mutate, case))
+    if "merging" in grid:
+        for case in merge_extras():
+            reports.extend(SUITES["merging"](cap, mutate == "merging", case))
+    for n in chosen:
+        if n not in GRID_SUITES:
+            reports.extend(SUITES[n](cap, n == mutate))
+    return reports
+
+
 def run_suites(names: Optional[Sequence[str]] = None, cap: int = DEFAULT_CAP,
                mutate: Optional[str] = None) -> list:
     """Run the selected suites (all by default) and return their reports
@@ -937,8 +904,4 @@ def run_suites(names: Optional[Sequence[str]] = None, cap: int = DEFAULT_CAP,
             raise ValueError(
                 f"mutation {mutate} targets a suite that is not selected"
             )
-    reports = []
-    for n in chosen:
-        reports.extend(SUITES[n](cap=cap, mutated=(n == mutate)))
-    reports.sort(key=lambda r: (r.suite, r.instance))
-    return reports
+    return sorted(_run(chosen, cap, mutate), key=lambda r: (r.suite, r.instance))

@@ -193,15 +193,19 @@ def first_difference(f: TemporalMor, g: TemporalMor) -> Optional[str]:
     and the two images, as a printable witness.  None when equal."""
     if f.dom != g.dom or f.cod != g.cod:
         raise ValueError("comparing morphisms with different endpoints")
-    return first_mismatch(f, lambda i, e: g.at(i)(e))
+    # Positions decide; elements are walked only at the first index where
+    # they differ, to print the witness.
+    i = next((i for i in f.dom.scale.indices() if f.at(i).pos != g.at(i).pos), None)
+    return None if i is None else first_mismatch(f, lambda j, e: g.at(j)(e), [i])
 
 
-def first_mismatch(f: TemporalMor, image: Callable) -> Optional[str]:
+def first_mismatch(f: TemporalMor, image: Callable,
+                   indices: Optional[Sequence] = None) -> Optional[str]:
     """Where ``f`` first disagrees with ``image(i, e)``, a pointwise image
     of every element ``e`` of ``f``'s domain at index ``i``, visited in
-    index then element order.  The witness `first_difference` prints;
-    None when they agree everywhere."""
-    for i in f.dom.scale.indices():
+    index (all of them, or `indices`) then element order.  The witness
+    `first_difference` prints; None when they agree everywhere."""
+    for i in indices or f.dom.scale.indices():
         fi = f.at(i)
         for e in f.dom.at(i).elements:
             left, right = fi(e), image(i, e)

@@ -243,6 +243,12 @@ class TermBound:
 
     time: Optional[Time]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.time,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @classmethod
     def at(cls, value: Union[int, str, Fraction]) -> "TermBound":
         return cls(as_time(value))

@@ -1,15 +1,19 @@
 import gc
+import json
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proccat.laws import (
+    Case,
     Diagram,
-    GridCase,
+    GRID_SUITES,
     LawReport,
     MUTATIONS,
     PathEq,
     SUITES,
-    build_case,
     check_diagram,
     law_grid,
     poison,
@@ -26,24 +30,30 @@ from proccat.temporal import (
 )
 from proccat.times import TimeScale
 from proccat.finset import Atom, FinMor, FinObj, fin_mor
+from proccat.process import ProcSpace
 
 SCALE = TimeScale.of(0, 1)
+# Every report of a full run under each mutation, saved before the grid
+# suites ran case by case.
+GOLDEN_MUTATIONS = Path(__file__).parent / "fixtures" / "golden_mutations.jsonl"
 
 
 def test_grid_shape():
-    grid = law_grid()
+    grid = tuple(law_grid())
     # one-point scales collapse the max bound onto the min bound
     assert len(grid) == 9 * 2 + 9 * 3 + 9 * 3
     assert len(set(c.label for c in grid)) == len(grid)
+    assert grid[0].label == "scale=0 a=empty b=empty w=min"
 
 
 def test_build_case_resolves_bounds():
-    case = GridCase((0, 1, 2), "flag", "unit", "max")
-    scale, a, b, w = build_case(case)
+    label = "scale=0-1-2 a=flag b=unit w=max"
+    case = next(c for c in law_grid() if c.label == label)
+    scale = case.a.scale
     assert scale == TimeScale.of(0, 1, 2)
-    assert w.time == scale.end
-    assert len(a.at(scale.indices()[0])) == 2
-    assert len(b.at(scale.indices()[0])) == 1
+    assert case.w.time == scale.end
+    assert len(case.a.at(scale.indices()[0])) == 2
+    assert len(case.b.at(scale.indices()[0])) == 1
 
 
 def test_every_suite_passes_clean(full_reports):
@@ -152,3 +162,59 @@ def test_the_solver_suites_leave_no_cyclic_garbage():
         gc.garbage.clear()
         gc.enable()
     assert left == []
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_mutated_full_runs_match_the_golden_reports(mutation):
+    # A poisoned morphism must break only its own suite, with the same
+    # witness, however the suites share a case's spaces.
+    golden = [json.loads(line) for line in
+              GOLDEN_MUTATIONS.read_text(encoding="utf-8").splitlines()]
+    want = [g for g in golden if g["mutate"] == mutation]
+    got = [{"mutate": mutation, "suite": r.suite, "instance": r.instance,
+            "verdict": r.verdict, "witness": r.witness, "millis": r.millis}
+           for r in run_suites(None, mutate=mutation)]
+    assert got == want
+
+
+@lru_cache(maxsize=None)
+def _run_alone(name, mutated):
+    return tuple(run_suites([name], mutate=name if mutated else None))
+
+
+@given(st.data())
+@settings(max_examples=6, deadline=None)
+def test_a_run_is_the_union_of_its_suites_run_alone(data):
+    names = data.draw(st.sets(st.sampled_from(sorted(SUITES)), min_size=1))
+    mutate = data.draw(st.sampled_from(
+        [None, *sorted(n for n in names if n in MUTATIONS)]))
+    union = sorted((r for n in names for r in _run_alone(n, n == mutate)),
+                   key=lambda r: (r.suite, r.instance))
+    assert run_suites(names, mutate=mutate) == union
+
+
+def test_the_suites_on_a_case_build_each_space_once(monkeypatch):
+    # With every space it builds kept alive by the test, a case's suites
+    # build each distinct (w, a, b) once.  What the case itself holds
+    # must give the same count; a space dropped between two suites would
+    # be built again.
+    built = {"n": 0, "keep": None}
+    build = ProcSpace._build
+
+    def counted(self):
+        obj = build(self)
+        built["n"] += 1
+        if built["keep"] is not None:
+            built["keep"].append(obj)
+        return obj
+
+    monkeypatch.setattr(ProcSpace, "_build", counted)
+    for case in law_grid():
+        counts = []
+        for keep in (True, False):
+            built["keep"], start = [] if keep else None, built["n"]
+            shared = Case(case.label, case.a, case.b, case.w)
+            for name in GRID_SUITES:
+                SUITES[name](case=shared)
+            counts.append(built["n"] - start)
+        assert counts[0] > 0 and counts[1] == counts[0], case.label

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proccat.finset import Inj, Tup, fin_mor
-from proccat.laws import _merge_pairs, build_case, law_grid, stamp_parity_obj
+from proccat.laws import law_grid, merge_extras, merge_pair, stamp_parity_obj
 from proccat.operators import MergeSpace, expand, expanded_space, join, joining_space
 from proccat.process import (
     LiveSpace,
@@ -181,12 +181,12 @@ def assert_maps_match(a, b, w):
 
 def test_grid_maps_match_the_references():
     for case in law_grid():
-        _, a, b, w = build_case(case)
-        assert_maps_match(a, b, w)
+        assert_maps_match(case.a, case.b, case.w)
 
 
 def test_merge_pairs_zip_like_the_reference():
-    for _, left, right in _merge_pairs():
+    for case in (*law_grid(), *merge_extras()):
+        _, left, right = merge_pair(case)
         m = MergeSpace(left, right)
         assert mor_equal(m.zip(), ref_zip(m))
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from proccat.finset import (
     Atom, CapExceeded, DEFAULT_CAP, FinMor, Tup, UNIT_ELEM, fin_mor, fin_obj,
 )
-from proccat.laws import build_case, law_grid, stamp_parity_obj
+from proccat.laws import law_grid, stamp_parity_obj
 from proccat.process import (
     LiveSpace,
     Ongoing,
@@ -327,8 +327,7 @@ KINDS = {"empty": empty_obj, "unit": unit_obj, "flag": flag_temporal,
 
 def test_grid_spaces_match_the_element_level_reference():
     for case in law_grid():
-        _, a, b, w = build_case(case)
-        assert_matches_reference(ProcSpace(w, a, b))
+        assert_matches_reference(case.space)
 
 
 def test_off_grid_spaces_match_the_element_level_reference():

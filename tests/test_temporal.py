@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import proccat
 from proccat.finset import Atom, CapExceeded, Inj, Tup, _INTERNED, fin_mor, fin_obj, flag_obj
+from proccat.laws import poison
 from proccat.process import ProcSpace
 from proccat.temporal import (
     brute_nat_trans,
@@ -96,6 +97,23 @@ def test_first_difference_reports_the_first_index():
     assert gap is not None and "(0, 0)" in gap
     with pytest.raises(ValueError):
         first_difference(flip, t_identity(unit_obj(SMALL)))
+
+
+def test_first_difference_compares_positions_before_elements():
+    sp = ProcSpace(UNBOUNDED, flag_temporal(SCALE), unit_obj(SCALE))
+    ident = t_identity(sp.obj)
+    same = t_compose(ident, t_identity(sp.obj))
+    assert first_difference(ident, same) is None
+    # Equal maps are told apart by their positions alone.
+    assert not any("table" in vars(m.at(i)) for m in (ident, same)
+                   for i in SCALE.indices())
+    # A difference prints the witness of the element-by-element walk.
+    broken = poison(ident)
+    walked = next(f"at {i}: {e!r} maps to {ident.at(i)(e)!r} vs {broken.at(i)(e)!r}"
+                  for i in SCALE.indices() for e in sp.obj.at(i).elements
+                  if ident.at(i)(e) != broken.at(i)(e))
+    assert first_difference(ident, broken) == walked
+    assert not walked.startswith("at (0, 0)")
 
 
 @given(st.integers(0, 2), st.integers(0, 2))
@@ -211,13 +229,14 @@ def test_an_interned_pointwise_entry_dies_with_its_last_holder():
 def test_the_harness_leaves_no_interned_entry_behind():
     # A table that kept every case's spaces alive would raise the peak
     # memory of a run; a fresh interpreter starts from an empty table.
+    # The grid suites hold a case's spaces only until its last suite ran.
     code = ("import gc; from proccat.finset import _INTERNED; "
-            "from proccat.laws import run_suites; run_suites(['functor']); "
-            "gc.collect(); print(len(_INTERNED))")
+            "from proccat.laws import run_suites; run_suites(); "
+            "gc.collect(); print(len(_INTERNED), len(gc.garbage))")
     env = {**os.environ, "PYTHONPATH": str(Path(proccat.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
-    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "0 0\n"), done.stderr
 
 
 def test_no_function_takes_a_check_flag():

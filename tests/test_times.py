@@ -195,6 +195,13 @@ def test_every_time_the_package_makes_is_a_time():
     assert all(type(p) is Time for p in TimeScale.of("1/2", 3, 7).points)
     assert type(as_time("3/4")) is Time and type(parse_fraction("-5/2")) is Time
     assert type(TermBound.at(2).time) is Time
+
+
+def test_a_term_bound_hashes_once():
+    b = TermBound.at(1)
+    assert hash(b) == b._hash == hash(TermBound.at("1")) == hash((b.time,))
+    assert {b: "one", UNBOUNDED: "inf"}[TermBound.at(1)] == "one"
+    assert hash(UNBOUNDED) == hash((None,))
     t = Time(1, 2)
     assert as_time(t) is t
 
