@@ -14,11 +14,17 @@ The grid suites run case-major: `run_suites` builds each grid case once
 and runs every selected grid suite on it before building the next, so
 the suites share the case's spaces and carriers.  The case holds what
 they built until its last suite has run, so one case is alive at a time.
+
+Every check returns a witness.  A string, which shows the law failing at
+some element, makes the verdict `fail`; None makes it `pass`; and
+CapExceeded, raised by a search that would enumerate more candidates than
+the cap allows, makes it `cap`, with the exception's text as the witness.
+`_report` applies that rule, and it alone makes a `LawReport`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 from typing import Optional, Sequence
 
 from .finset import (
@@ -152,17 +158,27 @@ def _path_label(seq) -> str:
     return " then ".join(seq) if seq else "identity"
 
 
-def check_diagram(d: Diagram, suite: str, instance: str) -> LawReport:
-    """Compare every asserted pair of paths elementwise; the first failing
-    pair produces the witness."""
+def check_diagram(d: Diagram) -> Optional[str]:
+    """Compare every asserted pair of paths elementwise: the witness of
+    the first pair that differs, or None when every pair agrees."""
     for p in d.paths:
         gap = first_difference(d.composite(p.src, p.lhs),
                                d.composite(p.src, p.rhs))
         if gap is not None:
-            witness = (f"{_path_label(p.lhs)} differs from "
-                       f"{_path_label(p.rhs)}: {gap}")
-            return LawReport(suite, instance, "fail", witness)
-    return LawReport(suite, instance, "pass")
+            return (f"{_path_label(p.lhs)} differs from "
+                    f"{_path_label(p.rhs)}: {gap}")
+    return None
+
+
+def _report(suite: str, label: str, witness_of) -> LawReport:
+    """The report of one check: `witness_of()` is its witness or None,
+    unless it raises CapExceeded (see the module docstring)."""
+    try:
+        witness = witness_of()
+        verdict = "pass" if witness is None else "fail"
+    except CapExceeded as e:
+        witness, verdict = str(e), "cap"
+    return LawReport(suite, label, verdict, witness)
 
 
 # -- the standard grid ------------------------------------------------------
@@ -268,43 +284,44 @@ MUTATIONS = ("expansion", "joining", "interaction", "merging", "nonstop",
 # -- suites over the grid ---------------------------------------------------
 
 
-def _grid_suite(body):
-    """The entry point `suite_<name>(cap, mutated, case)` of a grid suite
-    from its body, which checks one `Case`: the body's reports for
-    `case`, or for the whole grid (and, for merging, the extra pairs)
-    when no case is given."""
+def _suite(body):
+    """The entry point `suite_<name>(cap, mutated, case)` of a suite from
+    its body, a generator of `(label, witness_of)` pairs given the same
+    arguments: one report per pair, each `witness_of` called before the
+    body resumes.  A grid suite's body checks one `Case`; called with
+    no case, it runs the whole grid (and, for merging, the extra pairs).
+    The other suites take no case."""
     name = body.__name__.removeprefix("suite_")
 
     @wraps(body)
     def suite(cap: int = DEFAULT_CAP, mutated: bool = False,
               case: Optional[Case] = None) -> list:
-        if case is None:
+        if case is None and name in GRID_SUITES:
             return _run([name], cap, name if mutated else None)
-        return body(case, mutated)
+        return [_report(name, label, witness_of)
+                for label, witness_of in body(cap, mutated, case)]
 
     return suite
 
 
-def _verdict(case: Case, suite: str, d: Diagram, poisoned: Optional[str],
-             label: Optional[str] = None) -> LawReport:
-    """Check d for the case, with edge `poisoned` (if any) broken by
-    `poison`; the case holds d until it is done."""
+def _checked(case: Case, d: Diagram,
+             poisoned: Optional[str]) -> Optional[str]:
+    """d's witness, with edge `poisoned` (if any) broken by `poison`; the
+    case holds d until it is done."""
     if poisoned is not None:
         src, dst, mor = d.edges[poisoned]
         d.edges[poisoned] = (src, dst, poison(mor))
     case.held.append(d)
-    return check_diagram(d, suite, label or case.label)
+    return check_diagram(d)
 
 
-@_grid_suite
-def suite_functor(case: Case, mutated: bool) -> list:
-    rep = check_functor(case.space.obj)
-    return [LawReport("functor", case.label, "pass" if rep.ok else "fail",
-                      rep.witness)]
+@_suite
+def suite_functor(cap: int, mutated: bool, case: Case):
+    yield case.label, partial(check_functor, case.space.obj)
 
 
-@_grid_suite
-def suite_expansion(case: Case, mutated: bool) -> list:
+@_suite
+def suite_expansion(cap: int, mutated: bool, case: Case):
     """The comonad laws of expansion in the value slot: expansion is
     undone by forgetting the attached suffixes, and expanding twice
     agrees with expanding each attached suffix."""
@@ -330,11 +347,11 @@ def suite_expansion(case: Case, mutated: bool) -> list:
                    ("dup", "dup_again")),
         ],
     )
-    return [_verdict(case, "expansion", d, "dup" if mutated else None)]
+    yield case.label, partial(_checked, case, d, "dup" if mutated else None)
 
 
-@_grid_suite
-def suite_joining(case: Case, mutated: bool) -> list:
+@_suite
+def suite_joining(cap: int, mutated: bool, case: Case):
     """The monad laws of joining in the result slot: joining undoes
     wrapping a result as already-finished, and collapsing nested
     handovers inside-first or outside-first agrees."""
@@ -358,11 +375,11 @@ def suite_joining(case: Case, mutated: bool) -> list:
                    ("join_outer", "join")),
         ],
     )
-    return [_verdict(case, "joining", d, "join" if mutated else None)]
+    yield case.label, partial(_checked, case, d, "join" if mutated else None)
 
 
-@_grid_suite
-def suite_interaction(case: Case, mutated: bool) -> list:
+@_suite
+def suite_interaction(cap: int, mutated: bool, case: Case):
     """Joining then expanding equals expanding both layers and joining the
     expanded ones."""
     a, b, w = case.a, case.b, case.w
@@ -394,11 +411,11 @@ def suite_interaction(case: Case, mutated: bool) -> list:
                    ("dup_outer", "across", "join_expanded")),
         ],
     )
-    return [_verdict(case, "interaction", d, "join" if mutated else None)]
+    yield case.label, partial(_checked, case, d, "join" if mutated else None)
 
 
-@_grid_suite
-def suite_merging(case: Case, mutated: bool) -> list:
+@_suite
+def suite_merging(cap: int, mutated: bool, case: Case):
     """Running two processes side by side until the first stop is a
     bijection: splitting recovers both, and zipping the split recovers
     the merged process."""
@@ -416,25 +433,30 @@ def suite_merging(case: Case, mutated: bool) -> list:
             PathEq("merged", "merged", ("split", "zip"), ()),
         ],
     )
-    return [_verdict(case, "merging", d, "zip" if mutated else None, label)]
+    yield label, partial(_checked, case, d, "zip" if mutated else None)
 
 
-@_grid_suite
-def suite_naturality(case: Case, mutated: bool) -> list:
+@_suite
+def suite_naturality(cap: int, mutated: bool, case: Case):
     """Expansion and joining commute with restriction at every instance."""
-    reports = []
     for opname, op in (("expand", expand), ("join", join)):
-        witness = naturality_witness(op(case.space))
-        reports.append(LawReport("naturality", case.label + " op=" + opname,
-                                 "fail" if witness else "pass", witness))
-    return reports
+        yield (case.label + " op=" + opname,
+               partial(naturality_witness, op(case.space)))
 
 
-def suite_nonstop(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
+def _one_element_each(space: LiveSpace) -> Optional[str]:
+    for i in space.scale.indices():
+        n = len(space.obj.at(i).elements)
+        if n != 1:
+            return f"at {i}: carrier has {n} elements, expected 1"
+    return None
+
+
+@_suite
+def suite_nonstop(cap: int, mutated: bool, case: None):
     """With no stop bound and no possible results, exactly one process
     exists at every index: the one that runs forever.  The mutated run
     tightens the bound to the last point, which empties late carriers."""
-    reports = []
     for pts in GRID_SCALES:
         scale = TimeScale.of(*pts)
         if mutated:
@@ -442,16 +464,8 @@ def suite_nonstop(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
                               empty_obj(scale))
         else:
             space = nonstop_space(scale)
-        witness = None
-        for i in scale.indices():
-            n = len(space.obj.at(i).elements)
-            if n != 1:
-                witness = f"at {i}: carrier has {n} elements, expected 1"
-                break
-        label = "scale=" + "-".join(str(p) for p in pts)
-        reports.append(LawReport("nonstop", label,
-                                 "fail" if witness else "pass", witness))
-    return reports
+        yield ("scale=" + "-".join(map(str, pts)),
+               partial(_one_element_each, space))
 
 
 # -- curated problems -------------------------------------------------------
@@ -462,8 +476,21 @@ def _standard() -> tuple:
     return sc, unit_obj(sc), flag_temporal(sc)
 
 
-def _next_point(scale: TimeScale, i: IndexPair):
-    return min(u for u in scale.points if i.t < u <= i.t0)
+def _natural(dom: TemporalObj, cod: TemporalObj, image) -> TemporalMor:
+    """The family whose component at i sends z to `image(i, z)`, once it
+    is checked natural."""
+    return require_natural(temporal_mor(
+        dom, cod,
+        lambda i: fin_mor(dom.at(i), cod.at(i), lambda z: image(i, z))))
+
+
+def _stop_next(scale: TimeScale, i: IndexPair, result):
+    """The process at i that stops with `result` at the first point after
+    i.t; still running when the horizon is empty."""
+    if i.t == i.t0:
+        return Ongoing(())
+    stop = min(u for u in scale.points if i.t < u <= i.t0)
+    return Terminated(stop, (), result)
 
 
 V0, V1 = Atom("v0"), Atom("v1")
@@ -477,71 +504,30 @@ def coiter_problems() -> list:
     out = []
 
     mixed1 = LiveSpace(UNBOUNDED, u, pointwise_coproduct([u, u]))
-
-    def build_unit(tag: int):
-        def component(i: IndexPair) -> FinMor:
-            def go(z):
-                if i.t == i.t0:
-                    return mixed1.encode(i, UNIT_ELEM, Ongoing(()))
-                stop = _next_point(sc, i)
-                return mixed1.encode(
-                    i, UNIT_ELEM, Terminated(stop, (), Inj(tag, UNIT_ELEM))
-                )
-            return fin_mor(u.at(i), mixed1.obj.at(i), go)
-        return require_natural(temporal_mor(u, mixed1.obj, component))
-
-    out.append(("finish_next",
-                CoiterProblem(UNBOUNDED, u, u, u, build_unit(0))))
-    out.append(("run_forever",
-                CoiterProblem(UNBOUNDED, u, u, u, build_unit(1))))
+    for name, tag in (("finish_next", 0), ("run_forever", 1)):
+        seed = _natural(u, mixed1.obj, lambda i, z, tag=tag: mixed1.encode(
+            i, UNIT_ELEM, _stop_next(sc, i, Inj(tag, UNIT_ELEM))))
+        out.append((name, CoiterProblem(UNBOUNDED, u, u, u, seed)))
 
     mixed2 = LiveSpace(UNBOUNDED, u, pointwise_coproduct([u, f]))
-
-    def handoff_component(i: IndexPair) -> FinMor:
-        def go(z):
-            if i.t == i.t0:
-                return mixed2.encode(i, UNIT_ELEM, Ongoing(()))
-            stop = _next_point(sc, i)
-            result = Inj(0, UNIT_ELEM) if z == V0 else Inj(1, V0)
-            return mixed2.encode(i, UNIT_ELEM, Terminated(stop, (), result))
-        return fin_mor(f.at(i), mixed2.obj.at(i), go)
-
-    out.append(("handoff_once",
-                CoiterProblem(UNBOUNDED, u, u, f,
-                              require_natural(temporal_mor(
-                                  f, mixed2.obj, handoff_component)))))
+    handoff = _natural(f, mixed2.obj, lambda i, z: mixed2.encode(
+        i, UNIT_ELEM,
+        _stop_next(sc, i, Inj(0, UNIT_ELEM) if z == V0 else Inj(1, V0))))
+    out.append(("handoff_once", CoiterProblem(UNBOUNDED, u, u, f, handoff)))
 
     mixed3 = LiveSpace(UNBOUNDED, f, pointwise_coproduct([u, f]))
-
-    def alternate_component(i: IndexPair) -> FinMor:
-        def go(z):
-            if i.t == i.t0:
-                return mixed3.encode(i, z, Ongoing(()))
-            stop = _next_point(sc, i)
-            other = V1 if z == V0 else V0
-            return mixed3.encode(i, z, Terminated(stop, (), Inj(1, other)))
-        return fin_mor(f.at(i), mixed3.obj.at(i), go)
-
+    alternate = _natural(f, mixed3.obj, lambda i, z: mixed3.encode(
+        i, z, _stop_next(sc, i, Inj(1, V1 if z == V0 else V0))))
     out.append(("alternate_values",
-                CoiterProblem(UNBOUNDED, f, u, f,
-                              require_natural(temporal_mor(
-                                  f, mixed3.obj, alternate_component)))))
+                CoiterProblem(UNBOUNDED, f, u, f, alternate)))
 
     wb = TermBound.at(sc.end)
     base = ProcSpace(wb, u, u)
     mixed4 = LiveSpace(wb, u, pointwise_coproduct([u, base.obj]))
     relabel = proc_map(base, mixed4.proc, res=t_inj([u, base.obj], 0))
-
-    def bounded_component(i: IndexPair) -> FinMor:
-        def go(p):
-            return mixed4.encode(i, UNIT_ELEM,
-                                 mixed4.proc.decode(i, relabel.at(i)(p)))
-        return fin_mor(base.obj.at(i), mixed4.obj.at(i), go)
-
-    out.append(("bounded_replay",
-                CoiterProblem(wb, u, u, base.obj,
-                              require_natural(temporal_mor(
-                                  base.obj, mixed4.obj, bounded_component)))))
+    replay = _natural(base.obj, mixed4.obj, lambda i, p: mixed4.encode(
+        i, UNIT_ELEM, mixed4.proc.decode(i, relabel.at(i)(p))))
+    out.append(("bounded_replay", CoiterProblem(wb, u, u, base.obj, replay)))
     return out
 
 
@@ -591,20 +577,12 @@ def recur_problems() -> list:
     out = []
 
     paired_u = ProcSpace(UNBOUNDED, pointwise_product([u, u]), u)
-    out.append(("collapse_unit",
-                RecurProblem(UNBOUNDED, u, u, u,
-                             require_natural(temporal_mor(
-                                 paired_u.obj, u,
-                                 lambda i: fin_mor(paired_u.obj.at(i), u.at(i),
-                                                   lambda e: UNIT_ELEM))))))
+    collapse = _natural(paired_u.obj, u, lambda i, e: UNIT_ELEM)
+    out.append(("collapse_unit", RecurProblem(UNBOUNDED, u, u, u, collapse)))
 
     paired_f = ProcSpace(UNBOUNDED, pointwise_product([u, f]), u)
-    out.append(("constant_label",
-                RecurProblem(UNBOUNDED, u, u, f,
-                             require_natural(temporal_mor(
-                                 paired_f.obj, f,
-                                 lambda i: fin_mor(paired_f.obj.at(i), f.at(i),
-                                                   lambda e: V1))))))
+    label = _natural(paired_f.obj, f, lambda i, e: V1)
+    out.append(("constant_label", RecurProblem(UNBOUNDED, u, u, f, label)))
 
     for name, rb in (("strip_labels", u), ("carry_results", f)):
         base = ProcSpace(UNBOUNDED, u, rb)
@@ -615,24 +593,20 @@ def recur_problems() -> list:
     stamps = stamp_parity_obj(sc)
     paired_s = ProcSpace(UNBOUNDED, pointwise_product([u, stamps]), u)
 
-    def parity_component(i: IndexPair) -> FinMor:
-        def consume(elem):
-            v = paired_s.decode(i, elem)
-            if isinstance(v, Ongoing):
-                return UNKNOWN_STAMP
-            if not v.seen:
-                return parity_stop_elem(sc, i.t, v.at_time)
-            aux = v.seen[0][1].items[1]
-            if aux.tag == 0:
-                return UNKNOWN_STAMP
-            stamp, parity = aux.value.items
-            return Inj(1, Tup((stamp, Inj(1 - parity.tag, UNIT_ELEM))))
-        return fin_mor(paired_s.obj.at(i), stamps.at(i), consume)
+    def consume(i: IndexPair, elem):
+        v = paired_s.decode(i, elem)
+        if isinstance(v, Ongoing):
+            return UNKNOWN_STAMP
+        if not v.seen:
+            return parity_stop_elem(sc, i.t, v.at_time)
+        aux = v.seen[0][1].items[1]
+        if aux.tag == 0:
+            return UNKNOWN_STAMP
+        stamp, parity = aux.value.items
+        return Inj(1, Tup((stamp, Inj(1 - parity.tag, UNIT_ELEM))))
 
-    out.append(("stop_parity",
-                RecurProblem(UNBOUNDED, u, u, stamps,
-                             require_natural(temporal_mor(
-                                 paired_s.obj, stamps, parity_component)))))
+    parity = _natural(paired_s.obj, stamps, consume)
+    out.append(("stop_parity", RecurProblem(UNBOUNDED, u, u, stamps, parity)))
     return out
 
 
@@ -643,19 +617,12 @@ def step_variant_problem():
     live_c = LiveSpace(UNBOUNDED, u, f)
     mixed = pointwise_coproduct([u, live_c.obj])
 
-    def component(i: IndexPair) -> FinMor:
-        def go(z):
-            if z == V0:
-                return Inj(0, UNIT_ELEM)
-            if i.t == i.t0:
-                return Inj(1, live_c.encode(i, UNIT_ELEM, Ongoing(())))
-            stop = _next_point(sc, i)
-            return Inj(1, live_c.encode(i, UNIT_ELEM,
-                                        Terminated(stop, (), V0)))
-        return fin_mor(f.at(i), mixed.at(i), go)
+    def answer(i: IndexPair, z):
+        if z == V0:
+            return Inj(0, UNIT_ELEM)
+        return Inj(1, live_c.encode(i, UNIT_ELEM, _stop_next(sc, i, V0)))
 
-    return ("answer_or_wait", UNBOUNDED, u, u, f,
-            require_natural(temporal_mor(f, mixed, component)))
+    return ("answer_or_wait", UNBOUNDED, u, u, f, _natural(f, mixed, answer))
 
 
 def proc_variant_problem():
@@ -665,20 +632,12 @@ def proc_variant_problem():
     src = ProcSpace(UNBOUNDED, u,
                     pointwise_coproduct([u, pointwise_product([u, f])]))
 
-    def component(i: IndexPair) -> FinMor:
-        def go(z):
-            if i.t == i.t0:
-                return src.encode(i, Ongoing(()))
-            stop = _next_point(sc, i)
-            if z == V0:
-                return src.encode(i, Terminated(stop, (), Inj(0, UNIT_ELEM)))
-            return src.encode(
-                i, Terminated(stop, (), Inj(1, Tup((UNIT_ELEM, V0))))
-            )
-        return fin_mor(f.at(i), src.obj.at(i), go)
+    def restart(i: IndexPair, z):
+        result = Inj(0, UNIT_ELEM) if z == V0 else Inj(1, Tup((UNIT_ELEM, V0)))
+        return src.encode(i, _stop_next(sc, i, result))
 
     return ("stagger_restart", UNBOUNDED, u, u, f,
-            require_natural(temporal_mor(f, src.obj, component)))
+            _natural(f, src.obj, restart))
 
 
 def pair_variant_problem():
@@ -689,16 +648,14 @@ def pair_variant_problem():
     cbase = ProcSpace(UNBOUNDED, stamps, u)
     src = pointwise_product([u, cbase.obj])
 
-    def component(i: IndexPair) -> FinMor:
-        def go(e):
-            v = cbase.decode(i, e.items[1])
-            if isinstance(v, Ongoing):
-                return UNKNOWN_STAMP
-            return parity_stop_elem(sc, i.t, v.at_time)
-        return fin_mor(src.at(i), stamps.at(i), go)
+    def stamp(i: IndexPair, e):
+        v = cbase.decode(i, e.items[1])
+        if isinstance(v, Ongoing):
+            return UNKNOWN_STAMP
+        return parity_stop_elem(sc, i.t, v.at_time)
 
     return ("stamp_stops", UNBOUNDED, u, u, stamps,
-            require_natural(temporal_mor(src, stamps, component)))
+            _natural(src, stamps, stamp))
 
 
 def two_exit_problems() -> list:
@@ -715,21 +672,14 @@ def two_exit_problems() -> list:
     inner = LiveSpace(UNBOUNDED, u, pointwise_coproduct([u, f]))
     cod = pointwise_coproduct([u, inner.obj])
 
-    def early_component(i: IndexPair) -> FinMor:
-        def go(z):
-            if z == V0:
-                return Inj(0, UNIT_ELEM)
-            if i.t == i.t0:
-                return Inj(1, inner.encode(i, UNIT_ELEM, Ongoing(())))
-            stop = _next_point(sc, i)
-            return Inj(1, inner.encode(i, UNIT_ELEM,
-                                       Terminated(stop, (), Inj(1, V0))))
-        return fin_mor(f.at(i), cod.at(i), go)
+    def early(i: IndexPair, z):
+        if z == V0:
+            return Inj(0, UNIT_ELEM)
+        return Inj(1, inner.encode(i, UNIT_ELEM,
+                                   _stop_next(sc, i, Inj(1, V0))))
 
     out.append(("early_or_wait",
-                TwoExitProblem(UNBOUNDED, u, u, f,
-                               require_natural(temporal_mor(
-                                   f, cod, early_component))),
+                TwoExitProblem(UNBOUNDED, u, u, f, _natural(f, cod, early)),
                 None))
     return out
 
@@ -749,37 +699,34 @@ def uniqueness_problems() -> list:
 # -- suites over the curated problems ---------------------------------------
 
 
-def suite_corecursion(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
-    reports = []
-    for name, pr in coiter_problems():
-        gap = pr.equation_gap(poison(pr.solve()) if mutated else pr.solve())
-        reports.append(LawReport("corecursion", "problem=" + name,
-                                 "fail" if gap else "pass", gap))
-    return reports
+def _equation_gaps(problems: list, mutated: bool):
+    """Each problem's solution, poisoned when mutated, against its
+    equation."""
+    for name, pr in problems:
+        sol = pr.solve()
+        yield "problem=" + name, partial(pr.equation_gap,
+                                         poison(sol) if mutated else sol)
 
 
-def suite_recursion(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
-    reports = []
-    for name, pr in recur_problems():
-        gap = pr.equation_gap(poison(pr.solve()) if mutated else pr.solve())
-        reports.append(LawReport("recursion", "problem=" + name,
-                                 "fail" if gap else "pass", gap))
-    return reports
+@_suite
+def suite_corecursion(cap: int, mutated: bool, case: None):
+    return _equation_gaps(coiter_problems(), mutated)
 
 
-def suite_derived(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
+@_suite
+def suite_recursion(cap: int, mutated: bool, case: None):
+    return _equation_gaps(recur_problems(), mutated)
+
+
+@_suite
+def suite_derived(cap: int, mutated: bool, case: None):
     """Each derived solver satisfies its one-step unfolding identity."""
-    reports = []
-
     name, w, a, b, c, f = step_variant_problem()
     sol = coiter_step(w, a, b, c, f)
-    live_c = LiveSpace(w, a, c)
-    lifted = live_map(live_c, LiveSpace(w, a, sol.cod), res=sol)
+    lifted = live_map(LiveSpace(w, a, c), LiveSpace(w, a, sol.cod), res=sol)
     once = t_compose(join_live(LiveSpace(w, a, b)), lifted)
     rhs = t_compose(t_coproduct_mor([t_identity(b), once]), f)
-    gap = first_difference(sol, rhs)
-    reports.append(LawReport("derived", "problem=" + name,
-                             "fail" if gap else "pass", gap))
+    yield "problem=" + name, partial(first_difference, sol, rhs)
 
     name, w, a, b, c, f = proc_variant_problem()
     sol = coiter_proc(w, a, b, c, f)
@@ -790,9 +737,7 @@ def suite_derived(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
                            t_product_mor([t_identity(a), sol])])
     rhs = t_compose(join(plain),
                     t_compose(proc_map(src, joining_space(plain), res=res), f))
-    gap = first_difference(sol, rhs)
-    reports.append(LawReport("derived", "problem=" + name,
-                             "fail" if gap else "pass", gap))
+    yield "problem=" + name, partial(first_difference, sol, rhs)
 
     name, w, a, b, c, f = pair_variant_problem()
     sol = recur_live(w, a, b, c, f)
@@ -800,50 +745,40 @@ def suite_derived(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
     inner = t_compose(proc_map(expanded_space(base), ProcSpace(w, c, b), act=sol),
                       expand(base))
     rhs = t_compose(f, t_product_mor([t_identity(a), inner]))
-    gap = first_difference(sol, rhs)
-    reports.append(LawReport("derived", "problem=" + name,
-                             "fail" if gap else "pass", gap))
-    return reports
+    yield "problem=" + name, partial(first_difference, sol, rhs)
 
 
-def suite_uniqueness(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
+def _uniqueness_witness(pr, kind: str, cap: int) -> Optional[str]:
+    dom, cod = ((pr.c, pr.target.obj) if kind == "coiter"
+                else (pr.source.obj, pr.c))
+    cands = enumerate_nat_trans(dom, cod, cap=cap)
+    matches = [x for x in cands if pr.equation_gap(x) is None]
+    if len(matches) == 1 and mor_equal(matches[0], pr.solve()):
+        return None
+    return (f"{len(matches)} of {len(cands)} natural candidates "
+            f"satisfy the equation, expected exactly the solver's")
+
+
+@_suite
+def suite_uniqueness(cap: int, mutated: bool, case: None):
     """Exhaustive search over all natural candidates confirms that exactly
     one satisfies each defining equation, and that it is the solver's."""
-    reports = []
     for name, kind, pr in uniqueness_problems():
-        label = "problem=" + name
-        dom, cod = ((pr.c, pr.target.obj) if kind == "coiter"
-                    else (pr.source.obj, pr.c))
-        try:
-            cands = enumerate_nat_trans(dom, cod, cap=cap)
-            matches = [x for x in cands if pr.equation_gap(x) is None]
-        except CapExceeded as e:
-            reports.append(LawReport("uniqueness", label, "cap", str(e)))
-            continue
-        sol = pr.solve()
-        if len(matches) == 1 and mor_equal(matches[0], sol):
-            reports.append(LawReport("uniqueness", label, "pass"))
-        else:
-            witness = (f"{len(matches)} of {len(cands)} natural candidates "
-                       f"satisfy the equation, expected exactly the solver's")
-            reports.append(LawReport("uniqueness", label, "fail", witness))
-    return reports
+        yield ("problem=" + name,
+               partial(_uniqueness_witness, pr, kind, cap))
 
 
-def suite_two_exit(cap: int = DEFAULT_CAP, mutated: bool = False) -> list:
-    reports = []
+def _roundtrip_witness(pr: TwoExitProblem, one_exit,
+                       cap: int) -> Optional[str]:
+    rep = check_roundtrips(pr, one_exit, cap=cap)
+    return None if rep.ok else repr(rep)
+
+
+@_suite
+def suite_two_exit(cap: int, mutated: bool, case: None):
     for name, pr, one_exit in two_exit_problems():
-        label = "problem=" + name
-        try:
-            rep = check_roundtrips(pr, one_exit, cap=cap)
-        except CapExceeded as e:
-            reports.append(LawReport("two_exit", label, "cap", str(e)))
-            continue
-        if rep.ok:
-            reports.append(LawReport("two_exit", label, "pass"))
-        else:
-            reports.append(LawReport("two_exit", label, "fail", repr(rep)))
-    return reports
+        yield ("problem=" + name,
+               partial(_roundtrip_witness, pr, one_exit, cap))
 
 
 # -- top-level entry --------------------------------------------------------

@@ -117,7 +117,10 @@ def rest_after(value: ProcessValue, u: Fraction) -> ProcessValue:
 class _Layout(NamedTuple):
     """The carrier at one index as a coproduct of products."""
 
-    case: int  # as `ProcSpace.case_of`
+    # 1: the bound is before t, so the carrier is empty; 2: the bound is
+    # in [t, t0], so every process stops by it; 3: the bound is beyond t0
+    # (or there is none), so a process may still be running.
+    case: int
     times: tuple  # the scale points in (t, t0]
     run: tuple  # the scale's own index pair (u, t0) for each u in times
     stops: int  # the admissible stop times are times[:stops]
@@ -186,11 +189,6 @@ class ProcSpace:
             summands.append(product(pools))
         offsets = tuple(accumulate(counts[:-1], initial=0)) if counts else ()
         return _Layout(case, times, run, stops, tuple(summands), offsets)
-
-    def case_of(self, i: IndexPair) -> int:
-        """1: bound in the past (empty); 2: bound inside the horizon
-        (must have stopped); 3: bound beyond the horizon."""
-        return self._layout[i].case
 
     def term_times(self, i: IndexPair) -> tuple:
         """Candidate stop times at index i, ascending."""

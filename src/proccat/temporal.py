@@ -89,42 +89,33 @@ def temporal_obj(
 
 
 def require_functor(obj: TemporalObj) -> TemporalObj:
-    """obj itself, once `check_functor` passes; ValueError otherwise."""
-    report = check_functor(obj)
-    if not report.ok:
-        raise ValueError(f"not a functor: {report.witness}")
+    """obj itself, once `check_functor` finds nothing; ValueError
+    otherwise."""
+    witness = check_functor(obj)
+    if witness is not None:
+        raise ValueError(f"not a functor: {witness}")
     return obj
 
 
-@dataclass(frozen=True)
-class FunctorReport:
-    ok: bool
-    witness: Optional[str]
-
-
-def check_functor(obj: TemporalObj) -> FunctorReport:
+def check_functor(obj: TemporalObj) -> Optional[str]:
     """Identities map to identities; restriction composes as the indices do.
 
     The restrictions `temporal_obj` derived compose by construction, so
     what is checked is that the restriction the object was built from
-    agrees with them along every arrow."""
+    agrees with them along every arrow: None when it does, else a
+    witness."""
     for mor in obj.scale.index_mors():
         direct, derived = obj.restrict_at(mor), obj.res(mor)
         if direct.dom != obj.at(mor.src) or direct.cod != obj.at(mor.dst):
-            return FunctorReport(False, f"restriction along {mor} has wrong endpoints")
+            return f"restriction along {mor} has wrong endpoints"
         if direct == derived:
             continue
         if mor.is_identity:
-            return FunctorReport(
-                False, f"restriction along identity {mor} is not the identity"
-            )
+            return f"restriction along identity {mor} is not the identity"
         bad = next(e for e in obj.at(mor.src) if direct(e) != derived(e))
-        return FunctorReport(
-            False,
-            f"restriction along {mor} is not the composite of its covers at "
-            f"{bad!r}: {direct(bad)!r} vs {derived(bad)!r}",
-        )
-    return FunctorReport(True, None)
+        return (f"restriction along {mor} is not the composite of its covers at "
+                f"{bad!r}: {direct(bad)!r} vs {derived(bad)!r}")
+    return None
 
 
 @dataclass(frozen=True, eq=True)

@@ -475,12 +475,11 @@ class _ScaleParser:
         head = self.take()
         if head == "finite":
             return FiniteScale(tuple(self.rational_args()))
-        if head == "desc_above":
-            (base,) = self.rational_args()
-            return DescAbove(base)
-        if head == "asc_below":
-            (limit,) = self.rational_args()
-            return AscBelow(limit)
+        if head in ("desc_above", "asc_below"):
+            args = self.rational_args()
+            if len(args) != 1:
+                raise ScaleParseError(f"{head} takes one point, got {len(args)}")
+            return (DescAbove if head == "desc_above" else AscBelow)(args[0])
         if head == "union":
             self.take("(")
             parts = [self.expr()]

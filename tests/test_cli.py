@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proccat.cli import build_parser, main
 
@@ -55,6 +58,18 @@ def test_scale_validate_parse_error(capsys):
     code, _, err = run(capsys, ["scale", "validate", "finite(0, oops)"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("expr", ["desc_above(0,1)", "asc_below(1,2)"])
+@pytest.mark.parametrize("command", ["scale", "check", "dump"])
+def test_a_chain_takes_one_point(capsys, tmp_path, command, expr):
+    # Both used to escape as "ValueError: too many values to unpack".
+    argv = {"scale": ["scale", "validate", expr],
+            "check": ["check", "--scale", expr, "--out", str(tmp_path)],
+            "dump": ["dump", "unit", "0", "0", "--scale", expr]}[command]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {expr[:expr.index('(')]} takes one point, got 2\n"
 
 
 def test_dump_full_process_space(capsys):
@@ -274,3 +289,78 @@ def test_installed_entry_point():
                           capture_output=True, text=True)
     assert done.returncode == 0
     assert done.stdout == "Accept\n"
+
+
+RATIONALS = st.sampled_from(["0", "1", "2", "1/2", "5", "-1", "0.5", "1e3", "x", "1/0", ""])
+SCALES = st.one_of(
+    st.sampled_from(["finite(0,1,2)", "finite(0, 1/2, 1)", "finite(0,1)", "finite()",
+                     "finite(0,0)", "finite(0", "asc_below(1)", "desc_above(0)",
+                     "union(finite(10), desc_above(5))",
+                     "union(desc_above(0), desc_above(0))",
+                     "union(asc_below(1), asc_below(2))", ""]),
+    st.builds(lambda head, args: f"{head}({','.join(args)})",
+              st.sampled_from(["finite", "desc_above", "asc_below", "union", "mystery"]),
+              st.lists(RATIONALS, max_size=3)))
+DESCRIPTORS = ["unit", "empty", "flag", "flag(3)", "(unit)", "prod(unit, flag)",
+               "sum(flag, empty)", "exp(flag, flag)", "exp(flag(9), flag(9))",
+               "unit |>''[inf] unit", "flag |>'[1] unit", "unit |>[2] flag",
+               "box' unit", "dia flag"]
+
+
+def _replace_one(text, k, new):
+    k %= len(text) + 1
+    return text[:k] + new + text[k + 1:]
+
+
+# One character of a descriptor replaced by a token that may break it; no
+# replacement makes a carrier that is both under the cap and slow to list.
+MUTATED = st.builds(_replace_one, st.sampled_from(DESCRIPTORS), st.integers(0, 40),
+                    st.sampled_from(["", "(", ")", ",", "[", "]", "|>", "'", "x", "inf",
+                                     "1/2", "9", "$"]))
+
+
+@pytest.fixture(scope="module")
+def out_paths(tmp_path_factory):
+    base = tmp_path_factory.mktemp("cli")
+    (base / "taken").write_text("")
+    return [str(base / "reports"), str(base / "taken"), str(base / "taken" / "reports")]
+
+
+def _argv(data, out_paths):
+    """A `dump`, `check` or `scale validate` argument list, valid or not."""
+    command = data.draw(st.sampled_from(["dump", "check", "scale"]))
+    if command == "scale":
+        argv = ["scale", "validate", data.draw(SCALES)]
+    elif command == "dump":
+        desc = data.draw(st.one_of(st.sampled_from(DESCRIPTORS), MUTATED))
+        argv = ["dump", desc, data.draw(RATIONALS), data.draw(RATIONALS)]
+        if data.draw(st.booleans()):
+            argv += ["--scale", data.draw(SCALES)]
+    else:
+        # Only suites that run in milliseconds, or none at all.
+        argv = ["check", "--suites", data.draw(st.sampled_from(["nonstop", "", ",", "nope"])),
+                "--out", data.draw(st.sampled_from(out_paths))]
+        options = (("--cap", st.sampled_from(["1", "10", "0", "-5", "abc", "", "1e3"])),
+                   ("--scale", SCALES),
+                   ("--mutate", st.sampled_from(["nonstop", "joining", "sabotage"])),
+                   ("--format", st.sampled_from(["human", "machine", "xml"])))
+        for flag, values in options:
+            if data.draw(st.booleans()):
+                argv += [flag, data.draw(values)]
+    if data.draw(st.integers(0, 3)) == 0:
+        del argv[data.draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_every_argument_list_gets_an_exit_code(out_paths, data):
+    # Whatever the arguments, the command ends with an exit code: a usage
+    # error (2) says why on stderr, and nothing escapes as an exception.
+    argv = _argv(data, out_paths)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code == 2:
+        assert "error:" in stderr.getvalue(), argv

@@ -1,3 +1,4 @@
+import ast
 import gc
 import json
 from functools import lru_cache
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import proccat
 from proccat.laws import (
     Case,
     Diagram,
@@ -130,9 +132,27 @@ def test_check_diagram_reports_a_witness():
     d = Diagram(nodes={"x": a},
                 edges={"flip": ("x", "x", flip)},
                 paths=[PathEq("x", "x", ("flip",), ())])
-    rep = check_diagram(d, "demo", "flip-vs-id")
-    assert rep.verdict == "fail"
-    assert "flip" in rep.witness and "identity" in rep.witness
+    witness = check_diagram(d)
+    assert "flip" in witness and "identity" in witness
+
+
+def test_only_report_makes_a_law_report():
+    # One verdict rule: every LawReport in the package comes from
+    # `laws._report`, which alone turns CapExceeded into a `cap` verdict.
+    makers, handlers = [], []
+    for path in sorted(Path(proccat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "LawReport"):
+                    makers.append(where)
+                if (path.stem == "laws" and isinstance(node, ast.ExceptHandler)
+                        and "CapExceeded" in ast.unparse(node.type)):
+                    handlers.append(where)
+    assert makers == ["laws._report"]
+    assert handlers == ["laws._report"]
 
 
 def test_law_report_has_no_timing_jitter(full_reports):
@@ -140,8 +160,10 @@ def test_law_report_has_no_timing_jitter(full_reports):
     assert all(isinstance(r, LawReport) for r in full_reports)
 
 
-def test_uniqueness_caps_are_reported_not_raised():
-    reports = run_suites(["uniqueness"], cap=1)
+@pytest.mark.parametrize("suite", ["uniqueness", "two_exit"])
+def test_uniqueness_caps_are_reported_not_raised(suite):
+    reports = run_suites([suite], cap=1)
+    assert len(reports) == 4
     assert all(r.verdict == "cap" for r in reports)
     assert all(r.witness for r in reports)
 

@@ -108,7 +108,7 @@ def test_parse_accepts_fractions_and_nesting():
 
 def test_parse_errors():
     for bad in ["finite()", "finite(0", "finite(0,0)", "finite(0) junk",
-                "mystery(1)", "finite(one)"]:
+                "mystery(1)", "finite(one)", "desc_above(0,1)", "asc_below(1,2)"]:
         with pytest.raises(ScaleParseError):
             parse_scale_expr(bad)
 
