@@ -132,21 +132,16 @@ class FinMor:
     """A map dom -> cod, stored as `pos`: the codomain position of the
     image of each domain element, in domain order.
 
-    Give exactly one of `table` (a dict from every domain element to its
-    image), `images` (the images in domain order) or `pos`.  Each is
-    validated once: images must lie in the codomain, positions in
+    Give exactly one of `images` (the images in domain order) or `pos`.
+    Each is validated once: images must lie in the codomain, positions in
     `range(len(cod))`.
     """
 
     __hash__ = None  # like the dict tables they replace, maps go in no set
 
-    def __init__(self, dom: FinObj, cod: FinObj, table: dict | None = None, *,
+    def __init__(self, dom: FinObj, cod: FinObj, *,
                  images: Sequence[Elem] | None = None,
                  pos: Sequence[int] | None = None) -> None:
-        if table is not None:
-            if table.keys() != dom.index.keys():
-                raise ValueError("map table must cover the domain exactly")
-            images = [table[e] for e in dom.elements]
         # `len(x.elements)`, not `len(x)`: this runs for every map built.
         if images is not None:
             if len(images) != len(dom.elements):

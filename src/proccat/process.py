@@ -190,17 +190,6 @@ class ProcSpace:
         offsets = tuple(accumulate(counts[:-1], initial=0)) if counts else ()
         return _Layout(case, times, run, stops, tuple(summands), offsets)
 
-    def term_times(self, i: IndexPair) -> tuple:
-        """Candidate stop times at index i, ascending."""
-        lay = self._layout[i]
-        return lay.times[:lay.stops]
-
-    def has_ongoing(self, i: IndexPair) -> bool:
-        return self._layout[i].case == 3
-
-    def carrier_size(self, i: IndexPair) -> int:
-        return sum(map(len, self._layout[i].summands))
-
     def _carrier_at(self, i: IndexPair) -> FinObj:
         """The element trees `encode` makes, in `elem_key` order: the
         stopped summands, then in case 3 the running one, as coproducts."""
@@ -243,10 +232,6 @@ class ProcSpace:
             elem = elem.value
         values, result = elem.value.items
         return Terminated(lay.times[elem.tag], tuple(zip(lay.times, values.items)), result)
-
-    def values(self, i: IndexPair):
-        """Carrier at i, decoded, in canonical element order."""
-        return [self.decode(i, e) for e in self.obj.at(i)]
 
     def _restrict_at(self, m: IndexMor) -> FinMor:
         """Restriction along m by position arithmetic on the summands.

@@ -74,16 +74,19 @@ def temporal_obj(
     arrows `restrict_at` is called on here.  Identities restrict by the
     identity and every other arrow by the composite of its covers."""
     carrier = {i: carrier_at(i) for i in scale.indices()}
-    covers = {(m.t, m.t0p): restrict_at(m) for m in scale.covers()}
+    # The cover out of (t, t0') is the first step of every longer arrow out
+    # of it.  The scale's own pairs key it, and they hash once.
+    step_from = {m.src: restrict_at(m) for m in scale.covers()}
     restrict = {}
     # `index_mors` runs t0' up from t0 for each (t, t0), so the arrow one
-    # cover shorter is the previous entry.
+    # cover shorter is the previous entry.  Its morphisms carry the scale's
+    # own pairs, so an identity is one whose ends are the same object.
     for m in scale.index_mors():
-        if m.is_identity:
+        if m.src is m.dst:
             below = None
             restrict[m] = f_identity(carrier[m.src])
         else:
-            step = covers[m.t, m.t0p]
+            step = step_from[m.src]
             below = restrict[m] = step if below is None else f_compose(below, step)
     return TemporalObj(scale, carrier, restrict, restrict_at)
 
@@ -110,7 +113,7 @@ def check_functor(obj: TemporalObj) -> Optional[str]:
             return f"restriction along {mor} has wrong endpoints"
         if direct == derived:
             continue
-        if mor.is_identity:
+        if mor.src is mor.dst:  # the scale's own morphism; see `temporal_obj`
             return f"restriction along identity {mor} is not the identity"
         bad = next(e for e in obj.at(mor.src) if direct(e) != derived(e))
         return (f"restriction along {mor} is not the composite of its covers at "

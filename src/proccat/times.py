@@ -17,65 +17,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import isqrt
 from typing import Optional, Union
-
-
-class Time(Fraction):
-    """A time point: an exact rational that hashes once.
-
-    Every carrier, restriction and component dict is keyed by pairs of
-    time points, so a point is hashed far more often than it is made.  A
-    `Time` keeps the hash `Fraction` would compute, so a plain `Fraction`
-    of the same value finds the same dict entry.  Against any `Fraction`
-    it tests equality on the lowest-terms numerator and denominator and
-    orders by integer cross-multiplication (denominators are positive).
-    Arithmetic on points returns plain `Fraction`s.  Comparisons test for
-    a `Time` operand first, since `isinstance(other, Fraction)` goes
-    through the ABC machinery.
-    """
-
-    __slots__ = ("_hash",)
-
-    def __new__(cls, numerator=0, denominator=None):
-        self = super().__new__(cls, numerator, denominator)
-        self._hash = Fraction.__hash__(self)
-        return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Fraction({self._numerator}, {self._denominator})"
-
-    def __eq__(self, other):
-        if type(other) is Time or isinstance(other, Fraction):
-            return (self._numerator == other._numerator
-                    and self._denominator == other._denominator)
-        return Fraction.__eq__(self, other)
-
-    def __lt__(self, other):
-        if type(other) is Time or isinstance(other, Fraction):
-            return self._numerator * other._denominator < other._numerator * self._denominator
-        return Fraction.__lt__(self, other)
-
-    def __le__(self, other):
-        if type(other) is Time or isinstance(other, Fraction):
-            return self._numerator * other._denominator <= other._numerator * self._denominator
-        return Fraction.__le__(self, other)
-
-    def __gt__(self, other):
-        if type(other) is Time or isinstance(other, Fraction):
-            return self._numerator * other._denominator > other._numerator * self._denominator
-        return Fraction.__gt__(self, other)
-
-    def __ge__(self, other):
-        if type(other) is Time or isinstance(other, Fraction):
-            return self._numerator * other._denominator >= other._numerator * self._denominator
-        return Fraction.__ge__(self, other)
-
-
-def as_time(value: Union[int, str, Fraction]) -> Time:
-    return value if type(value) is Time else Time(value)
 
 
 class ScaleParseError(ValueError):
@@ -83,15 +26,16 @@ class ScaleParseError(ValueError):
 
 
 class ScaleOverlapError(ValueError):
-    pass
+    """Parts of a union overlap, or could not be shown disjoint within
+    `SEARCH_BUDGET` steps."""
 
 
 @dataclass(frozen=True, order=True)
 class IndexPair:
     """Object (t, t0) of the index category: present time t, observed up to t0."""
 
-    t: Time
-    t0: Time
+    t: Fraction
+    t0: Fraction
 
     def __post_init__(self) -> None:
         if self.t > self.t0:
@@ -112,9 +56,9 @@ class IndexMor:
     Runs from the better-informed object (t, t0') to (t, t0); t0 <= t0'.
     """
 
-    t: Time
-    t0: Time
-    t0p: Time
+    t: Fraction
+    t0: Fraction
+    t0p: Fraction
 
     def __post_init__(self) -> None:
         if not (self.t <= self.t0 <= self.t0p):
@@ -124,7 +68,8 @@ class IndexMor:
     def __hash__(self) -> int:
         return self._hash
 
-    # `TimeScale.index_mors` fills both with the scale's own pairs.
+    # `TimeScale.index_mors` fills both with the scale's own pairs, so on
+    # the scale's morphisms an identity is one with `src is dst`.
     @functools.cached_property
     def src(self) -> IndexPair:
         return IndexPair(self.t, self.t0p)
@@ -132,10 +77,6 @@ class IndexMor:
     @functools.cached_property
     def dst(self) -> IndexPair:
         return IndexPair(self.t, self.t0)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.t0 == self.t0p
 
     def __repr__(self) -> str:
         return f"({self.t}, {self.t0}, {self.t0p})"
@@ -161,12 +102,12 @@ def _per_scale(method):
 
 @dataclass(frozen=True)
 class TimeScale:
-    points: tuple[Time, ...]
+    points: tuple[Fraction, ...]
     _memo: dict = field(default_factory=lambda: defaultdict(dict), init=False,
                         repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(map(as_time, self.points)))
+        object.__setattr__(self, "points", tuple(map(Fraction, self.points)))
         if not self.points:
             raise ValueError("time scale needs at least one point")
         if any(b <= a for a, b in zip(self.points, self.points[1:])):
@@ -177,26 +118,26 @@ class TimeScale:
         return cls(values)
 
     @property
-    def start(self) -> Time:
+    def start(self) -> Fraction:
         return self.points[0]
 
     @property
-    def end(self) -> Time:
+    def end(self) -> Fraction:
         return self.points[-1]
 
-    def __contains__(self, t: Time) -> bool:
+    def __contains__(self, t: Fraction) -> bool:
         return t in self.points
 
     @_per_scale
-    def open_open(self, a: Time, b: Time) -> tuple[Time, ...]:
+    def open_open(self, a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
         return tuple(p for p in self.points if a < p < b)
 
     @_per_scale
-    def open_closed(self, a: Time, b: Time) -> tuple[Time, ...]:
+    def open_closed(self, a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
         return tuple(p for p in self.points if a < p <= b)
 
     @_per_scale
-    def closed_closed(self, a: Time, b: Time) -> tuple[Time, ...]:
+    def closed_closed(self, a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
         return tuple(p for p in self.points if a <= p <= b)
 
     @_per_scale
@@ -241,7 +182,7 @@ class TimeScale:
 class TermBound:
     """Upper bound on termination time: a scale point, or None for no bound."""
 
-    time: Optional[Time]
+    time: Optional[Fraction]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.time,)))
@@ -251,7 +192,10 @@ class TermBound:
 
     @classmethod
     def at(cls, value: Union[int, str, Fraction]) -> "TermBound":
-        return cls(as_time(value))
+        # A Fraction is kept as it is, so the bounds made from one scale
+        # point share it, and memo keys holding them (`process._shape`)
+        # match by identity rather than by comparing rationals.
+        return cls(value if isinstance(value, Fraction) else Fraction(value))
 
     @property
     def bounded(self) -> bool:
@@ -295,26 +239,38 @@ def w_meet(a: TermBound, b: TermBound) -> TermBound:
 
 @dataclass(frozen=True)
 class FiniteScale:
-    points: tuple[Time, ...]
+    points: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if len(set(self.points)) != len(self.points):
-            raise ScaleParseError(f"duplicate points in finite scale: {self.points}")
+            raise ScaleParseError(f"duplicate points in finite scale: {self}")
+
+    def __str__(self) -> str:
+        return "finite(" + ", ".join(map(str, self.points)) + ")"
 
 
 @dataclass(frozen=True)
 class DescAbove:
-    base: Time
+    base: Fraction
+
+    def __str__(self) -> str:
+        return f"desc_above({self.base})"
 
 
 @dataclass(frozen=True)
 class AscBelow:
-    limit: Time
+    limit: Fraction
+
+    def __str__(self) -> str:
+        return f"asc_below({self.limit})"
 
 
 @dataclass(frozen=True)
 class ScaleUnion:
     parts: tuple["ScaleExpr", ...]
+
+    def __str__(self) -> str:
+        return "union(" + ", ".join(map(str, self.parts)) + ")"
 
 
 ScaleExpr = Union[FiniteScale, DescAbove, AscBelow, ScaleUnion]
@@ -326,7 +282,7 @@ class ScaleVerdict:
     witness: Optional[str]
 
 
-def _chain_member(p: Time, anchor: Time, sign: int) -> bool:
+def _chain_member(p: Fraction, anchor: Fraction, sign: int) -> bool:
     """Is p = anchor + sign/n for a positive integer n."""
     gap = (p - anchor) * sign
     if gap <= 0:
@@ -335,27 +291,76 @@ def _chain_member(p: Time, anchor: Time, sign: int) -> bool:
     return inv.denominator == 1
 
 
-def _chain_points_equal_gap(d: Fraction, s1: int, s2: int) -> bool:
-    """Does s1/n - s2/m = d have a solution in positive integers n, m.
+# The most steps either search below may take; past it two chains are
+# reported as not shown disjoint rather than searched for hours.
+SEARCH_BUDGET = 10**6
+
+
+def _chain_points_equal_gap(d: Fraction, s1: int, s2: int) -> Optional[bool]:
+    """Does s1/n - s2/m = d have a solution in positive integers n, m;
+    None when neither search below decides it within SEARCH_BUDGET steps.
 
     Covers chain/chain intersection: anchor1 + s1/n = anchor2 + s2/m with
     d = anchor2 - anchor1.
     """
     if d == 0:
         return s1 == s2
-    # s1/n = d + s2/m.  The larger of |s1/n|, |s2/m| is at least |d|/2, which
-    # confines one of the indices to a finite range; test both roles.
-    half = abs(d) / 2
-    bound = int(1 / half) + 1
-    for k in range(1, bound + 1):
-        recip = Fraction(1, k)
-        other = recip * s1 - d  # candidate for s2/m with n = k
-        if other * s2 > 0 and (s2 / other).denominator == 1 and s2 / other >= 1:
-            return True
-        other = recip * s2 + d  # candidate for s1/n with m = k
-        if other * s1 > 0 and (s1 / other).denominator == 1 and s1 / other >= 1:
+    # With s1 == s2 this is 1/n - 1/m = |d|, up to swapping n and m;
+    # otherwise 1/n + 1/m = s1 * d, which needs s1 * d > 0.
+    plus = s1 != s2
+    e = s1 * d if plus else abs(d)
+    if e < 0:
+        return False
+    p, q = e.numerator, e.denominator
+    scan_steps, trial_steps = (2 if plus else 1) * q // p, isqrt(q)
+    if min(scan_steps, trial_steps) > SEARCH_BUDGET:
+        return None
+    if scan_steps <= trial_steps:
+        return _unit_pair_scan(p, q, plus, scan_steps)
+    return _unit_pair_divisors(p, q, plus)
+
+
+def _unit_pair_scan(p: int, q: int, plus: bool, steps: int) -> bool:
+    """Is p/q = 1/n + 1/m (plus) or 1/n - 1/m, with n, m positive, found by
+    trying each n up to `steps`: for a sum the larger term 1/n is at
+    least p/2q, for a difference 1/n exceeds p/q.  Then 1/m is
+    (pn - q)/qn or (q - pn)/qn, a unit fraction when its numerator is
+    positive and divides qn."""
+    sign = 1 if plus else -1
+    for n in range(1, steps + 1):
+        rest = sign * (p * n - q)
+        if rest > 0 and q * n % rest == 0:
             return True
     return False
+
+
+def _unit_pair_divisors(p: int, q: int, plus: bool) -> bool:
+    """The question `_unit_pair_scan` answers, by a divisor search.
+
+    For a sum, (pn - q)(pm - q) = q*q, and both factors are positive, so
+    a solution is a divisor a of q*q with a and q*q/a both -q mod p.  For
+    a difference, (q - pn)(q + pm) = q*q: a divisor a < q with a and
+    q*q/a both q mod p.  The divisors come from factoring q by trial
+    division, about sqrt(q) steps."""
+    square, r = q * q, -q % p if plus else q % p
+    return any(a % p == r and square // a % p == r and (plus or a < q)
+               for a in _square_divisors(q))
+
+
+def _square_divisors(q: int) -> list:
+    """Every divisor of q*q."""
+    divisors, k = [1], 2
+    while k * k <= q:
+        e = 0
+        while q % k == 0:
+            q //= k
+            e += 1
+        if e:
+            divisors = [d * k**j for d in divisors for j in range(2 * e + 1)]
+        k += 1
+    if q > 1:
+        divisors = [d * q**j for d in divisors for j in range(3)]
+    return divisors
 
 
 def _parts_overlap(x: ScaleExpr, y: ScaleExpr) -> bool:
@@ -373,7 +378,11 @@ def _parts_overlap(x: ScaleExpr, y: ScaleExpr) -> bool:
         return any(_chain_member(p, anchor, sign) for p in fin.points)
     a1, s1 = (x.base, 1) if isinstance(x, DescAbove) else (x.limit, -1)
     a2, s2 = (y.base, 1) if isinstance(y, DescAbove) else (y.limit, -1)
-    return _chain_points_equal_gap(a2 - a1, s1, s2)
+    meet = _chain_points_equal_gap(a2 - a1, s1, s2)
+    if meet is None:
+        raise ScaleOverlapError(
+            f"cannot tell within {SEARCH_BUDGET} steps whether {x} and {y} overlap")
+    return meet
 
 
 def _check_union_disjoint(expr: ScaleExpr) -> None:
@@ -420,9 +429,9 @@ def _find_asc(expr: ScaleExpr) -> Optional[AscBelow]:
 # -- textual syntax ----------------------------------------------------------
 
 
-def parse_fraction(text: str) -> Time:
+def parse_fraction(text: str) -> Fraction:
     try:
-        return Time(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScaleParseError(f"bad rational {text!r}") from exc
 

@@ -10,7 +10,6 @@ established independently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -137,52 +136,37 @@ def answers_from_collapse(pr: TwoExitProblem, sol: TemporalMor) -> TemporalMor:
     return t_compose(t_inj([pr.b, pr.target.obj], 1), sol)
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
-    """Everything the equivalence of the two formulations promises, on one
-    problem instance."""
-
-    equation_ok: bool
-    solution_count: int
-    search_matches: bool
-    collapse_match: Optional[bool] = None
-    answers_match: Optional[bool] = None
-    one_exit_count: Optional[int] = None
-
-    @property
-    def ok(self) -> bool:
-        if not (self.equation_ok and self.solution_count == 1
-                and self.search_matches):
-            return False
-        for flag in (self.collapse_match, self.answers_match):
-            if flag is False:
-                return False
-        return self.one_exit_count in (None, 1)
-
-
 def check_roundtrips(pr: TwoExitProblem, one_exit: Optional[TemporalMor] = None,
-                     cap: int = DEFAULT_CAP) -> RoundtripReport:
-    """Solve canonically, confirm the solution equation, count solutions by
-    exhaustive search, and, when the underlying one-exit seed map is
-    supplied, confirm that translating solutions back and forth lands on
-    the one-exit solver's answer (and that the one-exit solution is itself
-    unique under exhaustive search)."""
+                     cap: int = DEFAULT_CAP) -> Optional[str]:
+    """Everything the equivalence of the two formulations promises, on one
+    problem: None when it all holds, else a witness naming the first
+    broken promise.
+
+    The canonical solution solves the equation, and exhaustive search
+    finds it and nothing else.  When the underlying one-exit seed map is
+    supplied, translating solutions back and forth lands on the one-exit
+    solver's answer, and that answer is itself unique under exhaustive
+    search."""
     cand = pr.solve()
-    equation_ok = pr.is_solution(cand)
+    if not pr.is_solution(cand):
+        return "the solver's answer fails the two-exit equation"
     found = pr.search(cap)
-    search_matches = len(found) == 1 and mor_equal(found[0], cand)
+    if len(found) != 1 or not mor_equal(found[0], cand):
+        return (f"search finds {len(found)} two-exit solutions, "
+                "expected exactly the solver's")
     if one_exit is None:
-        return RoundtripReport(equation_ok, len(found), search_matches)
+        return None
     cpr = CoiterProblem(pr.w, pr.a, pr.b, pr.c, one_exit)
     sol = cpr.solve()
-    collapse_match = mor_equal(collapse_from_answers(pr, one_exit, cand), sol)
-    answers_match = mor_equal(answers_from_collapse(pr, sol), cand)
-    one_exit_count = sum(
+    if not mor_equal(collapse_from_answers(pr, one_exit, cand), sol):
+        return "collapsing the two-exit solution misses the one-exit solution"
+    if not mor_equal(answers_from_collapse(pr, sol), cand):
+        return "deferring into the one-exit solution misses the two-exit solution"
+    count = sum(
         1
         for x in enumerate_nat_trans(pr.c, cpr.target.obj, cap=cap)
         if cpr.equation_gap(x) is None
     )
-    return RoundtripReport(
-        equation_ok, len(found), search_matches,
-        collapse_match, answers_match, one_exit_count,
-    )
+    if count != 1:
+        return f"search finds {count} one-exit solutions, expected exactly one"
+    return None

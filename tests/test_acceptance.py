@@ -86,11 +86,7 @@ def test_criterion_5_two_exit_equivalence(full_reports, capsys):
     summary = [r for r in full_reports if r.suite == "two_exit"]
     ok = len(summary) >= 3 and all(r.verdict == "pass" for r in summary)
     for name, pr, one_exit in two_exit_problems():
-        rep = check_roundtrips(pr, one_exit=one_exit)
-        ok = ok and rep.ok and rep.solution_count == 1
-        if one_exit is not None:
-            ok = ok and rep.one_exit_count == 1
-            ok = ok and rep.collapse_match and rep.answers_match
+        ok = ok and check_roundtrips(pr, one_exit=one_exit) is None
     with capsys.disabled():
         _report(5, "two-exit and one-exit formulations interchange", ok)
 

@@ -54,6 +54,16 @@ def test_scale_validate_rejects_nested_ascents(capsys):
     assert out.startswith("Reject: ")
 
 
+@pytest.mark.parametrize("expr, parts", [
+    ("union(desc_above(0), asc_below(1/1000000000))",
+     "desc_above(0) and asc_below(1/1000000000)"),
+    ("union(finite(1/2,3), union(desc_above(0)))", "finite(1/2, 3) and union(desc_above(0))"),
+])
+def test_scale_validate_names_overlapping_parts_in_expression_syntax(capsys, expr, parts):
+    code, out, err = run(capsys, ["scale", "validate", expr])
+    assert (code, out, err) == (2, "", f"error: union members overlap: {parts}\n")
+
+
 def test_scale_validate_parse_error(capsys):
     code, _, err = run(capsys, ["scale", "validate", "finite(0, oops)"])
     assert code == 2

@@ -133,7 +133,7 @@ def test_predicted_carrier_sizes_match_the_carriers(na, nb, wt):
     w = UNBOUNDED if wt is None else TermBound.at(wt)
     sp = ProcSpace(w, flag_temporal(SCALE, na), flag_temporal(SCALE, nb))
     for i in SCALE.indices():
-        assert sp.carrier_size(i) == len(sp.obj.at(i))
+        assert sum(map(len, sp.obj.layout[i].summands)) == len(sp.obj.at(i))
 
 
 def test_process_carriers_over_the_cap_are_refused_before_enumeration():
@@ -155,7 +155,7 @@ def test_encode_decode_roundtrip():
 
 def test_values_enumerates_the_carrier():
     sp = ProcSpace(UNBOUNDED, unit_obj(SCALE), unit_obj(SCALE))
-    vals = sp.values(I02)
+    vals = [sp.decode(I02, e) for e in sp.obj.at(I02)]
     assert len(vals) == 3
     assert set(sp.encode(I02, v) for v in vals) == set(sp.obj.at(I02).elements)
 
@@ -274,12 +274,13 @@ def reference_values(sp, i):
     def pool(obj, u):
         return obj.at(IndexPair(u, i.t0)).elements
 
+    lay = sp.obj.layout[i]
     out = []
-    for tp in sp.term_times(i):
+    for tp in lay.times[:lay.stops]:
         prior = sp.scale.open_open(i.t, tp)
         for combo in iter_product(*(pool(sp.a, u) for u in prior)):
             out.extend(Terminated(tp, tuple(zip(prior, combo)), y) for y in pool(sp.b, tp))
-    if sp.has_ongoing(i):
+    if lay.case == 3:
         times = sp.scale.open_closed(i.t, i.t0)
         for combo in iter_product(*(pool(sp.a, u) for u in times)):
             out.append(Ongoing(tuple(zip(times, combo))))

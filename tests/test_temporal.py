@@ -178,6 +178,35 @@ def test_exponential_collects_compatible_families():
     assert len(e.at(i)) == 2
 
 
+@pytest.mark.parametrize("points", [(0,), (0, 1), (0, "1/2", 1, 3)])
+def test_an_object_is_built_from_its_covers(points):
+    # `restrict_at` is asked for the covers alone; every other arrow is
+    # the composite of the covers from t0' down to t0, and an identity
+    # arrow the identity map.
+    scale = TimeScale.of(*points)
+    base = ProcSpace(UNBOUNDED, flag_temporal(scale), unit_obj(scale)).obj
+    asked = []
+
+    def restrict_at(m):
+        asked.append(m)
+        return base.restrict_at(m)
+
+    obj = temporal_obj(scale, base.at, restrict_at)
+    assert asked == list(scale.covers())
+    for m in scale.index_mors():
+        if m.t0 == m.t0p:
+            assert obj.res(m).table == {e: e for e in obj.at(m.src)}
+            continue
+        steps = scale.closed_closed(m.t0, m.t0p)
+        covers = [base.restrict_at(scale.mors()[m.t, lo, hi])
+                  for lo, hi in reversed(list(zip(steps, steps[1:])))]
+        for e in obj.at(m.src):
+            image = e
+            for c in covers:
+                image = c(image)
+            assert obj.res(m)(e) == image
+
+
 def test_const_obj_restricts_by_identity():
     obj = const_obj(SMALL, flag_obj(2))
     for m in SMALL.index_mors():

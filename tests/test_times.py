@@ -1,4 +1,3 @@
-import operator
 from fractions import Fraction
 
 import pytest
@@ -11,11 +10,13 @@ from proccat.times import (
     IndexPair,
     ScaleOverlapError,
     ScaleParseError,
+    SEARCH_BUDGET,
     TermBound,
-    Time,
     TimeScale,
     UNBOUNDED,
-    as_time,
+    _chain_points_equal_gap,
+    _unit_pair_divisors,
+    _unit_pair_scan,
     parse_fraction,
     parse_scale_expr,
     scale_from_expr,
@@ -133,6 +134,63 @@ def test_overlapping_union_is_a_structural_error():
         validate_scale(parse_scale_expr("union(desc_above(0), desc_above(0))"))
 
 
+def reference_equal_gap(d: Fraction, s1: int, s2: int) -> bool:
+    """Does s1/n - s2/m = d have a solution in positive integers n, m, by
+    a plain scan over about 2/|d| candidates: the reference for both
+    searches of `_chain_points_equal_gap`."""
+    if d == 0:
+        return s1 == s2
+    # s1/n = d + s2/m.  The larger of |s1/n|, |s2/m| is at least |d|/2, which
+    # confines one of the indices to a finite range; test both roles.
+    half = abs(d) / 2
+    bound = int(1 / half) + 1
+    for k in range(1, bound + 1):
+        recip = Fraction(1, k)
+        other = recip * s1 - d  # candidate for s2/m with n = k
+        if other * s2 > 0 and (s2 / other).denominator == 1 and s2 / other >= 1:
+            return True
+        other = recip * s2 + d  # candidate for s1/n with m = k
+        if other * s1 > 0 and (s1 / other).denominator == 1 and s1 / other >= 1:
+            return True
+    return False
+
+
+anchors = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+signs = st.sampled_from([1, -1])
+
+
+@given(anchors, anchors, signs, signs)
+def test_both_overlap_searches_agree_with_the_reference_scan(a1, a2, s1, s2):
+    d = a2 - a1
+    expected = reference_equal_gap(d, s1, s2)
+    assert _chain_points_equal_gap(d, s1, s2) == expected
+    # Each search on its own, on the sum or difference of unit fractions
+    # the selector reduces the gap to.
+    plus = s1 != s2
+    e = s1 * d if plus else abs(d)
+    if e > 0:
+        p, q = e.numerator, e.denominator
+        assert _unit_pair_scan(p, q, plus, (2 if plus else 1) * q // p) == expected
+        assert _unit_pair_divisors(p, q, plus) == expected
+
+
+def test_tiny_gaps_are_decided_or_refused_never_scanned():
+    # 1/n + 1/m = 1/10**9 at n = m = 2 * 10**9: a scan of 2 * 10**9 steps,
+    # a divisor search of about 31,623.
+    with pytest.raises(ScaleOverlapError, match=r"^union members overlap: "
+                       r"desc_above\(0\) and asc_below\(1/1000000000\)$"):
+        validate_scale(parse_scale_expr("union(desc_above(0), asc_below(1/1000000000))"))
+    # 999999999989 is prime and 2 mod 3, so 1/n - 1/m = 3/999999999989 has
+    # no solution; only the divisor search fits the budget.
+    disjoint = parse_scale_expr("union(desc_above(0), desc_above(3/999999999989))")
+    assert validate_scale(disjoint).accepted
+    # Past the budget both ways: an error, not a verdict.
+    assert 10**13 > SEARCH_BUDGET**2
+    with pytest.raises(ScaleOverlapError, match=r"^cannot tell within \d+ steps whether "
+                       r"desc_above\(0\) and asc_below\(1/10000000000000\) overlap$"):
+        validate_scale(parse_scale_expr("union(desc_above(0), asc_below(1/10000000000000))"))
+
+
 def test_only_finite_expressions_evaluate():
     with pytest.raises(ScaleParseError):
         scale_from_expr(parse_scale_expr("desc_above(0)"))
@@ -155,46 +213,18 @@ def test_memoized_intervals_match_the_direct_filter(n):
         if t <= t0 <= t0p)
 
 
-# -- Time: a Fraction that hashes once --------------------------------------
-
-rationals = st.fractions(max_denominator=12)
-COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+# -- time points are plain Fractions ---------------------------------------
 
 
-def _compares_like(x, y, fx, fy):
-    """Every comparison of x with y reads as that of the Fractions fx, fy."""
-    for op in COMPARISONS:
-        assert op(x, y) == op(fx, fy), op.__name__
-
-
-@given(rationals, rationals)
-def test_time_compares_and_hashes_like_fraction(a, b):
-    ta, tb = Time(a), Time(b)
-    assert hash(ta) == hash(a) and ta == a and a == ta
-    for y, fy in ((tb, b), (b, b)):
-        _compares_like(ta, y, a, fy)
-        _compares_like(y, ta, fy, a)
-
-
-@given(rationals, st.integers(-20, 20))
-def test_time_compares_with_int_like_fraction(a, n):
-    _compares_like(Time(a), n, a, n)
-    _compares_like(n, Time(a), n, a)
-    assert hash(Time(n)) == hash(n) == hash(Fraction(n))
-
-
-@given(rationals)
-def test_time_prints_like_fraction(a):
-    assert str(Time(a)) == str(a)
-    assert repr(Time(a)) == repr(a)
-
-
-def test_every_time_the_package_makes_is_a_time():
-    scale = TimeScale((Fraction(1, 2), Fraction(3)))
-    assert all(type(p) is Time for p in scale.points)
-    assert all(type(p) is Time for p in TimeScale.of("1/2", 3, 7).points)
-    assert type(as_time("3/4")) is Time and type(parse_fraction("-5/2")) is Time
-    assert type(TermBound.at(2).time) is Time
+def test_points_bounds_and_parsed_rationals_are_plain_fractions():
+    made = [(TimeScale((Fraction(1, 2), 3)).points, (Fraction(1, 2), 3)),
+            (TimeScale.of("1/2", 3, 7).points, (Fraction(1, 2), 3, 7)),
+            ((TermBound.at(2).time, TermBound.at("3/4").time), (2, Fraction(3, 4))),
+            ((parse_fraction("-5/2"), parse_fraction("4")), (Fraction(-5, 2), 4))]
+    for points, values in made:
+        for t, x in zip(points, values, strict=True):
+            assert type(t) is Fraction
+            assert t == x == Fraction(x) and hash(t) == hash(x) == hash(Fraction(x))
 
 
 def test_a_term_bound_hashes_once():
@@ -202,8 +232,6 @@ def test_a_term_bound_hashes_once():
     assert hash(b) == b._hash == hash(TermBound.at("1")) == hash((b.time,))
     assert {b: "one", UNBOUNDED: "inf"}[TermBound.at(1)] == "one"
     assert hash(UNBOUNDED) == hash((None,))
-    t = Time(1, 2)
-    assert as_time(t) is t
 
 
 def test_plain_fraction_keys_find_the_scales_own_entries():
@@ -213,7 +241,8 @@ def test_plain_fraction_keys_find_the_scales_own_entries():
     m = IndexMor(Fraction(1, 2), Fraction(3), Fraction(7))
     own_i = next(k for k in obj.carrier if k == i)
     own_m = next(k for k in obj.restrict if k == m)
-    assert type(own_i.t) is Time and type(i.t) is Fraction
+    assert own_i is scale.pairs()[i.t, i.t0] and own_i is not i
+    assert own_m is scale.mors()[m.t, m.t0, m.t0p] and own_m is not m
     assert hash(i) == hash(own_i) and hash(m) == hash(own_m)
     assert obj.at(i) is obj.carrier[own_i]
     assert obj.res(m) is obj.restrict[own_m]
