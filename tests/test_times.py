@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -216,7 +217,43 @@ def test_memoized_intervals_match_the_direct_filter(n):
 # -- time points are plain Fractions ---------------------------------------
 
 
-def test_points_bounds_and_parsed_rationals_are_plain_fractions():
+rationals = st.fractions(max_denominator=12)
+COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def _compares_like(x, y, fx, fy):
+    """Every comparison of x with y reads as that of the Fractions fx, fy."""
+    for op in COMPARISONS:
+        assert op(x, y) == op(fx, fy), op.__name__
+
+
+def _times_made_from(a):
+    """The time points the package makes for the rational a."""
+    return (TimeScale((a,)).points[0], TimeScale.of(str(a)).points[0],
+            TermBound.at(a).time, TermBound.at(str(a)).time, parse_fraction(str(a)))
+
+
+@given(rationals, rationals)
+def test_time_compares_and_hashes_like_fraction(a, b):
+    for ta in _times_made_from(a):
+        assert hash(ta) == hash(a) and ta == a and a == ta
+        for tb in _times_made_from(b):
+            _compares_like(ta, tb, a, b)
+            _compares_like(ta, b, a, b)
+            _compares_like(b, ta, b, a)
+
+
+@given(rationals, st.integers(-20, 20))
+def test_time_compares_with_int_like_fraction(a, n):
+    for ta in _times_made_from(a):
+        _compares_like(ta, n, a, n)
+        _compares_like(n, ta, n, a)
+    for tn in _times_made_from(Fraction(n)):
+        assert tn == n and hash(tn) == hash(n) == hash(Fraction(n))
+
+
+def test_every_time_the_package_makes_is_a_time():
+    """Points, bounds and parsed rationals are exact, plain Fractions."""
     made = [(TimeScale((Fraction(1, 2), 3)).points, (Fraction(1, 2), 3)),
             (TimeScale.of("1/2", 3, 7).points, (Fraction(1, 2), 3, 7)),
             ((TermBound.at(2).time, TermBound.at("3/4").time), (2, Fraction(3, 4))),
