@@ -12,8 +12,10 @@ element-level witness.
 
 The grid suites run case-major: `run_suites` builds each grid case once
 and runs every selected grid suite on it before building the next, so
-the suites share the case's spaces and carriers.  The case holds what
-they built until its last suite has run, so one case is alive at a time.
+the suites share the case's spaces and carriers, and the operator maps
+built on them (`expand` and `join` are interned on their space).  The
+case holds what they built until its last suite has run, so one case is
+alive at a time.
 
 Every check returns a witness.  A string, which shows the law failing at
 some element, makes the verdict `fail`; None makes it `pass`; and
@@ -148,8 +150,12 @@ class Diagram:
             raise ValueError(f"path ends at {here}, expected {dst}")
 
     def composite(self, src: str, seq) -> TemporalMor:
-        out = t_identity(self.nodes[src])
-        for name in seq:
+        """The path's edges composed from its first; the identity on src
+        for an empty path."""
+        if not seq:
+            return t_identity(self.nodes[src])
+        out = self.edges[seq[0]][2]
+        for name in seq[1:]:
             out = t_compose(self.edges[name][2], out)
         return out
 

@@ -7,13 +7,19 @@
 * merge: two processes over the same scale combine into one process over
   paired values, running until the first of them stops; this is a bijection
   and both directions are provided.
+
+Every map here is position arithmetic on the carrier layouts of the spaces
+involved.  `expand` and `join` are hash-consed on the space's object like
+the spaces themselves, so the laws checked on one space share one map for
+as long as any of them holds it.
 """
 from __future__ import annotations
 
-from itertools import chain, cycle
+from functools import wraps
+from itertools import chain, cycle, product
 from math import prod
 
-from .finset import FinMor
+from .finset import FinMor, _interned
 from .process import (
     LiveSpace,
     Ongoing,
@@ -21,7 +27,6 @@ from .process import (
     ProcessValue,
     StepSpace,
     Terminated,
-    proc_map,
 )
 from .temporal import (
     TemporalMor,
@@ -40,6 +45,17 @@ from .temporal import (
 from .times import IndexPair, w_meet
 
 
+def _per_space(build):
+    """`build(sp)` shared while held: interned on `sp.obj`, which fixes
+    the bound and both objects.  `laws.poison` breaks a copy, never the
+    shared map."""
+    @wraps(build)
+    def shared(sp: ProcSpace) -> TemporalMor:
+        return _interned(build.__name__, (sp.obj,), lambda: build(sp))
+
+    return shared
+
+
 # -- expansion --------------------------------------------------------------
 
 
@@ -56,6 +72,7 @@ def _live(sp: ProcSpace, here: IndexPair, k: int) -> list:
             for x in range(len(sp.a.at(here))) for r in range(len(lay.summands[k]))]
 
 
+@_per_space
 def expand(sp: ProcSpace) -> TemporalMor:
     """Pair every recorded value with the suffix starting at its time.
 
@@ -125,6 +142,27 @@ def splice(sp: ProcSpace, t0, v: Terminated, then) -> ProcessValue:
     return Ongoing(seen)
 
 
+def _stopped(sp: ProcSpace, i: IndexPair, k: int) -> list:
+    """Per result at the k-th point of i's run, the (base, width) that
+    put the process stopping with it there in summand k at i, at base +
+    p * width for the prefix p of its first k values."""
+    n = len(sp.b.at(sp._layout[i].run[k]))
+    return [(sp._layout[i].offsets[k] + y, n) for y in range(n)]
+
+
+def _onward(sp: ProcSpace, i: IndexPair, k: int) -> list:
+    """The inverse of `_live`: per position of the live object over `sp`
+    at the k-th point of i's run, a value x and a suffix in summand q
+    there, the (base, width) that put the process going on with them in
+    summand k + 1 + q at i, as in `_stopped`."""
+    here = sp._layout[i].run[k]
+    offsets, n = sp._layout[i].offsets, len(sp.a.at(here))
+    return [(offsets[k + 1 + q] + x * len(s) + r, n * len(s))
+            for x in range(n) for q, s in enumerate(sp._layout[here].summands)
+            for r in range(len(s))]
+
+
+@_per_space
 def join(sp: ProcSpace) -> TemporalMor:
     """Concatenate a process with the process its final result carries.
 
@@ -135,7 +173,8 @@ def join(sp: ProcSpace) -> TemporalMor:
     and a result, which either stops right there or hands over a value
     and a process q at that point.  The splice is the prefix digits,
     the handed-over value, then q's digits, in the summand of q's stop
-    (or the running record) counted k + 1 further on.
+    (or the running record) counted k + 1 further on: `_stopped` and
+    `_onward` place each result and each handover.
     """
     outer = joining_space(sp)
 
@@ -143,16 +182,9 @@ def join(sp: ProcSpace) -> TemporalMor:
         lay, into = outer._layout[i], sp._layout[i]
         pos = []
         for k in range(lay.stops):
-            here = lay.run[k]
-            m, n = len(sp.b.at(here)), len(sp.a.at(here))
-            # (prefix multiplier, start, length) per run of consecutive images
-            rows = [(m, into.offsets[k], m)]
-            rows += [(n * len(s), into.offsets[k + 1 + q] + x * len(s), len(s))
-                     for x in range(n) for q, s in enumerate(sp._layout[here].summands)]
-            for prefix in range(prod(len(sp.a.at(p)) for p in lay.run[:k])):
-                for mult, start, length in rows:
-                    start += prefix * mult
-                    pos.extend(range(start, start + length))
+            tails = _stopped(sp, i, k) + _onward(sp, i, k)
+            prefixes = range(prod(len(sp.a.at(p)) for p in lay.run[:k]))
+            pos.extend(base + p * width for p in prefixes for base, width in tails)
         if lay.case == 3:
             pos.extend(range(into.offsets[-1], into.offsets[-1] + len(lay.summands[-1])))
         return FinMor(outer._carriers[i], sp._carriers[i], pos=pos)
@@ -191,37 +223,47 @@ class MergeSpace:
         self.live_left = LiveSpace(left.w, left.a, left.b)
         self.live_right = LiveSpace(right.w, right.a, right.b)
         # Both stop, the left stops first, the right stops first.
-        self._outcomes = [[left.b, right.b], [left.b, self.live_right.obj],
-                          [self.live_left.obj, right.b]]
-        self.outcome = pointwise_coproduct(list(map(pointwise_product, self._outcomes)))
+        self.outcome = pointwise_coproduct(list(map(pointwise_product, [
+            [left.b, right.b], [left.b, self.live_right.obj],
+            [self.live_left.obj, right.b]])))
         self.merged = ProcSpace(w_meet(left.w, right.w),
                                 pointwise_product([left.a, right.a]), self.outcome)
 
-    def _side_pieces(self, first: bool):
-        sp = self.left if first else self.right
-        step = StepSpace(sp.w, sp.a, sp.b)
-        k, running = (0, 2) if first else (1, 1)
-        branches = [t_compose(t_inj([sp.b, step.live.obj], int(n == running)),
-                              t_proj(factors, k))
-                    for n, factors in enumerate(self._outcomes)]
-        return sp, step, t_copairing(branches)
-
-    def project(self, first: bool) -> TemporalMor:
-        """Recover one side from the merged process: map values and the
-        outcome onto that side, then concatenate."""
-        sp, step, outcome_map = self._side_pieces(first)
-        act = t_proj([self.left.a, self.right.a], 0 if first else 1)
-        widen = proc_map(
-            self.merged,
-            ProcSpace(sp.w, sp.a, step.obj),
-            act=act,
-            res=outcome_map,
-        )
-        return t_compose(join(sp), widen)
-
     def split(self) -> TemporalMor:
-        """Both projections paired: merged -> left x right."""
-        return t_pairing([self.project(True), self.project(False)])
+        """The inverse of zip: merged -> left x right.
+
+        By position, the inverse arithmetic of `_zip_rows`.  Merged
+        summand k stops at the k-th point of the run (past its end, it is
+        the running record).  A side that stopped there is in its own
+        summand k, a side still running is in a later one, and a
+        running record is the side's running record.  Each side's value
+        digits are its half of each paired value digit, and its position
+        the (base, width) of `_stopped` or `_onward` taken at its
+        prefix."""
+        left, right = self.left, self.right
+        pair_obj = pointwise_product([left.obj, right.obj])
+
+        def component(i: IndexPair) -> FinMor:
+            run, n = left._layout[i].run, len(right._carriers[i])
+            prefixes, pos = [(0, 0)], []
+            for k in range(len(self.merged._layout[i].summands)):
+                if k == len(run):
+                    tails = [((left._layout[i].offsets[k], 1),
+                              (right._layout[i].offsets[k], 1))]
+                else:
+                    sl, sr = _stopped(left, i, k), _stopped(right, i, k)
+                    # Both stop, the left stops first, the right stops first.
+                    tails = [*product(sl, sr), *product(sl, _onward(right, i, k)),
+                             *product(_onward(left, i, k), sr)]
+                pos.extend((lb + pl * lw) * n + rb + pr * rw
+                           for pl, pr in prefixes for (lb, lw), (rb, rw) in tails)
+                if k < len(run):
+                    la, ra = len(left.a.at(run[k])), len(right.a.at(run[k]))
+                    prefixes = [(pl * la + x, pr * ra + z) for pl, pr in prefixes
+                                for x in range(la) for z in range(ra)]
+            return FinMor(self.merged._carriers[i], pair_obj.at(i), pos=pos)
+
+        return temporal_mor(self.merged.obj, pair_obj, component)
 
     def zip(self) -> TemporalMor:
         """The inverse of split: run two processes side by side until the

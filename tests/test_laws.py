@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proccat
+from proccat import laws
 from proccat.laws import (
     Case,
     Diagram,
@@ -168,22 +169,46 @@ def test_uniqueness_caps_are_reported_not_raised(suite):
     assert all(r.witness for r in reports)
 
 
-def test_the_solver_suites_leave_no_cyclic_garbage():
-    # Maps and objects a solver or search held must die with the call
-    # (by reference counting), not wait for the cyclic collector.
+def _cyclic_garbage(names) -> list:
+    """The maps and objects a run of the named suites leaves for the
+    cyclic collector."""
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        run_suites(["corecursion", "derived", "recursion", "two_exit", "uniqueness"])
+        run_suites(names)
         gc.collect()
-        left = [type(o).__name__ for o in gc.garbage
+        return [type(o).__name__ for o in gc.garbage
                 if isinstance(o, (TemporalMor, FinMor, FinObj))]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
-    assert left == []
+
+
+def test_the_solver_suites_leave_no_cyclic_garbage():
+    # Maps and objects a solver or search held must die with the call
+    # (by reference counting), not wait for the cyclic collector.
+    assert _cyclic_garbage(
+        ["corecursion", "derived", "recursion", "two_exit", "uniqueness"]) == []
+
+
+def test_the_grid_suites_leave_no_cyclic_garbage():
+    # An interned operator map pins its space; a cycle through it would
+    # keep a whole case alive after the case is dropped.
+    assert _cyclic_garbage([*GRID_SUITES, "nonstop"]) == []
+
+
+def test_a_broken_split_fails_merging_with_a_witness(monkeypatch):
+    # split and zip share no code, so the merging law must catch a broken
+    # split on its own.
+    checked = laws._checked
+    monkeypatch.setattr(laws, "_checked",
+                        lambda case, d, poisoned: checked(case, d, "split"))
+    failed = [r for case in law_grid() for r in SUITES["merging"](case=case)
+              if r.verdict == "fail"]
+    assert failed
+    assert all(" maps to " in r.witness for r in failed)
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)

@@ -1,8 +1,10 @@
+import gc
 from fractions import Fraction
 
 import pytest
 
-from proccat.finset import Inj, Tup, UNIT_ELEM
+from proccat.finset import _INTERNED, Inj, Tup, UNIT_ELEM
+from proccat.laws import poison
 from proccat.operators import (
     MergeSpace,
     expand,
@@ -109,7 +111,7 @@ def test_operators_are_natural():
         m = MergeSpace(sp, ProcSpace(UNBOUNDED, b, a))
         for mor in (expand(sp), expand_live(lv), expand_step(st),
                     join(sp), join_live(lv), join_step(st),
-                    m.zip(), m.split(), m.project(True), m.project(False)):
+                    m.zip(), m.split()):
             assert naturality_witness(mor) is None
 
 
@@ -143,11 +145,10 @@ def test_merge_projections_recover_each_side():
     left = ProcSpace(UNBOUNDED, U, U)
     right = ProcSpace(UNBOUNDED, U, U)
     m = MergeSpace(left, right)
-    z = m.zip()
-    assert mor_equal(t_compose(m.project(True), z),
-                     t_proj([left.obj, right.obj], 0))
-    assert mor_equal(t_compose(m.project(False), z),
-                     t_proj([left.obj, right.obj], 1))
+    back = t_compose(m.split(), m.zip())
+    for k in (0, 1):
+        proj = t_proj([left.obj, right.obj], k)
+        assert mor_equal(t_compose(proj, back), proj)
 
 
 def test_merge_requires_one_scale():
@@ -163,3 +164,23 @@ def test_merged_bound_is_the_meet():
     right = ProcSpace(UNBOUNDED, U, F)
     m = MergeSpace(left, right)
     assert m.merged.w == TermBound.at(1)
+
+
+def test_a_space_shares_its_operator_maps_while_held():
+    sp = ProcSpace(UNBOUNDED, F, U)
+    held = expand(sp)
+    assert expand(ProcSpace(sp.w, sp.a, sp.b)) is held
+    key = ("expand", id(sp.obj))
+    assert _INTERNED[key] is held
+    del held
+    gc.collect()
+    assert key not in _INTERNED
+
+
+def test_poison_leaves_the_shared_map_alone():
+    sp = ProcSpace(UNBOUNDED, F, F)
+    shared = join(sp)
+    before = {i: shared.at(i).pos for i in SCALE.indices()}
+    broken = poison(join(sp))
+    assert broken is not shared and not mor_equal(broken, shared)
+    assert {i: join(sp).at(i).pos for i in SCALE.indices()} == before

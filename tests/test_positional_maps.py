@@ -1,10 +1,12 @@
 """The positional maps between process spaces against element-level
 references.
 
-`proc_map`, `live_map`, `expand`, `join` and `MergeSpace.zip` compute
-positions from the carrier layout.  The references below decode every
-element, rebuild its image as a process value and encode it, the way
-the package built these maps before its layout existed.
+`proc_map`, `live_map`, `expand`, `join`, `MergeSpace.zip` and
+`MergeSpace.split` compute positions from the carrier layout.  The
+references below decode every element, rebuild its image as a process
+value and encode it, the way the package built these maps before its
+layout existed; `ref_split` maps the merged process onto each side's
+step space and joins, as `split` did before it was positional.
 """
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from proccat.process import (
     LiveSpace,
     Ongoing,
     ProcSpace,
+    StepSpace,
     Terminated,
     live_map,
     proc_map,
@@ -30,10 +33,12 @@ from proccat.temporal import (
     flag_temporal,
     mor_equal,
     pointwise_product,
+    t_compose,
     t_copairing,
     t_identity,
     t_inj,
     t_pairing,
+    t_proj,
     temporal_mor,
     unit_obj,
 )
@@ -141,6 +146,26 @@ def ref_zip(m):
     return temporal_mor(pair_obj, m.merged.obj, component)
 
 
+def ref_split(m):
+    """Both sides recovered by mapping the merged values and outcome onto
+    each side's step space and joining."""
+    outcomes = [[m.left.b, m.right.b], [m.left.b, m.live_right.obj],
+                [m.live_left.obj, m.right.b]]
+
+    def side(first):
+        sp = m.left if first else m.right
+        step = StepSpace(sp.w, sp.a, sp.b)
+        k, running = (0, 2) if first else (1, 1)
+        to_step = t_copairing([
+            t_compose(t_inj([sp.b, step.live.obj], int(n == running)), t_proj(factors, k))
+            for n, factors in enumerate(outcomes)])
+        act = t_proj([m.left.a, m.right.a], k)
+        widen = ref_proc_map(m.merged, ProcSpace(sp.w, sp.a, step.obj), act, to_step)
+        return t_compose(ref_join(sp), widen)
+
+    return t_pairing([side(True), side(False)])
+
+
 # -- agreement ----------------------------------------------------------------
 
 
@@ -177,6 +202,7 @@ def assert_maps_match(a, b, w):
     for right in (sp, ProcSpace(UNBOUNDED, b, a), ProcSpace(strong_bound(a.scale), a, a)):
         m = MergeSpace(sp, right)
         assert mor_equal(m.zip(), ref_zip(m))
+        assert mor_equal(m.split(), ref_split(m))
 
 
 def test_grid_maps_match_the_references():
@@ -189,6 +215,7 @@ def test_merge_pairs_zip_like_the_reference():
         _, left, right = merge_pair(case)
         m = MergeSpace(left, right)
         assert mor_equal(m.zip(), ref_zip(m))
+        assert mor_equal(m.split(), ref_split(m))
 
 
 def forgetful_obj(scale):
