@@ -93,13 +93,6 @@ class Ongoing:
 ProcessValue = object  # Terminated | Ongoing
 
 
-def seen_value(value: ProcessValue, u: Fraction):
-    for time, x in value.seen:
-        if time == u:
-            return x
-    raise KeyError(f"no recorded value at time {u}")
-
-
 def rest_after(value: ProcessValue, u: Fraction) -> ProcessValue:
     """The suffix of a process value strictly after time u.
 
@@ -365,13 +358,6 @@ def nonstop_space(scale: TimeScale) -> LiveSpace:
     """Trivial never-stopping processes; the carrier is a singleton at
     every index."""
     return LiveSpace(UNBOUNDED, unit_obj(scale), empty_obj(scale))
-
-
-def nonstop_value(space: LiveSpace, i: IndexPair):
-    """The sole element of the nonstop carrier at index i."""
-    times = space.scale.open_closed(i.t, i.t0)
-    unit = Tup(())
-    return space.encode(i, unit, Ongoing(tuple((u, unit) for u in times)))
 
 
 # -- rendering --------------------------------------------------------------

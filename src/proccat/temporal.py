@@ -6,10 +6,10 @@ time: restricting along (t, t0, t0') forgets what was learned after t0.
 Temporal morphisms are families of maps, one per index, commuting with all
 restrictions.
 
-An object is built from its covers, the restrictions (t, p, q) between
-consecutive points: `temporal_obj` fills identities with identity maps and
-every other arrow with the composite of its covers, so naturality squares
-need checking along covers only.
+An object is its carriers and its covers, the restrictions (t, p, q)
+between consecutive points.  Every other restriction is derived on read,
+an identity arrow's as the identity map and any other's as the composite
+of its covers, so naturality squares need checking along covers only.
 
 `temporal_obj` and `temporal_mor` build without checking either law;
 `require_functor` and `require_natural` check them where a value enters.
@@ -52,9 +52,10 @@ from .times import IndexMor, IndexPair, TimeScale
 class TemporalObj:
     scale: TimeScale
     carrier: dict  # IndexPair -> FinObj
-    restrict: dict  # IndexMor -> FinMor
+    covers: dict  # IndexMor -> FinMor, for each cover of the scale
     # What the object was built from; only `check_functor` calls it.
     restrict_at: Callable[[IndexMor], FinMor] = field(compare=False, repr=False)
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     __hash__ = None
 
@@ -62,7 +63,23 @@ class TemporalObj:
         return self.carrier[index]
 
     def res(self, mor: IndexMor) -> FinMor:
-        return self.restrict[mor]
+        """The restriction along `mor`, derived on first read and kept."""
+        if mor in self.covers:
+            return self.covers[mor]
+        if mor not in self._derived:
+            if mor.t0 == mor.t0p:
+                self._derived[mor] = f_identity(self.carrier[mor.dst])
+            else:  # the arrow one cover shorter, after the cover out of mor.src
+                *_, lo, hi = self.scale.closed_closed(mor.t0, mor.t0p)
+                mors = self.scale.mors()
+                self._derived[mor] = f_compose(self.res(mors[mor.t, mor.t0, lo]),
+                                               self.covers[mors[mor.t, lo, hi]])
+        return self._derived[mor]
+
+    @property
+    def restrict(self) -> dict:
+        """The restriction along every index morphism, derived on read."""
+        return {m: self.res(m) for m in self.scale.index_mors()}
 
 
 def temporal_obj(
@@ -71,24 +88,10 @@ def temporal_obj(
     restrict_at: Callable[[IndexMor], FinMor],
 ) -> TemporalObj:
     """The object presented by its restrictions along covers, the only
-    arrows `restrict_at` is called on here.  Identities restrict by the
-    identity and every other arrow by the composite of its covers."""
+    arrows `restrict_at` is called on here."""
     carrier = {i: carrier_at(i) for i in scale.indices()}
-    # The cover out of (t, t0') is the first step of every longer arrow out
-    # of it.  The scale's own pairs key it, and they hash once.
-    step_from = {m.src: restrict_at(m) for m in scale.covers()}
-    restrict = {}
-    # `index_mors` runs t0' up from t0 for each (t, t0), so the arrow one
-    # cover shorter is the previous entry.  Its morphisms carry the scale's
-    # own pairs, so an identity is one whose ends are the same object.
-    for m in scale.index_mors():
-        if m.src is m.dst:
-            below = None
-            restrict[m] = f_identity(carrier[m.src])
-        else:
-            step = step_from[m.src]
-            below = restrict[m] = step if below is None else f_compose(below, step)
-    return TemporalObj(scale, carrier, restrict, restrict_at)
+    return TemporalObj(scale, carrier, {m: restrict_at(m) for m in scale.covers()},
+                       restrict_at)
 
 
 def require_functor(obj: TemporalObj) -> TemporalObj:
@@ -103,7 +106,7 @@ def require_functor(obj: TemporalObj) -> TemporalObj:
 def check_functor(obj: TemporalObj) -> Optional[str]:
     """Identities map to identities; restriction composes as the indices do.
 
-    The restrictions `temporal_obj` derived compose by construction, so
+    The restrictions `res` derives compose by construction, so
     what is checked is that the restriction the object was built from
     agrees with them along every arrow: None when it does, else a
     witness."""
@@ -113,7 +116,7 @@ def check_functor(obj: TemporalObj) -> Optional[str]:
             return f"restriction along {mor} has wrong endpoints"
         if direct == derived:
             continue
-        if mor.src is mor.dst:  # the scale's own morphism; see `temporal_obj`
+        if mor.src is mor.dst:  # the scale's own morphism; see `IndexMor`
             return f"restriction along identity {mor} is not the identity"
         bad = next(e for e in obj.at(mor.src) if direct(e) != derived(e))
         return (f"restriction along {mor} is not the composite of its covers at "
@@ -153,11 +156,12 @@ def require_natural(mor: TemporalMor) -> TemporalMor:
 def _square_gap(a: TemporalObj, b: TemporalObj, m: IndexMor,
                 at_src: FinMor, at_dst: FinMor) -> Optional[tuple]:
     """None when the naturality square of `m` commutes for the components
-    `at_src` (at m.src) and `at_dst` (at m.dst) of a family a -> b;
-    otherwise its two sides, restrict-after-map and map-after-restrict."""
-    left = f_compose(b.res(m), at_src)
-    right = f_compose(at_dst, a.res(m))
-    return None if left == right else (left, right)
+    `at_src` (at m.src) and `at_dst` (at m.dst) of a family a -> b, by
+    positions; otherwise its two sides, restrict-after-map and map-after-restrict."""
+    rb, ra = b.res(m), a.res(m)
+    if [*map(rb.pos.__getitem__, at_src.pos)] == [*map(at_dst.pos.__getitem__, ra.pos)]:
+        return None
+    return f_compose(rb, at_src), f_compose(at_dst, ra)
 
 
 def naturality_witness(mor: TemporalMor) -> Optional[str]:
@@ -256,7 +260,8 @@ def pointwise_coproduct(summands: Sequence[TemporalObj]) -> TemporalObj:
 
 
 def t_identity(obj: TemporalObj) -> TemporalMor:
-    return temporal_mor(obj, obj, lambda i: f_identity(obj.at(i)))
+    mors = obj.scale.mors()
+    return temporal_mor(obj, obj, lambda i: obj.res(mors[i.t, i.t0, i.t0]))
 
 
 def t_compose(f: TemporalMor, g: TemporalMor) -> TemporalMor:
@@ -417,19 +422,3 @@ def enumerate_nat_trans(
         del descend  # a self-reference: the search state dies with the call
     return found
 
-
-def brute_nat_trans(
-    a: TemporalObj, b: TemporalObj, cap: int = DEFAULT_CAP
-) -> list[TemporalMor]:
-    """Unpruned filter over the whole candidate space; oracle for the search."""
-    space = nat_trans_space(a, b)
-    if space > cap:
-        raise CapExceeded(space, cap)
-    indices = a.scale.indices()
-    per_index = [enumerate_mors(a.at(i), b.at(i), cap) for i in indices]
-    out = []
-    for choice in iter_product(*per_index):
-        cand = TemporalMor(a, b, dict(zip(indices, choice)))
-        if naturality_witness(cand) is None:
-            out.append(cand)
-    return out

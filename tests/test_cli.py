@@ -270,12 +270,21 @@ def test_cap_environment_override(monkeypatch):
 
 
 def test_bad_cap_environment_is_a_usage_error(monkeypatch, capsys, tmp_path):
-    monkeypatch.setenv("PROCCAT_CAP", "abc")
-    code, out, err = run(capsys, ["check", "--suites", "nonstop",
-                                  "--out", str(tmp_path)])
-    assert code == 2 and out == ""
-    assert "error:" in err and "PROCCAT_CAP" in err and "'abc'" in err
-    assert not (tmp_path / "report.jsonl").exists()
+    # The last case sets no variable and gives the bad cap as the option.
+    for value, option in (("abc", []), ("-5", []), ("0", []), ("", []),
+                          (None, ["--cap", "0"])):
+        if value is None:
+            monkeypatch.delenv("PROCCAT_CAP")
+        else:
+            monkeypatch.setenv("PROCCAT_CAP", value)
+        code, out, err = run(capsys, ["check", "--suites", "nonstop", *option,
+                                      "--out", str(tmp_path)])
+        assert code == 2 and out == "", (value, option)
+        assert any(line.startswith("error:") or ": error: " in line
+                   for line in err.splitlines()), err
+        assert not (tmp_path / "report.jsonl").exists()
+        if value in ("abc", ""):  # not an integer: the message names the source
+            assert "PROCCAT_CAP" in err and repr(value) in err
 
 
 def test_bad_cap_environment_leaves_other_commands_alone(monkeypatch, capsys):

@@ -25,7 +25,6 @@ from proccat.process import (
     live_map,
     proc_map,
     rest_after,
-    seen_value,
     strong_bound,
 )
 from proccat.temporal import (
@@ -43,6 +42,8 @@ from proccat.temporal import (
     unit_obj,
 )
 from proccat.times import IndexPair, TermBound, TimeScale, UNBOUNDED
+
+from process_values import seen_value
 
 # -- element-level references ------------------------------------------------
 

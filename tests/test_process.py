@@ -25,11 +25,9 @@ from proccat.process import (
     event_step_space,
     live_map,
     nonstop_space,
-    nonstop_value,
     proc_map,
     render_value,
     rest_after,
-    seen_value,
     strong_bound,
 )
 from proccat.temporal import (
@@ -44,6 +42,8 @@ from proccat.temporal import (
     unit_obj,
 )
 from proccat.times import IndexMor, IndexPair, TermBound, TimeScale, UNBOUNDED
+
+from process_values import seen_value
 
 SCALE = TimeScale.of(0, 1, 2)
 I02 = IndexPair(Fraction(0), Fraction(2))
@@ -221,6 +221,13 @@ def test_step_space_is_result_plus_live():
     lv = LiveSpace(UNBOUNDED, unit_obj(SCALE), flag_temporal(SCALE))
     for i in SCALE.indices():
         assert len(stp.obj.at(i)) == 2 + len(lv.obj.at(i))
+
+
+def nonstop_value(space: LiveSpace, i: IndexPair):
+    """The sole element of the nonstop carrier at index i."""
+    times = space.scale.open_closed(i.t, i.t0)
+    unit = Tup(())
+    return space.encode(i, unit, Ongoing(tuple((u, unit) for u in times)))
 
 
 def test_nonstop_space_is_a_point():

@@ -5,17 +5,22 @@ import os
 import pkgutil
 import subprocess
 import sys
+from itertools import product as iter_product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import proccat
-from proccat.finset import Atom, CapExceeded, Inj, Tup, _INTERNED, fin_mor, fin_obj, flag_obj
-from proccat.laws import poison
+from proccat.finset import (
+    Atom, CapExceeded, DEFAULT_CAP, FinMor, Inj, Tup, _INTERNED, compose, enumerate_mors,
+    fin_mor, fin_obj, flag_obj, identity,
+)
+from proccat.laws import law_grid, poison, stamp_parity_obj
+from proccat.operators import expanded_space, joining_space
 from proccat.process import ProcSpace
 from proccat.temporal import (
-    brute_nat_trans,
+    TemporalMor,
     check_functor,
     const_obj,
     empty_obj,
@@ -36,10 +41,53 @@ from proccat.temporal import (
     temporal_obj,
     unit_obj,
 )
-from proccat.times import UNBOUNDED, IndexPair, TimeScale
+from proccat.times import UNBOUNDED, IndexPair, TermBound, TimeScale
 
 SCALE = TimeScale.of(0, 1, 2)
 SMALL = TimeScale.of(0, 1)
+
+# -- references ---------------------------------------------------------------
+
+
+def ref_restrict(obj):
+    """Every restriction of `obj`, derived eagerly from the covers it was
+    built from, the way `temporal_obj` once stored them: identities
+    restrict by the identity map, and each longer arrow by the arrow one
+    cover shorter after the cover out of its source."""
+    step_from = {m.src: obj.restrict_at(m) for m in obj.scale.covers()}
+    restrict = {}
+    # `index_mors` runs t0' up from t0 for each (t, t0), so the arrow one
+    # cover shorter is the previous entry.
+    for m in obj.scale.index_mors():
+        if m.src is m.dst:
+            below = None
+            restrict[m] = identity(obj.at(m.src))
+        else:
+            step = step_from[m.src]
+            below = restrict[m] = step if below is None else compose(below, step)
+    return restrict
+
+
+def brute_nat_trans(a, b, cap=DEFAULT_CAP):
+    """Unpruned filter over the whole candidate space; oracle for the search."""
+    space = nat_trans_space(a, b)
+    if space > cap:
+        raise CapExceeded(space, cap)
+    indices = a.scale.indices()
+    per_index = [enumerate_mors(a.at(i), b.at(i), cap) for i in indices]
+    out = []
+    for choice in iter_product(*per_index):
+        cand = TemporalMor(a, b, dict(zip(indices, choice)))
+        if naturality_witness(cand) is None:
+            out.append(cand)
+    return out
+
+
+def assert_res_matches_the_reference(obj):
+    expected = ref_restrict(obj)
+    for m in obj.scale.index_mors():
+        assert obj.res(m) == expected[m], m
+    assert obj.restrict == expected
 
 
 def test_constant_objects_are_functors():
@@ -205,6 +253,74 @@ def test_an_object_is_built_from_its_covers(points):
             for c in covers:
                 image = c(image)
             assert obj.res(m)(e) == image
+
+
+def test_res_matches_the_eager_reference_on_the_grid():
+    for case in law_grid():
+        sp = case.space
+        for obj in (case.a, case.b, sp.obj, expanded_space(sp).obj,
+                    joining_space(sp).obj, pointwise_product([case.a, sp.obj])):
+            assert_res_matches_the_reference(obj)
+
+
+@given(st.lists(st.fractions(-3, 5, max_denominator=3), min_size=1, max_size=4,
+                unique=True),
+       st.one_of(st.none(), st.integers(0, 3)))
+@settings(max_examples=25, deadline=None)
+def test_res_matches_the_eager_reference_on_drawn_scales(points, w_at):
+    scale = TimeScale.of(*sorted(points))
+    w = UNBOUNDED if w_at is None else TermBound.at(scale.points[w_at % len(points)])
+    stamp = stamp_parity_obj(scale)
+    value = ProcSpace(UNBOUNDED, unit_obj(scale), unit_obj(scale)).obj
+    for obj in (stamp, flag_temporal(scale), ProcSpace(w, stamp, unit_obj(scale)).obj,
+                ProcSpace(w, value, flag_temporal(scale)).obj,
+                pointwise_coproduct([stamp, value])):
+        assert_res_matches_the_reference(obj)
+
+
+def test_a_process_space_object_builds_one_map_per_cover(monkeypatch):
+    scale = TimeScale.of(0, "1/2", 1, 3)
+    a, b = flag_temporal(scale), stamp_parity_obj(scale)
+    built = []
+    init = FinMor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FinMor, "__init__", counting)
+    obj = ProcSpace(UNBOUNDED, a, b).obj
+    assert len(built) == len(scale.covers()) == 6
+    assert list(map(id, built)) == list(map(id, obj.covers.values()))
+
+
+def test_a_derived_restriction_is_built_once():
+    obj = ProcSpace(UNBOUNDED, flag_temporal(SCALE), unit_obj(SCALE)).obj
+    for m in SCALE.index_mors():
+        assert obj.res(m) is obj.res(m)
+    ident, again = t_identity(obj), t_identity(obj)
+    for i in SCALE.indices():
+        assert ident.at(i) is again.at(i) is obj.res(SCALE.mors()[i.t, i.t0, i.t0])
+
+
+def test_the_covers_decide_equality():
+    base = ProcSpace(UNBOUNDED, flag_temporal(SCALE), unit_obj(SCALE)).obj
+    cover = next(m for m in SCALE.covers() if len(set(base.covers[m].pos)) > 1)
+
+    def restrict_at(m):
+        f = base.restrict_at(m)
+        if m != cover:
+            return f
+        pos = list(f.pos)
+        k = next(k for k, p in enumerate(pos) if p != pos[0])
+        pos[0], pos[k] = pos[k], pos[0]
+        return FinMor(f.dom, f.cod, pos=pos)
+
+    same = temporal_obj(SCALE, base.at, base.restrict_at)
+    other = temporal_obj(SCALE, base.at, restrict_at)
+    assert same.carrier == other.carrier and other != base
+    # Restrictions derived on read are kept outside equality.
+    assert base.restrict and not same._derived and same == base
 
 
 def test_const_obj_restricts_by_identity():
