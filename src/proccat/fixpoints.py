@@ -120,15 +120,20 @@ class CoiterProblem:
                                            lambda here, seed: Inj(1, rec(here, seed))),
             "seed map is not productive: a seed at %r restarts at its own time")
 
-    def equation_gap(self, cand: TemporalMor) -> Optional[str]:
-        """Check the defining property of a solution: mapping fresh seeds
-        through the candidate and concatenating must reproduce the
-        candidate.  Returns a witness of the first violation, or None."""
+    def image(self, cand: TemporalMor) -> Callable:
+        """The right-hand side of the defining equation, pointwise: a seed
+        through the seed map, each fresh seed through the candidate, then
+        concatenated.  A solution is its own image."""
         def onward(here: IndexPair, seed):
             return Inj(1, cand.at(here)(seed))
 
-        return first_mismatch(cand, lambda i, z: finish_round(
-            self.mixed, self.target, i, self.f.at(i)(z), onward))
+        return lambda i, z: finish_round(self.mixed, self.target, i,
+                                         self.f.at(i)(z), onward)
+
+    def equation_gap(self, cand: TemporalMor) -> Optional[str]:
+        """A witness of the first seed where the candidate differs from its
+        image, or None."""
+        return first_mismatch(cand, self.image(cand))
 
 
 def coiter_step(w: TermBound, a: TemporalObj, b: TemporalObj, c: TemporalObj,
@@ -209,15 +214,17 @@ class RecurProblem:
             fed = Ongoing(tuple(seen))
         return self.f.at(i)(self.paired.encode(i, fed))
 
-    def equation_gap(self, cand: TemporalMor) -> Optional[str]:
-        """Check the defining property of a solution: pairing every record
-        with the candidate's output on its suffix and consuming must
-        reproduce the candidate.  Returns a witness of the first
-        violation, or None."""
-        def aux(here: IndexPair, suffix):
-            return cand.at(here)(suffix)
+    def image(self, cand: TemporalMor) -> Callable:
+        """The right-hand side of the defining equation, pointwise: every
+        record paired with the candidate's output on its suffix, then
+        consumed.  A solution is its own image."""
+        return lambda i, elem: self._consume(i, elem, lambda here, suffix:
+                                             cand.at(here)(suffix))
 
-        return first_mismatch(cand, lambda i, elem: self._consume(i, elem, aux))
+    def equation_gap(self, cand: TemporalMor) -> Optional[str]:
+        """A witness of the first process where the candidate differs from
+        its image, or None."""
+        return first_mismatch(cand, self.image(cand))
 
 
 def recur_live(w: TermBound, a: TemporalObj, b: TemporalObj, c: TemporalObj,

@@ -376,49 +376,69 @@ def nat_trans_space(a: TemporalObj, b: TemporalObj) -> int:
     return count
 
 
-def enumerate_nat_trans(
-    a: TemporalObj, b: TemporalObj, cap: int = DEFAULT_CAP
-) -> list[TemporalMor]:
-    """Every natural family a -> b, by pruned depth-first search.
+class _Fixed(dict):
+    """The components a search has fixed so far.  Reading any other is an
+    error, so a pruned search can never rest on a guess."""
 
-    Visits candidate component assignments in lexicographic order (indices
-    ascending, maps in enumerate_mors order), discarding a partial
-    assignment as soon as a naturality square along a cover between
-    assigned indices fails.
-    The result order matches a plain filter over the full space.
+    def __missing__(self, index):
+        raise LookupError(f"the equation read the candidate at {index}, "
+                          "which the search has not fixed yet")
+
+
+def enumerate_nat_trans(
+    a: TemporalObj, b: TemporalObj, cap: int = DEFAULT_CAP,
+    equation: Optional[Callable[[TemporalMor], Callable]] = None,
+) -> list[TemporalMor]:
+    """Every natural family a -> b, by pruned depth-first search; with an
+    `equation`, only the families equal to ``equation(f)``, their own
+    pointwise image ``(i, e) -> element``.
+
+    Fixes one index at a time, latest stop first (t descending, then t0
+    ascending), and drops a partial assignment as soon as a naturality
+    square along a cover between fixed indices fails, or the image at the
+    index just fixed differs from its component.  The image may read the
+    candidate only where it is fixed, as every solver equation does (it
+    restarts strictly later); reading elsewhere raises LookupError.
+    The cap bounds the whole candidate space, and the result comes in the
+    order of a plain filter over it: indices ascending, maps in
+    enumerate_mors order.
     """
     space = nat_trans_space(a, b)
     if space > cap:
         raise CapExceeded(space, cap)
     indices = a.scale.indices()
+    order = sorted(indices, key=lambda i: (-i.t, i.t0))
     per_index = {i: enumerate_mors(a.at(i), b.at(i), cap) for i in indices}
-    pos_of = {i: k for k, i in enumerate(indices)}
+    pos_of = {i: k for k, i in enumerate(order)}
     mors_by_pos: dict[int, list[IndexMor]] = {}
     for m in a.scale.covers():
         latest = max(pos_of[m.src], pos_of[m.dst])
         mors_by_pos.setdefault(latest, []).append(m)
 
     found: list[TemporalMor] = []
-    chosen: dict[IndexPair, FinMor] = {}
+    chosen = _Fixed()
+    image = None if equation is None else equation(TemporalMor(a, b, chosen))
 
-    def square_ok(m: IndexMor) -> bool:
-        return _square_gap(a, b, m, chosen[m.src], chosen[m.dst]) is None
+    def fits(index: IndexPair, cand: FinMor, k: int) -> bool:
+        return (all(_square_gap(a, b, m, chosen[m.src], chosen[m.dst]) is None
+                    for m in mors_by_pos.get(k, ()))
+                and (image is None
+                     or all(cand(e) == image(index, e) for e in a.at(index).elements)))
 
     def descend(k: int) -> None:
-        if k == len(indices):
-            found.append(TemporalMor(a, b, dict(chosen)))
+        if k == len(order):
+            found.append(TemporalMor(a, b, {i: chosen[i] for i in indices}))
             return
-        index = indices[k]
+        index = order[k]
         for cand in per_index[index]:
             chosen[index] = cand
-            if all(square_ok(m) for m in mors_by_pos.get(k, ())):
+            if fits(index, cand, k):
                 descend(k + 1)
-        if index in chosen:
-            del chosen[index]
+        chosen.pop(index, None)
 
     try:
         descend(0)
     finally:
         del descend  # a self-reference: the search state dies with the call
-    return found
-
+    # enumerate_mors lists maps in position order.
+    return sorted(found, key=lambda f: [f.at(i).pos for i in indices])

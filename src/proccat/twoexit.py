@@ -6,12 +6,14 @@ solution assigns to every seed either an immediate answer or a finished
 process.  The two formulations determine each other; the translations in
 both directions are provided, along with an exhaustive search for
 solutions that does not involve the solver at all, so uniqueness can be
-established independently.
+established independently.  The search is pruned by the equation itself:
+a seed restarts only at a later stop, so the image at an index reads the
+candidate only at indices with a later t, which the search fixes first.
 """
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 from .finset import DEFAULT_CAP, Inj
 from .fixpoints import CoiterProblem, finish_round
@@ -75,10 +77,11 @@ class TwoExitProblem:
             t_coproduct_mor([t_identity(self.b), collapse]), self.g
         )
 
-    def is_solution(self, cand: TemporalMor) -> bool:
-        """A candidate solves the problem when classifying its own graft
-        reproduces it, checked seed by seed without building the graft:
-        a fresh seed at a stop is looked up in the candidate."""
+    def image(self, cand: TemporalMor) -> Callable:
+        """Classifying the candidate's own graft, pointwise and without
+        building the graft: a seed through the seed map, and on the
+        process exit each fresh seed at a stop looked up in the candidate.
+        A solution is its own image."""
         def onward(here: IndexPair, seed):
             return cand.at(here)(seed)
 
@@ -88,7 +91,11 @@ class TwoExitProblem:
                 return y
             return Inj(1, finish_round(self.inner, self.target, i, y.value, onward))
 
-        return first_mismatch(cand, image) is None
+        return image
+
+    def is_solution(self, cand: TemporalMor) -> bool:
+        """Whether the candidate is its own image, seed by seed."""
+        return first_mismatch(cand, self.image(cand)) is None
 
     def solve(self) -> TemporalMor:
         """The canonical solution, obtained through the one-exit solver:
@@ -104,14 +111,10 @@ class TwoExitProblem:
         return self.classify(collapse)
 
     def search(self, cap: int = DEFAULT_CAP) -> list:
-        """All solutions, found by filtering every natural map from seeds
-        to answers.  Independent of the solver; used to establish that
-        the solution is unique."""
-        return [
-            cand
-            for cand in enumerate_nat_trans(self.c, self.answers, cap=cap)
-            if self.is_solution(cand)
-        ]
+        """All solutions among the natural maps from seeds to answers, by
+        a search pruned by the equation.  Independent of the solver; used
+        to establish that the solution is unique."""
+        return enumerate_nat_trans(self.c, self.answers, cap, self.image)
 
 
 def defer_all(w: TermBound, a: TemporalObj, b: TemporalObj, c: TemporalObj,
@@ -162,11 +165,7 @@ def check_roundtrips(pr: TwoExitProblem, one_exit: Optional[TemporalMor] = None,
         return "collapsing the two-exit solution misses the one-exit solution"
     if not mor_equal(answers_from_collapse(pr, sol), cand):
         return "deferring into the one-exit solution misses the two-exit solution"
-    count = sum(
-        1
-        for x in enumerate_nat_trans(pr.c, cpr.target.obj, cap=cap)
-        if cpr.equation_gap(x) is None
-    )
+    count = len(enumerate_nat_trans(pr.c, cpr.target.obj, cap, cpr.image))
     if count != 1:
         return f"search finds {count} one-exit solutions, expected exactly one"
     return None

@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,12 +376,18 @@ def _argv(data, out_paths):
 @given(data=st.data())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_every_argument_list_gets_an_exit_code(out_paths, data):
-    # Whatever the arguments, the command ends with an exit code: a usage
-    # error (2) says why on stderr, and nothing escapes as an exception.
+    # Whatever the arguments and PROCCAT_CAP (None: unset), the command
+    # ends with an exit code: a usage error (2) says why on stderr, and
+    # nothing escapes as an exception.
     argv = _argv(data, out_paths)
+    cap_env = data.draw(st.sampled_from([None, "1", "10", "0", "-5", "abc", ""]))
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        os.environ.pop("PROCCAT_CAP", None)
+        if cap_env is not None:
+            os.environ["PROCCAT_CAP"] = cap_env
         code = main(argv)
-    assert code in (0, 1, 2, 3), argv
+    assert code in (0, 1, 2, 3), (argv, cap_env)
     if code == 2:
-        assert "error:" in stderr.getvalue(), argv
+        assert "error:" in stderr.getvalue(), (argv, cap_env)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from proccat.finset import Atom, FinMor, Inj, UNIT_ELEM
+from proccat.finset import Atom, CapExceeded, DEFAULT_CAP, FinMor, Inj, UNIT_ELEM
 from proccat.fixpoints import (
     CoiterProblem,
     RecurProblem,
@@ -14,6 +14,7 @@ from proccat.fixpoints import (
     recur_live,
 )
 from proccat.laws import (
+    _uniqueness_witness,
     coiter_problems,
     pair_variant_problem,
     parity_stop_elem,
@@ -38,6 +39,7 @@ from proccat.temporal import (
     TemporalMor,
     enumerate_nat_trans,
     first_difference,
+    first_mismatch,
     mor_equal,
     naturality_witness,
     pointwise_coproduct,
@@ -176,6 +178,82 @@ def test_pointwise_equation_gap_agrees_with_the_composite():
             gaps.append(gap)
     # One solution per problem; every other candidate has a witness.
     assert len(gaps) == 593 and gaps.count(None) == 7
+
+
+def swept_equations():
+    """Every equation the uniqueness and two-exit suites search solutions
+    of: the four uniqueness problems, the three one-exit problems
+    `check_roundtrips` counts, and the four two-exit problems."""
+    two_exit = [("two_exit_" + name, pr, (pr.c, pr.answers))
+                for name, pr, _ in two_exit_problems()]
+    return curated_equations() + two_exit
+
+
+def ref_solutions(dom, cod, pr):
+    """Enumerate-then-filter: every natural candidate, kept when it is its
+    own image."""
+    return [x for x in enumerate_nat_trans(dom, cod)
+            if first_mismatch(x, pr.image(x)) is None]
+
+
+def test_the_pruned_sweep_returns_the_filtered_candidates():
+    equations = swept_equations()
+    assert len(equations) == 11
+    for name, pr, (dom, cod) in equations:
+        got = enumerate_nat_trans(dom, cod, equation=pr.image)
+        want = ref_solutions(dom, cod, pr)
+        assert [x.components for x in got] == [x.components for x in want], name
+        assert len(got) == 1 and mor_equal(got[0], pr.solve()), name
+
+
+def test_a_pruned_sweep_keeps_the_plain_order():
+    # An equation every candidate meets (reading only the index just
+    # fixed) must give back the plain enumeration, in its order.
+    for name, pr, (dom, cod) in swept_equations():
+        everything = enumerate_nat_trans(
+            dom, cod, equation=lambda cand: lambda i, z: cand.at(i)(z))
+        plain = enumerate_nat_trans(dom, cod)
+        assert [x.components for x in everything] == [x.components for x in plain], name
+
+
+class Recording(dict):
+    """Components that remember the indices read from them."""
+
+    def __init__(self, components):
+        super().__init__(components)
+        self.read = set()
+
+    def __getitem__(self, index):
+        self.read.add(index)
+        return super().__getitem__(index)
+
+
+def test_every_equation_reads_only_later_stops():
+    # What makes the pruned sweep exact: the image at (t, t0) reads the
+    # candidate only at (u, t0) with u > t, which the sweep fixes first.
+    reads = 0
+    for name, pr, _ in swept_equations():
+        sol = pr.solve()
+        for i in sol.dom.scale.indices():
+            for z in sol.dom.at(i).elements:
+                components = Recording(sol.components)
+                pr.image(TemporalMor(sol.dom, sol.cod, components))(i, z)
+                assert all(j.t0 == i.t0 and j.t > i.t for j in components.read), (name, i)
+                reads += len(components.read)
+    assert reads > 0
+
+
+def test_a_failed_uniqueness_witness_counts_every_natural_candidate(monkeypatch):
+    pr = RECUR["stop_parity"]
+    wrong = poison(pr.solve())
+    monkeypatch.setattr(pr, "solve", lambda: wrong)
+    assert _uniqueness_witness(pr, "recur", DEFAULT_CAP) == (
+        "1 of 495 natural candidates satisfy the equation, expected exactly "
+        "the solver's")
+    # The cap bounds the whole candidate space, not the natural candidates.
+    with pytest.raises(CapExceeded) as err:
+        _uniqueness_witness(pr, "recur", 10124)
+    assert (err.value.count, err.value.cap) == (10125, 10124)
 
 
 def test_seed_map_endpoints_are_validated():

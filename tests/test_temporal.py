@@ -187,6 +187,23 @@ def test_enumeration_agrees_with_brute_filter():
         assert naturality_witness(f) is None
 
 
+def test_enumeration_keeps_the_brute_filter_order():
+    # The search fixes the latest stops first, then sorts its finds back
+    # into the order of a plain filter: indices ascending.
+    a = stamp_parity_obj(SCALE)
+    b = pointwise_coproduct([unit_obj(SCALE), unit_obj(SCALE)])
+    fast, slow = enumerate_nat_trans(a, b), brute_nat_trans(a, b)
+    assert len(fast) > 1
+    assert [f.components for f in fast] == [g.components for g in slow]
+
+
+def test_an_equation_reading_an_unfixed_index_raises():
+    a = flag_temporal(SCALE, 2)
+    first = SCALE.indices()[0]  # the earliest stop, fixed last
+    with pytest.raises(LookupError, match="not fixed"):
+        enumerate_nat_trans(a, a, equation=lambda f: lambda i, e: f.at(first)(e))
+
+
 def test_enumeration_cap():
     a = flag_temporal(SCALE, 2)
     with pytest.raises(CapExceeded):

@@ -111,6 +111,8 @@ def test_a_roundtrip_witness_names_the_first_broken_promise(monkeypatch):
     monkeypatch.setattr(TwoExitProblem, "solve", lambda self: wrong)
     assert check_roundtrips(pr, one_exit) == (
         "the solver's answer fails the two-exit equation")
-    monkeypatch.setattr(TwoExitProblem, "is_solution", lambda self, cand: True)
+    # An image every candidate meets: the search keeps all 24 natural maps.
+    monkeypatch.setattr(TwoExitProblem, "image",
+                        lambda self, cand: lambda i, z: cand.at(i)(z))
     assert check_roundtrips(pr, one_exit) == (
         "search finds 24 two-exit solutions, expected exactly the solver's")
