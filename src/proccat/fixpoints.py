@@ -19,24 +19,15 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .finset import Inj, Tup, fin_mor
+from .finset import FinMor
 from .operators import join, joining_space, splice
-from .process import (
-    LiveSpace,
-    Ongoing,
-    ProcSpace,
-    Terminated,
-    live_map,
-    proc_map,
-    rest_after,
-)
+from .process import LiveSpace, ProcSpace, live_map, proc_map
 from .temporal import (
     TemporalMor,
     TemporalObj,
     first_mismatch,
     pointwise_coproduct,
     pointwise_product,
-    temporal_mor,
     t_compose,
     t_coproduct_mor,
     t_identity,
@@ -45,45 +36,47 @@ from .temporal import (
 from .times import IndexPair, TermBound
 
 
-def finish_round(mixed: LiveSpace, target: LiveSpace, i: IndexPair, elem,
-                 onward: Callable):
-    """Finish one round of a seed map.  ``elem`` is a (value, process)
-    pair of ``mixed`` at ``i`` whose result is final (left) or a fresh
-    seed (right), which ``onward(here, seed)`` turns into an element of
-    the step space over ``target`` at the stop; the process is spliced
-    with it as `join` does.  Returns the element of ``target`` at ``i``."""
-    x, v = mixed.decode(i, elem)
-    if isinstance(v, Terminated):
-        r = v.result
-        if r.tag == 1:
-            r = onward(target.scale.pairs()[v.at_time, i.t0], r.value)
-        v = splice(target.proc, i.t0, v, r)
-    return target.encode(i, x, v)
+def finish_round(mixed: LiveSpace, target: LiveSpace, i: IndexPair, p: int,
+                 onward: Callable) -> int:
+    """Finish one round of a seed map, by position: ``p`` is a (value,
+    process) pair of ``mixed`` at ``i`` whose result is final (left) or a
+    fresh seed (right), which ``onward(here, seed)`` turns into a
+    position in the step space over ``target`` at the stop, spliced on
+    as `join` does.  Returns the position in ``target`` at ``i``."""
+    x, q = divmod(p, len(mixed.proc._carriers[i]))
+    k, r = mixed.proc._layout[i].locate(q)
+    lay = target.proc._layout[i]
+    if k == lay.stops:  # still running: the record carries over
+        out = lay.offsets[k] + r
+    else:
+        here = lay.run[k]
+        prefix, y = divmod(r, len(mixed.b.at(here)))
+        n = len(target.b.at(here))
+        out = splice(target.proc, i, k, prefix, y if y < n else onward(here, y - n))
+    return x * len(target.proc._carriers[i]) + out
 
 
 def _memo_solve(dom: TemporalObj, cod: TemporalObj, step: Callable,
                 cycle: str) -> TemporalMor:
-    """The family dom -> cod whose image of z at i is ``step(i, z, rec)``,
-    where ``rec(here, z')`` is the family's own image there, computed
-    once each.  RuntimeError(``cycle % (i,)``) when an image needs
-    itself."""
-    memo: dict = {}
-    active: set = set()
+    """The family dom -> cod whose image of position z at i is ``step(i,
+    z, rec)``, where ``rec(here, z')`` is the family's own image there,
+    computed once each.  RuntimeError(``cycle % (i,)``) when an image
+    needs itself."""
+    memo = {i: [None] * len(dom.at(i)) for i in dom.scale.indices()}
 
-    def value_at(i: IndexPair, z):
-        key = (i, z)
-        if key in memo:
-            return memo[key]
-        if key in active:
+    def value_at(i: IndexPair, z: int) -> int:
+        row = memo[i]
+        out = row[z]
+        if out is None:
+            row[z] = -1  # in progress
+            out = row[z] = step(i, z, value_at)
+        elif out < 0:
             raise RuntimeError(cycle % (i,))
-        active.add(key)
-        out = memo[key] = step(i, z, value_at)
-        active.discard(key)
         return out
 
     try:
-        return temporal_mor(dom, cod, lambda i: fin_mor(
-            dom.at(i), cod.at(i), lambda z: value_at(i, z)))
+        return TemporalMor(dom, cod, {i: FinMor(dom.at(i), cod.at(i), pos=[
+            value_at(i, z) for z in range(len(row))]) for i, row in memo.items()})
     finally:
         del value_at  # a self-reference: the memo dies with the call
 
@@ -113,22 +106,28 @@ class CoiterProblem:
 
     def solve(self) -> TemporalMor:
         """Iterate the seed map to exhaustion: from seeds to processes
-        whose result object is final answers only."""
-        return _memo_solve(
-            self.c, self.target.obj,
-            lambda i, z, rec: finish_round(self.mixed, self.target, i, self.f.at(i)(z),
-                                           lambda here, seed: Inj(1, rec(here, seed))),
-            "seed map is not productive: a seed at %r restarts at its own time")
+        whose result object is final answers only.  Kept: later calls
+        return the same map, which callers must not change."""
+        if "_solution" not in vars(self):
+            self._solution = _memo_solve(
+                self.c, self.target.obj, self._round,
+                "seed map is not productive: a seed at %r restarts at its own time")
+        return self._solution
+
+    def _round(self, i: IndexPair, z: int, then: Callable) -> int:
+        """Seed position z at i through the seed map, each fresh seed
+        handed to ``then(here, seed)``, a position in the target there,
+        and concatenated."""
+        b = self.b
+        return finish_round(self.mixed, self.target, i, self.f.at(i).pos[z],
+                            lambda here, seed: len(b.at(here)) + then(here, seed))
 
     def image(self, cand: TemporalMor) -> Callable:
-        """The right-hand side of the defining equation, pointwise: a seed
-        through the seed map, each fresh seed through the candidate, then
-        concatenated.  A solution is its own image."""
-        def onward(here: IndexPair, seed):
-            return Inj(1, cand.at(here)(seed))
-
-        return lambda i, z: finish_round(self.mixed, self.target, i,
-                                         self.f.at(i)(z), onward)
+        """The right-hand side of the defining equation, by position: a
+        seed through the seed map, each fresh seed through the candidate,
+        then concatenated.  A solution is its own image."""
+        comps = cand.components
+        return lambda i, z: self._round(i, z, lambda here, seed: comps[here].pos[seed])
 
     def equation_gap(self, cand: TemporalMor) -> Optional[str]:
         """A witness of the first seed where the candidate differs from its
@@ -192,34 +191,40 @@ class RecurProblem:
         self.f = f
 
     def solve(self) -> TemporalMor:
-        return _memo_solve(
-            self.source.obj, self.c, self._consume,
-            "consumer is not well founded: the process at %r is its own suffix")
+        """Kept for later calls, as `CoiterProblem.solve` is."""
+        if "_solution" not in vars(self):
+            self._solution = _memo_solve(
+                self.source.obj, self.c, self._consume,
+                "consumer is not well founded: the process at %r is its own suffix")
+        return self._solution
 
-    def _consume(self, i: IndexPair, elem, aux: Callable):
-        """The consumer's output on process ``elem`` at ``i`` once every
-        record is paired with ``aux(here, suffix)``, the auxiliary
+    def _consume(self, i: IndexPair, q: int, aux: Callable) -> int:
+        """The consumer's output on process position ``q`` at ``i`` once
+        every record is paired with ``aux(here, suffix)``, the auxiliary
         component of the suffix starting at that record: the recursive
-        memo when solving, the candidate when checking."""
-        v = self.source.decode(i, elem)
-        pair = self.source.scale.pairs()
-        seen = []
-        for u, x in v.seen:
-            here = pair[u, i.t0]
-            suffix = self.source.encode(here, rest_after(v, u))
-            seen.append((u, Tup((x, aux(here, suffix)))))
-        if isinstance(v, Terminated):
-            fed = Terminated(v.at_time, tuple(seen), v.result)
-        else:
-            fed = Ongoing(tuple(seen))
-        return self.f.at(i)(self.paired.encode(i, fed))
+        memo when solving, the candidate when checking.  By position: the
+        process keeps its summand k (its stop, or the running record), and
+        value digit j gains the auxiliary digit of its suffix, the trailing
+        digits in summand k - j - 1 at the record's index, as in `expand`."""
+        lay = self.source._layout[i]
+        k, r = lay.locate(q)
+        width = len(self.b.at(lay.run[k])) if k < lay.stops else 1
+        out, scale = r % width, width
+        for j in reversed(range(k)):
+            here = lay.run[j]
+            n, nc = len(self.a.at(here)), len(self.c.at(here))
+            suffix = self.source._layout[here].offsets[k - j - 1] + r % width
+            out += (r // width % n * nc + aux(here, suffix)) * scale
+            scale *= n * nc
+            width *= n
+        return self.f.at(i).pos[self.paired._layout[i].offsets[k] + out]
 
     def image(self, cand: TemporalMor) -> Callable:
-        """The right-hand side of the defining equation, pointwise: every
-        record paired with the candidate's output on its suffix, then
-        consumed.  A solution is its own image."""
-        return lambda i, elem: self._consume(i, elem, lambda here, suffix:
-                                             cand.at(here)(suffix))
+        """The right-hand side of the defining equation, by position:
+        every record paired with the candidate's output on its suffix,
+        then consumed.  A solution is its own image."""
+        comps = cand.components
+        return lambda i, q: self._consume(i, q, lambda here, s: comps[here].pos[s])
 
     def equation_gap(self, cand: TemporalMor) -> Optional[str]:
         """A witness of the first process where the candidate differs from

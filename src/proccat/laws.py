@@ -15,7 +15,9 @@ and runs every selected grid suite on it before building the next, so
 the suites share the case's spaces and carriers, and the operator maps
 built on them (`expand` and `join` are interned on their space).  The
 case holds what they built until its last suite has run, so one case is
-alive at a time.
+alive at a time.  The solver suites then share one `Curated` holder, so
+a run builds and solves each curated problem once; nothing outlives
+the run.
 
 Every check returns a witness.  A string, which shows the law failing at
 some element, makes the verdict `fail`; None makes it `pass`; and
@@ -296,14 +298,16 @@ def _suite(body):
     arguments: one report per pair, each `witness_of` called before the
     body resumes.  A grid suite's body checks one `Case`; called with
     no case, it runs the whole grid (and, for merging, the extra pairs).
-    The other suites take no case."""
+    The other suites take the run's `Curated` problems as their case, or
+    build their own when called with none."""
     name = body.__name__.removeprefix("suite_")
 
     @wraps(body)
     def suite(cap: int = DEFAULT_CAP, mutated: bool = False,
-              case: Optional[Case] = None) -> list:
+              case: Optional[Case | Curated] = None) -> list:
         if case is None and name in GRID_SUITES:
             return _run([name], cap, name if mutated else None)
+        case = Curated() if case is None else case
         return [_report(name, label, witness_of)
                 for label, witness_of in body(cap, mutated, case)]
 
@@ -459,7 +463,7 @@ def _one_element_each(space: LiveSpace) -> Optional[str]:
 
 
 @_suite
-def suite_nonstop(cap: int, mutated: bool, case: None):
+def suite_nonstop(cap: int, mutated: bool, case: Curated):
     """With no stop bound and no possible results, exactly one process
     exists at every index: the one that runs forever.  The mutated run
     tightens the bound to the last point, which empties late carriers."""
@@ -664,16 +668,16 @@ def pair_variant_problem():
             _natural(src, stamps, stamp))
 
 
-def two_exit_problems() -> list:
-    """Two-exit problems: three deferred forms of the curated seed maps
-    plus one that genuinely answers immediately on one seed."""
+def two_exit_problems(coiter: list) -> list:
+    """Two-exit problems: deferred forms of three `coiter` seed maps, each
+    with its one-exit problem, plus one that answers at once on one seed."""
     sc, u, f = _standard()
-    named = dict(coiter_problems())
+    named = dict(coiter)
     out = []
     for name in ("finish_next", "run_forever", "handoff_once"):
         pr = named[name]
         out.append(("defer_" + name,
-                    defer_all(pr.w, pr.a, pr.b, pr.c, pr.f), pr.f))
+                    defer_all(pr.w, pr.a, pr.b, pr.c, pr.f), pr))
 
     inner = LiveSpace(UNBOUNDED, u, pointwise_coproduct([u, f]))
     cod = pointwise_coproduct([u, inner.obj])
@@ -690,16 +694,28 @@ def two_exit_problems() -> list:
     return out
 
 
-def uniqueness_problems() -> list:
-    """Problems whose full candidate spaces fit comfortably under the cap."""
-    named_c = dict(coiter_problems())
-    named_r = dict(recur_problems())
+def uniqueness_problems(coiter: list, recur: list) -> list:
+    """Problems whose full candidate spaces fit comfortably under the cap,
+    picked from `coiter` and `recur`."""
+    named_c, named_r = dict(coiter), dict(recur)
     return [
-        ("finish_next", "coiter", named_c["finish_next"]),
-        ("handoff_once", "coiter", named_c["handoff_once"]),
-        ("constant_label", "recur", named_r["constant_label"]),
-        ("stop_parity", "recur", named_r["stop_parity"]),
+        ("finish_next", named_c["finish_next"]),
+        ("handoff_once", named_c["handoff_once"]),
+        ("constant_label", named_r["constant_label"]),
+        ("stop_parity", named_r["stop_parity"]),
     ]
+
+
+class Curated:
+    """The curated problems of one run, as the solver suites receive them:
+    each family built on first use, from the families it shares problems
+    with.  A one-exit problem keeps its solution, so a run solves each
+    once."""
+
+    coiter = cached_property(lambda self: coiter_problems())
+    recur = cached_property(lambda self: recur_problems())
+    two_exit = cached_property(lambda self: two_exit_problems(self.coiter))
+    uniqueness = cached_property(lambda self: uniqueness_problems(self.coiter, self.recur))
 
 
 # -- suites over the curated problems ---------------------------------------
@@ -715,17 +731,17 @@ def _equation_gaps(problems: list, mutated: bool):
 
 
 @_suite
-def suite_corecursion(cap: int, mutated: bool, case: None):
-    return _equation_gaps(coiter_problems(), mutated)
+def suite_corecursion(cap: int, mutated: bool, case: Curated):
+    return _equation_gaps(case.coiter, mutated)
 
 
 @_suite
-def suite_recursion(cap: int, mutated: bool, case: None):
-    return _equation_gaps(recur_problems(), mutated)
+def suite_recursion(cap: int, mutated: bool, case: Curated):
+    return _equation_gaps(case.recur, mutated)
 
 
 @_suite
-def suite_derived(cap: int, mutated: bool, case: None):
+def suite_derived(cap: int, mutated: bool, case: Curated):
     """Each derived solver satisfies its one-step unfolding identity."""
     name, w, a, b, c, f = step_variant_problem()
     sol = coiter_step(w, a, b, c, f)
@@ -754,30 +770,28 @@ def suite_derived(cap: int, mutated: bool, case: None):
     yield "problem=" + name, partial(first_difference, sol, rhs)
 
 
-def _uniqueness_witness(pr, kind: str, cap: int) -> Optional[str]:
-    dom, cod = ((pr.c, pr.target.obj) if kind == "coiter"
-                else (pr.source.obj, pr.c))
-    matches = enumerate_nat_trans(dom, cod, cap, pr.image)
-    if len(matches) == 1 and mor_equal(matches[0], pr.solve()):
+def _uniqueness_witness(pr, cap: int) -> Optional[str]:
+    sol = pr.solve()
+    matches = enumerate_nat_trans(sol.dom, sol.cod, cap, pr.image)
+    if len(matches) == 1 and mor_equal(matches[0], sol):
         return None
     # Only a failure counts the natural candidates, for its witness.
-    total = len(enumerate_nat_trans(dom, cod, cap))
+    total = len(enumerate_nat_trans(sol.dom, sol.cod, cap))
     return (f"{len(matches)} of {total} natural candidates "
             f"satisfy the equation, expected exactly the solver's")
 
 
 @_suite
-def suite_uniqueness(cap: int, mutated: bool, case: None):
+def suite_uniqueness(cap: int, mutated: bool, case: Curated):
     """Exhaustive search over all natural candidates confirms that exactly
     one satisfies each defining equation, and that it is the solver's."""
-    for name, kind, pr in uniqueness_problems():
-        yield ("problem=" + name,
-               partial(_uniqueness_witness, pr, kind, cap))
+    for name, pr in case.uniqueness:
+        yield "problem=" + name, partial(_uniqueness_witness, pr, cap)
 
 
 @_suite
-def suite_two_exit(cap: int, mutated: bool, case: None):
-    for name, pr, one_exit in two_exit_problems():
+def suite_two_exit(cap: int, mutated: bool, case: Curated):
+    for name, pr, one_exit in case.two_exit:
         yield ("problem=" + name,
                partial(check_roundtrips, pr, one_exit, cap))
 
@@ -817,9 +831,10 @@ def _run(chosen: Sequence[str], cap: int, mutate: Optional[str]) -> list:
     if "merging" in grid:
         for case in merge_extras():
             reports.extend(SUITES["merging"](cap, mutate == "merging", case))
+    curated = Curated()
     for n in chosen:
         if n not in GRID_SUITES:
-            reports.extend(SUITES[n](cap, n == mutate))
+            reports.extend(SUITES[n](cap, n == mutate, curated))
     return reports
 
 

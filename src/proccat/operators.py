@@ -20,14 +20,7 @@ from itertools import chain, cycle, product
 from math import prod
 
 from .finset import FinMor, _interned
-from .process import (
-    LiveSpace,
-    Ongoing,
-    ProcSpace,
-    ProcessValue,
-    StepSpace,
-    Terminated,
-)
+from .process import LiveSpace, ProcSpace, StepSpace
 from .temporal import (
     TemporalMor,
     pointwise_coproduct,
@@ -126,20 +119,15 @@ def joining_space(sp: ProcSpace) -> ProcSpace:
     return ProcSpace(sp.w, sp.a, StepSpace(sp.w, sp.a, sp.b).obj)
 
 
-def splice(sp: ProcSpace, t0, v: Terminated, then) -> ProcessValue:
-    """The stopped process ``v`` (horizon ``t0``) continued by ``then``, an
-    element of the step space over ``sp`` at ``v``'s stop time.  An
-    already-stopped ``then`` stops the concatenation right there;
-    otherwise the handed-over process contributes its current value at
-    the splice time and everything after."""
-    if then.tag == 0:
-        return Terminated(v.at_time, v.seen, then.value)
-    x, q_elem = then.value.items
-    q = sp.decode(sp.scale.pairs()[v.at_time, t0], q_elem)
-    seen = v.seen + ((v.at_time, x),) + q.seen
-    if isinstance(q, Terminated):
-        return Terminated(q.at_time, seen, q.result)
-    return Ongoing(seen)
+def splice(sp: ProcSpace, i: IndexPair, k: int, prefix: int, then: int) -> int:
+    """`join` for one element: the position at i of the process that
+    stops at the k-th point of i's run, its first k values at position
+    `prefix` of their product, continued by `then`, a position in the
+    step space over `sp` at that point: the answer's or handover's row in
+    `_stopped` or `_onward`."""
+    rows = _stopped(sp, i, k)
+    base, width = rows[then] if then < len(rows) else _onward(sp, i, k)[then - len(rows)]
+    return base + prefix * width
 
 
 def _stopped(sp: ProcSpace, i: IndexPair, k: int) -> list:

@@ -28,6 +28,7 @@ those summands; it builds and decodes no element.
 from __future__ import annotations
 
 import copy
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
@@ -93,20 +94,6 @@ class Ongoing:
 ProcessValue = object  # Terminated | Ongoing
 
 
-def rest_after(value: ProcessValue, u: Fraction) -> ProcessValue:
-    """The suffix of a process value strictly after time u.
-
-    The result is a process value based at present time u (same horizon).
-    For a Terminated value u must lie strictly before the stop time.
-    """
-    later = tuple((time, x) for time, x in value.seen if time > u)
-    if isinstance(value, Terminated):
-        if u >= value.at_time:
-            raise ValueError(f"no suffix after {u}: process stopped at {value.at_time}")
-        return Terminated(value.at_time, later, value.result)
-    return Ongoing(later)
-
-
 class _Layout(NamedTuple):
     """The carrier at one index as a coproduct of products."""
 
@@ -119,6 +106,13 @@ class _Layout(NamedTuple):
     stops: int  # the admissible stop times are times[:stops]
     summands: tuple  # per stop time, then in case 3 the running record
     offsets: tuple  # the position of each summand's first element
+
+    def locate(self, q: int) -> tuple:
+        """(k, r): carrier position q is position r of summand k, the
+        stop at the k-th point of the run or, at k == stops, the running
+        record.  Either way the process has recorded k values."""
+        k = bisect_right(self.offsets, q) - 1
+        return k, q - self.offsets[k]
 
 
 @_per_scale
@@ -134,6 +128,12 @@ def _shape(scale: TimeScale, w: TermBound, i: IndexPair) -> tuple:
         if w.time <= i.t0:
             return 2, times, run, len(scale.open_closed(i.t, w.time))
     return 3, times, run, len(run)
+
+
+@_per_scale
+def _along(scale: TimeScale, m: IndexMor) -> tuple:
+    """The scale's own morphism (u, m.t0, m.t0p) for each u in (m.t, m.t0]."""
+    return tuple(scale.mors()[u, m.t0, m.t0p] for u in scale.open_closed(m.t, m.t0))
 
 
 class ProcSpace:
@@ -236,11 +236,11 @@ class ProcSpace:
         image of their restriction repeats once per combination of the
         factors dropped."""
         src, dst = self._layout[m.src], self._layout[m.dst]
-        mors = self.scale.mors()
-        values = [self.a.res(mors[u, m.t0, m.t0p]) for u in dst.times]
+        along = _along(self.scale, m)
+        values = [*map(self.a.res, along)]
         pos = []
         for k, off in zip(range(dst.stops), dst.offsets):
-            ending = self.b.res(mors[dst.times[k], m.t0, m.t0p])
+            ending = self.b.res(along[k])
             pos.extend(map(off.__add__, product_pos([*values[:k], ending])))
         late = [s for s in src.summands[dst.stops:] if len(s)]
         if late:

@@ -191,24 +191,26 @@ def first_difference(f: TemporalMor, g: TemporalMor) -> Optional[str]:
     and the two images, as a printable witness.  None when equal."""
     if f.dom != g.dom or f.cod != g.cod:
         raise ValueError("comparing morphisms with different endpoints")
-    # Positions decide; elements are walked only at the first index where
-    # they differ, to print the witness.
+    # Positions decide; `first_mismatch` walks the first index where they
+    # differ, to print the witness.
     i = next((i for i in f.dom.scale.indices() if f.at(i).pos != g.at(i).pos), None)
-    return None if i is None else first_mismatch(f, lambda j, e: g.at(j)(e), [i])
+    return None if i is None else first_mismatch(f, lambda j, p: g.at(j).pos[p], [i])
 
 
 def first_mismatch(f: TemporalMor, image: Callable,
                    indices: Optional[Sequence] = None) -> Optional[str]:
-    """Where ``f`` first disagrees with ``image(i, e)``, a pointwise image
-    of every element ``e`` of ``f``'s domain at index ``i``, visited in
-    index (all of them, or `indices`) then element order.  The witness
-    `first_difference` prints; None when they agree everywhere."""
+    """Where ``f`` first disagrees with ``image(i, p)``, the codomain
+    position of every domain position ``p`` at index ``i``, visited in
+    index (all of them, or `indices`) then position order, printed by
+    elements: the witness `first_difference` prints; None if none."""
     for i in indices or f.dom.scale.indices():
         fi = f.at(i)
-        for e in f.dom.at(i).elements:
-            left, right = fi(e), image(i, e)
+        for p, left in enumerate(fi.pos):
+            right = image(i, p)
             if left != right:
-                return f"at {i}: {e!r} maps to {left!r} vs {right!r}"
+                cod = fi.cod.elements
+                return (f"at {i}: {fi.dom.elements[p]!r} maps to {cod[left]!r} "
+                        f"vs {cod[right]!r}")
     return None
 
 
@@ -260,8 +262,9 @@ def pointwise_coproduct(summands: Sequence[TemporalObj]) -> TemporalObj:
 
 
 def t_identity(obj: TemporalObj) -> TemporalMor:
-    mors = obj.scale.mors()
-    return temporal_mor(obj, obj, lambda i: obj.res(mors[i.t, i.t0, i.t0]))
+    # The scale's own identity arrows, found by `src is dst` (see `IndexMor`).
+    return TemporalMor(obj, obj, {m.src: obj.res(m) for m in obj.scale.index_mors()
+                                  if m.src is m.dst})
 
 
 def t_compose(f: TemporalMor, g: TemporalMor) -> TemporalMor:
@@ -391,7 +394,7 @@ def enumerate_nat_trans(
 ) -> list[TemporalMor]:
     """Every natural family a -> b, by pruned depth-first search; with an
     `equation`, only the families equal to ``equation(f)``, their own
-    pointwise image ``(i, e) -> element``.
+    pointwise image ``(i, p) -> position``.
 
     Fixes one index at a time, latest stop first (t descending, then t0
     ascending), and drops a partial assignment as soon as a naturality
@@ -423,7 +426,7 @@ def enumerate_nat_trans(
         return (all(_square_gap(a, b, m, chosen[m.src], chosen[m.dst]) is None
                     for m in mors_by_pos.get(k, ()))
                 and (image is None
-                     or all(cand(e) == image(index, e) for e in a.at(index).elements)))
+                     or all(q == image(index, p) for p, q in enumerate(cand.pos))))
 
     def descend(k: int) -> None:
         if k == len(order):

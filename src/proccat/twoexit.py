@@ -12,10 +12,9 @@ candidate only at indices with a later t, which the search fixes first.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, Optional
 
-from .finset import DEFAULT_CAP, Inj
+from .finset import DEFAULT_CAP
 from .fixpoints import CoiterProblem, finish_round
 from .operators import join_live
 from .process import LiveSpace, live_map
@@ -52,23 +51,13 @@ class TwoExitProblem:
             raise ValueError("seed map must have answer and process exits")
         self.g = g
 
-    @cached_property
-    def _graft_parts(self) -> tuple:
-        """Everything a graft needs apart from the candidate, built on the
-        first graft and shared by later ones.  Building it in ``__init__``
-        instead would keep it alive for problems that are never grafted."""
-        return (t_inj([self.b, self.target.obj], 0),
-                LiveSpace(self.w, self.a, self.answers),
-                join_live(self.target))
-
     def graft(self, cand: TemporalMor) -> TemporalMor:
         """Turn a candidate solution into a collapser of running
         processes: map each answer-or-seed result through the candidate,
         then concatenate."""
-        answer_now, answer_space, concat = self._graft_parts
-        res = t_copairing([answer_now, cand])
-        lifted = live_map(self.inner, answer_space, res=res)
-        return t_compose(concat, lifted)
+        res = t_copairing([t_inj([self.b, self.target.obj], 0), cand])
+        lifted = live_map(self.inner, LiveSpace(self.w, self.a, self.answers), res=res)
+        return t_compose(join_live(self.target), lifted)
 
     def classify(self, collapse: TemporalMor) -> TemporalMor:
         """Turn a collapser back into a candidate solution: run the seed
@@ -78,18 +67,18 @@ class TwoExitProblem:
         )
 
     def image(self, cand: TemporalMor) -> Callable:
-        """Classifying the candidate's own graft, pointwise and without
+        """Classifying the candidate's own graft, by position and without
         building the graft: a seed through the seed map, and on the
         process exit each fresh seed at a stop looked up in the candidate.
         A solution is its own image."""
-        def onward(here: IndexPair, seed):
-            return cand.at(here)(seed)
+        comps = cand.components
 
-        def image(i: IndexPair, z):
-            y = self.g.at(i)(z)
-            if y.tag == 0:
+        def image(i: IndexPair, z: int) -> int:
+            y, n = self.g.at(i).pos[z], len(self.b.at(i))
+            if y < n:
                 return y
-            return Inj(1, finish_round(self.inner, self.target, i, y.value, onward))
+            return n + finish_round(self.inner, self.target, i, y - n,
+                                    lambda here, seed: comps[here].pos[seed])
 
         return image
 
@@ -139,17 +128,16 @@ def answers_from_collapse(pr: TwoExitProblem, sol: TemporalMor) -> TemporalMor:
     return t_compose(t_inj([pr.b, pr.target.obj], 1), sol)
 
 
-def check_roundtrips(pr: TwoExitProblem, one_exit: Optional[TemporalMor] = None,
+def check_roundtrips(pr: TwoExitProblem, one_exit: Optional[CoiterProblem] = None,
                      cap: int = DEFAULT_CAP) -> Optional[str]:
     """Everything the equivalence of the two formulations promises, on one
     problem: None when it all holds, else a witness naming the first
     broken promise.
 
     The canonical solution solves the equation, and exhaustive search
-    finds it and nothing else.  When the underlying one-exit seed map is
-    supplied, translating solutions back and forth lands on the one-exit
-    solver's answer, and that answer is itself unique under exhaustive
-    search."""
+    finds it and nothing else.  When the one-exit problem underneath is
+    supplied, translating solutions back and forth lands on its solver's
+    answer, and that answer is itself unique under exhaustive search."""
     cand = pr.solve()
     if not pr.is_solution(cand):
         return "the solver's answer fails the two-exit equation"
@@ -159,13 +147,12 @@ def check_roundtrips(pr: TwoExitProblem, one_exit: Optional[TemporalMor] = None,
                 "expected exactly the solver's")
     if one_exit is None:
         return None
-    cpr = CoiterProblem(pr.w, pr.a, pr.b, pr.c, one_exit)
-    sol = cpr.solve()
-    if not mor_equal(collapse_from_answers(pr, one_exit, cand), sol):
+    sol = one_exit.solve()
+    if not mor_equal(collapse_from_answers(pr, one_exit.f, cand), sol):
         return "collapsing the two-exit solution misses the one-exit solution"
     if not mor_equal(answers_from_collapse(pr, sol), cand):
         return "deferring into the one-exit solution misses the two-exit solution"
-    count = len(enumerate_nat_trans(pr.c, cpr.target.obj, cap, cpr.image))
+    count = len(enumerate_nat_trans(pr.c, one_exit.target.obj, cap, one_exit.image))
     if count != 1:
         return f"search finds {count} one-exit solutions, expected exactly one"
     return None

@@ -13,6 +13,7 @@ from pathlib import Path
 from proccat.cli import main as cli_main
 from proccat.laws import (
     MUTATIONS,
+    coiter_problems,
     run_suites,
     suite_functor,
     two_exit_problems,
@@ -85,7 +86,7 @@ def test_criterion_4_one_step_unfoldings(full_reports, capsys):
 def test_criterion_5_two_exit_equivalence(full_reports, capsys):
     summary = [r for r in full_reports if r.suite == "two_exit"]
     ok = len(summary) >= 3 and all(r.verdict == "pass" for r in summary)
-    for name, pr, one_exit in two_exit_problems():
+    for name, pr, one_exit in two_exit_problems(coiter_problems()):
         ok = ok and check_roundtrips(pr, one_exit=one_exit) is None
     with capsys.disabled():
         _report(5, "two-exit and one-exit formulations interchange", ok)

@@ -15,6 +15,11 @@ from proccat.cli import build_parser, main
 
 GOLDEN_DUMPS = json.loads(
     (Path(__file__).parent / "fixtures" / "golden_dumps.json").read_text(encoding="utf-8"))
+# `check --suites two_exit,uniqueness --cap N` per cap N: exit code and
+# both report files, saved before the solver steps became positional.
+# The caps sit on and around the candidate counts the searches meet.
+GOLDEN_CAPPED = json.loads(
+    (Path(__file__).parent / "fixtures" / "golden_capped.json").read_text(encoding="utf-8"))
 
 DUMP_FULL = """\
 index (0, 2)
@@ -214,6 +219,17 @@ def test_check_cap_exit_code(capsys, tmp_path):
     code, out, _ = run(capsys, argv)
     assert code == 3
     assert "capped" in out
+
+
+@pytest.mark.parametrize("cap", sorted(GOLDEN_CAPPED, key=int))
+def test_capped_solver_reports_match_the_golden_ones(capsys, tmp_path, cap):
+    argv = ["check", "--suites", "two_exit,uniqueness", "--cap", cap, "--out", str(tmp_path)]
+    code, out, _ = run(capsys, argv)
+    want = GOLDEN_CAPPED[cap]
+    assert code == want["exit"]
+    for name in ("report.txt", "report.jsonl"):
+        assert (tmp_path / name).read_bytes() == want[name].encode("utf-8"), name
+    assert out == want["report.txt"]
 
 
 def test_check_rejects_unknown_suite(capsys, tmp_path):

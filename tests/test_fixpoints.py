@@ -121,7 +121,7 @@ def test_a_broken_candidate_fails_the_equation():
     for pr in (COITER["handoff_once"], RECUR["stop_parity"]):
         broken = poison(pr.solve())
         assert pr.equation_gap(broken) is not None
-    for name, pr, _ in two_exit_problems():
+    for name, pr, _ in two_exit_problems(coiter_problems()):
         sol = pr.solve()
         broken = poison(sol)
         if mor_equal(broken, sol):
@@ -159,13 +159,12 @@ def curated_equations():
     """Every problem the uniqueness and two-exit suites filter candidates
     through, with its candidate endpoints."""
     out = []
-    for name, kind, pr in uniqueness_problems():
-        ends = (pr.c, pr.target.obj) if kind == "coiter" else (pr.source.obj, pr.c)
-        out.append((name, pr, ends))
-    for name, pr, one_exit in two_exit_problems():
+    for name, pr in uniqueness_problems(coiter_problems(), recur_problems()):
+        sol = pr.solve()
+        out.append((name, pr, (sol.dom, sol.cod)))
+    for name, pr, one_exit in two_exit_problems(coiter_problems()):
         if one_exit is not None:
-            cpr = CoiterProblem(pr.w, pr.a, pr.b, pr.c, one_exit)
-            out.append(("one_exit_" + name, cpr, (pr.c, cpr.target.obj)))
+            out.append(("one_exit_" + name, one_exit, (pr.c, one_exit.target.obj)))
     return out
 
 
@@ -185,7 +184,7 @@ def swept_equations():
     of: the four uniqueness problems, the three one-exit problems
     `check_roundtrips` counts, and the four two-exit problems."""
     two_exit = [("two_exit_" + name, pr, (pr.c, pr.answers))
-                for name, pr, _ in two_exit_problems()]
+                for name, pr, _ in two_exit_problems(coiter_problems())]
     return curated_equations() + two_exit
 
 
@@ -211,7 +210,7 @@ def test_a_pruned_sweep_keeps_the_plain_order():
     # fixed) must give back the plain enumeration, in its order.
     for name, pr, (dom, cod) in swept_equations():
         everything = enumerate_nat_trans(
-            dom, cod, equation=lambda cand: lambda i, z: cand.at(i)(z))
+            dom, cod, equation=lambda cand: lambda i, p: cand.at(i).pos[p])
         plain = enumerate_nat_trans(dom, cod)
         assert [x.components for x in everything] == [x.components for x in plain], name
 
@@ -235,9 +234,9 @@ def test_every_equation_reads_only_later_stops():
     for name, pr, _ in swept_equations():
         sol = pr.solve()
         for i in sol.dom.scale.indices():
-            for z in sol.dom.at(i).elements:
+            for p in range(len(sol.dom.at(i))):
                 components = Recording(sol.components)
-                pr.image(TemporalMor(sol.dom, sol.cod, components))(i, z)
+                pr.image(TemporalMor(sol.dom, sol.cod, components))(i, p)
                 assert all(j.t0 == i.t0 and j.t > i.t for j in components.read), (name, i)
                 reads += len(components.read)
     assert reads > 0
@@ -247,12 +246,12 @@ def test_a_failed_uniqueness_witness_counts_every_natural_candidate(monkeypatch)
     pr = RECUR["stop_parity"]
     wrong = poison(pr.solve())
     monkeypatch.setattr(pr, "solve", lambda: wrong)
-    assert _uniqueness_witness(pr, "recur", DEFAULT_CAP) == (
+    assert _uniqueness_witness(pr, DEFAULT_CAP) == (
         "1 of 495 natural candidates satisfy the equation, expected exactly "
         "the solver's")
     # The cap bounds the whole candidate space, not the natural candidates.
     with pytest.raises(CapExceeded) as err:
-        _uniqueness_witness(pr, "recur", 10124)
+        _uniqueness_witness(pr, 10124)
     assert (err.value.count, err.value.cap) == (10125, 10124)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proccat
-from proccat import laws
+from proccat import fixpoints, laws
 from proccat.laws import (
     Case,
     Diagram,
@@ -265,3 +265,37 @@ def test_the_suites_on_a_case_build_each_space_once(monkeypatch):
                 SUITES[name](case=shared)
             counts.append(built["n"] - start)
         assert counts[0] > 0 and counts[1] == counts[0], case.label
+
+
+SOLVER_SUITES = ["corecursion", "derived", "recursion", "two_exit", "uniqueness"]
+
+
+def test_a_run_builds_and_solves_each_curated_problem_once(monkeypatch):
+    # The solver suites share one run's problems: each family is built
+    # once, and each problem, curated or built by a derived solver, is
+    # solved once, however many suites check it.
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.setdefault(name, []).append(args)
+            return fn(*args)
+        return wrapper
+
+    for name in ("coiter_problems", "recur_problems", "two_exit_problems",
+                 "uniqueness_problems"):
+        monkeypatch.setattr(laws, name, counted(name, getattr(laws, name)))
+    monkeypatch.setattr(fixpoints, "_memo_solve",
+                        counted("_memo_solve", fixpoints._memo_solve))
+    reports = run_suites(SOLVER_SUITES)
+    assert {name: len(args) for name, args in calls.items()} == {
+        "coiter_problems": 1, "recur_problems": 1, "two_exit_problems": 1,
+        "uniqueness_problems": 1, "_memo_solve": 17}
+    # 5 seed maps, 5 consumers, 4 two-exit problems, 3 derived solvers;
+    # the tuples keep every problem alive, so their ids are distinct.
+    solved = {id(step.__self__) for _, _, step, _ in calls["_memo_solve"]}
+    assert len(solved) == 17
+    # Called on its own, a suite builds its own problems and says the same.
+    alone = sorted(laws.suite_corecursion(), key=lambda r: r.instance)
+    assert alone == [r for r in reports if r.suite == "corecursion"]
+    assert len(calls["coiter_problems"]) == 2

@@ -24,7 +24,6 @@ from proccat.process import (
     Terminated,
     live_map,
     proc_map,
-    rest_after,
     strong_bound,
 )
 from proccat.temporal import (
@@ -43,7 +42,7 @@ from proccat.temporal import (
 )
 from proccat.times import IndexPair, TermBound, TimeScale, UNBOUNDED
 
-from process_values import seen_value
+from process_values import rest_after, seen_value
 
 # -- element-level references ------------------------------------------------
 

@@ -27,7 +27,6 @@ from proccat.process import (
     nonstop_space,
     proc_map,
     render_value,
-    rest_after,
     strong_bound,
 )
 from proccat.temporal import (
@@ -43,7 +42,7 @@ from proccat.temporal import (
 )
 from proccat.times import IndexMor, IndexPair, TermBound, TimeScale, UNBOUNDED
 
-from process_values import seen_value
+from process_values import rest_after, seen_value
 
 SCALE = TimeScale.of(0, 1, 2)
 I02 = IndexPair(Fraction(0), Fraction(2))

@@ -201,7 +201,7 @@ def test_an_equation_reading_an_unfixed_index_raises():
     a = flag_temporal(SCALE, 2)
     first = SCALE.indices()[0]  # the earliest stop, fixed last
     with pytest.raises(LookupError, match="not fixed"):
-        enumerate_nat_trans(a, a, equation=lambda f: lambda i, e: f.at(first)(e))
+        enumerate_nat_trans(a, a, equation=lambda f: lambda i, p: f.at(first).pos[p])
 
 
 def test_enumeration_cap():

@@ -17,7 +17,7 @@ from proccat.twoexit import (
 
 SCALE = TimeScale.of(0, 1, 2)
 I02 = IndexPair(Fraction(0), Fraction(2))
-PROBLEMS = {name: (pr, one_exit) for name, pr, one_exit in two_exit_problems()}
+PROBLEMS = {name: (pr, one_exit) for name, pr, one_exit in two_exit_problems(coiter_problems())}
 
 
 def test_solutions_satisfy_the_two_exit_equation():
@@ -52,13 +52,14 @@ def test_deferred_problems_translate_both_ways():
     for name in ("defer_finish_next", "defer_run_forever",
                  "defer_handoff_once"):
         pr, one_exit = PROBLEMS[name]
-        inner = CoiterProblem(pr.w, pr.a, pr.b, pr.c, one_exit)
+        inner = CoiterProblem(pr.w, pr.a, pr.b, pr.c, one_exit.f)
         one_sol = inner.solve()
         two_sol = pr.solve()
         # the two-exit answer is the one-exit answer, marked as deferred
         assert mor_equal(two_sol, answers_from_collapse(pr, one_sol))
-        assert mor_equal(collapse_from_answers(pr, one_exit, two_sol),
+        assert mor_equal(collapse_from_answers(pr, one_exit.f, two_sol),
                          one_sol)
+        assert mor_equal(one_exit.solve(), one_sol)
 
 
 def test_roundtrip_report_is_green_for_the_curated_set():
@@ -103,7 +104,7 @@ def test_defer_all_marks_every_seed_as_deferred():
 def test_a_roundtrip_witness_names_the_first_broken_promise(monkeypatch):
     pr, one_exit = PROBLEMS["defer_finish_next"]
     other = PROBLEMS["defer_run_forever"][1]
-    assert other.dom == one_exit.dom and other.cod == one_exit.cod
+    assert other.f.dom == one_exit.f.dom and other.f.cod == one_exit.f.cod
     assert check_roundtrips(pr, other) == (
         "collapsing the two-exit solution misses the one-exit solution")
     wrong = next(c for c in enumerate_nat_trans(pr.c, pr.answers)
@@ -113,6 +114,6 @@ def test_a_roundtrip_witness_names_the_first_broken_promise(monkeypatch):
         "the solver's answer fails the two-exit equation")
     # An image every candidate meets: the search keeps all 24 natural maps.
     monkeypatch.setattr(TwoExitProblem, "image",
-                        lambda self, cand: lambda i, z: cand.at(i)(z))
+                        lambda self, cand: lambda i, p: cand.at(i).pos[p])
     assert check_roundtrips(pr, one_exit) == (
         "search finds 24 two-exit solutions, expected exactly the solver's")
