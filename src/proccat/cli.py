@@ -346,7 +346,7 @@ def cmd_dump(args) -> int:
         return _fail(str(exc))
     if t not in scale.points or t0 not in scale.points or t > t0:
         return _fail(f"({t}, {t0}) is not an index of scale {args.scale}")
-    i = scale.pairs()[t, t0]
+    i = IndexPair(t, t0)
     elements = _carrier_of(space).at(i).elements
     print(f"index ({t}, {t0})")
     print(f"size {len(elements)}")

@@ -14,13 +14,14 @@ a step function or a table, or applied to an element.
 
 Products and coproducts are hash-consed: the same factor objects give the
 identical result object for as long as anything holds it (see
-`_interned`).
+`_interned`).  Their carriers keep the factors and the size, and build
+their elements only when something reads them.
 """
 from __future__ import annotations
 
 import weakref
-from dataclasses import InitVar, dataclass
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import chain, product as iter_product, repeat
 from math import prod
 from typing import Callable, Iterable, Sequence
@@ -75,35 +76,65 @@ def elem_key(e: Elem):
     raise TypeError(f"not an element: {e!r}")
 
 
-@dataclass(frozen=True)
 class FinObj:
     """A finite set; the constructor sorts the given elements by
     `elem_key` and rejects duplicates, unless `presorted` says they are
-    already in that order and distinct."""
+    already in that order and distinct.  `product` and `coproduct` make
+    theirs from a `kind`, `parts` and `size`, and build elements on read."""
 
-    elements: tuple
-    presorted: InitVar[bool] = False
+    kind = None  # "product" or "coproduct" for such a carrier
+    parts = ()
 
-    def __post_init__(self, presorted: bool) -> None:
-        if presorted:
-            return
-        keys = [elem_key(e) for e in self.elements]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        for a, b in zip(order, order[1:]):
-            if keys[a] == keys[b]:
-                raise ValueError(f"duplicate element {self.elements[a]!r}")
-        object.__setattr__(self, "elements", tuple(self.elements[k] for k in order))
+    def __init__(self, elements: tuple, presorted: bool = False) -> None:
+        if not presorted:
+            keys = [elem_key(e) for e in elements]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            for a, b in zip(order, order[1:]):
+                if keys[a] == keys[b]:
+                    raise ValueError(f"duplicate element {elements[a]!r}")
+            elements = tuple(elements[k] for k in order)
+        self.elements = elements
+        self.size = len(elements)
+
+    @classmethod
+    def _structured(cls, kind: str, parts: tuple, size: int) -> "FinObj":
+        obj = cls.__new__(cls)
+        obj.kind, obj.parts, obj.size = kind, parts, size
+        return obj
+
+    @cached_property
+    def elements(self) -> tuple:
+        """A structured carrier's elements, in the order `product` gives."""
+        if self.kind == "product":
+            return tuple(map(Tup, iter_product(*(f.elements for f in self.parts))))
+        return tuple(Inj(tag, e) for tag, s in enumerate(self.parts) for e in s.elements)
 
     @cached_property
     def index(self) -> dict:
         """Position of each element, built on the first query."""
-        return dict(zip(self.elements, range(len(self.elements))))
+        return dict(zip(self.elements, range(self.size)))
+
+    def __eq__(self, other) -> bool:
+        """Equal elements; nonempty carriers of one kind and arity have
+        them exactly when their parts are equal, so compare those."""
+        if self is other:
+            return True
+        if not isinstance(other, FinObj):
+            return NotImplemented
+        if self.size != other.size or not self.size:  # sizes decide
+            return self.size == other.size
+        if self.kind and self.kind == other.kind and len(self.parts) == len(other.parts):
+            return self.parts == other.parts
+        return self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash(self.elements)
 
     def __contains__(self, e: Elem) -> bool:
         return e in self.index
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.size
 
     def __iter__(self):
         return iter(self.elements)
@@ -142,9 +173,8 @@ class FinMor:
     def __init__(self, dom: FinObj, cod: FinObj, *,
                  images: Sequence[Elem] | None = None,
                  pos: Sequence[int] | None = None) -> None:
-        # `len(x.elements)`, not `len(x)`: this runs for every map built.
         if images is not None:
-            if len(images) != len(dom.elements):
+            if len(images) != dom.size:
                 raise ValueError("map images must cover the domain exactly")
             try:
                 pos = tuple(map(cod.index.__getitem__, images))
@@ -153,15 +183,13 @@ class FinMor:
                     f"map value {missing.args[0]!r} is outside the codomain") from None
         else:
             pos = tuple(pos)
-            if len(pos) != len(dom.elements):
+            if len(pos) != dom.size:
                 raise ValueError("map positions must cover the domain exactly")
-            n = len(cod.elements)
+            n = cod.size
             if pos and (min(pos) < 0 or max(pos) >= n):
                 bad = next(p for p in pos if not 0 <= p < n)
                 raise ValueError(f"map position {bad} is outside the codomain")
-        self.dom = dom
-        self.cod = cod
-        self.pos = pos
+        self.dom, self.cod, self.pos = dom, cod, pos
 
     @cached_property
     def table(self) -> dict:
@@ -209,7 +237,7 @@ DEFAULT_CAP = 10**6
 
 # -- hash-consing -----------------------------------------------------------
 
-_INTERNED = weakref.WeakValueDictionary()
+_INTERNED: dict = {}  # key -> weakref.ref to the shared object
 
 
 def _interned(kind, parts: Sequence, build: Callable[[], object]):
@@ -217,18 +245,25 @@ def _interned(kind, parts: Sequence, build: Callable[[], object]):
     the identical `parts` while anything still holds it.
 
     The key is `kind` plus the identities of the parts, so a lookup never
-    compares carriers.  The result pins its parts: while an entry exists
-    none of its keyed ids can be reused by another object.  The table
-    holds results weakly, so it keeps nothing alive that no caller does.
+    compares carriers.  The result pins its parts: while it lives none of
+    its keyed ids can be reused by another object.  The table holds weak
+    references, so it keeps nothing alive that no caller does.
     """
     parts = tuple(parts)
     key = (kind, *map(id, parts))
-    found = _INTERNED.get(key)
+    ref = _INTERNED.get(key)
+    found = None if ref is None else ref()
     if found is None:
         found = build()
         object.__setattr__(found, "_parts", parts)
-        _INTERNED[key] = found
+        _INTERNED[key] = weakref.ref(found, partial(_forget, key))
     return found
+
+
+def _forget(key: tuple, ref: weakref.ref) -> None:
+    """Drop a dead result's entry, unless a new result has taken it."""
+    if _INTERNED.get(key) is ref:
+        del _INTERNED[key]
 
 
 # -- products ---------------------------------------------------------------
@@ -239,18 +274,17 @@ def _interned(kind, parts: Sequence, build: Callable[[], object]):
 # (d_0, ..., d_k) with d_0 most significant: the factor positions.  A
 # coproduct's elements sort by tag, so summand k fills the positions from
 # its offset, the sizes of the summands before it added up.  Both carriers
-# are built in that order, with no sort.
+# build their elements in that order, with no sort, on first read.
 
 
 def product(factors: Sequence[FinObj]) -> FinObj:
     """Chosen product: tuples in factor order; the empty product is UNIT.
     CapExceeded when it would have more than DEFAULT_CAP elements."""
     def build() -> FinObj:
-        count = prod(len(f) for f in factors)
+        count = prod(f.size for f in factors)
         if count > DEFAULT_CAP:
             raise CapExceeded(count, DEFAULT_CAP)
-        return FinObj(tuple(map(Tup, iter_product(*(f.elements for f in factors)))),
-                      presorted=True)
+        return FinObj._structured("product", tuple(factors), count)
 
     return _interned("product", factors, build)
 
@@ -286,7 +320,7 @@ def product_pos(fs: Sequence[FinMor]) -> list:
     """The positions of `product_mor(fs)`, without building its ends."""
     pos = [0]
     for f in fs:
-        n = len(f.cod.elements)
+        n = f.cod.size
         pos = [p * n + q for p in pos for q in f.pos]
     return pos
 
@@ -300,9 +334,8 @@ def product_mor(fs: Sequence[FinMor]) -> FinMor:
 
 
 def coproduct(summands: Sequence[FinObj]) -> FinObj:
-    return _interned("coproduct", summands, lambda: FinObj(
-        tuple(Inj(tag, e) for tag, s in enumerate(summands) for e in s.elements),
-        presorted=True))
+    return _interned("coproduct", summands, lambda: FinObj._structured(
+        "coproduct", tuple(summands), sum(s.size for s in summands)))
 
 
 def inj(summands: Sequence[FinObj], k: int) -> FinMor:

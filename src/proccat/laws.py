@@ -166,13 +166,23 @@ def _path_label(seq) -> str:
     return " then ".join(seq) if seq else "identity"
 
 
+def _chain(d: Diagram, src: str, seq, i) -> list:
+    """The positions of the path's composite at index i, looked up along
+    its edges' components without building the composite."""
+    pos = range(d.nodes[src].at(i).size)
+    for name in seq:
+        pos = map(d.edges[name][2].at(i).pos.__getitem__, pos)
+    return [*pos]
+
+
 def check_diagram(d: Diagram) -> Optional[str]:
-    """Compare every asserted pair of paths elementwise: the witness of
-    the first pair that differs, or None when every pair agrees."""
+    """Compare every asserted pair of paths by positions: the witness of
+    the first pair that differs, from its composites, or None."""
     for p in d.paths:
-        gap = first_difference(d.composite(p.src, p.lhs),
-                               d.composite(p.src, p.rhs))
-        if gap is not None:
+        if any(_chain(d, p.src, p.lhs, i) != _chain(d, p.src, p.rhs, i)
+               for i in d.nodes[p.src].scale.indices()):
+            gap = first_difference(d.composite(p.src, p.lhs),
+                                   d.composite(p.src, p.rhs))
             return (f"{_path_label(p.lhs)} differs from "
                     f"{_path_label(p.rhs)}: {gap}")
     return None
@@ -232,10 +242,11 @@ class Case:
         return ProcSpace(self.w, self.a, self.b)
 
 
-def law_grid():
-    """The standard grid's cases in order, built one at a time.  Each
-    scale and its carrier objects are built once for all of its cases."""
-    for pts in GRID_SCALES:
+def law_grid(scales: Optional[Sequence[tuple]] = None):
+    """The grid's cases in order, built one at a time, over `scales`
+    (`GRID_SCALES` by default).  Each scale and its carrier objects are
+    built once for all of its cases."""
+    for pts in GRID_SCALES if scales is None else scales:
         scale = TimeScale.of(*pts)
         objs = {kind: _MAKERS[kind](scale) for kind in CARRIER_KINDS}
         name = "-".join(map(str, pts))
@@ -456,7 +467,7 @@ def suite_naturality(cap: int, mutated: bool, case: Case):
 
 def _one_element_each(space: LiveSpace) -> Optional[str]:
     for i in space.scale.indices():
-        n = len(space.obj.at(i).elements)
+        n = space.obj.at(i).size
         if n != 1:
             return f"at {i}: carrier has {n} elements, expected 1"
     return None
@@ -819,13 +830,14 @@ GRID_SUITES = ("expansion", "functor", "interaction", "joining", "merging",
                "naturality")
 
 
-def _run(chosen: Sequence[str], cap: int, mutate: Optional[str]) -> list:
+def _run(chosen: Sequence[str], cap: int, mutate: Optional[str], scales=None) -> list:
     """The chosen suites' reports in run order: the grid suites case by
-    case, each case dropped with what they built on it before the next
-    is built, then merging's extra pairs, then the other suites."""
+    case (see `law_grid`), each case dropped with what they built on it
+    before the next is built, then merging's extra pairs, then the other
+    suites."""
     grid = [n for n in chosen if n in GRID_SUITES]
     reports = []
-    for case in law_grid() if grid else ():
+    for case in law_grid(scales) if grid else ():
         for n in grid:
             reports.extend(SUITES[n](cap, n == mutate, case))
     if "merging" in grid:
@@ -839,11 +851,12 @@ def _run(chosen: Sequence[str], cap: int, mutate: Optional[str]) -> list:
 
 
 def run_suites(names: Optional[Sequence[str]] = None, cap: int = DEFAULT_CAP,
-               mutate: Optional[str] = None) -> list:
+               mutate: Optional[str] = None, scales=None) -> list:
     """Run the selected suites (all by default) and return their reports
     sorted by suite then instance.  ``mutate`` names one of the seven
     mutations (see `MUTATIONS`); the matching suite then runs against the
-    broken operation or solution and is expected to fail."""
+    broken operation or solution and is expected to fail.  ``scales``, the
+    points of each scale, replaces `GRID_SCALES` for the grid suites."""
     chosen = sorted(SUITES) if names is None else sorted(set(names))
     for n in chosen:
         if n not in SUITES:
@@ -855,4 +868,4 @@ def run_suites(names: Optional[Sequence[str]] = None, cap: int = DEFAULT_CAP,
             raise ValueError(
                 f"mutation {mutate} targets a suite that is not selected"
             )
-    return sorted(_run(chosen, cap, mutate), key=lambda r: (r.suite, r.instance))
+    return sorted(_run(chosen, cap, mutate, scales), key=lambda r: (r.suite, r.instance))

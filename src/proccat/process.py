@@ -102,7 +102,7 @@ class _Layout(NamedTuple):
     # (or there is none), so a process may still be running.
     case: int
     times: tuple  # the scale points in (t, t0]
-    run: tuple  # the scale's own index pair (u, t0) for each u in times
+    run: tuple  # the index pair (u, t0) for each u in times
     stops: int  # the admissible stop times are times[:stops]
     summands: tuple  # per stop time, then in case 3 the running record
     offsets: tuple  # the position of each summand's first element
@@ -120,8 +120,7 @@ def _shape(scale: TimeScale, w: TermBound, i: IndexPair) -> tuple:
     """The (case, times, run, stops) fields of a layout at i under w,
     which the value and result objects do not change."""
     times = scale.open_closed(i.t, i.t0)
-    pair = scale.pairs()
-    run = tuple(pair[u, i.t0] for u in times)
+    run = tuple(IndexPair(u, i.t0) for u in times)
     if w.bounded:
         if w.time < i.t:
             return 1, times, run, 0
@@ -132,8 +131,8 @@ def _shape(scale: TimeScale, w: TermBound, i: IndexPair) -> tuple:
 
 @_per_scale
 def _along(scale: TimeScale, m: IndexMor) -> tuple:
-    """The scale's own morphism (u, m.t0, m.t0p) for each u in (m.t, m.t0]."""
-    return tuple(scale.mors()[u, m.t0, m.t0p] for u in scale.open_closed(m.t, m.t0))
+    """The morphism (u, m.t0, m.t0p) for each u in (m.t, m.t0]."""
+    return tuple(IndexMor(u, m.t0, m.t0p) for u in scale.open_closed(m.t, m.t0))
 
 
 class ProcSpace:

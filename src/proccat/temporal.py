@@ -67,13 +67,12 @@ class TemporalObj:
         if mor in self.covers:
             return self.covers[mor]
         if mor not in self._derived:
-            if mor.t0 == mor.t0p:
+            if mor.src is mor.dst:
                 self._derived[mor] = f_identity(self.carrier[mor.dst])
             else:  # the arrow one cover shorter, after the cover out of mor.src
                 *_, lo, hi = self.scale.closed_closed(mor.t0, mor.t0p)
-                mors = self.scale.mors()
-                self._derived[mor] = f_compose(self.res(mors[mor.t, mor.t0, lo]),
-                                               self.covers[mors[mor.t, lo, hi]])
+                self._derived[mor] = f_compose(self.res(IndexMor(mor.t, mor.t0, lo)),
+                                               self.covers[IndexMor(mor.t, lo, hi)])
         return self._derived[mor]
 
     @property
@@ -116,7 +115,7 @@ def check_functor(obj: TemporalObj) -> Optional[str]:
             return f"restriction along {mor} has wrong endpoints"
         if direct == derived:
             continue
-        if mor.src is mor.dst:  # the scale's own morphism; see `IndexMor`
+        if mor.src is mor.dst:
             return f"restriction along identity {mor} is not the identity"
         bad = next(e for e in obj.at(mor.src) if direct(e) != derived(e))
         return (f"restriction along {mor} is not the composite of its covers at "
@@ -262,7 +261,6 @@ def pointwise_coproduct(summands: Sequence[TemporalObj]) -> TemporalObj:
 
 
 def t_identity(obj: TemporalObj) -> TemporalMor:
-    # The scale's own identity arrows, found by `src is dst` (see `IndexMor`).
     return TemporalMor(obj, obj, {m.src: obj.res(m) for m in obj.scale.index_mors()
                                   if m.src is m.dst})
 
@@ -342,13 +340,13 @@ def exponential_end(a: TemporalObj, b: TemporalObj, cap: int = DEFAULT_CAP) -> T
         total = 1
         spaces = []
         for tq in times:
-            here = scale.pairs()[i.t, tq]
+            here = IndexPair(i.t, tq)
             total *= len(b.at(here)) ** len(a.at(here))
             if total > cap:
                 raise CapExceeded(total, cap)
             spaces.append(enumerate_mors(a.at(here), b.at(here), cap))
         # Squares along covers suffice, as in `naturality_witness`.
-        covers = [scale.mors()[i.t, lo, hi] for lo, hi in zip(times, times[1:])]
+        covers = [IndexMor(i.t, lo, hi) for lo, hi in zip(times, times[1:])]
         return fin_obj([
             Tup(tuple(_fn_tab(c) for c in choice))
             for choice in iter_product(*spaces)

@@ -30,56 +30,68 @@ class ScaleOverlapError(ValueError):
     `SEARCH_BUDGET` steps."""
 
 
-@dataclass(frozen=True, order=True)
-class IndexPair:
+@functools.total_ordering
+class _Shared:
+    """One instance per value of its fields, as Fractions: the constructor
+    hands back the one first made, from the subclass's `_made` table,
+    after `_rest` checks the fields and gives the other slots.  So
+    instances hash and compare by identity, and order by their fields."""
+
+    __slots__ = ("_key",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __new__(cls, *key):
+        try:
+            return cls._made[key]
+        except KeyError:
+            key = tuple(map(Fraction, key))
+        made = cls._made.get(key)
+        if made is None:
+            rest = cls._rest(*key)
+            made = cls._made[key] = object.__new__(cls)
+            for name, value in zip(cls.__slots__, (*key, *rest)):
+                object.__setattr__(made, name, value)
+            object.__setattr__(made, "_key", key)
+        return made
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __lt__(self, other) -> bool:
+        return self._key < other._key if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return "(" + ", ".join(map(str, self._key)) + ")"
+
+
+class IndexPair(_Shared):
     """Object (t, t0) of the index category: present time t, observed up to t0."""
 
-    t: Fraction
-    t0: Fraction
+    __slots__ = ("t", "t0")
+    _made: dict = {}
 
-    def __post_init__(self) -> None:
-        if self.t > self.t0:
-            raise ValueError(f"index pair needs t <= t0, got ({self.t}, {self.t0})")
-        object.__setattr__(self, "_hash", hash((self.t, self.t0)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"({self.t}, {self.t0})"
+    @staticmethod
+    def _rest(t: Fraction, t0: Fraction) -> tuple:
+        if t > t0:
+            raise ValueError(f"index pair needs t <= t0, got ({t}, {t0})")
+        return ()
 
 
-@dataclass(frozen=True, order=True)
-class IndexMor:
+class IndexMor(_Shared):
     """Morphism (t, t0, t0'): forgets information acquired after t0.
 
-    Runs from the better-informed object (t, t0') to (t, t0); t0 <= t0'.
-    """
+    Runs from the better-informed object `src` = (t, t0') to `dst` =
+    (t, t0); t0 <= t0'.  With one instance per value, an identity arrow
+    is one with `src is dst`."""
 
-    t: Fraction
-    t0: Fraction
-    t0p: Fraction
+    __slots__ = ("t", "t0", "t0p", "src", "dst")
+    _made: dict = {}
 
-    def __post_init__(self) -> None:
-        if not (self.t <= self.t0 <= self.t0p):
-            raise ValueError(f"index morphism needs t <= t0 <= t0', got {self}")
-        object.__setattr__(self, "_hash", hash((self.t, self.t0, self.t0p)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    # `TimeScale.index_mors` fills both with the scale's own pairs, so on
-    # the scale's morphisms an identity is one with `src is dst`.
-    @functools.cached_property
-    def src(self) -> IndexPair:
-        return IndexPair(self.t, self.t0p)
-
-    @functools.cached_property
-    def dst(self) -> IndexPair:
-        return IndexPair(self.t, self.t0)
-
-    def __repr__(self) -> str:
-        return f"({self.t}, {self.t0}, {self.t0p})"
+    @staticmethod
+    def _rest(t: Fraction, t0: Fraction, t0p: Fraction) -> tuple:
+        if not t <= t0 <= t0p:
+            raise ValueError(f"index morphism needs t <= t0 <= t0', got ({t}, {t0}, {t0p})")
+        return IndexPair(t, t0p), IndexPair(t, t0)
 
 
 def _per_scale(method):
@@ -147,24 +159,9 @@ class TimeScale:
         )
 
     @_per_scale
-    def pairs(self) -> dict:
-        """The scale's own index pair for each (t, t0)."""
-        return {(i.t, i.t0): i for i in self.indices()}
-
-    @_per_scale
     def index_mors(self) -> tuple[IndexMor, ...]:
-        pair = self.pairs()
-        out = []
-        for t, t0, t0p in combinations_with_replacement(self.points, 3):
-            m = IndexMor(t, t0, t0p)
-            m.__dict__.update(src=pair[t, t0p], dst=pair[t, t0])
-            out.append(m)
-        return tuple(out)
-
-    @_per_scale
-    def mors(self) -> dict:
-        """The scale's own index morphism for each (t, t0, t0')."""
-        return {(m.t, m.t0, m.t0p): m for m in self.index_mors()}
+        return tuple(IndexMor(t, t0, t0p)
+                     for t, t0, t0p in combinations_with_replacement(self.points, 3))
 
     @_per_scale
     def covers(self) -> tuple[IndexMor, ...]:

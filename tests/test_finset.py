@@ -191,7 +191,7 @@ def test_an_interned_entry_dies_with_its_last_holder():
     a, b = flag_obj(2), flag_obj(3)
     key = ("product", id(a), id(b))
     p = product([a, b])
-    assert _INTERNED[key] is p
+    assert _INTERNED[key]() is p
     del p
     gc.collect()
     assert key not in _INTERNED
@@ -209,6 +209,46 @@ objects = st.recursive(
     max_leaves=4,
 )
 positional = settings(max_examples=60, deadline=None)
+
+
+# -- carriers on demand -------------------------------------------------------
+
+
+def _twin(z):
+    """A carrier equal to z, of the same structure, from fresh objects."""
+    if z.kind is None:
+        return fin_obj(z.elements)
+    return (product if z.kind == "product" else coproduct)([_twin(p) for p in z.parts])
+
+
+# Carriers of at most one element each, nested: many pairs of different
+# structure have equal elements (every product with an empty factor, or
+# coproducts that differ by an empty summand).
+tiny = st.recursive(
+    st.integers(min_value=0, max_value=1).map(flag_obj),
+    lambda kids: st.one_of(st.lists(kids, max_size=3).map(product),
+                           st.lists(kids, max_size=3).map(coproduct)),
+    max_leaves=4,
+)
+
+
+@given(st.one_of(tiny, objects), st.one_of(tiny, objects))
+@settings(max_examples=150, deadline=None)
+def test_structured_equality_and_hash_agree_with_the_elements(x, y):
+    padded = coproduct([_twin(x), flag_obj(0)])  # an empty summand more
+    for left, right in ((x, y), (x, _twin(x)), (_twin(y), y), (coproduct([x]), padded)):
+        unbuilt = [z for z in (left, right) if "elements" not in vars(z)]
+        same = left == right
+        if left.kind is not None and left.kind == right.kind \
+                and len(left.parts) == len(right.parts):
+            # Two carriers of one kind and arity compare without their elements.
+            assert all("elements" not in vars(z) for z in unbuilt)
+        assert same == (left.elements == right.elements)
+        assert not same or hash(left) == hash(right)
+    for z in (x, y):
+        flat = fin_obj(z.elements)
+        assert flat == z and z == flat and hash(flat) == hash(z)
+        assert len(z) == z.size == len(z.elements)
 
 
 def draw_map(data, dom, cod):

@@ -32,7 +32,7 @@ from proccat.temporal import (
     unit_obj,
 )
 from proccat.times import TimeScale
-from proccat.finset import Atom, FinMor, FinObj, fin_mor
+from proccat.finset import Atom, FinMor, FinObj, fin_mor, flag_obj, product
 from proccat.process import ProcSpace
 
 SCALE = TimeScale.of(0, 1)
@@ -299,3 +299,32 @@ def test_a_run_builds_and_solves_each_curated_problem_once(monkeypatch):
     alone = sorted(laws.suite_corecursion(), key=lambda r: r.instance)
     assert alone == [r for r in reports if r.suite == "corecursion"]
     assert len(calls["coiter_problems"]) == 2
+
+
+def test_a_grid_run_builds_no_product_or_coproduct_elements(monkeypatch):
+    # The grid suites check positions only, so the structured carriers of
+    # a passing run never build their elements.
+    built = []
+    elements = FinObj.__dict__["elements"]
+    build = elements.func
+
+    def counting(obj):
+        built.append(obj.kind)
+        return build(obj)
+
+    monkeypatch.setattr(elements, "func", counting)
+    reports = run_suites(GRID_SUITES)
+    assert {r.verdict for r in reports} == {"pass"}
+    assert built == []
+    assert len(reports) == 507
+    # The counter sees a build: reading a fresh product's elements.
+    assert len(product([flag_obj(2), flag_obj(3)]).elements) == 6 and built == ["product"]
+
+
+def test_the_grid_suites_run_on_given_scales():
+    reports = run_suites(["functor", "naturality"], scales=((0, 1, 2, 3),))
+    assert len(reports) == 27 + 2 * 27
+    assert {r.verdict for r in reports} == {"pass"}
+    assert all(r.instance.startswith("scale=0-1-2-3 ") for r in reports)
+    # By default the grid is GRID_SCALES.
+    assert run_suites(["functor"], scales=laws.GRID_SCALES) == run_suites(["functor"])

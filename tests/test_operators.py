@@ -171,7 +171,7 @@ def test_a_space_shares_its_operator_maps_while_held():
     held = expand(sp)
     assert expand(ProcSpace(sp.w, sp.a, sp.b)) is held
     key = ("expand", id(sp.obj))
-    assert _INTERNED[key] is held
+    assert _INTERNED[key]() is held
     del held
     gc.collect()
     assert key not in _INTERNED

@@ -22,7 +22,7 @@ from proccat.temporal import (
     temporal_mor,
     unit_obj,
 )
-from proccat.times import TermBound, TimeScale, UNBOUNDED
+from proccat.times import IndexPair, TermBound, TimeScale, UNBOUNDED
 
 from process_values import rest_after
 
@@ -35,7 +35,7 @@ def ref_splice(sp, t0, v, then):
     if then.tag == 0:
         return Terminated(v.at_time, v.seen, then.value)
     x, q_elem = then.value.items
-    q = sp.decode(sp.scale.pairs()[v.at_time, t0], q_elem)
+    q = sp.decode(IndexPair(v.at_time, t0), q_elem)
     seen = v.seen + ((v.at_time, x),) + q.seen
     if isinstance(q, Terminated):
         return Terminated(q.at_time, seen, q.result)
@@ -50,7 +50,7 @@ def ref_finish_round(mixed, target, i, elem, onward):
     if isinstance(v, Terminated):
         r = v.result
         if r.tag == 1:
-            r = onward(target.scale.pairs()[v.at_time, i.t0], r.value)
+            r = onward(IndexPair(v.at_time, i.t0), r.value)
         v = ref_splice(target.proc, i.t0, v, r)
     return target.encode(i, x, v)
 
@@ -59,10 +59,9 @@ def ref_consume(pr, i, elem, aux):
     """The consumer's output on process ``elem`` once every record is
     paired with ``aux(here, suffix)``, an element of the auxiliary object."""
     v = pr.source.decode(i, elem)
-    pair = pr.source.scale.pairs()
     seen = []
     for u, x in v.seen:
-        here = pair[u, i.t0]
+        here = IndexPair(u, i.t0)
         suffix = pr.source.encode(here, rest_after(v, u))
         seen.append((u, Tup((x, aux(here, suffix)))))
     if isinstance(v, Terminated):

@@ -41,7 +41,7 @@ from proccat.temporal import (
     temporal_obj,
     unit_obj,
 )
-from proccat.times import UNBOUNDED, IndexPair, TermBound, TimeScale
+from proccat.times import UNBOUNDED, IndexMor, IndexPair, TermBound, TimeScale
 
 SCALE = TimeScale.of(0, 1, 2)
 SMALL = TimeScale.of(0, 1)
@@ -263,7 +263,7 @@ def test_an_object_is_built_from_its_covers(points):
             assert obj.res(m).table == {e: e for e in obj.at(m.src)}
             continue
         steps = scale.closed_closed(m.t0, m.t0p)
-        covers = [base.restrict_at(scale.mors()[m.t, lo, hi])
+        covers = [base.restrict_at(IndexMor(m.t, lo, hi))
                   for lo, hi in reversed(list(zip(steps, steps[1:])))]
         for e in obj.at(m.src):
             image = e
@@ -317,7 +317,7 @@ def test_a_derived_restriction_is_built_once():
         assert obj.res(m) is obj.res(m)
     ident, again = t_identity(obj), t_identity(obj)
     for i in SCALE.indices():
-        assert ident.at(i) is again.at(i) is obj.res(SCALE.mors()[i.t, i.t0, i.t0])
+        assert ident.at(i) is again.at(i) is obj.res(IndexMor(i.t, i.t0, i.t0))
 
 
 def test_the_covers_decide_equality():
@@ -381,7 +381,7 @@ def test_an_interned_pointwise_entry_dies_with_its_last_holder():
     a, b = flag_temporal(SMALL, 2), flag_temporal(SMALL, 3)
     key = ("pointwise_coproduct", id(a), id(b))
     s = pointwise_coproduct([a, b])
-    assert _INTERNED[key] is s
+    assert _INTERNED[key]() is s
     del s
     gc.collect()
     assert key not in _INTERNED

@@ -278,9 +278,34 @@ def test_plain_fraction_keys_find_the_scales_own_entries():
     m = IndexMor(Fraction(1, 2), Fraction(3), Fraction(7))
     own_i = next(k for k in obj.carrier if k == i)
     own_m = next(k for k in obj.restrict if k == m)
-    assert own_i is scale.pairs()[i.t, i.t0] and own_i is not i
-    assert own_m is scale.mors()[m.t, m.t0, m.t0p] and own_m is not m
+    assert own_i is i and own_m is m
     assert hash(i) == hash(own_i) and hash(m) == hash(own_m)
     assert obj.at(i) is obj.carrier[own_i]
     assert obj.res(m) is obj.restrict[own_m]
     assert len(obj.at(i)) == 7  # stop at 3 or 7, or run on through both
+
+
+def test_an_index_value_has_one_instance():
+    i = IndexPair(Fraction(1, 2), 7)
+    assert i is IndexPair(Fraction(1, 2), Fraction(7)) is IndexPair("1/2", "7")
+    assert type(i.t) is Fraction and type(i.t0) is Fraction and repr(i) == "(1/2, 7)"
+    m = IndexMor(0, 1, Fraction(2))
+    assert m is IndexMor(Fraction(0), 1, 2) and repr(m) == "(0, 1, 2)"
+    assert all(type(x) is Fraction for x in (m.t, m.t0, m.t0p))
+    assert m.src is IndexPair(0, 2) and m.dst is IndexPair(0, 1)
+    # Identity hash, value order.
+    assert hash(i) == object.__hash__(i) and hash(m) == object.__hash__(m)
+    pairs = [IndexPair(1, 2), IndexPair(0, 2), IndexPair(1, 1), IndexPair(0, 0)]
+    assert sorted(pairs) == sorted(pairs, key=lambda p: (p.t, p.t0))
+    assert IndexPair(0, 1) < IndexPair(0, 2) <= IndexPair(0, 2) < IndexPair(1, 1)
+    assert max(SCALE.index_mors()) == IndexMor(2, 2, 2)
+    with pytest.raises(ValueError, match=r"index pair needs t <= t0, got \(2, 1\)"):
+        IndexPair(2, 1)
+    with pytest.raises(ValueError, match=r"needs t <= t0 <= t0', got \(0, 2, 1\)"):
+        IndexMor(0, 2, 1)
+    with pytest.raises(AttributeError):
+        i.t = Fraction(0)
+    for scale in (SCALE, TimeScale.of("1/2", 3, 7)):
+        identities = [m for m in scale.index_mors() if m.t0 == m.t0p]
+        assert identities and all(m.src is m.dst for m in identities)
+        assert all(m.src is not m.dst for m in scale.index_mors() if m.t0 != m.t0p)
