@@ -80,10 +80,11 @@ class FinObj:
     """A finite set; the constructor sorts the given elements by
     `elem_key` and rejects duplicates, unless `presorted` says they are
     already in that order and distinct.  `product` and `coproduct` make
-    theirs from a `kind`, `parts` and `size`, and build elements on read."""
+    theirs from a `kind` and `size`, and build elements on read from the
+    factors that `_interned` pins on them as `_parts`."""
 
     kind = None  # "product" or "coproduct" for such a carrier
-    parts = ()
+    _parts = ()
 
     def __init__(self, elements: tuple, presorted: bool = False) -> None:
         if not presorted:
@@ -97,17 +98,17 @@ class FinObj:
         self.size = len(elements)
 
     @classmethod
-    def _structured(cls, kind: str, parts: tuple, size: int) -> "FinObj":
+    def _structured(cls, kind: str, size: int) -> "FinObj":
         obj = cls.__new__(cls)
-        obj.kind, obj.parts, obj.size = kind, parts, size
+        obj.kind, obj.size = kind, size
         return obj
 
     @cached_property
     def elements(self) -> tuple:
         """A structured carrier's elements, in the order `product` gives."""
         if self.kind == "product":
-            return tuple(map(Tup, iter_product(*(f.elements for f in self.parts))))
-        return tuple(Inj(tag, e) for tag, s in enumerate(self.parts) for e in s.elements)
+            return tuple(map(Tup, iter_product(*(f.elements for f in self._parts))))
+        return tuple(Inj(tag, e) for tag, s in enumerate(self._parts) for e in s.elements)
 
     @cached_property
     def index(self) -> dict:
@@ -123,8 +124,8 @@ class FinObj:
             return NotImplemented
         if self.size != other.size or not self.size:  # sizes decide
             return self.size == other.size
-        if self.kind and self.kind == other.kind and len(self.parts) == len(other.parts):
-            return self.parts == other.parts
+        if self.kind and self.kind == other.kind and len(self._parts) == len(other._parts):
+            return self._parts == other._parts
         return self.elements == other.elements
 
     def __hash__(self) -> int:
@@ -284,7 +285,7 @@ def product(factors: Sequence[FinObj]) -> FinObj:
         count = prod(f.size for f in factors)
         if count > DEFAULT_CAP:
             raise CapExceeded(count, DEFAULT_CAP)
-        return FinObj._structured("product", tuple(factors), count)
+        return FinObj._structured("product", count)
 
     return _interned("product", factors, build)
 
@@ -335,7 +336,7 @@ def product_mor(fs: Sequence[FinMor]) -> FinMor:
 
 def coproduct(summands: Sequence[FinObj]) -> FinObj:
     return _interned("coproduct", summands, lambda: FinObj._structured(
-        "coproduct", tuple(summands), sum(s.size for s in summands)))
+        "coproduct", sum(s.size for s in summands)))
 
 
 def inj(summands: Sequence[FinObj], k: int) -> FinMor:

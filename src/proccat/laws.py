@@ -242,11 +242,10 @@ class Case:
         return ProcSpace(self.w, self.a, self.b)
 
 
-def law_grid(scales: Optional[Sequence[tuple]] = None):
-    """The grid's cases in order, built one at a time, over `scales`
-    (`GRID_SCALES` by default).  Each scale and its carrier objects are
-    built once for all of its cases."""
-    for pts in GRID_SCALES if scales is None else scales:
+def law_grid():
+    """The standard grid's cases in order, built one at a time.  Each
+    scale and its carrier objects are built once for all of its cases."""
+    for pts in GRID_SCALES:
         scale = TimeScale.of(*pts)
         objs = {kind: _MAKERS[kind](scale) for kind in CARRIER_KINDS}
         name = "-".join(map(str, pts))
@@ -830,14 +829,13 @@ GRID_SUITES = ("expansion", "functor", "interaction", "joining", "merging",
                "naturality")
 
 
-def _run(chosen: Sequence[str], cap: int, mutate: Optional[str], scales=None) -> list:
+def _run(chosen: Sequence[str], cap: int, mutate: Optional[str]) -> list:
     """The chosen suites' reports in run order: the grid suites case by
-    case (see `law_grid`), each case dropped with what they built on it
-    before the next is built, then merging's extra pairs, then the other
-    suites."""
+    case, each case dropped with what they built on it before the next
+    is built, then merging's extra pairs, then the other suites."""
     grid = [n for n in chosen if n in GRID_SUITES]
     reports = []
-    for case in law_grid(scales) if grid else ():
+    for case in law_grid() if grid else ():
         for n in grid:
             reports.extend(SUITES[n](cap, n == mutate, case))
     if "merging" in grid:
@@ -851,12 +849,11 @@ def _run(chosen: Sequence[str], cap: int, mutate: Optional[str], scales=None) ->
 
 
 def run_suites(names: Optional[Sequence[str]] = None, cap: int = DEFAULT_CAP,
-               mutate: Optional[str] = None, scales=None) -> list:
+               mutate: Optional[str] = None) -> list:
     """Run the selected suites (all by default) and return their reports
     sorted by suite then instance.  ``mutate`` names one of the seven
     mutations (see `MUTATIONS`); the matching suite then runs against the
-    broken operation or solution and is expected to fail.  ``scales``, the
-    points of each scale, replaces `GRID_SCALES` for the grid suites."""
+    broken operation or solution and is expected to fail."""
     chosen = sorted(SUITES) if names is None else sorted(set(names))
     for n in chosen:
         if n not in SUITES:
@@ -868,4 +865,4 @@ def run_suites(names: Optional[Sequence[str]] = None, cap: int = DEFAULT_CAP,
             raise ValueError(
                 f"mutation {mutate} targets a suite that is not selected"
             )
-    return sorted(_run(chosen, cap, mutate, scales), key=lambda r: (r.suite, r.instance))
+    return sorted(_run(chosen, cap, mutate), key=lambda r: (r.suite, r.instance))

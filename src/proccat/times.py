@@ -13,6 +13,7 @@ unbounded.
 from __future__ import annotations
 
 import functools
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,12 +33,13 @@ class ScaleOverlapError(ValueError):
 
 @functools.total_ordering
 class _Shared:
-    """One instance per value of its fields, as Fractions: the constructor
-    hands back the one first made, from the subclass's `_made` table,
-    after `_rest` checks the fields and gives the other slots.  So
-    instances hash and compare by identity, and order by their fields."""
+    """One instance per value of its fields, as Fractions, while anything
+    holds it: the constructor hands back the live one from the subclass's
+    weak `_made` table, or makes one after `_rest` checks the fields and
+    gives the other slots.  So instances hash and compare by identity,
+    and order by their fields."""
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "__weakref__")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __new__(cls, *key):
@@ -68,7 +70,7 @@ class IndexPair(_Shared):
     """Object (t, t0) of the index category: present time t, observed up to t0."""
 
     __slots__ = ("t", "t0")
-    _made: dict = {}
+    _made = weakref.WeakValueDictionary()
 
     @staticmethod
     def _rest(t: Fraction, t0: Fraction) -> tuple:
@@ -85,7 +87,7 @@ class IndexMor(_Shared):
     is one with `src is dst`."""
 
     __slots__ = ("t", "t0", "t0p", "src", "dst")
-    _made: dict = {}
+    _made = weakref.WeakValueDictionary()
 
     @staticmethod
     def _rest(t: Fraction, t0: Fraction, t0p: Fraction) -> tuple:

@@ -218,7 +218,7 @@ def _twin(z):
     """A carrier equal to z, of the same structure, from fresh objects."""
     if z.kind is None:
         return fin_obj(z.elements)
-    return (product if z.kind == "product" else coproduct)([_twin(p) for p in z.parts])
+    return (product if z.kind == "product" else coproduct)([_twin(p) for p in z._parts])
 
 
 # Carriers of at most one element each, nested: many pairs of different
@@ -240,7 +240,7 @@ def test_structured_equality_and_hash_agree_with_the_elements(x, y):
         unbuilt = [z for z in (left, right) if "elements" not in vars(z)]
         same = left == right
         if left.kind is not None and left.kind == right.kind \
-                and len(left.parts) == len(right.parts):
+                and len(left._parts) == len(right._parts):
             # Two carriers of one kind and arity compare without their elements.
             assert all("elements" not in vars(z) for z in unbuilt)
         assert same == (left.elements == right.elements)

@@ -309,3 +309,13 @@ def test_an_index_value_has_one_instance():
         identities = [m for m in scale.index_mors() if m.t0 == m.t0p]
         assert identities and all(m.src is m.dst for m in identities)
         assert all(m.src is not m.dst for m in scale.index_mors() if m.t0 != m.t0p)
+
+
+def test_an_index_instance_dies_with_its_last_holder():
+    m = IndexMor(Fraction(5, 7), 8, 9)
+    key = (Fraction(5, 7), Fraction(8))
+    assert IndexPair._made[key] is m.dst and IndexMor._made[key + (Fraction(9),)] is m
+    del m
+    assert key not in IndexPair._made and key + (Fraction(9),) not in IndexMor._made
+    # A value built again after that is a fresh, valid instance.
+    assert IndexPair(Fraction(5, 7), 8).t0 == 8
