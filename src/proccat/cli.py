@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .finset import DEFAULT_CAP, CapExceeded
-from .laws import MUTATIONS, SUITES, run_suites
+from .laws import MUTATIONS, run_suites, select_suites
 from .process import (
     LiveSpace,
     ProcSpace,
@@ -197,7 +197,7 @@ class _DescriptorParser:
         raise DescriptorError(f"unknown descriptor token {tok!r}")
 
     def _int(self, tok: str) -> int:
-        if not tok.isdigit():
+        if not tok.isdecimal():
             raise DescriptorError(f"expected a count, got {tok!r}")
         return int(tok)
 
@@ -256,6 +256,10 @@ def _machine_lines(reports) -> list:
 # -- subcommands ------------------------------------------------------------
 
 
+# Outside input nested deeper than the recursive parsers or printers go.
+TOO_DEEP = "input nests too deeply"
+
+
 def _fail(message: str) -> int:
     print("error: " + message, file=sys.stderr)
     return 2
@@ -266,34 +270,27 @@ def cmd_check(args) -> int:
         try:
             expr = parse_scale_expr(args.scale)
             verdict = validate_scale(expr)
+            if not verdict.accepted:
+                return _fail("scale rejected: " + str(verdict.witness))
+            scale = scale_from_expr(expr)
         except (ScaleParseError, ScaleOverlapError) as exc:
             return _fail(str(exc))
-        if not verdict.accepted:
-            return _fail("scale rejected: " + str(verdict.witness))
-        try:
-            scale = scale_from_expr(expr)
-        except ScaleParseError as exc:
-            return _fail(str(exc))
+        except RecursionError:
+            return _fail(TOO_DEEP)
         if scale != TimeScale.of(0, 1, 2):
             return _fail(f"the law grid is fixed to {GRID_SCALE_TEXT}; "
                          f"pass that scale or omit --scale")
     if args.cap < 1:
         return _fail("cap must be at least 1")
-    if args.suites == "all":
-        names = None
-    else:
-        names = [s for s in args.suites.split(",") if s]
-        if not names:
-            return _fail("--suites names no suite; give suite names or 'all'")
-        unknown = sorted(set(names) - set(SUITES))
-        if unknown:
-            return _fail("unknown suites: " + ", ".join(unknown))
-    if args.mutate is not None and args.mutate not in MUTATIONS:
-        return _fail(f"unknown mutation {args.mutate!r}; "
-                     "choose from " + ", ".join(MUTATIONS))
+    names = None if args.suites == "all" else [s for s in args.suites.split(",") if s]
+    if names == []:
+        return _fail("--suites names no suite; give suite names or 'all'")
     out = Path(args.out)
     try:
+        select_suites(names, args.mutate)
         out.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:
+        return _fail(str(exc))
     except OSError as exc:
         return _fail(f"--out {args.out} is not a writable directory: {exc.strerror}")
     try:
@@ -320,6 +317,8 @@ def cmd_scale_validate(args) -> int:
         verdict = validate_scale(expr)
     except (ScaleParseError, ScaleOverlapError) as exc:
         return _fail(str(exc))
+    except RecursionError:
+        return _fail(TOO_DEEP)
     if verdict.accepted:
         print("Accept")
         return 0
@@ -329,29 +328,25 @@ def cmd_scale_validate(args) -> int:
 
 def cmd_dump(args) -> int:
     try:
-        expr = parse_scale_expr(args.scale)
-        scale = scale_from_expr(expr)
-    except ScaleParseError as exc:
-        return _fail(str(exc))
-    try:
+        scale = scale_from_expr(parse_scale_expr(args.scale))
         space = parse_descriptor(args.descriptor, scale)
-    except DescriptorError as exc:
+        t, t0 = parse_fraction(args.t), parse_fraction(args.t0)
+        if t not in scale.points or t0 not in scale.points or t > t0:
+            return _fail(f"({t}, {t0}) is not an index of scale {args.scale}")
+        i = IndexPair(t, t0)
+        elements = _carrier_of(space).at(i).elements
+        lines = ["  " + _render_element(space, i, e) for e in elements]
+    except (ScaleParseError, DescriptorError) as exc:
         return _fail(str(exc))
+    except RecursionError:
+        return _fail(TOO_DEEP)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    try:
-        t, t0 = parse_fraction(args.t), parse_fraction(args.t0)
-    except ScaleParseError as exc:
-        return _fail(str(exc))
-    if t not in scale.points or t0 not in scale.points or t > t0:
-        return _fail(f"({t}, {t0}) is not an index of scale {args.scale}")
-    i = IndexPair(t, t0)
-    elements = _carrier_of(space).at(i).elements
     print(f"index ({t}, {t0})")
     print(f"size {len(elements)}")
-    for e in elements:
-        print("  " + _render_element(space, i, e))
+    for line in lines:
+        print(line)
     return 0
 
 

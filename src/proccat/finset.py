@@ -78,24 +78,21 @@ def elem_key(e: Elem):
 
 class FinObj:
     """A finite set; the constructor sorts the given elements by
-    `elem_key` and rejects duplicates, unless `presorted` says they are
-    already in that order and distinct.  `product` and `coproduct` make
+    `elem_key` and rejects duplicates.  `product` and `coproduct` make
     theirs from a `kind` and `size`, and build elements on read from the
     factors that `_interned` pins on them as `_parts`."""
 
     kind = None  # "product" or "coproduct" for such a carrier
     _parts = ()
 
-    def __init__(self, elements: tuple, presorted: bool = False) -> None:
-        if not presorted:
-            keys = [elem_key(e) for e in elements]
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            for a, b in zip(order, order[1:]):
-                if keys[a] == keys[b]:
-                    raise ValueError(f"duplicate element {elements[a]!r}")
-            elements = tuple(elements[k] for k in order)
-        self.elements = elements
-        self.size = len(elements)
+    def __init__(self, elements: tuple) -> None:
+        keys = [elem_key(e) for e in elements]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        for a, b in zip(order, order[1:]):
+            if keys[a] == keys[b]:
+                raise ValueError(f"duplicate element {elements[a]!r}")
+        self.elements = tuple(elements[k] for k in order)
+        self.size = len(self.elements)
 
     @classmethod
     def _structured(cls, kind: str, size: int) -> "FinObj":

@@ -28,7 +28,7 @@ the cap allows, makes it `cap`, with the exception's text as the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial, wraps
+from functools import cached_property, partial, reduce, wraps
 from typing import Optional, Sequence
 
 from .finset import (
@@ -102,17 +102,6 @@ from .twoexit import TwoExitProblem, check_roundtrips, defer_all
 
 
 @dataclass(frozen=True)
-class PathEq:
-    """Two edge sequences from src to dst that must compose equally; an
-    empty sequence stands for the identity (then src == dst)."""
-
-    src: str
-    dst: str
-    lhs: tuple
-    rhs: tuple
-
-
-@dataclass(frozen=True)
 class LawReport:
     suite: str
     instance: str
@@ -122,69 +111,61 @@ class LawReport:
 
 
 class Diagram:
-    """Named objects and morphisms with path equalities to check.
+    """Named morphisms, and pairs `(lhs, rhs)` of paths that must compose
+    equally: edge names in the order they apply, `()` the identity on the
+    other side's source.  Construction checks that each path composes and
+    that a pair's sides share source and target; `paths` keeps each pair
+    as `(source, lhs, rhs)`."""
 
-    Edges map a name to (source node, target node, morphism); endpoints
-    are validated on construction, as is composability of every path.
-    """
-
-    def __init__(self, nodes: dict, edges: dict, paths: Sequence[PathEq]):
-        self.nodes = nodes
+    def __init__(self, edges: dict, paths: Sequence[tuple]):
         self.edges = edges
-        self.paths = list(paths)
-        for name, (src, dst, mor) in edges.items():
-            if mor.dom != nodes[src] or mor.cod != nodes[dst]:
-                raise ValueError(f"edge {name} does not match its endpoints")
-        for p in self.paths:
-            for seq in (p.lhs, p.rhs):
-                self._trace(p.src, p.dst, seq)
+        self.paths = []
+        for lhs, rhs in paths:
+            src, dst = self._ends(lhs or rhs)
+            if (src, dst) != (self._ends(rhs) if lhs and rhs else (src, src)):
+                raise ValueError(f"{_path_label(lhs)} and {_path_label(rhs)} "
+                                 "differ in source or target")
+            self.paths.append((src, lhs, rhs))
 
-    def _trace(self, src: str, dst: str, seq) -> None:
-        here = src
-        for name in seq:
-            if name not in self.edges:
-                raise ValueError(f"path uses unknown edge {name}")
-            s, d, _ = self.edges[name]
-            if s != here:
-                raise ValueError(f"path breaks at {name}: from {here}")
-            here = d
-        if here != dst:
-            raise ValueError(f"path ends at {here}, expected {dst}")
+    def _ends(self, seq) -> tuple:
+        """The source and target of a path of at least one edge."""
+        if not seq or any(name not in self.edges for name in seq):
+            raise ValueError(f"path {seq} is empty or uses an unknown edge")
+        mors = [self.edges[name] for name in seq]
+        for name, before, mor in zip(seq[1:], mors, mors[1:]):
+            if mor.dom != before.cod:
+                raise ValueError(f"path breaks at {name}")
+        return mors[0].dom, mors[-1].cod
 
-    def composite(self, src: str, seq) -> TemporalMor:
-        """The path's edges composed from its first; the identity on src
-        for an empty path."""
-        if not seq:
-            return t_identity(self.nodes[src])
-        out = self.edges[seq[0]][2]
-        for name in seq[1:]:
-            out = t_compose(self.edges[name][2], out)
-        return out
+    def composite(self, src: TemporalObj, seq) -> TemporalMor:
+        """The path's edges composed in order after the identity on src."""
+        return reduce(lambda out, name: t_compose(self.edges[name], out), seq,
+                      t_identity(src))
 
 
 def _path_label(seq) -> str:
     return " then ".join(seq) if seq else "identity"
 
 
-def _chain(d: Diagram, src: str, seq, i) -> list:
+def _chain(d: Diagram, src: TemporalObj, seq, i) -> list:
     """The positions of the path's composite at index i, looked up along
     its edges' components without building the composite."""
-    pos = range(d.nodes[src].at(i).size)
+    pos = range(src.at(i).size)
     for name in seq:
-        pos = map(d.edges[name][2].at(i).pos.__getitem__, pos)
+        pos = map(d.edges[name].at(i).pos.__getitem__, pos)
     return [*pos]
 
 
 def check_diagram(d: Diagram) -> Optional[str]:
     """Compare every asserted pair of paths by positions: the witness of
     the first pair that differs, from its composites, or None."""
-    for p in d.paths:
-        if any(_chain(d, p.src, p.lhs, i) != _chain(d, p.src, p.rhs, i)
-               for i in d.nodes[p.src].scale.indices()):
-            gap = first_difference(d.composite(p.src, p.lhs),
-                                   d.composite(p.src, p.rhs))
-            return (f"{_path_label(p.lhs)} differs from "
-                    f"{_path_label(p.rhs)}: {gap}")
+    for src, lhs, rhs in d.paths:
+        if any(_chain(d, src, lhs, i) != _chain(d, src, rhs, i)
+               for i in src.scale.indices()):
+            gap = first_difference(d.composite(src, lhs),
+                                   d.composite(src, rhs))
+            return (f"{_path_label(lhs)} differs from "
+                    f"{_path_label(rhs)}: {gap}")
     return None
 
 
@@ -329,8 +310,7 @@ def _checked(case: Case, d: Diagram,
     """d's witness, with edge `poisoned` (if any) broken by `poison`; the
     case holds d until it is done."""
     if poisoned is not None:
-        src, dst, mor = d.edges[poisoned]
-        d.edges[poisoned] = (src, dst, poison(mor))
+        d.edges[poisoned] = poison(d.edges[poisoned])
     case.held.append(d)
     return check_diagram(d)
 
@@ -350,21 +330,16 @@ def suite_expansion(cap: int, mutated: bool, case: Case):
     packed = expanded_space(plain)
     repacked = expanded_space(packed)
     d = Diagram(
-        nodes={"plain": plain.obj, "packed": packed.obj,
-               "repacked": repacked.obj},
         edges={
-            "dup": ("plain", "packed", expand(plain)),
-            "forget": ("packed", "plain",
-                       proc_map(packed, plain, act=t_proj([a, plain.obj], 0))),
-            "dup_inside": ("packed", "repacked",
-                           proc_map(packed, repacked,
-                                    act=expand_live(LiveSpace(w, a, b)))),
-            "dup_again": ("packed", "repacked", expand(packed)),
+            "dup": expand(plain),
+            "forget": proc_map(packed, plain, act=t_proj([a, plain.obj], 0)),
+            "dup_inside": proc_map(packed, repacked,
+                                   act=expand_live(LiveSpace(w, a, b))),
+            "dup_again": expand(packed),
         },
         paths=[
-            PathEq("plain", "plain", ("dup", "forget"), ()),
-            PathEq("plain", "repacked", ("dup", "dup_inside"),
-                   ("dup", "dup_again")),
+            (("dup", "forget"), ()),
+            (("dup", "dup_inside"), ("dup", "dup_again")),
         ],
     )
     yield case.label, partial(_checked, case, d, "dup" if mutated else None)
@@ -380,19 +355,15 @@ def suite_joining(cap: int, mutated: bool, case: Case):
     js = joining_space(sp)
     js2 = joining_space(js)
     d = Diagram(
-        nodes={"plain": sp.obj, "once": js.obj, "twice": js2.obj},
         edges={
-            "wrap": ("plain", "once",
-                     proc_map(sp, js, res=t_inj([case.b, step.live.obj], 0))),
-            "join": ("once", "plain", join(sp)),
-            "collapse_inside": ("twice", "once",
-                                proc_map(js2, js, res=join_step(step))),
-            "join_outer": ("twice", "once", join(js)),
+            "wrap": proc_map(sp, js, res=t_inj([case.b, step.live.obj], 0)),
+            "join": join(sp),
+            "collapse_inside": proc_map(js2, js, res=join_step(step)),
+            "join_outer": join(js),
         },
         paths=[
-            PathEq("plain", "plain", ("wrap", "join"), ()),
-            PathEq("twice", "plain", ("collapse_inside", "join"),
-                   ("join_outer", "join")),
+            (("wrap", "join"), ()),
+            (("collapse_inside", "join"), ("join_outer", "join")),
         ],
     )
     yield case.label, partial(_checked, case, d, "join" if mutated else None)
@@ -404,31 +375,20 @@ def suite_interaction(cap: int, mutated: bool, case: Case):
     expanded ones."""
     a, b, w = case.a, case.b, case.w
     sp = case.space
-    lv = LiveSpace(w, a, b)
     js = joining_space(sp)
     ex_sp = expanded_space(sp)
-    mid_src = expanded_space(js)
     d = Diagram(
-        nodes={
-            "outer": js.obj,
-            "plain": sp.obj,
-            "expanded": ex_sp.obj,
-            "outer_expanded": mid_src.obj,
-            "expanded_outer": joining_space(ex_sp).obj,
-        },
         edges={
-            "join": ("outer", "plain", join(sp)),
-            "dup": ("plain", "expanded", expand(sp)),
-            "dup_outer": ("outer", "outer_expanded", expand(js)),
-            "across": ("outer_expanded", "expanded_outer",
-                       proc_map(mid_src, joining_space(ex_sp),
-                                act=join_live(lv),
-                                res=expand_step(StepSpace(w, a, b)))),
-            "join_expanded": ("expanded_outer", "expanded", join(ex_sp)),
+            "join": join(sp),
+            "dup": expand(sp),
+            "dup_outer": expand(js),
+            "across": proc_map(expanded_space(js), joining_space(ex_sp),
+                               act=join_live(LiveSpace(w, a, b)),
+                               res=expand_step(StepSpace(w, a, b))),
+            "join_expanded": join(ex_sp),
         },
         paths=[
-            PathEq("outer", "expanded", ("join", "dup"),
-                   ("dup_outer", "across", "join_expanded")),
+            (("join", "dup"), ("dup_outer", "across", "join_expanded")),
         ],
     )
     yield case.label, partial(_checked, case, d, "join" if mutated else None)
@@ -442,16 +402,8 @@ def suite_merging(cap: int, mutated: bool, case: Case):
     label, left, right = merge_pair(case)
     m = MergeSpace(left, right)
     d = Diagram(
-        nodes={"pair": pointwise_product([left.obj, right.obj]),
-               "merged": m.merged.obj},
-        edges={
-            "zip": ("pair", "merged", m.zip()),
-            "split": ("merged", "pair", m.split()),
-        },
-        paths=[
-            PathEq("pair", "pair", ("zip", "split"), ()),
-            PathEq("merged", "merged", ("split", "zip"), ()),
-        ],
+        edges={"zip": m.zip(), "split": m.split()},
+        paths=[(("zip", "split"), ()), (("split", "zip"), ())],
     )
     yield label, partial(_checked, case, d, "zip" if mutated else None)
 
@@ -848,21 +800,28 @@ def _run(chosen: Sequence[str], cap: int, mutate: Optional[str]) -> list:
     return reports
 
 
+def select_suites(names: Optional[Sequence[str]],
+                  mutate: Optional[str]) -> list:
+    """The named suites (all for None), sorted.  A ValueError says which
+    names are not suites, or that `mutate` is not one of `MUTATIONS` or
+    targets a suite not named."""
+    chosen = sorted(SUITES) if names is None else sorted(set(names))
+    unknown = [n for n in chosen if n not in SUITES]
+    if unknown:
+        raise ValueError("unknown suites: " + ", ".join(unknown))
+    if mutate is not None and mutate not in MUTATIONS:
+        raise ValueError(f"unknown mutation {mutate!r}; "
+                         "choose from " + ", ".join(MUTATIONS))
+    if mutate is not None and mutate not in chosen:
+        raise ValueError(f"mutation {mutate} targets a suite that is not selected")
+    return chosen
+
+
 def run_suites(names: Optional[Sequence[str]] = None, cap: int = DEFAULT_CAP,
                mutate: Optional[str] = None) -> list:
-    """Run the selected suites (all by default) and return their reports
+    """Run the suites `select_suites` picks and return their reports
     sorted by suite then instance.  ``mutate`` names one of the seven
     mutations (see `MUTATIONS`); the matching suite then runs against the
     broken operation or solution and is expected to fail."""
-    chosen = sorted(SUITES) if names is None else sorted(set(names))
-    for n in chosen:
-        if n not in SUITES:
-            raise ValueError(f"unknown suite: {n}")
-    if mutate is not None:
-        if mutate not in MUTATIONS:
-            raise ValueError(f"unknown mutation: {mutate}")
-        if mutate not in chosen:
-            raise ValueError(
-                f"mutation {mutate} targets a suite that is not selected"
-            )
+    chosen = select_suites(names, mutate)
     return sorted(_run(chosen, cap, mutate), key=lambda r: (r.suite, r.instance))

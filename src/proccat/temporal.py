@@ -323,13 +323,15 @@ def _fn_tab(m: FinMor) -> FnTab:
     return FnTab(tuple(zip(m.dom.elements, map(m.cod.elements.__getitem__, m.pos))))
 
 
-def exponential_end(a: TemporalObj, b: TemporalObj, cap: int = DEFAULT_CAP) -> TemporalObj:
+def exponential_end(a: TemporalObj, b: TemporalObj) -> TemporalObj:
     """Internal hom b^a: at (t, t0), the compatible families of maps
     a(t, t'') -> b(t, t'') for every scale point t'' in [t, t0].
 
     Compatible means every restriction square between two family members
     commutes.  Elements are tuples of function tables in ascending t''
-    order; restriction drops the members beyond the new horizon.
+    order; restriction drops the members beyond the new horizon.  A
+    carrier whose candidate families number more than DEFAULT_CAP raises
+    CapExceeded before they are listed.
     """
     scale = a.scale
     if b.scale != scale:
@@ -342,9 +344,9 @@ def exponential_end(a: TemporalObj, b: TemporalObj, cap: int = DEFAULT_CAP) -> T
         for tq in times:
             here = IndexPair(i.t, tq)
             total *= len(b.at(here)) ** len(a.at(here))
-            if total > cap:
-                raise CapExceeded(total, cap)
-            spaces.append(enumerate_mors(a.at(here), b.at(here), cap))
+            if total > DEFAULT_CAP:
+                raise CapExceeded(total, DEFAULT_CAP)
+            spaces.append(enumerate_mors(a.at(here), b.at(here)))
         # Squares along covers suffice, as in `naturality_witness`.
         covers = [IndexMor(i.t, lo, hi) for lo, hi in zip(times, times[1:])]
         return fin_obj([

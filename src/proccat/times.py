@@ -143,10 +143,6 @@ class TimeScale:
         return t in self.points
 
     @_per_scale
-    def open_open(self, a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
-        return tuple(p for p in self.points if a < p < b)
-
-    @_per_scale
     def open_closed(self, a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
         return tuple(p for p in self.points if a < p <= b)
 
@@ -249,19 +245,15 @@ class FiniteScale:
 
 
 @dataclass(frozen=True)
-class DescAbove:
-    base: Fraction
+class Chain:
+    """The points anchor + sign/n for n >= 1: desc_above(anchor) for sign
+    1, asc_below(anchor) for sign -1."""
+
+    anchor: Fraction
+    sign: int
 
     def __str__(self) -> str:
-        return f"desc_above({self.base})"
-
-
-@dataclass(frozen=True)
-class AscBelow:
-    limit: Fraction
-
-    def __str__(self) -> str:
-        return f"asc_below({self.limit})"
+        return f"{'desc_above' if self.sign > 0 else 'asc_below'}({self.anchor})"
 
 
 @dataclass(frozen=True)
@@ -272,7 +264,7 @@ class ScaleUnion:
         return "union(" + ", ".join(map(str, self.parts)) + ")"
 
 
-ScaleExpr = Union[FiniteScale, DescAbove, AscBelow, ScaleUnion]
+ScaleExpr = Union[FiniteScale, Chain, ScaleUnion]
 
 
 @dataclass(frozen=True)
@@ -371,13 +363,8 @@ def _parts_overlap(x: ScaleExpr, y: ScaleExpr) -> bool:
         return bool(set(x.points) & set(y.points))
     if isinstance(x, FiniteScale) or isinstance(y, FiniteScale):
         fin, chain = (x, y) if isinstance(x, FiniteScale) else (y, x)
-        anchor, sign = (
-            (chain.base, 1) if isinstance(chain, DescAbove) else (chain.limit, -1)
-        )
-        return any(_chain_member(p, anchor, sign) for p in fin.points)
-    a1, s1 = (x.base, 1) if isinstance(x, DescAbove) else (x.limit, -1)
-    a2, s2 = (y.base, 1) if isinstance(y, DescAbove) else (y.limit, -1)
-    meet = _chain_points_equal_gap(a2 - a1, s1, s2)
+        return any(_chain_member(p, chain.anchor, chain.sign) for p in fin.points)
+    meet = _chain_points_equal_gap(y.anchor - x.anchor, x.sign, y.sign)
     if meet is None:
         raise ScaleOverlapError(
             f"cannot tell within {SEARCH_BUDGET} steps whether {x} and {y} overlap")
@@ -409,13 +396,13 @@ def validate_scale(expr: ScaleExpr) -> ScaleVerdict:
         return ScaleVerdict(True, None)
     return ScaleVerdict(
         False,
-        f"ascending chain approaching {bad.limit} from below: "
-        f"{bad.limit}-1, {bad.limit}-1/2, {bad.limit}-1/3, ... has no final step",
+        f"ascending chain approaching {bad.anchor} from below: "
+        f"{bad.anchor}-1, {bad.anchor}-1/2, {bad.anchor}-1/3, ... has no final step",
     )
 
 
-def _find_asc(expr: ScaleExpr) -> Optional[AscBelow]:
-    if isinstance(expr, AscBelow):
+def _find_asc(expr: ScaleExpr) -> Optional[Chain]:
+    if isinstance(expr, Chain) and expr.sign < 0:
         return expr
     if isinstance(expr, ScaleUnion):
         for part in expr.parts:
@@ -487,7 +474,7 @@ class _ScaleParser:
             args = self.rational_args()
             if len(args) != 1:
                 raise ScaleParseError(f"{head} takes one point, got {len(args)}")
-            return (DescAbove if head == "desc_above" else AscBelow)(args[0])
+            return Chain(args[0], 1 if head == "desc_above" else -1)
         if head == "union":
             self.take("(")
             parts = [self.expr()]

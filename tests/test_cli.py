@@ -119,6 +119,30 @@ def test_dump_rejects_bad_descriptor(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_dump_rejects_a_count_that_is_not_a_decimal(capsys):
+    # "²" is a digit to `str.isdigit`, but `int` cannot read it.
+    code, out, err = run(capsys, ["dump", "flag(²)", "0", "2"])
+    assert (code, out) == (2, "")
+    assert err == "error: expected a count, got '²'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dump", "(" * 400 + "unit" + ")" * 400, "0", "2"],
+    ["dump", "box " * 1200 + "unit", "0", "2"],
+    ["scale", "validate", "union(" * 1200 + "finite(1)" + ")" * 1200],
+    ["check", "--scale", "union(" * 700 + "finite(1)" + ")" * 700],
+    ["dump", "prod(" * 300 + "unit" + ")" * 300, "0", "2"],
+], ids=["dump-parentheses", "dump-prefixes", "scale-unions", "check-scale-unions",
+        "dump-printed-tuples"])
+def test_deeply_nested_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
+    # The parsers and printers recurse once per level of nesting; each of
+    # these used to end in a RecursionError traceback.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", "error: input nests too deeply\n")
+    assert not (tmp_path / "reports").exists()
+
+
 def test_dump_rejects_off_scale_index(capsys):
     code, _, err = run(capsys, ["dump", "unit", "2", "1"])
     assert code == 2 and "not an index" in err
@@ -263,9 +287,11 @@ def test_check_rejects_an_out_path_that_is_not_a_directory(capsys, monkeypatch, 
 
 def test_check_rejects_mismatched_mutation(capsys, tmp_path):
     argv = ["check", "--suites", "functor", "--mutate", "nonstop",
-            "--out", str(tmp_path)]
+            "--out", str(tmp_path / "reports")]
     code, _, err = run(capsys, argv)
-    assert code == 2 and "error:" in err
+    assert code == 2
+    assert err == "error: mutation nonstop targets a suite that is not selected\n"
+    assert not (tmp_path / "reports").exists()
 
 
 @pytest.mark.parametrize("scale,hint", [

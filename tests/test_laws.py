@@ -15,7 +15,6 @@ from proccat.laws import (
     GRID_SUITES,
     LawReport,
     MUTATIONS,
-    PathEq,
     SUITES,
     check_diagram,
     law_grid,
@@ -82,12 +81,12 @@ def test_every_mutation_is_detected():
 
 
 def test_mutation_must_target_a_selected_suite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mutation joining targets a suite that is not selected$"):
         run_suites(["functor"], mutate="joining")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown mutation 'sabotage'; choose from expansion, "):
         run_suites(["joining"], mutate="sabotage")
-    with pytest.raises(ValueError):
-        run_suites(["made_up_suite"])
+    with pytest.raises(ValueError, match="^unknown suites: made_up, nope$"):
+        run_suites(["nope", "functor", "made_up"])
 
 
 def test_poison_swaps_two_images():
@@ -109,17 +108,21 @@ def test_poison_leaves_constant_maps_alone():
 
 def test_diagram_rejects_mismatched_edges():
     a, b = unit_obj(SCALE), flag_temporal(SCALE, 2)
-    with pytest.raises(ValueError):
-        Diagram(nodes={"x": a, "y": b},
-                edges={"e": ("x", "y", t_identity(a))}, paths=[])
+    to_b = temporal_mor(a, b, lambda i: fin_mor(a.at(i), b.at(i), lambda e: Atom("v0")))
+    edges = {"a": t_identity(a), "b": t_identity(b), "to_b": to_b}
+    for pair in [(("a", "b"), ("a",)),        # b does not start where a ends
+                 (("a",), ("to_b",)),         # the sides end apart
+                 (("b",), ("a",)),            # the sides start apart
+                 (("to_b",), ())]:            # an identity against a -> b
+        with pytest.raises(ValueError):
+            Diagram(edges=edges, paths=[pair])
 
 
 def test_diagram_rejects_broken_paths():
     a = unit_obj(SCALE)
-    edges = {"e": ("x", "x", t_identity(a))}
+    edges = {"e": t_identity(a)}
     with pytest.raises(ValueError):
-        Diagram(nodes={"x": a}, edges=edges,
-                paths=[PathEq("x", "x", ("e", "missing"), ())])
+        Diagram(edges=edges, paths=[(("e", "missing"), ())])
 
 
 def test_check_diagram_reports_a_witness():
@@ -130,9 +133,7 @@ def test_check_diagram_reports_a_witness():
                           lambda e: Atom("v1") if e == Atom("v0")
                           else Atom("v0")),
     )
-    d = Diagram(nodes={"x": a},
-                edges={"flip": ("x", "x", flip)},
-                paths=[PathEq("x", "x", ("flip",), ())])
+    d = Diagram(edges={"flip": flip}, paths=[(("flip",), ())])
     witness = check_diagram(d)
     assert "flip" in witness and "identity" in witness
 

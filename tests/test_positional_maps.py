@@ -129,7 +129,7 @@ def ref_zip(m):
             else:
                 stop, tag = t1, 0
             seen = tuple((u, Tup((seen_value(v1, u), seen_value(v2, u))))
-                         for u in m.scale.open_open(i.t, stop))
+                         for u in m.scale.points if i.t < u < stop)
             here = IndexPair(stop, i.t0)
             if tag == 0:
                 outcome = Inj(0, Tup((v1.result, v2.result)))

@@ -62,7 +62,7 @@ def count_processes(scale, w, size_a, size_b, i):
         if w.bounded and v > w.time:
             continue
         stopped = size_b(v)
-        for u in scale.open_open(i.t, v):
+        for u in (p for p in scale.points if i.t < p < v):
             stopped *= size_a(u)
         total += stopped
     if not (w.bounded and w.time <= i.t0):
@@ -283,7 +283,7 @@ def reference_values(sp, i):
     lay = sp.obj.layout[i]
     out = []
     for tp in lay.times[:lay.stops]:
-        prior = sp.scale.open_open(i.t, tp)
+        prior = tuple(u for u in sp.scale.points if i.t < u < tp)
         for combo in iter_product(*(pool(sp.a, u) for u in prior)):
             out.extend(Terminated(tp, tuple(zip(prior, combo)), y) for y in pool(sp.b, tp))
     if lay.case == 3:

@@ -73,7 +73,6 @@ def test_index_counts_match_direct_enumeration():
 def test_interval_helpers():
     two = Fraction(2)
     assert SCALE.open_closed(Fraction(0), two) == (Fraction(1), two)
-    assert SCALE.open_open(Fraction(0), two) == (Fraction(1),)
     assert SCALE.closed_closed(Fraction(0), two) == SCALE.points
     assert SCALE.open_closed(two, two) == ()
     assert SCALE.start == Fraction(0) and SCALE.end == two
@@ -204,7 +203,6 @@ def test_memoized_intervals_match_the_direct_filter(n):
     for a in points:
         for b in points:
             for _ in range(2):  # the first call fills the table, the second reads it
-                assert scale.open_open(a, b) == tuple(p for p in points if a < p < b)
                 assert scale.open_closed(a, b) == tuple(p for p in points if a < p <= b)
                 assert scale.closed_closed(a, b) == tuple(p for p in points if a <= p <= b)
     assert scale.indices() == tuple(
