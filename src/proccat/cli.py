@@ -24,7 +24,7 @@ from .process import (
     behavior_space,
     event_space,
     event_step_space,
-    render_value,
+    listing,
 )
 from .temporal import (
     TemporalObj,
@@ -211,20 +211,6 @@ def parse_descriptor(text: str, scale: TimeScale):
     return _DescriptorParser(text, scale).parse()
 
 
-def _render_element(space, i: IndexPair, e) -> str:
-    if isinstance(space, ProcSpace):
-        return render_value(space.decode(i, e))
-    if isinstance(space, LiveSpace):
-        x, v = space.decode(i, e)
-        return f"now {x!r}; {render_value(v)}"
-    if isinstance(space, StepSpace):
-        if e.tag == 0:
-            return f"done({e.value!r})"
-        x, v = space.live.decode(i, e.value)
-        return f"now {x!r}; {render_value(v)}"
-    return repr(e)
-
-
 # -- report formatting ------------------------------------------------------
 
 
@@ -258,6 +244,20 @@ def _machine_lines(reports) -> list:
 
 # Outside input nested deeper than the recursive parsers or printers go.
 TOO_DEEP = "input nests too deeply"
+
+
+def _write_whole(text: str) -> None:
+    """Write text to stdout or raise.  An unbuffered stdout is a bare file,
+    whose write to a pipe closed midway takes only part of the text: write
+    the rest, so that BrokenPipeError is raised instead of text lost."""
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text-only stream, such as io.StringIO
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[out.write(data):]
 
 
 def _fail(message: str) -> int:
@@ -334,8 +334,8 @@ def cmd_dump(args) -> int:
         if t not in scale.points or t0 not in scale.points or t > t0:
             return _fail(f"({t}, {t0}) is not an index of scale {args.scale}")
         i = IndexPair(t, t0)
-        elements = _carrier_of(space).at(i).elements
-        lines = ["  " + _render_element(space, i, e) for e in elements]
+        size = _carrier_of(space).at(i).size
+        lines = listing(space, i)
     except (ScaleParseError, DescriptorError) as exc:
         return _fail(str(exc))
     except RecursionError:
@@ -343,10 +343,8 @@ def cmd_dump(args) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(f"index ({t}, {t0})")
-    print(f"size {len(elements)}")
-    for line in lines:
-        print(line)
+    _write_whole(f"index ({t}, {t0})\nsize {size}\n"
+                 + "".join(f"  {line}\n" for line in lines))
     return 0
 
 

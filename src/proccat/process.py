@@ -23,7 +23,8 @@ Carriers are coproducts of products: one summand per admissible stop time
 (the record's value pools times the result pool), then, when running views
 exist, the running record's value pools.  Restriction, and every map
 between process spaces here and in `operators`, is position arithmetic on
-those summands; it builds and decodes no element.
+those summands; it builds and decodes no element.  Nor does `listing`,
+which prints a carrier in that order from its pools.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import copy
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, product as iter_product, repeat
 from math import prod
 from typing import NamedTuple, Optional
 
@@ -362,8 +363,24 @@ def nonstop_space(scale: TimeScale) -> LiveSpace:
 # -- rendering --------------------------------------------------------------
 
 
-def render_value(value: ProcessValue) -> str:
-    seen = ", ".join(f"{u} -> {x!r}" for u, x in value.seen)
-    if isinstance(value, Terminated):
-        return f"term({value.at_time}; {seen}; {value.result!r})"
-    return f"ongoing({seen})"
+def listing(space, i: IndexPair) -> list:
+    """The `dump` lines of the carrier at i, in carrier order, read off
+    the layout: each pool element is printed once, and no carrier element
+    is built or decoded.  A bare temporal object lists its elements."""
+    if isinstance(space, StepSpace):
+        return [f"done({y!r})" for y in space.b.at(i)] + listing(space.live, i)
+    if isinstance(space, LiveSpace):
+        lines = listing(space.proc, i)
+        return [f"now {x!r}; {line}" for x in space.a.at(i) for line in lines]
+    if not isinstance(space, ProcSpace):
+        return [repr(e) for e in space.at(i)]
+    lay = space._layout[i]
+    pieces = [[f"{u} -> {x!r}" for x in space.a.at(p)] for u, p in zip(lay.times, lay.run)]
+    lines = []
+    for k in range(lay.stops):
+        head, ends = f"term({lay.times[k]}; ", [f"; {y!r})" for y in space.b.at(lay.run[k])]
+        lines += [head + seen + end for seen in map(", ".join, iter_product(*pieces[:k]))
+                  for end in ends]
+    if lay.case == 3:
+        lines += [f"ongoing({seen})" for seen in map(", ".join, iter_product(*pieces))]
+    return lines

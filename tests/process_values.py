@@ -1,5 +1,5 @@
 """Element-level helpers on process values that several test files share."""
-from proccat.process import Ongoing, Terminated
+from proccat.process import LiveSpace, Ongoing, ProcSpace, StepSpace, Terminated
 
 
 def seen_value(value, u):
@@ -22,3 +22,26 @@ def rest_after(value, u):
             raise ValueError(f"no suffix after {u}: process stopped at {value.at_time}")
         return Terminated(value.at_time, later, value.result)
     return Ongoing(later)
+
+
+def render_value(value):
+    """A process value as `proccat dump` prints it."""
+    seen = ", ".join(f"{u} -> {x!r}" for u, x in value.seen)
+    if isinstance(value, Terminated):
+        return f"term({value.at_time}; {seen}; {value.result!r})"
+    return f"ongoing({seen})"
+
+
+def render_element(space, i, e):
+    """The `dump` line of carrier element e at index i, by decoding it:
+    the reference `process.listing` is held to."""
+    if isinstance(space, ProcSpace):
+        return render_value(space.decode(i, e))
+    if isinstance(space, LiveSpace):
+        x, v = space.decode(i, e)
+        return f"now {x!r}; {render_value(v)}"
+    if isinstance(space, StepSpace):
+        if e.tag == 0:
+            return f"done({e.value!r})"
+        return render_element(space.live, i, e.value)
+    return repr(e)

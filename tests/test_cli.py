@@ -5,13 +5,16 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proccat import cli, finset
 from proccat.cli import build_parser, main
+from proccat.times import IndexPair
 
 GOLDEN_DUMPS = json.loads(
     (Path(__file__).parent / "fixtures" / "golden_dumps.json").read_text(encoding="utf-8"))
@@ -114,6 +117,34 @@ def test_dump_matches_golden_listing(capsys, case):
     assert (code, out) == (0, case["stdout"])
 
 
+def test_dump_builds_no_element_of_the_listed_carrier(capsys, monkeypatch):
+    # The listing is read off the layout: neither the carrier nor any
+    # product or coproduct inside it builds its elements (`elements` is a
+    # cached_property, so a built one sits in the instance's __dict__).
+    # A fresh hash-consing table keeps out carriers other tests built.
+    monkeypatch.setattr(finset, "_INTERNED", {})
+    parse, parsed = cli.parse_descriptor, []
+
+    def parse_and_keep(text, scale):
+        parsed.append(parse(text, scale))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_descriptor", parse_and_keep)
+    code, out, _ = run(capsys, ["dump", "flag(10) |>[inf] unit", "0", "2"])
+    assert code == 0 and out.startswith("index (0, 2)\nsize 1111\n")
+    (space,) = parsed
+    todo, structured = [space.obj.at(IndexPair(Fraction(0), Fraction(2)))], 0
+    while todo:
+        carrier = todo.pop()
+        if carrier.kind:
+            structured += 1
+            assert "elements" not in vars(carrier)
+            todo.extend(carrier._parts)
+    # The sum with `done`, the pair with `now`, the process carrier, its
+    # stopped part, and the five products under those.
+    assert structured == 9
+
+
 def test_dump_rejects_bad_descriptor(capsys):
     code, _, err = run(capsys, ["dump", "unit |> |>", "0", "0"])
     assert code == 2 and "error:" in err
@@ -132,8 +163,9 @@ def test_dump_rejects_a_count_that_is_not_a_decimal(capsys):
     ["scale", "validate", "union(" * 1200 + "finite(1)" + ")" * 1200],
     ["check", "--scale", "union(" * 700 + "finite(1)" + ")" * 700],
     ["dump", "prod(" * 300 + "unit" + ")" * 300, "0", "2"],
+    ["dump", "prod(" * 300 + "unit" + ")" * 300 + " |>''[inf] unit", "0", "2"],
 ], ids=["dump-parentheses", "dump-prefixes", "scale-unions", "check-scale-unions",
-        "dump-printed-tuples"])
+        "dump-printed-tuples", "dump-printed-process-values"])
 def test_deeply_nested_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
     # The parsers and printers recurse once per level of nesting; each of
     # these used to end in a RecursionError traceback.
@@ -188,17 +220,22 @@ def test_dump_caps_flag_before_building_it(capsys):
 
 def test_closed_pipe_exits_141_without_a_traceback():
     # The listing (6,481 lines) outgrows the pipe buffer, so the dump is
-    # still writing when the reader goes away.
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "proccat", "dump", "flag(80) |>''[inf] unit", "0", "2"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
-    assert first == b"index (0, 2)\n"
-    assert b"Traceback" not in err
+    # still writing when the reader goes away.  An unbuffered stdout hands
+    # the whole listing to one write, which the closing pipe cuts short.
+    for unbuffered in (False, True):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "proccat", "dump", "flag(80) |>''[inf] unit", "0", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141, unbuffered
+        assert first == b"index (0, 2)\n"
+        assert b"Traceback" not in err
 
 
 def test_check_writes_reports_deterministically(capsys, tmp_path):

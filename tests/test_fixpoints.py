@@ -33,7 +33,6 @@ from proccat.process import (
     ProcSpace,
     live_map,
     proc_map,
-    render_value,
 )
 from proccat.temporal import (
     TemporalMor,
@@ -50,6 +49,8 @@ from proccat.temporal import (
     unit_obj,
 )
 from proccat.times import IndexPair, TimeScale, UNBOUNDED
+
+from process_values import render_value
 
 SCALE = TimeScale.of(0, 1, 2)
 I02 = IndexPair(Fraction(0), Fraction(2))

@@ -9,6 +9,7 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proccat.cli import parse_descriptor
 from proccat.finset import (
     Atom, CapExceeded, DEFAULT_CAP, FinMor, Tup, UNIT_ELEM, fin_mor, fin_obj,
 )
@@ -23,10 +24,10 @@ from proccat.process import (
     behavior_space,
     event_space,
     event_step_space,
+    listing,
     live_map,
     nonstop_space,
     proc_map,
-    render_value,
     strong_bound,
 )
 from proccat.temporal import (
@@ -42,7 +43,7 @@ from proccat.temporal import (
 )
 from proccat.times import IndexMor, IndexPair, TermBound, TimeScale, UNBOUNDED
 
-from process_values import rest_after, seen_value
+from process_values import render_element, render_value, rest_after, seen_value
 
 SCALE = TimeScale.of(0, 1, 2)
 I02 = IndexPair(Fraction(0), Fraction(2))
@@ -253,6 +254,43 @@ def test_render_value_is_stable():
     assert render_value(v) == "term(1; ; ())"
     o = Ongoing(((Fraction(1), Tup(())), (Fraction(2), Tup(()))))
     assert render_value(o) == "ongoing(1 -> (), 2 -> ())"
+
+
+# Scales of one to three rational points, and process descriptors over
+# one: every operator with every bound and every prefix, over values and
+# results that are processes again or small products, sums, flags and one
+# small exponential.
+POINTS = st.lists(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1),
+                                   Fraction(3, 2), Fraction(2)]),
+                  min_size=1, max_size=3, unique=True).map(sorted)
+
+
+def process_descriptors(scale):
+    def process(arg):
+        return st.one_of(
+            st.builds("{} {}[{}] {}".format, arg, st.sampled_from(["|>''", "|>'", "|>"]),
+                      st.sampled_from(["inf", *map(str, scale.points)]), arg),
+            st.builds("{} {}".format, st.sampled_from(["box'", "box", "dia'", "dia"]), arg))
+
+    def extend(inner):
+        return st.one_of(st.builds("prod({}, {})".format, inner, inner),
+                         st.builds("sum({}, {})".format, inner, inner),
+                         process(inner).map("({})".format))
+
+    leaves = st.sampled_from(["unit", "empty", "flag", "flag(1)", "flag(3)", "exp(unit, flag)"])
+    return process(st.recursive(leaves, extend, max_leaves=3))
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_listing_matches_decoding_each_element(data):
+    # Budget: at most 2 s for the whole test (about 1 s on 2 cores).
+    scale = TimeScale.of(*data.draw(POINTS))
+    space = parse_descriptor(data.draw(process_descriptors(scale)), scale)
+    for i in scale.indices():
+        lines = listing(space, i)
+        assert lines == [render_element(space, i, e) for e in space.obj.at(i)]
+        assert len(lines) == space.obj.at(i).size
 
 
 # -- hash-consing -----------------------------------------------------------
