@@ -76,7 +76,7 @@ def _memo_solve(dom: TemporalObj, cod: TemporalObj, step: Callable,
 
     try:
         return TemporalMor(dom, cod, {i: FinMor(dom.at(i), cod.at(i), pos=[
-            value_at(i, z) for z in range(len(row))]) for i, row in memo.items()})
+            value_at(i, z) for z in range(len(row))]) for i, row in memo.items()}.__getitem__)
     finally:
         del value_at  # a self-reference: the memo dies with the call
 
@@ -126,8 +126,7 @@ class CoiterProblem:
         """The right-hand side of the defining equation, by position: a
         seed through the seed map, each fresh seed through the candidate,
         then concatenated.  A solution is its own image."""
-        comps = cand.components
-        return lambda i, z: self._round(i, z, lambda here, seed: comps[here].pos[seed])
+        return lambda i, z: self._round(i, z, lambda here, seed: cand.at(here).pos[seed])
 
     def equation_gap(self, cand: TemporalMor) -> Optional[str]:
         """A witness of the first seed where the candidate differs from its
@@ -223,8 +222,7 @@ class RecurProblem:
         """The right-hand side of the defining equation, by position:
         every record paired with the candidate's output on its suffix,
         then consumed.  A solution is its own image."""
-        comps = cand.components
-        return lambda i, q: self._consume(i, q, lambda here, s: comps[here].pos[s])
+        return lambda i, q: self._consume(i, q, lambda here, s: cand.at(here).pos[s])
 
     def equation_gap(self, cand: TemporalMor) -> Optional[str]:
         """A witness of the first process where the candidate differs from

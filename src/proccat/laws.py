@@ -84,7 +84,6 @@ from .temporal import (
     pointwise_product,
     require_functor,
     require_natural,
-    temporal_mor,
     temporal_obj,
     t_compose,
     t_coproduct_mor,
@@ -262,7 +261,8 @@ def merge_pair(case: Case) -> tuple:
 def poison(mor: TemporalMor) -> TemporalMor:
     """Swap the images of the first two domain elements with different
     images, at the first index where such a pair exists.  Returns the
-    morphism unchanged when every component is constant."""
+    morphism unchanged when every component is constant; otherwise a new
+    family that reads every other component from `mor`."""
     for i in mor.dom.scale.indices():
         comp = mor.at(i)
         pos = list(comp.pos)
@@ -270,9 +270,9 @@ def poison(mor: TemporalMor) -> TemporalMor:
             for k in range(j + 1, len(pos)):
                 if pos[j] != pos[k]:
                     pos[j], pos[k] = pos[k], pos[j]
-                    components = dict(mor.components)
-                    components[i] = FinMor(comp.dom, comp.cod, pos=pos)
-                    return TemporalMor(mor.dom, mor.cod, components)
+                    bad = FinMor(comp.dom, comp.cod, pos=pos)
+                    return TemporalMor(mor.dom, mor.cod,
+                                       lambda x: bad if x is i else mor.at(x))
     return mor
 
 
@@ -451,7 +451,7 @@ def _standard() -> tuple:
 def _natural(dom: TemporalObj, cod: TemporalObj, image) -> TemporalMor:
     """The family whose component at i sends z to `image(i, z)`, once it
     is checked natural."""
-    return require_natural(temporal_mor(
+    return require_natural(TemporalMor(
         dom, cod,
         lambda i: fin_mor(dom.at(i), cod.at(i), lambda z: image(i, z))))
 

@@ -9,9 +9,9 @@
   and both directions are provided.
 
 Every map here is position arithmetic on the carrier layouts of the spaces
-involved.  `expand` and `join` are hash-consed on the space's object like
-the spaces themselves, so the laws checked on one space share one map for
-as long as any of them holds it.
+involved.  `expand`, `join`, `expanded_space` and `joining_space` are
+hash-consed on the space's object like the spaces themselves, so the laws
+checked on one space share one map for as long as any of them holds it.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .temporal import (
     TemporalMor,
     pointwise_coproduct,
     pointwise_product,
-    temporal_mor,
     t_compose,
     t_copairing,
     t_coproduct_mor,
@@ -39,11 +38,11 @@ from .times import IndexPair, w_meet
 
 
 def _per_space(build):
-    """`build(sp)` shared while held: interned on `sp.obj`, which fixes
-    the bound and both objects.  `laws.poison` breaks a copy, never the
-    shared map."""
+    """`build(sp)`, a map or a space over `sp`, shared while held:
+    interned on `sp.obj`, which fixes the bound and both objects.
+    `laws.poison` breaks a copy, never the shared map."""
     @wraps(build)
-    def shared(sp: ProcSpace) -> TemporalMor:
+    def shared(sp: ProcSpace):
         return _interned(build.__name__, (sp.obj,), lambda: build(sp))
 
     return shared
@@ -52,6 +51,7 @@ def _per_space(build):
 # -- expansion --------------------------------------------------------------
 
 
+@_per_space
 def expanded_space(sp: ProcSpace) -> ProcSpace:
     """The space whose recorded values are (value, suffix) pairs."""
     return ProcSpace(sp.w, LiveSpace(sp.w, sp.a, sp.b).obj, sp.b)
@@ -95,7 +95,7 @@ def expand(sp: ProcSpace) -> TemporalMor:
             pos.extend(map(base.__add__, tail))
         return FinMor(sp._carriers[i], target._carriers[i], pos=pos)
 
-    return temporal_mor(sp.obj, target.obj, component)
+    return TemporalMor(sp.obj, target.obj, component)
 
 
 def expand_live(sp: LiveSpace) -> TemporalMor:
@@ -113,6 +113,7 @@ def expand_step(sp: StepSpace) -> TemporalMor:
 # -- joining ----------------------------------------------------------------
 
 
+@_per_space
 def joining_space(sp: ProcSpace) -> ProcSpace:
     """Processes whose final result is itself a step process of the same
     shape: the domain of join."""
@@ -177,7 +178,7 @@ def join(sp: ProcSpace) -> TemporalMor:
             pos.extend(range(into.offsets[-1], into.offsets[-1] + len(lay.summands[-1])))
         return FinMor(outer._carriers[i], sp._carriers[i], pos=pos)
 
-    return temporal_mor(outer.obj, sp.obj, component)
+    return TemporalMor(outer.obj, sp.obj, component)
 
 
 def join_live(sp: LiveSpace) -> TemporalMor:
@@ -251,7 +252,7 @@ class MergeSpace:
                                 for x in range(la) for z in range(ra)]
             return FinMor(self.merged._carriers[i], pair_obj.at(i), pos=pos)
 
-        return temporal_mor(self.merged.obj, pair_obj, component)
+        return TemporalMor(self.merged.obj, pair_obj, component)
 
     def zip(self) -> TemporalMor:
         """The inverse of split: run two processes side by side until the
@@ -271,7 +272,7 @@ class MergeSpace:
                 pos.extend(chain.from_iterable(chain.from_iterable(zip(*blocks))))
             return FinMor(pair_obj.at(i), self.merged._carriers[i], pos=pos)
 
-        return temporal_mor(pair_obj, self.merged.obj, component)
+        return TemporalMor(pair_obj, self.merged.obj, component)
 
     def _zip_rows(self, i: IndexPair, k1: int, k2: int) -> list:
         """Per element of summand k1 of the left carrier at i, the merged

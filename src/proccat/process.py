@@ -55,7 +55,6 @@ from .temporal import (
     empty_obj,
     pointwise_coproduct,
     pointwise_product,
-    temporal_mor,
     temporal_obj,
     t_identity,
     t_product_mor,
@@ -161,7 +160,7 @@ class ProcSpace:
         builder._layout = {i: builder._layout_at(i) for i in self.scale.indices()}
         builder._carriers = {i: builder._carrier_at(i) for i in builder._layout}
         obj = temporal_obj(self.scale, builder._carriers.__getitem__, builder._restrict_at)
-        object.__setattr__(obj, "layout", builder._layout)
+        obj.layout = builder._layout
         return obj
 
     def _layout_at(self, i: IndexPair) -> _Layout:
@@ -283,7 +282,7 @@ def proc_map(src: ProcSpace, dst: ProcSpace, act: Optional[TemporalMor] = None,
             pos.extend(map(d.offsets[-1].__add__, product_pos(values)))
         return FinMor(src._carriers[i], dst._carriers[i], pos=pos)
 
-    return temporal_mor(src.obj, dst.obj, component)
+    return TemporalMor(src.obj, dst.obj, component)
 
 
 class LiveSpace:
@@ -294,9 +293,6 @@ class LiveSpace:
         self.w, self.a, self.b, self.scale = w, a, b, a.scale
         self.proc = ProcSpace(w, a, b)
         self.obj = pointwise_product([a, self.proc.obj])
-
-    def decode(self, i: IndexPair, elem):
-        return elem.items[0], self.proc.decode(i, elem.items[1])
 
     def encode(self, i: IndexPair, x, value: ProcessValue):
         return Tup((x, self.proc.encode(i, value)))

@@ -7,16 +7,21 @@ Temporal morphisms are families of maps, one per index, commuting with all
 restrictions.
 
 An object is its carriers and its covers, the restrictions (t, p, q)
-between consecutive points.  Every other restriction is derived on read,
-an identity arrow's as the identity map and any other's as the composite
-of its covers, so naturality squares need checking along covers only.
+between consecutive points.  The carriers are built with the object.
+Each restriction is built on first read and kept: a cover by the function
+the object was built from, an identity arrow's as the identity map and
+any other's as the composite of its covers, so naturality squares need
+checking along covers only.  A morphism is its component function, each
+component likewise built on first read, so a check or a map builds only
+what it reads.  Equality and the whole-family reads (`components`,
+`covers`, `restrict`) read every index.  A component or cover that cannot
+be built raises where it is first read.
 
-`temporal_obj` and `temporal_mor` build without checking either law;
+`temporal_obj` and `TemporalMor` build without checking either law;
 `require_functor` and `require_natural` check them where a value enters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Callable, Optional, Sequence
 
@@ -48,37 +53,60 @@ from .finset import (
 from .times import IndexMor, IndexPair, TimeScale
 
 
-@dataclass(frozen=True, eq=True)
 class TemporalObj:
-    scale: TimeScale
-    carrier: dict  # IndexPair -> FinObj
-    covers: dict  # IndexMor -> FinMor, for each cover of the scale
-    # What the object was built from; only `check_functor` calls it.
-    restrict_at: Callable[[IndexMor], FinMor] = field(compare=False, repr=False)
-    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    """Carriers per index and restrictions per index morphism.  Only the
+    carriers are stored up front; `res` builds each restriction on first
+    read and keeps it."""
 
     __hash__ = None
+
+    def __init__(self, scale: TimeScale, carrier: dict,
+                 restrict_at: Callable[[IndexMor], FinMor]) -> None:
+        self.scale = scale
+        self.carrier = carrier  # IndexPair -> FinObj
+        # Asked for covers by `res`, and for every arrow by `check_functor`.
+        self.restrict_at = restrict_at
+        self._derived = {}  # IndexMor -> FinMor, each restriction read so far
 
     def at(self, index: IndexPair) -> FinObj:
         return self.carrier[index]
 
     def res(self, mor: IndexMor) -> FinMor:
-        """The restriction along `mor`, derived on first read and kept."""
-        if mor in self.covers:
-            return self.covers[mor]
-        if mor not in self._derived:
+        """The restriction along `mor`, built on first read and kept: a
+        cover's by `restrict_at`, an identity arrow's as the identity map,
+        and any other as the composite of its covers."""
+        found = self._derived.get(mor)
+        if found is None:
             if mor.src is mor.dst:
-                self._derived[mor] = f_identity(self.carrier[mor.dst])
-            else:  # the arrow one cover shorter, after the cover out of mor.src
-                *_, lo, hi = self.scale.closed_closed(mor.t0, mor.t0p)
-                self._derived[mor] = f_compose(self.res(IndexMor(mor.t, mor.t0, lo)),
-                                               self.covers[IndexMor(mor.t, lo, hi)])
-        return self._derived[mor]
+                found = f_identity(self.carrier[mor.dst])
+            else:
+                *_, lo, hi = steps = self.scale.closed_closed(mor.t0, mor.t0p)
+                # A cover, or the arrow one cover shorter after the cover out of mor.src.
+                found = self.restrict_at(mor) if len(steps) == 2 else f_compose(
+                    self.res(IndexMor(mor.t, mor.t0, lo)), self.res(IndexMor(mor.t, lo, hi)))
+            self._derived[mor] = found
+        return found
+
+    @property
+    def covers(self) -> dict:
+        """The restriction along every cover, each built now if not read yet."""
+        return {m: self.res(m) for m in self.scale.covers()}
 
     @property
     def restrict(self) -> dict:
-        """The restriction along every index morphism, derived on read."""
+        """The restriction along every index morphism, built now where not
+        read yet."""
         return {m: self.res(m) for m in self.scale.index_mors()}
+
+    def __eq__(self, other) -> bool:
+        """Same scale, carriers and covers, which decide every other
+        restriction; an object equals itself without building any."""
+        if self is other:
+            return True
+        if not isinstance(other, TemporalObj):
+            return NotImplemented
+        return (self.scale == other.scale and self.carrier == other.carrier
+                and self.covers == other.covers)
 
 
 def temporal_obj(
@@ -86,11 +114,10 @@ def temporal_obj(
     carrier_at: Callable[[IndexPair], FinObj],
     restrict_at: Callable[[IndexMor], FinMor],
 ) -> TemporalObj:
-    """The object presented by its restrictions along covers, the only
-    arrows `restrict_at` is called on here."""
-    carrier = {i: carrier_at(i) for i in scale.indices()}
-    return TemporalObj(scale, carrier, {m: restrict_at(m) for m in scale.covers()},
-                       restrict_at)
+    """The object presented by its carriers, built here, and its
+    restrictions along covers, which `restrict_at` builds when `res` first
+    reads them."""
+    return TemporalObj(scale, {i: carrier_at(i) for i in scale.indices()}, restrict_at)
 
 
 def require_functor(obj: TemporalObj) -> TemporalObj:
@@ -123,24 +150,37 @@ def check_functor(obj: TemporalObj) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True, eq=True)
 class TemporalMor:
-    dom: TemporalObj
-    cod: TemporalObj
-    components: dict  # IndexPair -> FinMor
+    """A family of maps dom.at(i) -> cod.at(i), one per index: `at` builds
+    each component by `component_at` on first read and keeps it."""
 
     __hash__ = None
 
+    def __init__(self, dom: TemporalObj, cod: TemporalObj,
+                 component_at: Callable[[IndexPair], FinMor]) -> None:
+        self.dom, self.cod, self.component_at = dom, cod, component_at
+        self._built = {}  # IndexPair -> FinMor, each component read so far
+
     def at(self, index: IndexPair) -> FinMor:
-        return self.components[index]
+        found = self._built.get(index)
+        if found is None:
+            found = self._built[index] = self.component_at(index)
+        return found
 
+    @property
+    def components(self) -> dict:
+        """The component at every index, each built now if not read yet."""
+        return {i: self.at(i) for i in self.dom.scale.indices()}
 
-def temporal_mor(
-    dom: TemporalObj,
-    cod: TemporalObj,
-    component_at: Callable[[IndexPair], FinMor],
-) -> TemporalMor:
-    return TemporalMor(dom, cod, {i: component_at(i) for i in dom.scale.indices()})
+    def __eq__(self, other) -> bool:
+        """Same ends and components; a family equals itself without
+        building any."""
+        if self is other:
+            return True
+        if not isinstance(other, TemporalMor):
+            return NotImplemented
+        return (self.dom == other.dom and self.cod == other.cod
+                and self.components == other.components)
 
 
 def require_natural(mor: TemporalMor) -> TemporalMor:
@@ -261,59 +301,46 @@ def pointwise_coproduct(summands: Sequence[TemporalObj]) -> TemporalObj:
 
 
 def t_identity(obj: TemporalObj) -> TemporalMor:
-    return TemporalMor(obj, obj, {m.src: obj.res(m) for m in obj.scale.index_mors()
-                                  if m.src is m.dst})
+    return TemporalMor(obj, obj, lambda i: obj.res(IndexMor(i.t, i.t0, i.t0)))
 
 
 def t_compose(f: TemporalMor, g: TemporalMor) -> TemporalMor:
     """f after g."""
     if g.cod != f.dom:
         raise ValueError("temporal morphisms not composable")
-    return TemporalMor(
-        g.dom, f.cod, {i: f_compose(f.at(i), g.at(i)) for i in g.dom.scale.indices()}
-    )
+    return TemporalMor(g.dom, f.cod, lambda i: f_compose(f.at(i), g.at(i)))
 
 
 def t_proj(factors: Sequence[TemporalObj], k: int) -> TemporalMor:
     src = pointwise_product(factors)
-    return temporal_mor(src, factors[k], lambda i: proj([f.at(i) for f in factors], k))
+    return TemporalMor(src, factors[k], lambda i: proj([f.at(i) for f in factors], k))
 
 
 def t_pairing(fs: Sequence[TemporalMor]) -> TemporalMor:
-    dom = fs[0].dom
     cod = pointwise_product([f.cod for f in fs])
-    return TemporalMor(
-        dom, cod, {i: pairing([f.at(i) for f in fs]) for i in dom.scale.indices()}
-    )
+    return TemporalMor(fs[0].dom, cod, lambda i: pairing([f.at(i) for f in fs]))
 
 
 def t_product_mor(fs: Sequence[TemporalMor]) -> TemporalMor:
     dom = pointwise_product([f.dom for f in fs])
     cod = pointwise_product([f.cod for f in fs])
-    return TemporalMor(
-        dom, cod, {i: product_mor([f.at(i) for f in fs]) for i in dom.scale.indices()}
-    )
+    return TemporalMor(dom, cod, lambda i: product_mor([f.at(i) for f in fs]))
 
 
 def t_inj(summands: Sequence[TemporalObj], k: int) -> TemporalMor:
     cod = pointwise_coproduct(summands)
-    return temporal_mor(summands[k], cod, lambda i: inj([s.at(i) for s in summands], k))
+    return TemporalMor(summands[k], cod, lambda i: inj([s.at(i) for s in summands], k))
 
 
 def t_copairing(fs: Sequence[TemporalMor]) -> TemporalMor:
     dom = pointwise_coproduct([f.dom for f in fs])
-    cod = fs[0].cod
-    return TemporalMor(
-        dom, cod, {i: copairing([f.at(i) for f in fs]) for i in dom.scale.indices()}
-    )
+    return TemporalMor(dom, fs[0].cod, lambda i: copairing([f.at(i) for f in fs]))
 
 
 def t_coproduct_mor(fs: Sequence[TemporalMor]) -> TemporalMor:
     dom = pointwise_coproduct([f.dom for f in fs])
     cod = pointwise_coproduct([f.cod for f in fs])
-    return TemporalMor(
-        dom, cod, {i: coproduct_mor([f.at(i) for f in fs]) for i in dom.scale.indices()}
-    )
+    return TemporalMor(dom, cod, lambda i: coproduct_mor([f.at(i) for f in fs]))
 
 
 # -- function spaces --------------------------------------------------------
@@ -379,13 +406,11 @@ def nat_trans_space(a: TemporalObj, b: TemporalObj) -> int:
     return count
 
 
-class _Fixed(dict):
-    """The components a search has fixed so far.  Reading any other is an
-    error, so a pruned search can never rest on a guess."""
-
-    def __missing__(self, index):
-        raise LookupError(f"the equation read the candidate at {index}, "
-                          "which the search has not fixed yet")
+def _unfixed(index: IndexPair) -> FinMor:
+    """The component builder of a family under search: a component the
+    search has not fixed is never guessed."""
+    raise LookupError(f"the equation read the candidate at {index}, "
+                      "which the search has not fixed yet")
 
 
 def enumerate_nat_trans(
@@ -419,8 +444,10 @@ def enumerate_nat_trans(
         mors_by_pos.setdefault(latest, []).append(m)
 
     found: list[TemporalMor] = []
-    chosen = _Fixed()
-    image = None if equation is None else equation(TemporalMor(a, b, chosen))
+    # The components fixed so far, kept as if read: reading any other raises.
+    searched = TemporalMor(a, b, _unfixed)
+    chosen = searched._built
+    image = None if equation is None else equation(searched)
 
     def fits(index: IndexPair, cand: FinMor, k: int) -> bool:
         return (all(_square_gap(a, b, m, chosen[m.src], chosen[m.dst]) is None
@@ -430,7 +457,7 @@ def enumerate_nat_trans(
 
     def descend(k: int) -> None:
         if k == len(order):
-            found.append(TemporalMor(a, b, {i: chosen[i] for i in indices}))
+            found.append(TemporalMor(a, b, dict(chosen).__getitem__))
             return
         index = order[k]
         for cand in per_index[index]:

@@ -71,14 +71,13 @@ class TwoExitProblem:
         building the graft: a seed through the seed map, and on the
         process exit each fresh seed at a stop looked up in the candidate.
         A solution is its own image."""
-        comps = cand.components
 
         def image(i: IndexPair, z: int) -> int:
             y, n = self.g.at(i).pos[z], len(self.b.at(i))
             if y < n:
                 return y
             return n + finish_round(self.inner, self.target, i, y - n,
-                                    lambda here, seed: comps[here].pos[seed])
+                                    lambda here, seed: cand.at(here).pos[seed])
 
         return image
 

@@ -24,6 +24,12 @@ def rest_after(value, u):
     return Ongoing(later)
 
 
+def decode_live(space, i, elem):
+    """The (current value, process value) pair an element of a
+    `LiveSpace` carrier at i represents."""
+    return elem.items[0], space.proc.decode(i, elem.items[1])
+
+
 def render_value(value):
     """A process value as `proccat dump` prints it."""
     seen = ", ".join(f"{u} -> {x!r}" for u, x in value.seen)
@@ -38,7 +44,7 @@ def render_element(space, i, e):
     if isinstance(space, ProcSpace):
         return render_value(space.decode(i, e))
     if isinstance(space, LiveSpace):
-        x, v = space.decode(i, e)
+        x, v = decode_live(space, i, e)
         return f"now {x!r}; {render_value(v)}"
     if isinstance(space, StepSpace):
         if e.tag == 0:

@@ -50,7 +50,7 @@ from proccat.temporal import (
 )
 from proccat.times import IndexPair, TimeScale, UNBOUNDED
 
-from process_values import render_value
+from process_values import decode_live, render_value
 
 SCALE = TimeScale.of(0, 1, 2)
 I02 = IndexPair(Fraction(0), Fraction(2))
@@ -60,7 +60,7 @@ RECUR = dict(recur_problems())
 
 def solved_view(pr, name_or_mor, i, z):
     sol = pr.solve() if name_or_mor is None else name_or_mor
-    x, v = pr.target.decode(i, sol.at(i)(z))
+    x, v = decode_live(pr.target, i, sol.at(i)(z))
     return x, render_value(v)
 
 
@@ -85,7 +85,7 @@ def test_handoff_splices_the_second_round():
 def test_alternation_flips_every_step():
     pr = COITER["alternate_values"]
     sol = pr.solve()
-    x, v = pr.target.decode(I02, sol.at(I02)(Atom("v0")))
+    x, v = decode_live(pr.target, I02, sol.at(I02)(Atom("v0")))
     assert x == Atom("v0")
     assert render_value(v) == "ongoing(1 -> v1, 2 -> v0)"
 
@@ -95,7 +95,7 @@ def test_bounded_replay_reproduces_its_seed():
     sol = pr.solve()
     for i in SCALE.indices():
         for p in pr.c.at(i).elements:
-            x, v = pr.target.decode(i, sol.at(i)(p))
+            x, v = decode_live(pr.target, i, sol.at(i)(p))
             assert x == UNIT_ELEM
             assert pr.target.proc.encode(i, v) == p
 
@@ -138,7 +138,7 @@ def repoint(mor):
     comp = mor.at(i)
     pos = (comp.pos[0] + 1) % len(comp.cod), *comp.pos[1:]
     return TemporalMor(mor.dom, mor.cod,
-                       {**mor.components, i: FinMor(comp.dom, comp.cod, pos=pos)})
+                       {**mor.components, i: FinMor(comp.dom, comp.cod, pos=pos)}.__getitem__)
 
 
 def reference_rhs(pr, cand):
@@ -237,7 +237,7 @@ def test_every_equation_reads_only_later_stops():
         for i in sol.dom.scale.indices():
             for p in range(len(sol.dom.at(i))):
                 components = Recording(sol.components)
-                pr.image(TemporalMor(sol.dom, sol.cod, components))(i, p)
+                pr.image(TemporalMor(sol.dom, sol.cod, components.__getitem__))(i, p)
                 assert all(j.t0 == i.t0 and j.t > i.t for j in components.read), (name, i)
                 reads += len(components.read)
     assert reads > 0
@@ -298,7 +298,7 @@ def test_step_variant_answers_or_defers():
     out = sol.at(I02)(Atom("v1"))
     assert out.tag == 1
     lv = LiveSpace(w, a, b)
-    x, v = lv.decode(I02, out.value)
+    x, v = decode_live(lv, I02, out.value)
     assert (x, render_value(v)) == (UNIT_ELEM, "term(1; ; ())")
 
 

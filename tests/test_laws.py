@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proccat
-from proccat import fixpoints, laws
+from proccat import fixpoints, laws, operators
 from proccat.laws import (
     Case,
     Diagram,
@@ -27,7 +27,6 @@ from proccat.temporal import (
     flag_temporal,
     mor_equal,
     t_identity,
-    temporal_mor,
     unit_obj,
 )
 from proccat.times import TimeScale
@@ -99,16 +98,56 @@ def test_poison_swaps_two_images():
 
 def test_poison_leaves_constant_maps_alone():
     a = flag_temporal(SCALE, 2)
-    const = temporal_mor(
+    const = TemporalMor(
         a, a,
         lambda i: fin_mor(a.at(i), a.at(i), lambda e: Atom("v0")),
     )
     assert mor_equal(poison(const), const)
 
 
+def test_poison_of_an_unread_family_swaps_what_it_swaps_on_a_read_one():
+    # Poisoning reads components up to the first non-constant one; the
+    # poisoned family must still have every other component.
+    case = next(c for c in law_grid() if c.label == "scale=0-1-2 a=flag b=flag w=inf")
+    shared = operators.expand(case.space)
+    unread, read = (TemporalMor(shared.dom, shared.cod, shared.component_at)
+                    for _ in range(2))
+    read.components
+    poisoned = poison(unread).components
+    assert poisoned == poison(read).components
+    changed = [i for i in poisoned if poisoned[i] != shared.at(i)]
+    assert len(changed) == 1 and changed[0] != case.a.scale.indices()[0]
+
+
+def test_a_checked_diagram_builds_only_the_components_its_paths_read(monkeypatch):
+    # dup_inside reads its value map at (u, t0) for the recorded points
+    # u > t alone, so nothing reads that map at the first point.
+    case = next(c for c in law_grid() if c.label == "scale=0-1-2 a=flag b=flag w=inf")
+    acts = []
+
+    def expand_live(sp):
+        acts.append(operators.expand_live(sp))
+        return acts[-1]
+
+    built = []
+    init = FinMor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(laws, "expand_live", expand_live)
+    monkeypatch.setattr(FinMor, "__init__", counting)
+    assert [r.verdict for r in SUITES["expansion"](case=case)] == ["pass"]
+    monkeypatch.undo()
+    [act] = acts
+    read = {i for i in case.a.scale.indices() if any(act.at(i) is f for f in built)}
+    assert read == {i for i in case.a.scale.indices() if i.t != 0}
+
+
 def test_diagram_rejects_mismatched_edges():
     a, b = unit_obj(SCALE), flag_temporal(SCALE, 2)
-    to_b = temporal_mor(a, b, lambda i: fin_mor(a.at(i), b.at(i), lambda e: Atom("v0")))
+    to_b = TemporalMor(a, b, lambda i: fin_mor(a.at(i), b.at(i), lambda e: Atom("v0")))
     edges = {"a": t_identity(a), "b": t_identity(b), "to_b": to_b}
     for pair in [(("a", "b"), ("a",)),        # b does not start where a ends
                  (("a",), ("to_b",)),         # the sides end apart
@@ -127,7 +166,7 @@ def test_diagram_rejects_broken_paths():
 
 def test_check_diagram_reports_a_witness():
     a = flag_temporal(SCALE, 2)
-    flip = temporal_mor(
+    flip = TemporalMor(
         a, a,
         lambda i: fin_mor(a.at(i), a.at(i),
                           lambda e: Atom("v1") if e == Atom("v0")
@@ -328,3 +367,17 @@ def test_the_grid_suites_run_on_a_rebound_grid(monkeypatch):
     assert len(reports) == 27 + 2 * 27
     assert {r.verdict for r in reports} == {"pass"}
     assert all(r.instance.startswith("scale=0-1-2-3 ") for r in reports)
+
+
+def test_the_grid_suites_pass_where_restrictions_are_not_identities(monkeypatch):
+    # Every carrier kind of the standard grid is constant, so all of its
+    # restrictions are identities and a wrongly derived cover could pass.
+    monkeypatch.setattr(laws, "GRID_SCALES", ((0, 1, 2, 3),))
+    monkeypatch.setattr(laws, "CARRIER_KINDS", (*laws.CARRIER_KINDS, "stamp"))
+    monkeypatch.setattr(laws, "_MAKERS", {**laws._MAKERS, "stamp": laws.stamp_parity_obj})
+    stamp = laws.stamp_parity_obj(TimeScale.of(0, 1, 2, 3))
+    assert any(len(set(c.pos)) < len(c.pos) for c in stamp.covers.values())
+    reports = run_suites(GRID_SUITES)
+    # 48 cases; naturality checks two operators, merging three extra pairs.
+    assert len(reports) == 7 * 48 + 3
+    assert {r.verdict for r in reports} == {"pass"}

@@ -27,6 +27,7 @@ from proccat.process import (
     strong_bound,
 )
 from proccat.temporal import (
+    TemporalMor,
     empty_obj,
     flag_temporal,
     mor_equal,
@@ -37,7 +38,6 @@ from proccat.temporal import (
     t_inj,
     t_pairing,
     t_proj,
-    temporal_mor,
     unit_obj,
 )
 from proccat.times import IndexPair, TermBound, TimeScale, UNBOUNDED
@@ -59,12 +59,12 @@ def ref_proc_map(src, dst, act, res):
 
         return fin_mor(src.obj.at(i), dst.obj.at(i), step)
 
-    return temporal_mor(src.obj, dst.obj, component)
+    return TemporalMor(src.obj, dst.obj, component)
 
 
 def ref_live_map(src, dst, act, res):
     future = ref_proc_map(src.proc, dst.proc, act, res)
-    return temporal_mor(src.obj, dst.obj, lambda i: fin_mor(
+    return TemporalMor(src.obj, dst.obj, lambda i: fin_mor(
         src.obj.at(i), dst.obj.at(i),
         lambda e: Tup((act.at(i)(e.items[0]), future.at(i)(e.items[1])))))
 
@@ -84,7 +84,7 @@ def ref_expand(sp):
 
         return fin_mor(sp.obj.at(i), target.obj.at(i), step)
 
-    return temporal_mor(sp.obj, target.obj, component)
+    return TemporalMor(sp.obj, target.obj, component)
 
 
 def ref_join(sp):
@@ -107,7 +107,7 @@ def ref_join(sp):
 
         return fin_mor(outer.obj.at(i), sp.obj.at(i), step)
 
-    return temporal_mor(outer.obj, sp.obj, component)
+    return TemporalMor(outer.obj, sp.obj, component)
 
 
 def ref_zip(m):
@@ -143,7 +143,7 @@ def ref_zip(m):
 
         return fin_mor(pair_obj.at(i), m.merged.obj.at(i), combine)
 
-    return temporal_mor(pair_obj, m.merged.obj, component)
+    return TemporalMor(pair_obj, m.merged.obj, component)
 
 
 def ref_split(m):
@@ -177,7 +177,7 @@ def diagonal(x):
 def bang(x):
     """x -> unit: a natural map that merges every position."""
     u = unit_obj(x.scale)
-    return temporal_mor(x, u, lambda i: fin_mor(x.at(i), u.at(i), lambda e: Tup(())))
+    return TemporalMor(x, u, lambda i: fin_mor(x.at(i), u.at(i), lambda e: Tup(())))
 
 
 def swap(x):

@@ -15,16 +15,16 @@ from proccat.laws import coiter_problems, recur_problems, stamp_parity_obj, two_
 from proccat.operators import splice
 from proccat.process import LiveSpace, Ongoing, ProcSpace, StepSpace, Terminated
 from proccat.temporal import (
+    TemporalMor,
     empty_obj,
     flag_temporal,
     pointwise_coproduct,
     pointwise_product,
-    temporal_mor,
     unit_obj,
 )
 from proccat.times import IndexPair, TermBound, TimeScale, UNBOUNDED
 
-from process_values import rest_after
+from process_values import decode_live, rest_after
 
 # -- element-level references ------------------------------------------------
 
@@ -46,7 +46,7 @@ def ref_finish_round(mixed, target, i, elem, onward):
     """A (value, process) pair of ``mixed`` whose final-or-seed result is
     spliced with ``onward(here, seed)``, an element of the step space
     over ``target`` at the stop."""
-    x, v = mixed.decode(i, elem)
+    x, v = decode_live(mixed, i, elem)
     if isinstance(v, Terminated):
         r = v.result
         if r.tag == 1:
@@ -180,7 +180,7 @@ NONEMPTY = sorted(set(KINDS) - {"empty"})
 def relabeling(dom, cod):
     """An arbitrary family of maps dom -> cod, natural or not: a
     consumer for `RecurProblem`, which checks only its endpoints."""
-    return temporal_mor(dom, cod, lambda i: FinMor(dom.at(i), cod.at(i), pos=[
+    return TemporalMor(dom, cod, lambda i: FinMor(dom.at(i), cod.at(i), pos=[
         (p * 5 + 1) % len(cod.at(i)) for p in range(len(dom.at(i)))]))
 
 

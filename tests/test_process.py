@@ -31,13 +31,13 @@ from proccat.process import (
     strong_bound,
 )
 from proccat.temporal import (
+    TemporalMor,
     check_functor,
     empty_obj,
     flag_temporal,
     mor_equal,
     naturality_witness,
     t_identity,
-    temporal_mor,
     temporal_obj,
     unit_obj,
 )
@@ -197,9 +197,9 @@ def test_proc_map_preserves_identity():
 def test_process_maps_are_natural():
     # The maps are built without a naturality check.
     f, u = flag_temporal(SCALE), unit_obj(SCALE)
-    flip = temporal_mor(f, f, lambda i: fin_mor(
+    flip = TemporalMor(f, f, lambda i: fin_mor(
         f.at(i), f.at(i), lambda e: Atom("v1") if e == Atom("v0") else Atom("v0")))
-    forget = temporal_mor(f, u, lambda i: fin_mor(f.at(i), u.at(i),
+    forget = TemporalMor(f, u, lambda i: fin_mor(f.at(i), u.at(i),
                                                   lambda e: UNIT_ELEM))
     for w in (UNBOUNDED, TermBound.at(1)):
         for mor in (proc_map(ProcSpace(w, f, f), ProcSpace(UNBOUNDED, f, u),

@@ -37,7 +37,6 @@ from proccat.temporal import (
     require_natural,
     t_compose,
     t_identity,
-    temporal_mor,
     temporal_obj,
     unit_obj,
 )
@@ -77,7 +76,7 @@ def brute_nat_trans(a, b, cap=DEFAULT_CAP):
     per_index = [enumerate_mors(a.at(i), b.at(i), cap) for i in indices]
     out = []
     for choice in iter_product(*per_index):
-        cand = TemporalMor(a, b, dict(zip(indices, choice)))
+        cand = TemporalMor(a, b, dict(zip(indices, choice)).__getitem__)
         if naturality_witness(cand) is None:
             out.append(cand)
     return out
@@ -123,7 +122,7 @@ def test_naturality_witness_localizes_the_failure():
             return e
         return fin_mor(a.at(i), a.at(i), go)
 
-    mor = temporal_mor(a, a, component)
+    mor = TemporalMor(a, a, component)
     witness = naturality_witness(mor)
     assert witness is not None and "square" in witness
     with pytest.raises(ValueError, match="not natural"):
@@ -132,7 +131,7 @@ def test_naturality_witness_localizes_the_failure():
 
 def test_first_difference_reports_the_first_index():
     a = flag_temporal(SMALL, 2)
-    flip = temporal_mor(
+    flip = TemporalMor(
         a, a,
         lambda i: fin_mor(a.at(i), a.at(i),
                           lambda e: Atom("v1") if e == Atom("v0")
@@ -212,7 +211,7 @@ def test_enumeration_cap():
 
 def test_composition_and_identity():
     a = flag_temporal(SMALL, 3)
-    rot = temporal_mor(
+    rot = TemporalMor(
         a, a,
         lambda i: fin_mor(a.at(i), a.at(i),
                           lambda e: Atom("v" + str((int(e.name[1]) + 1) % 3))),
@@ -257,6 +256,8 @@ def test_an_object_is_built_from_its_covers(points):
         return base.restrict_at(m)
 
     obj = temporal_obj(scale, base.at, restrict_at)
+    assert asked == []  # covers are built on first read
+    obj.covers
     assert asked == list(scale.covers())
     for m in scale.index_mors():
         if m.t0 == m.t0p:
@@ -270,6 +271,7 @@ def test_an_object_is_built_from_its_covers(points):
             for c in covers:
                 image = c(image)
             assert obj.res(m)(e) == image
+    assert asked == list(scale.covers())
 
 
 def test_res_matches_the_eager_reference_on_the_grid():
@@ -298,6 +300,7 @@ def test_res_matches_the_eager_reference_on_drawn_scales(points, w_at):
 def test_a_process_space_object_builds_one_map_per_cover(monkeypatch):
     scale = TimeScale.of(0, "1/2", 1, 3)
     a, b = flag_temporal(scale), stamp_parity_obj(scale)
+    a.covers, b.covers  # read first: the space's covers are made from them
     built = []
     init = FinMor.__init__
 
@@ -307,8 +310,10 @@ def test_a_process_space_object_builds_one_map_per_cover(monkeypatch):
 
     monkeypatch.setattr(FinMor, "__init__", counting)
     obj = ProcSpace(UNBOUNDED, a, b).obj
+    assert built == []  # covers are built on first read
+    covers = obj.covers
     assert len(built) == len(scale.covers()) == 6
-    assert list(map(id, built)) == list(map(id, obj.covers.values()))
+    assert list(map(id, built)) == list(map(id, covers.values()))
 
 
 def test_a_derived_restriction_is_built_once():
@@ -345,6 +350,44 @@ def test_const_obj_restricts_by_identity():
     for m in SMALL.index_mors():
         comp = obj.res(m)
         assert comp.table == {e: e for e in flag_obj(2).elements}
+
+
+# -- families built on read -------------------------------------------------
+
+
+def test_separately_built_families_compare_by_their_components():
+    # Equality reads every component, so it also tells apart families
+    # that nothing has read yet.
+    obj = ProcSpace(UNBOUNDED, flag_temporal(SCALE), unit_obj(SCALE)).obj
+    last = [i for i in SCALE.indices() if len(obj.at(i)) > 1][-1]
+
+    def family(swapped=None):
+        def component(i):
+            pos = list(range(len(obj.at(i))))
+            if i is swapped:
+                pos[0], pos[1] = pos[1], pos[0]
+            return FinMor(obj.at(i), obj.at(i), pos=pos)
+        return TemporalMor(obj, obj, component)
+
+    assert family() == family() == t_identity(obj)
+    assert mor_equal(family(), family())
+    assert family() != family(last)
+    assert not mor_equal(family(), family(last))
+
+
+def test_a_component_that_cannot_be_built_raises_where_it_is_first_read():
+    a = flag_temporal(SMALL, 2)
+    *early, late = SMALL.indices()
+    mor = TemporalMor(a, a, lambda i: FinMor(a.at(i), a.at(i),
+                                             pos=[2, 2] if i is late else [0, 1]))
+    for i in early:
+        assert mor.at(i).pos == (0, 1)
+    with pytest.raises(ValueError, match="outside the codomain"):
+        mor.at(late)
+    # A cover likewise raises where it is first read.
+    obj = temporal_obj(SMALL, a.at, lambda m: FinMor(a.at(m.src), a.at(m.dst), pos=[2, 2]))
+    with pytest.raises(ValueError, match="outside the codomain"):
+        obj.res(SMALL.covers()[0])
 
 
 # -- hash-consing -----------------------------------------------------------

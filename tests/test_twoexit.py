@@ -15,6 +15,8 @@ from proccat.twoexit import (
     defer_all,
 )
 
+from process_values import decode_live
+
 SCALE = TimeScale.of(0, 1, 2)
 I02 = IndexPair(Fraction(0), Fraction(2))
 PROBLEMS = {name: (pr, one_exit) for name, pr, one_exit in two_exit_problems(coiter_problems())}
@@ -44,7 +46,7 @@ def test_early_exit_answers_immediately():
     assert sol.at(I02)(Atom("v0")) == Inj(0, UNIT_ELEM)
     out = sol.at(I02)(Atom("v1"))
     assert out.tag == 1
-    x, v = pr.target.decode(I02, out.value)
+    x, v = decode_live(pr.target, I02, out.value)
     assert x == UNIT_ELEM and v.at_time == Fraction(1)
 
 
