@@ -2,16 +2,21 @@
 
 A CoiterProblem holds a seed-consuming map whose output process may stop
 with either a final answer or a new seed; solving it produces the map that
-keeps restarting on new seeds until a final answer appears.  Productivity
-is automatic here: a restart can only happen at the stop time of the
-previous round, which lies strictly in the future, and time scales are
-finite.
+keeps restarting on new seeds until a final answer appears.
 
 A RecurProblem is the mirror image: a map consuming processes whose
 recorded values are paired with an auxiliary component; solving it feeds
 each suffix of the input process back through the solved map to fabricate
-that component.  Each suffix starts strictly later, so this also has to
-bottom out.
+that component.
+
+Each problem is an equation: a solution is its own `image`, the
+right-hand side read by position.  Productivity is the order it is read
+in.  The image at (t, t0) reads the family only at later stops (u, t0),
+u > t: a seed restarts at the stop of its round, a suffix starts at a
+record.  So `temporal.fixpoint` fixes the components latest stop first
+(`temporal.solve_order`), each the image of those fixed before, and a
+finite scale runs out: the solution exists and is unique.  `search`
+sweeps the candidates in the same order, pruned by the same image.
 
 Variants cover the step-shaped and strict-future-shaped versions of both.
 """
@@ -19,13 +24,15 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .finset import FinMor
+from .finset import DEFAULT_CAP
 from .operators import join, joining_space, splice
 from .process import LiveSpace, ProcSpace, live_map, proc_map
 from .temporal import (
     TemporalMor,
     TemporalObj,
+    enumerate_nat_trans,
     first_mismatch,
+    fixpoint,
     pointwise_coproduct,
     pointwise_product,
     t_compose,
@@ -56,29 +63,33 @@ def finish_round(mixed: LiveSpace, target: LiveSpace, i: IndexPair, p: int,
     return x * len(target.proc._carriers[i]) + out
 
 
-def _memo_solve(dom: TemporalObj, cod: TemporalObj, step: Callable,
-                cycle: str) -> TemporalMor:
-    """The family dom -> cod whose image of position z at i is ``step(i,
-    z, rec)``, where ``rec(here, z')`` is the family's own image there,
-    computed once each.  RuntimeError(``cycle % (i,)``) when an image
-    needs itself."""
-    memo = {i: [None] * len(dom.at(i)) for i in dom.scale.indices()}
+# A problem is its `dom`, `cod` and `image`.  Each class binds the functions
+# below that it offers as its own attributes, not inherited ones: those are
+# what `perfbench/spans.py` counts, each under the first class it meets.
 
-    def value_at(i: IndexPair, z: int) -> int:
-        row = memo[i]
-        out = row[z]
-        if out is None:
-            row[z] = -1  # in progress
-            out = row[z] = step(i, z, value_at)
-        elif out < 0:
-            raise RuntimeError(cycle % (i,))
-        return out
 
-    try:
-        return TemporalMor(dom, cod, {i: FinMor(dom.at(i), cod.at(i), pos=[
-            value_at(i, z) for z in range(len(row))]) for i, row in memo.items()}.__getitem__)
-    finally:
-        del value_at  # a self-reference: the memo dies with the call
+def solve(pr) -> TemporalMor:
+    """The `fixpoint` of the problem's image, built on the first call and
+    kept: later calls return the same map, which callers must not change."""
+    if "_solution" not in vars(pr):
+        pr._solution = fixpoint(pr.dom, pr.cod, pr.image)
+    return pr._solution
+
+
+def equation_gap(pr, cand: TemporalMor) -> Optional[str]:
+    """Where the candidate first differs from its image, or None."""
+    return first_mismatch(cand, pr.image(cand))
+
+
+def is_solution(pr, cand: TemporalMor) -> bool:
+    """Whether the candidate is its own image."""
+    return equation_gap(pr, cand) is None
+
+
+def search(pr, cap: int = DEFAULT_CAP) -> list:
+    """Every natural family dom -> cod that is its own image, by the sweep
+    pruned by it: independent of the solver, so it shows uniqueness."""
+    return enumerate_nat_trans(pr.dom, pr.cod, cap, pr.image)
 
 
 class CoiterProblem:
@@ -95,6 +106,7 @@ class CoiterProblem:
         self.w, self.a, self.b, self.c = w, a, b, c
         self.mixed = LiveSpace(w, a, pointwise_coproduct([b, c]))
         self.target = LiveSpace(w, a, b)
+        self.dom, self.cod = c, self.target.obj
         if f.dom != c:
             raise ValueError("seed map must start from the seed object")
         if f.cod != self.mixed.obj:
@@ -104,34 +116,16 @@ class CoiterProblem:
             )
         self.f = f
 
-    def solve(self) -> TemporalMor:
-        """Iterate the seed map to exhaustion: from seeds to processes
-        whose result object is final answers only.  Kept: later calls
-        return the same map, which callers must not change."""
-        if "_solution" not in vars(self):
-            self._solution = _memo_solve(
-                self.c, self.target.obj, self._round,
-                "seed map is not productive: a seed at %r restarts at its own time")
-        return self._solution
-
-    def _round(self, i: IndexPair, z: int, then: Callable) -> int:
-        """Seed position z at i through the seed map, each fresh seed
-        handed to ``then(here, seed)``, a position in the target there,
-        and concatenated."""
-        b = self.b
-        return finish_round(self.mixed, self.target, i, self.f.at(i).pos[z],
-                            lambda here, seed: len(b.at(here)) + then(here, seed))
-
     def image(self, cand: TemporalMor) -> Callable:
         """The right-hand side of the defining equation, by position: a
         seed through the seed map, each fresh seed through the candidate,
         then concatenated.  A solution is its own image."""
-        return lambda i, z: self._round(i, z, lambda here, seed: cand.at(here).pos[seed])
+        b = self.b
+        return lambda i, z: finish_round(
+            self.mixed, self.target, i, self.f.at(i).pos[z],
+            lambda here, seed: len(b.at(here)) + cand.at(here).pos[seed])
 
-    def equation_gap(self, cand: TemporalMor) -> Optional[str]:
-        """A witness of the first seed where the candidate differs from its
-        image, or None."""
-        return first_mismatch(cand, self.image(cand))
+    solve, equation_gap, search = solve, equation_gap, search
 
 
 def coiter_step(w: TermBound, a: TemporalObj, b: TemporalObj, c: TemporalObj,
@@ -181,6 +175,7 @@ class RecurProblem:
         self.w, self.a, self.b, self.c = w, a, b, c
         self.source = ProcSpace(w, a, b)
         self.paired = ProcSpace(w, pointwise_product([a, c]), b)
+        self.dom, self.cod = self.source.obj, c
         if f.dom != self.paired.obj:
             raise ValueError(
                 "consumer must start from processes over paired values"
@@ -189,22 +184,14 @@ class RecurProblem:
             raise ValueError("consumer must land in the auxiliary object")
         self.f = f
 
-    def solve(self) -> TemporalMor:
-        """Kept for later calls, as `CoiterProblem.solve` is."""
-        if "_solution" not in vars(self):
-            self._solution = _memo_solve(
-                self.source.obj, self.c, self._consume,
-                "consumer is not well founded: the process at %r is its own suffix")
-        return self._solution
-
     def _consume(self, i: IndexPair, q: int, aux: Callable) -> int:
         """The consumer's output on process position ``q`` at ``i`` once
         every record is paired with ``aux(here, suffix)``, the auxiliary
-        component of the suffix starting at that record: the recursive
-        memo when solving, the candidate when checking.  By position: the
-        process keeps its summand k (its stop, or the running record), and
-        value digit j gains the auxiliary digit of its suffix, the trailing
-        digits in summand k - j - 1 at the record's index, as in `expand`."""
+        component of the suffix starting at that record, which `image`
+        reads off the candidate.  By position: the process keeps its
+        summand k (its stop, or the running record), and value digit j
+        gains the auxiliary digit of its suffix, the trailing digits in
+        summand k - j - 1 at the record's index, as in `expand`."""
         lay = self.source._layout[i]
         k, r = lay.locate(q)
         width = len(self.b.at(lay.run[k])) if k < lay.stops else 1
@@ -224,10 +211,7 @@ class RecurProblem:
         then consumed.  A solution is its own image."""
         return lambda i, q: self._consume(i, q, lambda here, s: cand.at(here).pos[s])
 
-    def equation_gap(self, cand: TemporalMor) -> Optional[str]:
-        """A witness of the first process where the candidate differs from
-        its image, or None."""
-        return first_mismatch(cand, self.image(cand))
+    solve, equation_gap, search = solve, equation_gap, search
 
 
 def recur_live(w: TermBound, a: TemporalObj, b: TemporalObj, c: TemporalObj,

@@ -734,11 +734,11 @@ def suite_derived(cap: int, mutated: bool, case: Curated):
 
 def _uniqueness_witness(pr, cap: int) -> Optional[str]:
     sol = pr.solve()
-    matches = enumerate_nat_trans(sol.dom, sol.cod, cap, pr.image)
+    matches = pr.search(cap)
     if len(matches) == 1 and mor_equal(matches[0], sol):
         return None
     # Only a failure counts the natural candidates, for its witness.
-    total = len(enumerate_nat_trans(sol.dom, sol.cod, cap))
+    total = len(enumerate_nat_trans(pr.dom, pr.cod, cap))
     return (f"{len(matches)} of {total} natural candidates "
             f"satisfy the equation, expected exactly the solver's")
 

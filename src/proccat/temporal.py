@@ -132,12 +132,14 @@ def require_functor(obj: TemporalObj) -> TemporalObj:
 def check_functor(obj: TemporalObj) -> Optional[str]:
     """Identities map to identities; restriction composes as the indices do.
 
-    The restrictions `res` derives compose by construction, so
-    what is checked is that the restriction the object was built from
-    agrees with them along every arrow: None when it does, else a
-    witness."""
+    The restrictions `res` derives compose by construction, so what is
+    checked is that the restriction the object was built from agrees with
+    them along every arrow (a cover's is the one `res` keeps, so each is
+    built once): None when it does, else a witness."""
+    covers = set(obj.scale.covers())
     for mor in obj.scale.index_mors():
-        direct, derived = obj.restrict_at(mor), obj.res(mor)
+        derived = obj.res(mor)
+        direct = derived if mor in covers else obj.restrict_at(mor)
         if direct.dom != obj.at(mor.src) or direct.cod != obj.at(mor.dst):
             return f"restriction along {mor} has wrong endpoints"
         if direct == derived:
@@ -406,11 +408,29 @@ def nat_trans_space(a: TemporalObj, b: TemporalObj) -> int:
     return count
 
 
+def solve_order(scale: TimeScale) -> list[IndexPair]:
+    """Every index, latest stop first: t descending, then t0 ascending."""
+    return sorted(scale.indices(), key=lambda i: (-i.t, i.t0))
+
+
 def _unfixed(index: IndexPair) -> FinMor:
-    """The component builder of a family under search: a component the
-    search has not fixed is never guessed."""
+    """The component builder of a family under construction: a component
+    not fixed yet is never guessed."""
     raise LookupError(f"the equation read the candidate at {index}, "
-                      "which the search has not fixed yet")
+                      "which is not fixed yet")
+
+
+def fixpoint(dom: TemporalObj, cod: TemporalObj, image: Callable) -> TemporalMor:
+    """The family f: dom -> cod equal to its image ``image(f)``, a map
+    ``(i, p) -> position`` that reads f only at later stops: in
+    `solve_order`, each component is the image of those fixed before it.
+    Reading an index not fixed yet, its own included, raises LookupError."""
+    f = TemporalMor(dom, cod, _unfixed)
+    at = image(f)
+    for i in solve_order(dom.scale):
+        row = dom.at(i)
+        f._built[i] = FinMor(row, cod.at(i), pos=[at(i, p) for p in range(len(row))])
+    return f
 
 
 def enumerate_nat_trans(
@@ -421,12 +441,12 @@ def enumerate_nat_trans(
     `equation`, only the families equal to ``equation(f)``, their own
     pointwise image ``(i, p) -> position``.
 
-    Fixes one index at a time, latest stop first (t descending, then t0
-    ascending), and drops a partial assignment as soon as a naturality
-    square along a cover between fixed indices fails, or the image at the
-    index just fixed differs from its component.  The image may read the
-    candidate only where it is fixed, as every solver equation does (it
-    restarts strictly later); reading elsewhere raises LookupError.
+    Fixes one index at a time in `solve_order`, as `fixpoint` does, and
+    drops a partial assignment as soon as a naturality square along a
+    cover between fixed indices fails, or the image at the index just
+    fixed differs from its component.  The image may read the candidate
+    only where it is fixed, as every solver equation does (it restarts
+    strictly later); reading elsewhere raises LookupError.
     The cap bounds the whole candidate space, and the result comes in the
     order of a plain filter over it: indices ascending, maps in
     enumerate_mors order.
@@ -435,7 +455,7 @@ def enumerate_nat_trans(
     if space > cap:
         raise CapExceeded(space, cap)
     indices = a.scale.indices()
-    order = sorted(indices, key=lambda i: (-i.t, i.t0))
+    order = solve_order(a.scale)
     per_index = {i: enumerate_mors(a.at(i), b.at(i), cap) for i in indices}
     pos_of = {i: k for k, i in enumerate(order)}
     mors_by_pos: dict[int, list[IndexMor]] = {}

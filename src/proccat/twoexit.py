@@ -6,23 +6,20 @@ solution assigns to every seed either an immediate answer or a finished
 process.  The two formulations determine each other; the translations in
 both directions are provided, along with an exhaustive search for
 solutions that does not involve the solver at all, so uniqueness can be
-established independently.  The search is pruned by the equation itself:
-a seed restarts only at a later stop, so the image at an index reads the
-candidate only at indices with a later t, which the search fixes first.
+established independently.  The search is pruned by the equation, read
+latest stop first as in `fixpoints`.
 """
 from __future__ import annotations
 
 from typing import Callable, Optional
 
 from .finset import DEFAULT_CAP
-from .fixpoints import CoiterProblem, finish_round
+from .fixpoints import CoiterProblem, finish_round, is_solution, search
 from .operators import join_live
 from .process import LiveSpace, live_map
 from .temporal import (
     TemporalMor,
     TemporalObj,
-    enumerate_nat_trans,
-    first_mismatch,
     mor_equal,
     pointwise_coproduct,
     t_compose,
@@ -45,6 +42,7 @@ class TwoExitProblem:
         self.inner = LiveSpace(w, a, pointwise_coproduct([b, c]))
         self.target = LiveSpace(w, a, b)
         self.answers = pointwise_coproduct([b, self.target.obj])
+        self.dom, self.cod = c, self.answers
         if g.dom != c:
             raise ValueError("seed map must start from the seed object")
         if g.cod != pointwise_coproduct([b, self.inner.obj]):
@@ -81,13 +79,10 @@ class TwoExitProblem:
 
         return image
 
-    def is_solution(self, cand: TemporalMor) -> bool:
-        """Whether the candidate is its own image, seed by seed."""
-        return first_mismatch(cand, self.image(cand)) is None
-
     def solve(self) -> TemporalMor:
         """The canonical solution, obtained through the one-exit solver:
-        defer every seed through the seed map, iterate, classify."""
+        defer every seed through the seed map, iterate, classify.  Not the
+        fixpoint of `image`, which would pass `is_solution` by design."""
         inner_obj = self.inner.obj
         res = t_copairing([t_inj([self.b, inner_obj], 0), self.g])
         restart = live_map(
@@ -98,11 +93,7 @@ class TwoExitProblem:
         collapse = CoiterProblem(self.w, self.a, self.b, inner_obj, restart).solve()
         return self.classify(collapse)
 
-    def search(self, cap: int = DEFAULT_CAP) -> list:
-        """All solutions among the natural maps from seeds to answers, by
-        a search pruned by the equation.  Independent of the solver; used
-        to establish that the solution is unique."""
-        return enumerate_nat_trans(self.c, self.answers, cap, self.image)
+    is_solution, search = is_solution, search
 
 
 def defer_all(w: TermBound, a: TemporalObj, b: TemporalObj, c: TemporalObj,
@@ -151,7 +142,7 @@ def check_roundtrips(pr: TwoExitProblem, one_exit: Optional[CoiterProblem] = Non
         return "collapsing the two-exit solution misses the one-exit solution"
     if not mor_equal(answers_from_collapse(pr, sol), cand):
         return "deferring into the one-exit solution misses the two-exit solution"
-    count = len(enumerate_nat_trans(pr.c, one_exit.target.obj, cap, one_exit.image))
+    count = len(one_exit.search(cap))
     if count != 1:
         return f"search finds {count} one-exit solutions, expected exactly one"
     return None

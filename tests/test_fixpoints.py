@@ -2,6 +2,7 @@
 splice rule before the solvers were written, then the defining equations
 are checked exactly."""
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
@@ -39,16 +40,20 @@ from proccat.temporal import (
     enumerate_nat_trans,
     first_difference,
     first_mismatch,
+    flag_temporal,
     mor_equal,
+    nat_trans_space,
     naturality_witness,
     pointwise_coproduct,
+    pointwise_product,
     t_compose,
     t_coproduct_mor,
     t_identity,
     t_product_mor,
     unit_obj,
 )
-from proccat.times import IndexPair, TimeScale, UNBOUNDED
+from proccat.times import IndexPair, TermBound, TimeScale, UNBOUNDED
+from proccat.twoexit import check_roundtrips, defer_all
 
 from process_values import decode_live, render_value
 
@@ -324,3 +329,69 @@ def test_pair_variant_reads_off_stop_stamps():
             assert out == Inj(0, UNIT_ELEM)
         else:
             assert out == parity_stop_elem(SCALE, Fraction(0), q.at_time)
+
+
+# -- every seed: the paper's claim beyond the curated cases ------------------
+
+BOUNDS = (TermBound.at(SCALE.start), TermBound.at(SCALE.end), UNBOUNDED)
+
+
+def every_coiter_seed():
+    """(w, a, b, c, seed) for every natural seed map over the value, final
+    and seed objects (u, u, u), (u, u, f) and (u, f, u), under each bound."""
+    u, f = unit_obj(SCALE), flag_temporal(SCALE)
+    for a, b, c in ((u, u, u), (u, u, f), (u, f, u)):
+        for w in BOUNDS:
+            mixed = LiveSpace(w, a, pointwise_coproduct([b, c]))
+            for seed in enumerate_nat_trans(c, mixed.obj):
+                yield w, a, b, c, seed
+
+
+def assert_unique_and_solved(pr) -> bool:
+    """The search finds exactly the solver's answer, and a poisoned answer
+    fails the equation unless poison leaves it as it is; whether it was
+    changed."""
+    sol = pr.solve()
+    found = pr.search()
+    assert len(found) == 1 and mor_equal(found[0], sol)
+    broken = poison(sol)
+    changed = not mor_equal(broken, sol)
+    assert (pr.equation_gap(broken) is not None) == changed
+    return changed
+
+
+def test_every_coiter_seed_has_exactly_the_solvers_solution():
+    seeds = list(every_coiter_seed())
+    assert len(seeds) == 827  # 15, 784 and 28, all unbounded
+    changed = sum(assert_unique_and_solved(CoiterProblem(*s)) for s in seeds)
+    assert changed == 522  # the rest are constant at every index
+
+
+def test_every_small_recur_consumer_has_exactly_the_solvers_solution():
+    # Every unit/flag choice of (a, b, c) and bound whose consumers and
+    # solutions both fit under the cap.
+    u, f = unit_obj(SCALE), flag_temporal(SCALE)
+    consumers = []
+    for a, b, c in iter_product((u, f), repeat=3):
+        for w in BOUNDS:
+            paired = ProcSpace(w, pointwise_product([a, c]), b)
+            spaces = (nat_trans_space(paired.obj, c),
+                      nat_trans_space(ProcSpace(w, a, b).obj, c))
+            if max(spaces) <= DEFAULT_CAP:
+                consumers += [(w, a, b, c, g) for g in enumerate_nat_trans(paired.obj, c)]
+    assert len(consumers) == 36
+    for g in consumers:
+        # Every solution here is constant at each index, so poison has
+        # nothing to swap: a natural map into a constant object factors
+        # through the carrier at (t, t), which holds at most one process.
+        assert not assert_unique_and_solved(RecurProblem(*g))
+
+
+def test_two_exit_roundtrips_hold_on_sampled_seeds():
+    # Every fifth seed, which keeps this under a second; all 827 take
+    # about 2 s on a 2-core machine.
+    sampled = list(every_coiter_seed())[::5]
+    assert len(sampled) == 166
+    for w, a, b, c, seed in sampled:
+        one_exit = CoiterProblem(w, a, b, c, seed)
+        assert check_roundtrips(defer_all(w, a, b, c, seed), one_exit) is None

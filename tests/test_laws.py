@@ -325,15 +325,14 @@ def test_a_run_builds_and_solves_each_curated_problem_once(monkeypatch):
     for name in ("coiter_problems", "recur_problems", "two_exit_problems",
                  "uniqueness_problems"):
         monkeypatch.setattr(laws, name, counted(name, getattr(laws, name)))
-    monkeypatch.setattr(fixpoints, "_memo_solve",
-                        counted("_memo_solve", fixpoints._memo_solve))
+    monkeypatch.setattr(fixpoints, "fixpoint", counted("fixpoint", fixpoints.fixpoint))
     reports = run_suites(SOLVER_SUITES)
     assert {name: len(args) for name, args in calls.items()} == {
         "coiter_problems": 1, "recur_problems": 1, "two_exit_problems": 1,
-        "uniqueness_problems": 1, "_memo_solve": 17}
+        "uniqueness_problems": 1, "fixpoint": 17}
     # 5 seed maps, 5 consumers, 4 two-exit problems, 3 derived solvers;
     # the tuples keep every problem alive, so their ids are distinct.
-    solved = {id(step.__self__) for _, _, step, _ in calls["_memo_solve"]}
+    solved = {id(image.__self__) for _, _, image in calls["fixpoint"]}
     assert len(solved) == 17
     # Called on its own, a suite builds its own problems and says the same.
     alone = sorted(laws.suite_corecursion(), key=lambda r: r.instance)

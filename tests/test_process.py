@@ -426,3 +426,18 @@ def test_a_broken_restriction_fails_the_functor_check_with_an_element(monkeypatc
     witness = check_functor(sp.obj)
     assert witness.startswith(f"restriction along {COMPOSITE} is not the "
                               "composite of its covers at ")
+
+
+def test_the_functor_check_builds_each_restriction_once(monkeypatch):
+    # A cover's direct restriction is the one `res` keeps, so the check
+    # asks the space for every arrow exactly once.
+    restrict_at, asked = ProcSpace._restrict_at, []
+
+    def counted(self, m):
+        asked.append(m)
+        return restrict_at(self, m)
+
+    monkeypatch.setattr(ProcSpace, "_restrict_at", counted)
+    sp = ProcSpace(UNBOUNDED, flag_temporal(FOUR), unit_obj(FOUR))
+    assert check_functor(sp.obj) is None
+    assert sorted(asked) == sorted(FOUR.index_mors())

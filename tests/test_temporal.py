@@ -3,6 +3,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from itertools import product as iter_product
@@ -27,6 +28,7 @@ from proccat.temporal import (
     enumerate_nat_trans,
     exponential_end,
     first_difference,
+    fixpoint,
     flag_temporal,
     mor_equal,
     nat_trans_space,
@@ -35,6 +37,7 @@ from proccat.temporal import (
     pointwise_product,
     require_functor,
     require_natural,
+    solve_order,
     t_compose,
     t_identity,
     temporal_obj,
@@ -201,6 +204,16 @@ def test_an_equation_reading_an_unfixed_index_raises():
     first = SCALE.indices()[0]  # the earliest stop, fixed last
     with pytest.raises(LookupError, match="not fixed"):
         enumerate_nat_trans(a, a, equation=lambda f: lambda i, p: f.at(first).pos[p])
+
+
+def test_a_fixpoint_reading_its_own_index_raises():
+    # A component is fixed only once its whole image is known, so an
+    # image that reads the family at its own index finds it unfixed.
+    a = flag_temporal(SCALE, 2)
+    first = solve_order(SCALE)[0]
+    unfixed = re.escape(f"candidate at {first}, which is not fixed")
+    with pytest.raises(LookupError, match=unfixed):
+        fixpoint(a, a, lambda f: lambda i, p: f.at(i).pos[p])
 
 
 def test_enumeration_cap():
