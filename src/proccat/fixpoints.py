@@ -10,13 +10,18 @@ each suffix of the input process back through the solved map to fabricate
 that component.
 
 Each problem is an equation: a solution is its own `image`, the
-right-hand side read by position.  Productivity is the order it is read
-in.  The image at (t, t0) reads the family only at later stops (u, t0),
-u > t: a seed restarts at the stop of its round, a suffix starts at a
-record.  So `temporal.fixpoint` fixes the components latest stop first
-(`temporal.solve_order`), each the image of those fixed before, and a
-finite scale runs out: the solution exists and is unique.  `search`
-sweeps the candidates in the same order, pruned by the same image.
+right-hand side read by position off the operator map it is made of,
+which the problem holds.  A round (`finish_round`) is the seed map, each
+fresh seed replaced by the candidate, then `join`; a consumer step
+(`RecurProblem._consume`) is `expand`, each suffix replaced by the
+candidate's output on it, then the consumer.  Productivity is the order
+it is read in.  The image at (t, t0) reads the family only at later
+stops (u, t0), u > t: a seed restarts at the stop of its round, a suffix
+starts at a record.  So `temporal.fixpoint` fixes the components latest
+stop first (`temporal.solve_order`), each the image of those fixed
+before, and a finite scale runs out: the solution exists and is unique.
+`search` sweeps the candidates in the same order, pruned by the same
+image.
 
 Variants cover the step-shaped and strict-future-shaped versions of both.
 """
@@ -25,7 +30,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .finset import DEFAULT_CAP
-from .operators import join, joining_space, splice
+from .operators import expand, join, joining_space
 from .process import LiveSpace, ProcSpace, live_map, proc_map
 from .temporal import (
     TemporalMor,
@@ -43,24 +48,24 @@ from .temporal import (
 from .times import IndexPair, TermBound
 
 
-def finish_round(mixed: LiveSpace, target: LiveSpace, i: IndexPair, p: int,
-                 onward: Callable) -> int:
+def finish_round(mixed: LiveSpace, target: LiveSpace, joined: TemporalMor,
+                 i: IndexPair, p: int, onward: Callable) -> int:
     """Finish one round of a seed map, by position: ``p`` is a (value,
     process) pair of ``mixed`` at ``i`` whose result is final (left) or a
     fresh seed (right), which ``onward(here, seed)`` turns into a
-    position in the step space over ``target`` at the stop, spliced on
-    as `join` does.  Returns the position in ``target`` at ``i``."""
+    position in the step space over ``target`` at the stop.  With that
+    step as its result, the process goes through ``joined``, `join` over
+    ``target.proc``.  Returns the position in ``target`` at ``i``."""
     x, q = divmod(p, len(mixed.proc._carriers[i]))
     k, r = mixed.proc._layout[i].locate(q)
-    lay = target.proc._layout[i]
-    if k == lay.stops:  # still running: the record carries over
-        out = lay.offsets[k] + r
-    else:
+    lay = joined.dom.layout[i]
+    if k < lay.stops:  # else still running: the record carries over
         here = lay.run[k]
         prefix, y = divmod(r, len(mixed.b.at(here)))
         n = len(target.b.at(here))
-        out = splice(target.proc, i, k, prefix, y if y < n else onward(here, y - n))
-    return x * len(target.proc._carriers[i]) + out
+        step = y if y < n else onward(here, y - n)
+        r = prefix * (n + len(target.obj.at(here))) + step
+    return x * len(target.proc._carriers[i]) + joined.at(i).pos[lay.offsets[k] + r]
 
 
 # A problem is its `dom`, `cod` and `image`.  Each class binds the functions
@@ -115,6 +120,7 @@ class CoiterProblem:
                 "is final-or-seed"
             )
         self.f = f
+        self.join = join(self.target.proc)
 
     def image(self, cand: TemporalMor) -> Callable:
         """The right-hand side of the defining equation, by position: a
@@ -122,7 +128,7 @@ class CoiterProblem:
         then concatenated.  A solution is its own image."""
         b = self.b
         return lambda i, z: finish_round(
-            self.mixed, self.target, i, self.f.at(i).pos[z],
+            self.mixed, self.target, self.join, i, self.f.at(i).pos[z],
             lambda here, seed: len(b.at(here)) + cand.at(here).pos[seed])
 
     solve, equation_gap, search = solve, equation_gap, search
@@ -152,12 +158,10 @@ def coiter_proc(w: TermBound, a: TemporalObj, b: TemporalObj, c: TemporalObj,
     src = ProcSpace(w, a, pointwise_coproduct([b, ac]))
     if f.dom != c or f.cod != src.obj:
         raise ValueError("seed map endpoints do not fit the process shape")
-    paired = t_product_mor([t_identity(a), f])
-    inner = CoiterProblem(w, a, b, ac, paired).solve()
-    plain = ProcSpace(w, a, b)
-    widen = proc_map(src, joining_space(plain),
-                     res=t_coproduct_mor([t_identity(b), inner]))
-    return t_compose(join(plain), t_compose(widen, f))
+    inner = CoiterProblem(w, a, b, ac, t_product_mor([t_identity(a), f]))
+    widen = proc_map(src, joining_space(inner.target.proc),
+                     res=t_coproduct_mor([t_identity(b), inner.solve()]))
+    return t_compose(inner.join, t_compose(widen, f))
 
 
 class RecurProblem:
@@ -183,26 +187,26 @@ class RecurProblem:
         if f.cod != c:
             raise ValueError("consumer must land in the auxiliary object")
         self.f = f
+        self.expand = expand(self.source)
 
     def _consume(self, i: IndexPair, q: int, aux: Callable) -> int:
         """The consumer's output on process position ``q`` at ``i`` once
         every record is paired with ``aux(here, suffix)``, the auxiliary
         component of the suffix starting at that record, which `image`
-        reads off the candidate.  By position: the process keeps its
-        summand k (its stop, or the running record), and value digit j
-        gains the auxiliary digit of its suffix, the trailing digits in
-        summand k - j - 1 at the record's index, as in `expand`."""
-        lay = self.source._layout[i]
-        k, r = lay.locate(q)
+        reads off the candidate.  By position: `expand` pairs each value
+        digit with its suffix, and each (value, suffix) digit becomes
+        (value, auxiliary) in the paired space, in the same summand k
+        (the process's stop, or the running record)."""
+        lay = self.expand.cod.layout[i]
+        k, r = lay.locate(self.expand.at(i).pos[q])
         width = len(self.b.at(lay.run[k])) if k < lay.stops else 1
-        out, scale = r % width, width
-        for j in reversed(range(k)):
-            here = lay.run[j]
-            n, nc = len(self.a.at(here)), len(self.c.at(here))
-            suffix = self.source._layout[here].offsets[k - j - 1] + r % width
-            out += (r // width % n * nc + aux(here, suffix)) * scale
-            scale *= n * nc
-            width *= n
+        r, out = divmod(r, width)
+        for here in reversed(lay.run[:k]):
+            n, nc = len(self.source._carriers[here]), len(self.c.at(here))
+            r, digit = divmod(r, len(self.a.at(here)) * n)
+            x, suffix = divmod(digit, n)
+            out += (x * nc + aux(here, suffix)) * width
+            width *= len(self.a.at(here)) * nc
         return self.f.at(i).pos[self.paired._layout[i].offsets[k] + out]
 
     def image(self, cand: TemporalMor) -> Callable:

@@ -528,8 +528,12 @@ def stamp_parity_obj(scale: TimeScale) -> TemporalObj:
                 elems.append(stamp_elem(v, parity))
         return fin_obj(elems)
 
+    # Each built once, read by the object and by `restrict`, which holds
+    # no reference to the object: no reference cycle.
+    carriers = {i: carrier(i) for i in scale.indices()}
+
     def restrict(m):
-        src, dst = carrier(m.src), carrier(m.dst)
+        src, dst = carriers[m.src], carriers[m.dst]
 
         def go(e):
             if e.tag == 1 and e not in dst:
@@ -538,7 +542,7 @@ def stamp_parity_obj(scale: TimeScale) -> TemporalObj:
 
         return fin_mor(src, dst, go)
 
-    return require_functor(temporal_obj(scale, carrier, restrict))
+    return require_functor(temporal_obj(scale, carriers.__getitem__, restrict))
 
 
 def recur_problems() -> list:

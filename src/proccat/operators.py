@@ -120,17 +120,6 @@ def joining_space(sp: ProcSpace) -> ProcSpace:
     return ProcSpace(sp.w, sp.a, StepSpace(sp.w, sp.a, sp.b).obj)
 
 
-def splice(sp: ProcSpace, i: IndexPair, k: int, prefix: int, then: int) -> int:
-    """`join` for one element: the position at i of the process that
-    stops at the k-th point of i's run, its first k values at position
-    `prefix` of their product, continued by `then`, a position in the
-    step space over `sp` at that point: the answer's or handover's row in
-    `_stopped` or `_onward`."""
-    rows = _stopped(sp, i, k)
-    base, width = rows[then] if then < len(rows) else _onward(sp, i, k)[then - len(rows)]
-    return base + prefix * width
-
-
 def _stopped(sp: ProcSpace, i: IndexPair, k: int) -> list:
     """Per result at the k-th point of i's run, the (base, width) that
     put the process stopping with it there in summand k at i, at base +

@@ -194,15 +194,13 @@ def require_natural(mor: TemporalMor) -> TemporalMor:
     return mor
 
 
-def _square_gap(a: TemporalObj, b: TemporalObj, m: IndexMor,
-                at_src: FinMor, at_dst: FinMor) -> Optional[tuple]:
-    """None when the naturality square of `m` commutes for the components
+def _commutes(a: TemporalObj, b: TemporalObj, m: IndexMor,
+              at_src: FinMor, at_dst: FinMor) -> bool:
+    """Whether the naturality square of `m` commutes for the components
     `at_src` (at m.src) and `at_dst` (at m.dst) of a family a -> b, by
-    positions; otherwise its two sides, restrict-after-map and map-after-restrict."""
+    positions: restrict-after-map equals map-after-restrict."""
     rb, ra = b.res(m), a.res(m)
-    if [*map(rb.pos.__getitem__, at_src.pos)] == [*map(at_dst.pos.__getitem__, ra.pos)]:
-        return None
-    return f_compose(rb, at_src), f_compose(at_dst, ra)
+    return [*map(rb.pos.__getitem__, at_src.pos)] == [*map(at_dst.pos.__getitem__, ra.pos)]
 
 
 def naturality_witness(mor: TemporalMor) -> Optional[str]:
@@ -213,9 +211,9 @@ def naturality_witness(mor: TemporalMor) -> Optional[str]:
     # Covers suffice: every other restriction of both ends is a composite
     # of covers, and squares paste.
     for i in mor.dom.scale.covers():
-        gap = _square_gap(mor.dom, mor.cod, i, mor.at(i.src), mor.at(i.dst))
-        if gap is not None:
-            left, right = gap
+        if not _commutes(mor.dom, mor.cod, i, mor.at(i.src), mor.at(i.dst)):
+            left = f_compose(mor.cod.res(i), mor.at(i.src))
+            right = f_compose(mor.at(i.dst), mor.dom.res(i))
             bad = next(e for e in mor.dom.at(i.src) if left(e) != right(e))
             return f"square for {i} fails at {bad!r}: {left(bad)!r} vs {right(bad)!r}"
     return None
@@ -381,7 +379,7 @@ def exponential_end(a: TemporalObj, b: TemporalObj) -> TemporalObj:
         return fin_obj([
             Tup(tuple(_fn_tab(c) for c in choice))
             for choice in iter_product(*spaces)
-            if all(_square_gap(a, b, m, choice[x + 1], choice[x]) is None
+            if all(_commutes(a, b, m, choice[x + 1], choice[x])
                    for x, m in enumerate(covers))
         ])
 
@@ -470,7 +468,7 @@ def enumerate_nat_trans(
     image = None if equation is None else equation(searched)
 
     def fits(index: IndexPair, cand: FinMor, k: int) -> bool:
-        return (all(_square_gap(a, b, m, chosen[m.src], chosen[m.dst]) is None
+        return (all(_commutes(a, b, m, chosen[m.src], chosen[m.dst])
                     for m in mors_by_pos.get(k, ()))
                 and (image is None
                      or all(q == image(index, p) for p, q in enumerate(cand.pos))))

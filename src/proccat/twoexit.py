@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .finset import DEFAULT_CAP
 from .fixpoints import CoiterProblem, finish_round, is_solution, search
-from .operators import join_live
+from .operators import join, join_live
 from .process import LiveSpace, live_map
 from .temporal import (
     TemporalMor,
@@ -48,6 +48,7 @@ class TwoExitProblem:
         if g.cod != pointwise_coproduct([b, self.inner.obj]):
             raise ValueError("seed map must have answer and process exits")
         self.g = g
+        self.join = join(self.target.proc)
 
     def graft(self, cand: TemporalMor) -> TemporalMor:
         """Turn a candidate solution into a collapser of running
@@ -74,7 +75,7 @@ class TwoExitProblem:
             y, n = self.g.at(i).pos[z], len(self.b.at(i))
             if y < n:
                 return y
-            return n + finish_round(self.inner, self.target, i, y - n,
+            return n + finish_round(self.inner, self.target, self.join, i, y - n,
                                     lambda here, seed: cand.at(here).pos[seed])
 
         return image

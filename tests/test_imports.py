@@ -1,5 +1,7 @@
-"""Every imported name is used: an AST scan of the package and the tests."""
+"""Every imported name is used, and every top-level function and class
+of the package is referenced from its code: AST scans."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,3 +27,29 @@ def test_every_imported_name_is_used():
              *sorted((ROOT / "tests").glob("*.py"))]
     assert len(paths) > 20
     assert [found for path in paths for found in unused_imports(path)] == []
+
+
+def names_in(node) -> Counter:
+    """How often `node`'s code names each identifier: as a name, an
+    attribute or an import (whose use the scan above checks)."""
+    return Counter(n.id if isinstance(n, ast.Name) else
+                   n.attr if isinstance(n, ast.Attribute) else n.name
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def unreferenced_definitions(paths: list) -> list:
+    """`file:line: name` for each top-level function or class in `paths`
+    that no code in `paths` names outside its own definition; docstrings
+    and comments are not code."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    named = sum(map(names_in, trees.values()), Counter())
+    return [f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+            for path, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and named[node.name] == names_in(node)[node.name]]
+
+
+def test_every_definition_is_referenced():
+    paths = sorted((ROOT / "src" / "proccat").glob("*.py"))
+    assert unreferenced_definitions(paths) == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proccat
-from proccat import fixpoints, laws, operators
+from proccat import fixpoints, laws, operators, twoexit
 from proccat.laws import (
     Case,
     Diagram,
@@ -326,10 +326,16 @@ def test_a_run_builds_and_solves_each_curated_problem_once(monkeypatch):
                  "uniqueness_problems"):
         monkeypatch.setattr(laws, name, counted(name, getattr(laws, name)))
     monkeypatch.setattr(fixpoints, "fixpoint", counted("fixpoint", fixpoints.fixpoint))
+    for module, name in ((fixpoints, "join"), (twoexit, "join"), (fixpoints, "expand")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     reports = run_suites(SOLVER_SUITES)
+    # Each problem holds the operator map its image reads, asked for once
+    # when it is built, never per element: a join for each of the 11
+    # one-exit and 4 two-exit problems, an expand for each of the 6
+    # consumer problems.
     assert {name: len(args) for name, args in calls.items()} == {
         "coiter_problems": 1, "recur_problems": 1, "two_exit_problems": 1,
-        "uniqueness_problems": 1, "fixpoint": 17}
+        "uniqueness_problems": 1, "fixpoint": 17, "join": 15, "expand": 6}
     # 5 seed maps, 5 consumers, 4 two-exit problems, 3 derived solvers;
     # the tuples keep every problem alive, so their ids are distinct.
     solved = {id(image.__self__) for _, _, image in calls["fixpoint"]}

@@ -1,18 +1,21 @@
 """The solver steps against element-level references.
 
-`fixpoints.finish_round`, `RecurProblem._consume` and `operators.splice`
-compute positions from the carrier layout.  The references below decode
-the process, rebuild it as a process value and encode it, the way the
-solvers took their steps before the layout reached them.  Each is
+`fixpoints.finish_round` reads `operators.join`, and
+`RecurProblem._consume` reads `operators.expand`, each at a position
+computed from the carrier layout.  The references below decode the
+process, rebuild it as a process value and encode it, the way the
+solvers took their steps before the layout reached them.  The steps are
 checked on every curated problem, with the problem's own solution and
-with an arbitrary onward map, and on drawn scales of one to four points.
+with an arbitrary onward map, and on drawn scales of one to four points;
+`join`'s components are checked against the splice reference on the
+same target spaces.
 """
 from hypothesis import given, settings, strategies as st
 
 from proccat.finset import FinMor, Tup
 from proccat.fixpoints import RecurProblem, finish_round
 from proccat.laws import coiter_problems, recur_problems, stamp_parity_obj, two_exit_problems
-from proccat.operators import splice
+from proccat.operators import join, joining_space
 from proccat.process import LiveSpace, Ongoing, ProcSpace, StepSpace, Terminated
 from proccat.temporal import (
     TemporalMor,
@@ -80,11 +83,12 @@ def assert_rounds_match(mixed, target, seeds, onward):
     seed that stops where the step space is empty has no round, and is
     passed over."""
     step = StepSpace(target.w, target.a, target.b).obj
+    joined = join(target.proc)
     checked = 0
     for i in mixed.scale.indices():
         for p, elem in enumerate(mixed.obj.at(i).elements):
             try:
-                got = finish_round(mixed, target, i, p, onward)
+                got = finish_round(mixed, target, joined, i, p, onward)
             except NoStep:
                 continue
             want = ref_finish_round(mixed, target, i, elem, lambda here, seed: (
@@ -111,20 +115,15 @@ def arbitrary(objs):
 
 
 def assert_splices_match(sp):
-    """splice on every stopped process of ``sp`` and every answer or
-    handover at its stop equals the reference."""
-    step = StepSpace(sp.w, sp.a, sp.b).obj
+    """join's component on every process of the joining space over
+    ``sp`` equals the reference: a stopped one spliced with the answer
+    or handover it stopped with, a running one as it is."""
+    outer, joined = joining_space(sp), join(sp)
     for i in sp.scale.indices():
-        lay = sp._layout[i]
-        for q, elem in enumerate(sp.obj.at(i).elements):
-            k, r = lay.locate(q)
-            if k == lay.stops:
-                continue
-            v = sp.decode(i, elem)
-            prefix = r // len(sp.b.at(lay.run[k]))
-            for then, then_elem in enumerate(step.at(lay.run[k]).elements):
-                want = sp.encode(i, ref_splice(sp, i.t0, v, then_elem))
-                assert sp.obj.at(i).elements[splice(sp, i, k, prefix, then)] == want
+        for elem in outer.obj.at(i).elements:
+            v = outer.decode(i, elem)
+            want = ref_splice(sp, i.t0, v, v.result) if isinstance(v, Terminated) else v
+            assert joined.at(i)(elem) == sp.encode(i, want), (i, elem)
 
 
 def assert_consumes_match(pr, aux):

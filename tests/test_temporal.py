@@ -6,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import weakref
 from itertools import product as iter_product
 from pathlib import Path
 
@@ -308,6 +309,23 @@ def test_res_matches_the_eager_reference_on_drawn_scales(points, w_at):
                 ProcSpace(w, value, flag_temporal(scale)).obj,
                 pointwise_coproduct([stamp, value])):
         assert_res_matches_the_reference(obj)
+
+
+def test_the_stamp_object_builds_each_carrier_once():
+    # Its restrictions read the object's own carriers, so `check_functor`
+    # finds their ends identical without comparing elements, and they
+    # hold no reference to the object, which dies by reference counting.
+    scale = TimeScale.of(0, "1/2", 1, 3)
+    obj = stamp_parity_obj(scale)
+    for m in scale.covers():
+        assert obj.res(m).dom is obj.at(m.src) and obj.res(m).cod is obj.at(m.dst)
+    gc.disable()
+    try:
+        dead = weakref.ref(obj)
+        del obj
+        assert dead() is None
+    finally:
+        gc.enable()
 
 
 def test_a_process_space_object_builds_one_map_per_cover(monkeypatch):
