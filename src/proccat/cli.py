@@ -269,9 +269,9 @@ def cmd_check(args) -> int:
     if args.scale != GRID_SCALE_TEXT:
         try:
             expr = parse_scale_expr(args.scale)
-            verdict = validate_scale(expr)
-            if not verdict.accepted:
-                return _fail("scale rejected: " + str(verdict.witness))
+            rejection = validate_scale(expr)
+            if rejection is not None:
+                return _fail("scale rejected: " + rejection)
             scale = scale_from_expr(expr)
         except (ScaleParseError, ScaleOverlapError) as exc:
             return _fail(str(exc))
@@ -293,10 +293,7 @@ def cmd_check(args) -> int:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(f"--out {args.out} is not a writable directory: {exc.strerror}")
-    try:
-        reports = run_suites(names, cap=args.cap, mutate=args.mutate)
-    except ValueError as exc:
-        return _fail(str(exc))
+    reports = run_suites(names, cap=args.cap, mutate=args.mutate)
 
     human = "\n".join(_human_lines(reports)) + "\n"
     machine = "\n".join(_machine_lines(reports)) + "\n"
@@ -314,15 +311,15 @@ def cmd_check(args) -> int:
 def cmd_scale_validate(args) -> int:
     try:
         expr = parse_scale_expr(args.expr)
-        verdict = validate_scale(expr)
+        rejection = validate_scale(expr)
     except (ScaleParseError, ScaleOverlapError) as exc:
         return _fail(str(exc))
     except RecursionError:
         return _fail(TOO_DEEP)
-    if verdict.accepted:
+    if rejection is None:
         print("Accept")
         return 0
-    print("Reject: " + str(verdict.witness))
+    print("Reject: " + rejection)
     return 1
 
 

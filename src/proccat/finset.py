@@ -77,15 +77,16 @@ def elem_key(e: Elem):
 
 
 class FinObj:
-    """A finite set; the constructor sorts the given elements by
-    `elem_key` and rejects duplicates.  `product` and `coproduct` make
-    theirs from a `kind` and `size`, and build elements on read from the
-    factors that `_interned` pins on them as `_parts`."""
+    """A finite set; the constructor takes any iterable of elements,
+    sorts them by `elem_key` and rejects duplicates.  `product` and
+    `coproduct` make theirs from a `kind` and `size`, and build elements
+    on read from the factors that `_interned` pins on them as `_parts`."""
 
     kind = None  # "product" or "coproduct" for such a carrier
     _parts = ()
 
-    def __init__(self, elements: tuple) -> None:
+    def __init__(self, elements: Iterable[Elem]) -> None:
+        elements = tuple(elements)
         keys = [elem_key(e) for e in elements]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         for a, b in zip(order, order[1:]):
@@ -141,20 +142,16 @@ class FinObj:
         return "{" + ", ".join(repr(e) for e in self.elements) + "}"
 
 
-def fin_obj(elements: Iterable[Elem]) -> FinObj:
-    return FinObj(tuple(elements))
-
-
-EMPTY = fin_obj([])
+EMPTY = FinObj([])
 UNIT_ELEM = Tup(())
-UNIT = fin_obj([UNIT_ELEM])
+UNIT = FinObj([UNIT_ELEM])
 
 
 def flag_obj(n: int = 2) -> FinObj:
     """n atoms; CapExceeded above DEFAULT_CAP, as for `product`."""
     if n > DEFAULT_CAP:
         raise CapExceeded(n, DEFAULT_CAP)
-    return fin_obj([Atom(f"v{i}") for i in range(n)])
+    return FinObj([Atom(f"v{i}") for i in range(n)])
 
 
 class FinMor:

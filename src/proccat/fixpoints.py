@@ -21,7 +21,8 @@ starts at a record.  So `temporal.fixpoint` fixes the components latest
 stop first (`temporal.solve_order`), each the image of those fixed
 before, and a finite scale runs out: the solution exists and is unique.
 `search` sweeps the candidates in the same order, pruned by the same
-image.
+image, so it shows that the image has exactly one natural fixpoint but
+cannot show that the image is the right one.
 
 Variants cover the step-shaped and strict-future-shaped versions of both.
 """
@@ -93,7 +94,9 @@ def is_solution(pr, cand: TemporalMor) -> bool:
 
 def search(pr, cap: int = DEFAULT_CAP) -> list:
     """Every natural family dom -> cod that is its own image, by the sweep
-    pruned by it: independent of the solver, so it shows uniqueness."""
+    pruned by it.  It reads the same `image` that `solve` reads, so it
+    shows that the image has exactly one natural fixpoint; a wrong image
+    it cannot catch."""
     return enumerate_nat_trans(pr.dom, pr.cod, cap, pr.image)
 
 

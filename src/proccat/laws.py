@@ -36,11 +36,11 @@ from .finset import (
     CapExceeded,
     DEFAULT_CAP,
     FinMor,
+    FinObj,
     Inj,
     Tup,
     UNIT_ELEM,
     fin_mor,
-    fin_obj,
 )
 from .fixpoints import (
     CoiterProblem,
@@ -84,7 +84,6 @@ from .temporal import (
     pointwise_product,
     require_functor,
     require_natural,
-    temporal_obj,
     t_compose,
     t_coproduct_mor,
     t_identity,
@@ -526,7 +525,7 @@ def stamp_parity_obj(scale: TimeScale) -> TemporalObj:
         for v in scale.open_closed(i.t, i.t0):
             for parity in (0, 1):
                 elems.append(stamp_elem(v, parity))
-        return fin_obj(elems)
+        return FinObj(elems)
 
     # Each built once, read by the object and by `restrict`, which holds
     # no reference to the object: no reference cycle.
@@ -542,7 +541,7 @@ def stamp_parity_obj(scale: TimeScale) -> TemporalObj:
 
         return fin_mor(src, dst, go)
 
-    return require_functor(temporal_obj(scale, carriers.__getitem__, restrict))
+    return require_functor(TemporalObj(scale, carriers.__getitem__, restrict))
 
 
 def recur_problems() -> list:

@@ -163,7 +163,7 @@ def join(sp: ProcSpace) -> TemporalMor:
             tails = _stopped(sp, i, k) + _onward(sp, i, k)
             prefixes = range(prod(len(sp.a.at(p)) for p in lay.run[:k]))
             pos.extend(base + p * width for p in prefixes for base, width in tails)
-        if lay.case == 3:
+        if lay.running:
             pos.extend(range(into.offsets[-1], into.offsets[-1] + len(lay.summands[-1])))
         return FinMor(outer._carriers[i], sp._carriers[i], pos=pos)
 

@@ -9,11 +9,12 @@ A process viewed from present time t under information horizon t0 is one of
   scale point in (t, t0].
 
 A termination bound constrains how late the final event may occur.  With a
-bound w the carrier at (t, t0) is empty when w < t (the promised stop lies
-in the past), contains only Terminated values with stop time at most w when
-t <= w <= t0, and contains both kinds when the bound lies beyond the
-horizon.  The value recorded at time u lives in the value object at index
-(u, t0); the final result at t' lives in the result object at (t', t0).
+bound w <= t0 the carrier at (t, t0) holds only the Terminated values with
+stop time in (t, w], so none when w lies before t (the promised stop lies
+in the past).  With no bound, or one beyond the horizon, it holds the
+Ongoing values too.  The value recorded at time u lives in the value object
+at index (u, t0); the final result at t' lives in the result object at
+(t', t0).
 
 Restricting the horizon from t0' down to t0 restricts every recorded value
 pointwise and forgets a stop that happens after t0, turning such a view
@@ -21,10 +22,12 @@ back into an Ongoing one.
 
 Carriers are coproducts of products: one summand per admissible stop time
 (the record's value pools times the result pool), then, when running views
-exist, the running record's value pools.  Restriction, and every map
-between process spaces here and in `operators`, is position arithmetic on
-those summands; it builds and decodes no element.  Nor does `listing`,
-which prints a carrier in that order from its pools.
+exist, the running record's value pools.  So a layout has two cases,
+running or not, and an empty carrier is the coproduct of no summands.
+Restriction, and every map between process spaces here and in
+`operators`, is position arithmetic on those summands; it builds and
+decodes no element.  Nor does `listing`, which prints a carrier in that
+order from its pools.
 """
 from __future__ import annotations
 
@@ -39,7 +42,6 @@ from typing import NamedTuple, Optional
 from .finset import (
     CapExceeded,
     DEFAULT_CAP,
-    EMPTY,
     FinMor,
     FinObj,
     Inj,
@@ -55,7 +57,6 @@ from .temporal import (
     empty_obj,
     pointwise_coproduct,
     pointwise_product,
-    temporal_obj,
     t_identity,
     t_product_mor,
     unit_obj,
@@ -97,14 +98,14 @@ ProcessValue = object  # Terminated | Ongoing
 class _Layout(NamedTuple):
     """The carrier at one index as a coproduct of products."""
 
-    # 1: the bound is before t, so the carrier is empty; 2: the bound is
-    # in [t, t0], so every process stops by it; 3: the bound is beyond t0
-    # (or there is none), so a process may still be running.
-    case: int
+    # Whether a process may still be running: the bound is beyond t0, or
+    # there is none.  Otherwise every process stops by the bound, and a
+    # bound before t admits no stop, so the carrier is empty.
+    running: bool
     times: tuple  # the scale points in (t, t0]
     run: tuple  # the index pair (u, t0) for each u in times
     stops: int  # the admissible stop times are times[:stops]
-    summands: tuple  # per stop time, then in case 3 the running record
+    summands: tuple  # per stop time, then if running the running record
     offsets: tuple  # the position of each summand's first element
 
     def locate(self, q: int) -> tuple:
@@ -117,16 +118,13 @@ class _Layout(NamedTuple):
 
 @_per_scale
 def _shape(scale: TimeScale, w: TermBound, i: IndexPair) -> tuple:
-    """The (case, times, run, stops) fields of a layout at i under w,
+    """The (running, times, run, stops) fields of a layout at i under w,
     which the value and result objects do not change."""
     times = scale.open_closed(i.t, i.t0)
     run = tuple(IndexPair(u, i.t0) for u in times)
-    if w.bounded:
-        if w.time < i.t:
-            return 1, times, run, 0
-        if w.time <= i.t0:
-            return 2, times, run, len(scale.open_closed(i.t, w.time))
-    return 3, times, run, len(run)
+    if w.bounded and w.time <= i.t0:
+        return False, times, run, len(scale.open_closed(i.t, w.time))
+    return True, times, run, len(run)
 
 
 @_per_scale
@@ -158,37 +156,35 @@ class ProcSpace:
         # no `obj` builds it, so that the two form no reference cycle.
         builder = copy.copy(self)
         builder._layout = {i: builder._layout_at(i) for i in self.scale.indices()}
-        builder._carriers = {i: builder._carrier_at(i) for i in builder._layout}
-        obj = temporal_obj(self.scale, builder._carriers.__getitem__, builder._restrict_at)
+        obj = TemporalObj(self.scale, builder._carrier_at, builder._restrict_at)
+        builder._carriers = obj.carrier
         obj.layout = builder._layout
         return obj
 
     def _layout_at(self, i: IndexPair) -> _Layout:
         """Per stop time the record's value pools times the result pool,
-        then in case 3 the running record's value pools; CapExceeded
+        then if running the running record's value pools; CapExceeded
         before any is built when they hold more than DEFAULT_CAP
         elements."""
-        case, times, run, stops = _shape(self.scale, self.w, i)
+        running, times, run, stops = _shape(self.scale, self.w, i)
         pools = [self.a.at(p) for p in run]
         ends = [self.b.at(p) for p in run[:stops]]
         counts = [len(y) * prod(map(len, pools[:k])) for k, y in enumerate(ends)]
-        if case == 3:
+        if running:
             counts.append(prod(map(len, pools)))
         if sum(counts) > DEFAULT_CAP:
             raise CapExceeded(sum(counts), DEFAULT_CAP)
         summands = [product([product(pools[:k]), y]) for k, y in enumerate(ends)]
-        if case == 3:
+        if running:
             summands.append(product(pools))
         offsets = tuple(accumulate(counts[:-1], initial=0)) if counts else ()
-        return _Layout(case, times, run, stops, tuple(summands), offsets)
+        return _Layout(running, times, run, stops, tuple(summands), offsets)
 
     def _carrier_at(self, i: IndexPair) -> FinObj:
         """The element trees `encode` makes, in `elem_key` order: the
-        stopped summands, then in case 3 the running one, as coproducts."""
+        stopped summands, then if running the running one, as coproducts."""
         lay = self._layout[i]
-        if lay.case == 1:
-            return EMPTY
-        if lay.case == 2:
+        if not lay.running:
             return coproduct(lay.summands)
         return coproduct([coproduct(lay.summands[:-1]), lay.summands[-1]])
 
@@ -196,8 +192,6 @@ class ProcSpace:
         """The element representing a process value at index i."""
         lay = self._layout[i]
         if isinstance(value, Terminated):
-            if lay.case == 1:
-                raise ValueError("no stopped values below the bound")
             candidates = lay.times[:lay.stops]
             if value.at_time not in candidates:
                 raise ValueError(f"stop time {value.at_time} not admissible at {i}")
@@ -206,8 +200,8 @@ class ProcSpace:
             if tuple(u for u, _ in value.seen) != expected:
                 raise ValueError(f"record times {value.seen!r} do not cover {expected}")
             inner = Inj(k, Tup((Tup(tuple(x for _, x in value.seen)), value.result)))
-            return inner if lay.case == 2 else Inj(0, inner)
-        if lay.case != 3:
+            return Inj(0, inner) if lay.running else inner
+        if not lay.running:
             raise ValueError("running values require the bound beyond the horizon")
         if tuple(u for u, _ in value.seen) != lay.times:
             raise ValueError(f"record times {value.seen!r} do not cover {lay.times}")
@@ -216,9 +210,7 @@ class ProcSpace:
     def decode(self, i: IndexPair, elem) -> ProcessValue:
         """The process value an element of the carrier at i represents."""
         lay = self._layout[i]
-        if lay.case == 1:
-            raise ValueError("empty carrier")
-        if lay.case == 3:
+        if lay.running:
             if elem.tag == 1:
                 return Ongoing(tuple(zip(lay.times, elem.value.items)))
             elem = elem.value
@@ -278,7 +270,7 @@ def proc_map(src: ProcSpace, dst: ProcSpace, act: Optional[TemporalMor] = None,
         pos = []
         for k, off in zip(range(s.stops), d.offsets):
             pos.extend(map(off.__add__, product_pos([*values[:k], res.at(s.run[k])])))
-        if s.case == 3:
+        if s.running:
             pos.extend(map(d.offsets[-1].__add__, product_pos(values)))
         return FinMor(src._carriers[i], dst._carriers[i], pos=pos)
 
@@ -377,6 +369,6 @@ def listing(space, i: IndexPair) -> list:
         head, ends = f"term({lay.times[k]}; ", [f"; {y!r})" for y in space.b.at(lay.run[k])]
         lines += [head + seen + end for seen in map(", ".join, iter_product(*pieces[:k]))
                   for end in ends]
-    if lay.case == 3:
+    if lay.running:
         lines += [f"ongoing({seen})" for seen in map(", ".join, iter_product(*pieces))]
     return lines

@@ -13,11 +13,12 @@ the object was built from, an identity arrow's as the identity map and
 any other's as the composite of its covers, so naturality squares need
 checking along covers only.  A morphism is its component function, each
 component likewise built on first read, so a check or a map builds only
-what it reads.  Equality and the whole-family reads (`components`,
-`covers`, `restrict`) read every index.  A component or cover that cannot
+what it reads.  Object equality, `mor_equal` and the whole-family reads
+(`components`, `covers`, `restrict`) read every index; a morphism has no
+`==` of its own.  A component or cover that cannot
 be built raises where it is first read.
 
-`temporal_obj` and `TemporalMor` build without checking either law;
+`TemporalObj` and `TemporalMor` build without checking either law;
 `require_functor` and `require_natural` check them where a value enters.
 """
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .finset import (
     coproduct_mor,
     enumerate_mors,
     fin_mor,
-    fin_obj,
     flag_obj,
     identity as f_identity,
     inj,
@@ -54,16 +54,16 @@ from .times import IndexMor, IndexPair, TimeScale
 
 
 class TemporalObj:
-    """Carriers per index and restrictions per index morphism.  Only the
-    carriers are stored up front; `res` builds each restriction on first
-    read and keeps it."""
+    """The object presented by its carriers, which `carrier_at` builds
+    here for every index, and its restrictions along covers, which
+    `restrict_at` builds when `res` first reads them."""
 
     __hash__ = None
 
-    def __init__(self, scale: TimeScale, carrier: dict,
+    def __init__(self, scale: TimeScale, carrier_at: Callable[[IndexPair], FinObj],
                  restrict_at: Callable[[IndexMor], FinMor]) -> None:
         self.scale = scale
-        self.carrier = carrier  # IndexPair -> FinObj
+        self.carrier = {i: carrier_at(i) for i in scale.indices()}
         # Asked for covers by `res`, and for every arrow by `check_functor`.
         self.restrict_at = restrict_at
         self._derived = {}  # IndexMor -> FinMor, each restriction read so far
@@ -109,17 +109,6 @@ class TemporalObj:
                 and self.covers == other.covers)
 
 
-def temporal_obj(
-    scale: TimeScale,
-    carrier_at: Callable[[IndexPair], FinObj],
-    restrict_at: Callable[[IndexMor], FinMor],
-) -> TemporalObj:
-    """The object presented by its carriers, built here, and its
-    restrictions along covers, which `restrict_at` builds when `res` first
-    reads them."""
-    return TemporalObj(scale, {i: carrier_at(i) for i in scale.indices()}, restrict_at)
-
-
 def require_functor(obj: TemporalObj) -> TemporalObj:
     """obj itself, once `check_functor` finds nothing; ValueError
     otherwise."""
@@ -156,8 +145,6 @@ class TemporalMor:
     """A family of maps dom.at(i) -> cod.at(i), one per index: `at` builds
     each component by `component_at` on first read and keeps it."""
 
-    __hash__ = None
-
     def __init__(self, dom: TemporalObj, cod: TemporalObj,
                  component_at: Callable[[IndexPair], FinMor]) -> None:
         self.dom, self.cod, self.component_at = dom, cod, component_at
@@ -173,16 +160,6 @@ class TemporalMor:
     def components(self) -> dict:
         """The component at every index, each built now if not read yet."""
         return {i: self.at(i) for i in self.dom.scale.indices()}
-
-    def __eq__(self, other) -> bool:
-        """Same ends and components; a family equals itself without
-        building any."""
-        if self is other:
-            return True
-        if not isinstance(other, TemporalMor):
-            return NotImplemented
-        return (self.dom == other.dom and self.cod == other.cod
-                and self.components == other.components)
 
 
 def require_natural(mor: TemporalMor) -> TemporalMor:
@@ -257,7 +234,7 @@ def first_mismatch(f: TemporalMor, image: Callable,
 
 
 def const_obj(scale: TimeScale, value: FinObj) -> TemporalObj:
-    return temporal_obj(scale, lambda i: value, lambda m: f_identity(value))
+    return TemporalObj(scale, lambda i: value, lambda m: f_identity(value))
 
 
 def unit_obj(scale: TimeScale) -> TemporalObj:
@@ -278,7 +255,7 @@ def pointwise_product(factors: Sequence[TemporalObj]) -> TemporalObj:
     scale = factors[0].scale
     if any(f.scale != scale for f in factors):
         raise ValueError("factors live over different scales")
-    return _interned("pointwise_product", factors, lambda: temporal_obj(
+    return _interned("pointwise_product", factors, lambda: TemporalObj(
         scale,
         lambda i: product([f.at(i) for f in factors]),
         lambda m: product_mor([f.res(m) for f in factors]),
@@ -290,7 +267,7 @@ def pointwise_coproduct(summands: Sequence[TemporalObj]) -> TemporalObj:
     scale = summands[0].scale
     if any(s.scale != scale for s in summands):
         raise ValueError("summands live over different scales")
-    return _interned("pointwise_coproduct", summands, lambda: temporal_obj(
+    return _interned("pointwise_coproduct", summands, lambda: TemporalObj(
         scale,
         lambda i: coproduct([s.at(i) for s in summands]),
         lambda m: coproduct_mor([s.res(m) for s in summands]),
@@ -376,7 +353,7 @@ def exponential_end(a: TemporalObj, b: TemporalObj) -> TemporalObj:
             spaces.append(enumerate_mors(a.at(here), b.at(here)))
         # Squares along covers suffice, as in `naturality_witness`.
         covers = [IndexMor(i.t, lo, hi) for lo, hi in zip(times, times[1:])]
-        return fin_obj([
+        return FinObj([
             Tup(tuple(_fn_tab(c) for c in choice))
             for choice in iter_product(*spaces)
             if all(_commutes(a, b, m, choice[x + 1], choice[x])
@@ -393,7 +370,7 @@ def exponential_end(a: TemporalObj, b: TemporalObj) -> TemporalObj:
             lambda fam: Tup(fam.items[:keep]),
         )
 
-    return require_functor(temporal_obj(scale, carrier_cache.__getitem__, restrict_at))
+    return require_functor(TemporalObj(scale, carrier_cache.__getitem__, restrict_at))
 
 
 # -- exhaustive enumeration of natural families -----------------------------

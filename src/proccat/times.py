@@ -267,12 +267,6 @@ class ScaleUnion:
 ScaleExpr = Union[FiniteScale, Chain, ScaleUnion]
 
 
-@dataclass(frozen=True)
-class ScaleVerdict:
-    accepted: bool
-    witness: Optional[str]
-
-
 def _chain_member(p: Fraction, anchor: Fraction, sign: int) -> bool:
     """Is p = anchor + sign/n for a positive integer n."""
     gap = (p - anchor) * sign
@@ -381,24 +375,23 @@ def _check_union_disjoint(expr: ScaleExpr) -> None:
                     raise ScaleOverlapError(f"union members overlap: {a} and {b}")
 
 
-def validate_scale(expr: ScaleExpr) -> ScaleVerdict:
-    """Accept iff no component ascends toward a finite limit from below.
+def validate_scale(expr: ScaleExpr) -> Optional[str]:
+    """The witness that rejects the scale, or None to accept it: a scale
+    is rejected iff some component ascends toward a finite limit from
+    below.
 
     A descending chain above its base always has a least element ahead of
     any present position, so stepwise constructions terminate.  An ascending
     chain below its limit packs infinitely many points before the limit;
     any process crossing it would need infinitely many steps in finite time.
-    Unions must be disjoint; overlap is a structural error, not a verdict.
+    Unions must be disjoint; overlap is a structural error, not a rejection.
     """
     _check_union_disjoint(expr)
     bad = _find_asc(expr)
     if bad is None:
-        return ScaleVerdict(True, None)
-    return ScaleVerdict(
-        False,
-        f"ascending chain approaching {bad.anchor} from below: "
-        f"{bad.anchor}-1, {bad.anchor}-1/2, {bad.anchor}-1/3, ... has no final step",
-    )
+        return None
+    return (f"ascending chain approaching {bad.anchor} from below: "
+            f"{bad.anchor}-1, {bad.anchor}-1/2, {bad.anchor}-1/3, ... has no final step")
 
 
 def _find_asc(expr: ScaleExpr) -> Optional[Chain]:

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proccat import cli, finset
+from proccat import cli, finset, laws
 from proccat.cli import build_parser, main
 from proccat.times import IndexPair
 
@@ -297,6 +297,22 @@ def test_check_rejects_unknown_suite(capsys, tmp_path):
     argv = ["check", "--suites", "nope", "--out", str(tmp_path)]
     code, _, err = run(capsys, argv)
     assert code == 2 and "unknown suites" in err
+
+
+def test_an_internal_fault_is_not_a_usage_error(capsys, monkeypatch, tmp_path):
+    # A ValueError inside a check is a fault of the program: it propagates
+    # rather than exiting 2 as if the command line were wrong.
+    def broken(obj):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(laws, "check_functor", broken)
+    with pytest.raises(ValueError, match="injected fault"):
+        main(["check", "--suites", "functor", "--out", str(tmp_path)])
+    assert capsys.readouterr().err == ""
+    code, out, err = run(capsys, ["check", "--suites", "functor,nope",
+                                  "--out", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err == "error: unknown suites: nope\n"
 
 
 @pytest.mark.parametrize("suites", ["", ","])

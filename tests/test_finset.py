@@ -9,6 +9,7 @@ from proccat.finset import (
     CapExceeded,
     EMPTY,
     FinMor,
+    FinObj,
     FnTab,
     Inj,
     Tup,
@@ -22,7 +23,6 @@ from proccat.finset import (
     elem_key,
     enumerate_mors,
     fin_mor,
-    fin_obj,
     flag_obj,
     identity,
     inj,
@@ -38,10 +38,10 @@ def sizes():
 
 
 def test_objects_are_canonically_sorted_and_duplicate_free():
-    obj = fin_obj([Atom("b"), Atom("a")])
+    obj = FinObj([Atom("b"), Atom("a")])
     assert obj.elements == (Atom("a"), Atom("b"))
     with pytest.raises(ValueError):
-        fin_obj([Atom("a"), Atom("a")])
+        FinObj([Atom("a"), Atom("a")])
 
 
 def test_elem_key_orders_mixed_shapes():
@@ -127,20 +127,20 @@ elements = st.recursive(
 
 
 @given(st.lists(elements, unique=True, max_size=8))
-def test_fin_obj_order_is_the_key_order(xs):
-    assert fin_obj(xs).elements == tuple(sorted(xs, key=elem_key))
+def test_finobj_order_is_the_key_order(xs):
+    assert FinObj(xs).elements == tuple(sorted(xs, key=elem_key))
 
 
 @given(st.lists(elements, min_size=1, max_size=6), st.data())
-def test_fin_obj_rejects_any_duplicate(xs, data):
+def test_finobj_rejects_any_duplicate(xs, data):
     extra = data.draw(st.sampled_from(xs))
     with pytest.raises(ValueError, match="duplicate element"):
-        fin_obj([*xs, extra])
+        FinObj([*xs, extra])
 
 
 @given(st.lists(elements, unique=True, max_size=8), elements)
 def test_membership_agrees_with_the_element_tuple(xs, x):
-    obj = fin_obj(xs)
+    obj = FinObj(xs)
     assert (x in obj) == (x in obj.elements)
     assert all(e in obj for e in xs)
     assert obj.index == {e: k for k, e in enumerate(obj.elements)}
@@ -178,8 +178,8 @@ def test_products_and_coproducts_are_hash_consed():
 @given(sizes(), sizes())
 def test_interned_objects_match_the_definitions(n, m):
     a, b = flag_obj(n), flag_obj(m)
-    assert product([a, b]) == fin_obj(Tup((x, y)) for x in a for y in b)
-    assert coproduct([a, b]) == fin_obj(
+    assert product([a, b]) == FinObj(Tup((x, y)) for x in a for y in b)
+    assert coproduct([a, b]) == FinObj(
         [Inj(0, x) for x in a] + [Inj(1, y) for y in b])
     assert coproduct([]) == EMPTY
     # Equal but distinct factors are a different key with an equal value.
@@ -217,7 +217,7 @@ positional = settings(max_examples=60, deadline=None)
 def _twin(z):
     """A carrier equal to z, of the same structure, from fresh objects."""
     if z.kind is None:
-        return fin_obj(z.elements)
+        return FinObj(z.elements)
     return (product if z.kind == "product" else coproduct)([_twin(p) for p in z._parts])
 
 
@@ -246,7 +246,7 @@ def test_structured_equality_and_hash_agree_with_the_elements(x, y):
         assert same == (left.elements == right.elements)
         assert not same or hash(left) == hash(right)
     for z in (x, y):
-        flat = fin_obj(z.elements)
+        flat = FinObj(z.elements)
         assert flat == z and z == flat and hash(flat) == hash(z)
         assert len(z) == z.size == len(z.elements)
 
@@ -363,15 +363,15 @@ def _assert_key_ordered(obj):
 
 
 def test_product_of_every_shape_is_in_key_order():
-    shapes = fin_obj([Atom("b"), Inj(1, Atom("a")), Inj(0, Tup((Atom("c"),))),
-                      Tup(()), Tup((Atom("a"), Atom("b"))),
-                      FnTab(((Atom("a"), Atom("b")),)), FnTab(())])
+    shapes = FinObj([Atom("b"), Inj(1, Atom("a")), Inj(0, Tup((Atom("c"),))),
+                     Tup(()), Tup((Atom("a"), Atom("b"))),
+                     FnTab(((Atom("a"), Atom("b")),)), FnTab(())])
     _assert_key_ordered(product([shapes, flag_obj(2), shapes]))
     _assert_key_ordered(coproduct([shapes, flag_obj(2), shapes]))
     assert len(product([shapes, EMPTY, shapes])) == 0
 
 
-@given(st.lists(st.lists(elements, unique=True, max_size=4).map(fin_obj), max_size=3))
+@given(st.lists(st.lists(elements, unique=True, max_size=4).map(FinObj), max_size=3))
 def test_product_and_coproduct_carriers_are_in_key_order(factors):
     _assert_key_ordered(product(factors))
     _assert_key_ordered(coproduct(factors))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from proccat.cli import parse_descriptor
 from proccat.finset import (
-    Atom, CapExceeded, DEFAULT_CAP, FinMor, Tup, UNIT_ELEM, fin_mor, fin_obj,
+    Atom, CapExceeded, DEFAULT_CAP, EMPTY, FinMor, FinObj, Tup, UNIT_ELEM, fin_mor,
 )
 from proccat.laws import law_grid, stamp_parity_obj
 from proccat.process import (
@@ -32,13 +32,13 @@ from proccat.process import (
 )
 from proccat.temporal import (
     TemporalMor,
+    TemporalObj,
     check_functor,
     empty_obj,
     flag_temporal,
     mor_equal,
     naturality_witness,
     t_identity,
-    temporal_obj,
     unit_obj,
 )
 from proccat.times import IndexMor, IndexPair, TermBound, TimeScale, UNBOUNDED
@@ -113,6 +113,15 @@ def test_tight_bound_empties_late_carriers():
     sp = ProcSpace(w, unit_obj(SCALE), unit_obj(SCALE))
     assert count_processes(SCALE, w, const_sizes(1), const_sizes(1), I22) == 0
     assert len(sp.obj.at(I22)) == 0
+    # The bound lies before t = 2: no stop is admissible and none runs.
+    lay = sp.obj.layout[I22]
+    assert not lay.running and lay.stops == 0
+    assert sp.obj.at(I22) == EMPTY
+    assert listing(sp, I22) == []
+    with pytest.raises(ValueError):
+        sp.encode(I22, Terminated(Fraction(2), (), UNIT_ELEM))
+    with pytest.raises(ValueError):
+        sp.encode(I22, Ongoing(((Fraction(2), UNIT_ELEM),)))
 
 
 @given(st.integers(0, 2), st.integers(0, 2),
@@ -306,7 +315,7 @@ def test_process_spaces_share_one_carrier_object():
     # Equal but distinct objects are a different key with an equal value.
     again = ProcSpace(TermBound.at(1), unit_obj(SCALE), flag_temporal(SCALE, 2))
     assert again.obj is not sp.obj and again.obj == sp.obj
-    assert temporal_obj(SCALE, sp._carrier_at, sp._restrict_at) == sp.obj
+    assert TemporalObj(SCALE, sp._carrier_at, sp._restrict_at) == sp.obj
 
 
 # -- positional carriers and restrictions against element-level ones -------
@@ -324,7 +333,7 @@ def reference_values(sp, i):
         prior = tuple(u for u in sp.scale.points if i.t < u < tp)
         for combo in iter_product(*(pool(sp.a, u) for u in prior)):
             out.extend(Terminated(tp, tuple(zip(prior, combo)), y) for y in pool(sp.b, tp))
-    if lay.case == 3:
+    if lay.running:
         times = sp.scale.open_closed(i.t, i.t0)
         for combo in iter_product(*(pool(sp.a, u) for u in times)):
             out.append(Ongoing(tuple(zip(times, combo))))
@@ -349,7 +358,7 @@ def assert_matches_reference(sp):
     restriction and the direct one send each element where decoding,
     restricting and encoding does."""
     for i in sp.scale.indices():
-        expected = fin_obj(sp.encode(i, v) for v in reference_values(sp, i))
+        expected = FinObj(sp.encode(i, v) for v in reference_values(sp, i))
         assert sp.obj.at(i).elements == expected.elements
     for m in sp.scale.index_mors():
         src = sp.obj.at(m.src).elements

@@ -104,7 +104,7 @@ def test_finite_expression_roundtrip(points):
 
 def test_parse_accepts_fractions_and_nesting():
     expr = parse_scale_expr("union(finite(0, 1/2), desc_above(3))")
-    assert validate_scale(expr).accepted
+    assert validate_scale(expr) is None
 
 
 def test_parse_errors():
@@ -115,18 +115,17 @@ def test_parse_errors():
 
 
 def test_validator_accepts_descending_chains():
-    verdict = validate_scale(
+    assert validate_scale(
         parse_scale_expr("union(desc_above(0), desc_above(1))")
-    )
-    assert verdict.accepted and verdict.witness is None
+    ) is None
 
 
 def test_validator_rejects_ascent_to_a_limit_anywhere():
-    verdict = validate_scale(
+    witness = validate_scale(
         parse_scale_expr("union(finite(10), union(desc_above(5), asc_below(1)))")
     )
-    assert not verdict.accepted
-    assert "1" in verdict.witness
+    assert witness is not None
+    assert "1" in witness
 
 
 def test_overlapping_union_is_a_structural_error():
@@ -183,7 +182,7 @@ def test_tiny_gaps_are_decided_or_refused_never_scanned():
     # 999999999989 is prime and 2 mod 3, so 1/n - 1/m = 3/999999999989 has
     # no solution; only the divisor search fits the budget.
     disjoint = parse_scale_expr("union(desc_above(0), desc_above(3/999999999989))")
-    assert validate_scale(disjoint).accepted
+    assert validate_scale(disjoint) is None
     # Past the budget both ways: an error, not a verdict.
     assert 10**13 > SEARCH_BUDGET**2
     with pytest.raises(ScaleOverlapError, match=r"^cannot tell within \d+ steps whether "
