@@ -7,12 +7,12 @@ report files.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .finset import DEFAULT_CAP, CapExceeded
 from .laws import MUTATIONS, run_suites, select_suites
@@ -345,72 +345,249 @@ def cmd_dump(args) -> int:
     return 0
 
 
-# -- entry point ------------------------------------------------------------
+# -- command line -----------------------------------------------------------
+#
+# One table holds the commands.  A group names its subcommands; a command
+# names its handler, its positionals and its options.  An option is (name,
+# default, help, check): `check` is None, the tuple of allowed values, or a
+# function from the text to the value that raises ValueError.  A default
+# may be a function, read when the line is parsed; a text default is
+# checked like a given value, so a bad PROCCAT_CAP is a usage error of
+# `check` alone.  `main` calls a handler through the module global of its
+# name, read at call time, since the benchmark's tracer rebinds them.
+#
+# Tokens are read as argparse read them: `--opt value`, `--opt=value` and
+# unique prefixes; a token that starts with `-` is an option unless it
+# reads as a negative number or holds a space; `--` ends the options.
+# `-h`/`--help` and a bad option value answer where they stand; missing
+# positionals and unrecognized arguments once the line is read.
 
 
-def _cap_arg(text: str) -> int:
+class _Group(NamedTuple):
+    help: str
+    dest: str  # what usage errors call the subcommand
+    commands: dict
+
+
+class _Command(NamedTuple):
+    help: str
+    handler: Callable
+    positionals: tuple  # names
+    options: tuple  # (name, default, help, check)
+
+
+def _cap_value(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r} (from --cap or {CAP_ENV_VAR})"
-        ) from None
+        raise ValueError(f"expected an integer, got {text!r} "
+                         f"(from --cap or {CAP_ENV_VAR})") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # A string default goes through `type` like a typed value, so a bad
-    # PROCCAT_CAP is a usage error of `check` alone.
-    default_cap = os.environ.get(CAP_ENV_VAR, str(DEFAULT_CAP))
-    parser = argparse.ArgumentParser(
-        prog="proccat",
-        description="Finite model of timed processes with a law-checking "
-                    "harness.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _cap_default() -> str:
+    return os.environ.get(CAP_ENV_VAR, str(DEFAULT_CAP))
 
-    check = sub.add_parser("check", help="run law suites")
-    check.add_argument("--scale", default=GRID_SCALE_TEXT,
-                       help="ambient scale; the grid is fixed to "
-                            + GRID_SCALE_TEXT)
-    check.add_argument("--suites", default="all",
-                       help="comma separated suite names, or 'all'")
-    check.add_argument("--cap", type=_cap_arg, default=default_cap,
-                       help="candidate enumeration bound "
-                            f"(default {default_cap}, env {CAP_ENV_VAR})")
-    check.add_argument("--mutate", default=None,
-                       help="break one operation on purpose: "
-                            + ", ".join(MUTATIONS))
-    check.add_argument("--out", default="reports",
-                       help="directory for report.txt and report.jsonl")
-    check.add_argument("--format", choices=("human", "machine"),
-                       default="human", help="stdout format")
-    check.set_defaults(fn=cmd_check)
 
-    scale = sub.add_parser("scale", help="time scale utilities")
-    scale_sub = scale.add_subparsers(dest="scale_command", required=True)
-    validate = scale_sub.add_parser("validate",
-                                    help="accept or reject a scale "
-                                         "expression")
-    validate.add_argument("expr")
-    validate.set_defaults(fn=cmd_scale_validate)
+COMMANDS = _Group(
+    "Finite model of timed processes with a law-checking harness.", "command", {
+        "check": _Command("run law suites", cmd_check, (), (
+            ("scale", GRID_SCALE_TEXT,
+             "ambient scale; the grid is fixed to " + GRID_SCALE_TEXT, None),
+            ("suites", "all", "comma separated suite names, or 'all'", None),
+            ("cap", _cap_default, "candidate enumeration bound "
+             f"(default {DEFAULT_CAP}, env {CAP_ENV_VAR})", _cap_value),
+            ("mutate", None, "break one operation on purpose: " + ", ".join(MUTATIONS),
+             None),
+            ("out", "reports", "directory for report.txt and report.jsonl", None),
+            ("format", "human", "stdout format", ("human", "machine")),
+        )),
+        "scale": _Group("time scale utilities", "scale_command", {
+            "validate": _Command("accept or reject a scale expression",
+                                 cmd_scale_validate, ("expr",), ()),
+        }),
+        "dump": _Command("list a carrier at an index", cmd_dump, ("descriptor", "t", "t0"), (
+            ("scale", GRID_SCALE_TEXT,
+             f"finite scale expression (default {GRID_SCALE_TEXT})", None),
+        )),
+    })
+_HELP = ("-h", "--help")
 
-    dump = sub.add_parser("dump", help="list a carrier at an index")
-    dump.add_argument("descriptor")
-    dump.add_argument("t")
-    dump.add_argument("t0")
-    dump.add_argument("--scale", default=GRID_SCALE_TEXT,
-                      help="finite scale expression "
-                           f"(default {GRID_SCALE_TEXT})")
-    dump.set_defaults(fn=cmd_dump)
-    return parser
+
+def _metavar(option: tuple) -> str:
+    name, _, _, check = option
+    return "{" + ",".join(check) + "}" if isinstance(check, tuple) else name.upper()
+
+
+def _usage(prog: str, node) -> str:
+    if isinstance(node, _Group):
+        return f"{prog} [-h] {{{','.join(node.commands)}}} ..."
+    return " ".join([prog, "[-h]", *(f"[--{o[0]} {_metavar(o)}]" for o in node.options),
+                     *node.positionals])
+
+
+def _help(prog: str, node) -> str:
+    options = [("-h, --help", "show this help message and exit")]
+    if isinstance(node, _Group):
+        heading, first = "commands", [(name, sub.help) for name, sub in node.commands.items()]
+    else:
+        heading, first = "positional arguments", [(name, "") for name in node.positionals]
+        options += [(f"--{o[0]} {_metavar(o)}", o[2]) for o in node.options]
+    width = max(len(left) for left, _ in first + options)
+    lines = [f"usage: {_usage(prog, node)}", "", node.help]
+    for title, rows in ((heading, first), ("options", options)):
+        if rows:
+            lines += ["", title + ":", *(f"  {left:{width}}  {text}".rstrip()
+                                         for left, text in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _is_negative_number(token: str) -> bool:
+    whole, dot, fraction = token[1:].partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (not whole or whole.isdecimal()) and fraction.isdecimal()
+
+
+def _flag(token: str, names: Sequence[str]):
+    """None when the token is a positional, else the option it names (None
+    when it names none) and the text after its `=` (None without one).
+    ValueError when it abbreviates more than one option."""
+    if len(token) < 2 or token[0] != "-":
+        return None
+    name, eq, value = token.partition("=")
+    value = value if eq else None
+    if name in names:
+        return name, value
+    if token[1] == "-":
+        found = [n for n in names if n.startswith(name)]
+        if len(found) > 1:
+            raise ValueError(f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], value
+    elif token[:2] in names:  # `-hx` reads as `-h` given `x`
+        return token[:2], token[2:]
+    if _is_negative_number(token) or " " in token:
+        return None
+    return None, None
+
+
+def _checked(option: tuple, text: str):
+    name, _, _, check = option
+    if check is None:
+        return text
+    if isinstance(check, tuple):
+        if text in check:
+            return text
+        raise ValueError(f"argument --{name}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(map(repr, check))})")
+    try:
+        return check(text)
+    except ValueError as exc:
+        raise ValueError(f"argument --{name}: {exc}") from None
+
+
+def _no_value(value: Optional[str]) -> None:
+    if value is not None:
+        raise ValueError(f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def _read(command: _Command, tokens: list, extras: list) -> Optional[dict]:
+    """The command's values from its tokens, or None for -h/--help.  Every
+    ambiguous option is refused first, then the tokens are read in order;
+    unrecognized ones go to `extras`."""
+    names = (*_HELP, *("--" + option[0] for option in command.options))
+    options = dict(zip(names[len(_HELP):], command.options))
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    flags = [_flag(token, names) for token in tokens[:end]]
+    values, positionals = {}, []
+
+    def positional(token: str) -> bool:
+        fits = len(positionals) < len(command.positionals)
+        (positionals if fits else extras).append(token)
+        return fits
+
+    k, taken = 0, False  # whether the last token read filled a positional
+    while k < end:
+        flag, token = flags[k], tokens[k]
+        k += 1
+        taken = flag is None and positional(token)
+        if flag is None:
+            continue
+        name, value = flag
+        if name is None:
+            extras.append(token)
+        elif name in _HELP:
+            _no_value(value)
+            return None
+        else:
+            if value is None:
+                if k == end or flags[k] is not None:
+                    raise ValueError(f"argument {name}: expected one argument")
+                value, k = tokens[k], k + 1
+            values[name[2:]] = _checked(options[name], value)
+    if end < len(tokens):  # `--` goes with a positional beside it, if any
+        if not taken and (end + 1 == len(tokens)
+                          or len(positionals) == len(command.positionals)):
+            extras.append("--")
+        for token in tokens[end + 1:]:
+            positional(token)
+    missing = command.positionals[len(positionals):]
+    if missing:
+        raise ValueError("the following arguments are required: " + ", ".join(missing))
+    for option in command.options:
+        name, default = option[:2]
+        if name not in values:
+            default = default() if callable(default) else default
+            values[name] = default if default is None else _checked(option, default)
+    values.update(zip(command.positionals, positionals))
+    return values
+
+
+def parse_command_line(argv: Sequence[str]):
+    """The handler and its arguments, or the exit code once help (0) or a
+    usage error (2) is printed."""
+    prog, node, tokens, extras = "proccat", COMMANDS, list(argv), []
+    try:
+        while isinstance(node, _Group):
+            for k, token in enumerate(tokens):
+                if token == "--":
+                    if k + 1 < len(tokens):
+                        break  # read as a subcommand's name
+                    continue  # a last `--` names none
+                flag = _flag(token, _HELP)
+                if flag is None:
+                    break
+                if flag[0] is None:
+                    extras.append(token)
+                    continue
+                _no_value(flag[1])
+                sys.stdout.write(_help(prog, node))
+                return 0
+            else:
+                raise ValueError(f"the following arguments are required: {node.dest}")
+            if token not in node.commands:
+                raise ValueError(f"argument {node.dest}: invalid choice: {token!r} "
+                                 f"(choose from {', '.join(map(repr, node.commands))})")
+            prog, node, tokens = f"{prog} {token}", node.commands[token], tokens[k + 1:]
+        values = _read(node, tokens, extras)
+        if values is None:
+            sys.stdout.write(_help(prog, node))
+            return 0
+        if extras:
+            prog, node = "proccat", COMMANDS
+            raise ValueError("unrecognized arguments: " + " ".join(extras))
+    except ValueError as exc:
+        print(f"usage: {_usage(prog, node)}\n{prog}: error: {exc}", file=sys.stderr)
+        return 2
+    return node.handler, SimpleNamespace(**values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage already; normalize other codes
-        return 2 if exc.code not in (0,) else 0
-    return args.fn(args)
+    parsed = parse_command_line(sys.argv[1:] if argv is None else argv)
+    if isinstance(parsed, int):
+        return parsed
+    handler, args = parsed
+    return globals()[handler.__name__](args)
 
 
 def entry() -> None:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proccat import cli, finset, laws
-from proccat.cli import build_parser, main
+from proccat.cli import main, parse_command_line
 from proccat.times import IndexPair
 
 GOLDEN_DUMPS = json.loads(
@@ -359,11 +360,11 @@ def test_check_pins_the_grid_scale(capsys, tmp_path, scale, hint):
 
 def test_cap_environment_override(monkeypatch):
     monkeypatch.setenv("PROCCAT_CAP", "123")
-    args = build_parser().parse_args(["check"])
-    assert args.cap == 123
+    handler, args = parse_command_line(["check"])
+    assert (handler, args.cap) == (cli.cmd_check, 123)
     monkeypatch.delenv("PROCCAT_CAP")
-    args = build_parser().parse_args(["check"])
-    assert args.cap == 10 ** 6
+    handler, args = parse_command_line(["check"])
+    assert (handler, args.cap) == (cli.cmd_check, 10 ** 6)
 
 
 def test_bad_cap_environment_is_a_usage_error(monkeypatch, capsys, tmp_path):
@@ -486,3 +487,175 @@ def test_every_argument_list_gets_an_exit_code(out_paths, data):
     assert code in (0, 1, 2, 3), (argv, cap_env)
     if code == 2:
         assert "error:" in stderr.getvalue(), (argv, cap_env)
+
+
+# -- the table parser against the argparse front end it replaced -----------
+#
+# `build_parser` and `_cap_arg` are the argparse front end as `proccat.cli`
+# had it, kept as the reference: every argument list must get the same
+# exit code from both, and where both accept, the same handler and values.
+
+
+def _cap_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r} (from --cap or {cli.CAP_ENV_VAR})"
+        ) from None
+
+
+def build_parser() -> argparse.ArgumentParser:
+    default_cap = os.environ.get(cli.CAP_ENV_VAR, str(finset.DEFAULT_CAP))
+    parser = argparse.ArgumentParser(
+        prog="proccat",
+        description="Finite model of timed processes with a law-checking "
+                    "harness.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    check = sub.add_parser("check", help="run law suites")
+    check.add_argument("--scale", default=cli.GRID_SCALE_TEXT)
+    check.add_argument("--suites", default="all")
+    check.add_argument("--cap", type=_cap_arg, default=default_cap)
+    check.add_argument("--mutate", default=None)
+    check.add_argument("--out", default="reports")
+    check.add_argument("--format", choices=("human", "machine"), default="human")
+    check.set_defaults(fn=cli.cmd_check)
+
+    scale = sub.add_parser("scale", help="time scale utilities")
+    scale_sub = scale.add_subparsers(dest="scale_command", required=True)
+    validate = scale_sub.add_parser("validate")
+    validate.add_argument("expr")
+    validate.set_defaults(fn=cli.cmd_scale_validate)
+
+    dump = sub.add_parser("dump", help="list a carrier at an index")
+    dump.add_argument("descriptor")
+    dump.add_argument("t")
+    dump.add_argument("t0")
+    dump.add_argument("--scale", default=cli.GRID_SCALE_TEXT)
+    dump.set_defaults(fn=cli.cmd_dump)
+    return parser
+
+
+def _both(argv, cap_env=None):
+    """What the reference and the table parser make of argv, each as
+    (exit code or (handler, values), stdout, stderr), under PROCCAT_CAP
+    (None: unset)."""
+    def parse(parser):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                got = parser(argv)
+            except SystemExit as exc:
+                got = exc.code
+        return got, stdout.getvalue(), stderr.getvalue()
+
+    def reference(argv):
+        values = vars(build_parser().parse_args(argv))
+        handler = values.pop("fn")
+        values.pop("command")
+        values.pop("scale_command", None)
+        return handler, values
+
+    def table(argv):
+        got = parse_command_line(argv)
+        return got if isinstance(got, int) else (got[0], vars(got[1]))
+
+    with mock.patch.dict(os.environ):
+        os.environ.pop("PROCCAT_CAP", None)
+        if cap_env is not None:
+            os.environ["PROCCAT_CAP"] = cap_env
+        return parse(reference), parse(table)
+
+
+CHECK_USAGE = ("usage: proccat check [-h] [--scale SCALE] [--suites SUITES] [--cap CAP] "
+               "[--mutate MUTATE] [--out OUT] [--format {human,machine}]\n")
+
+
+@pytest.mark.parametrize("argv, cap_env, err", [
+    (["check", "--cap", "abc"], None, CHECK_USAGE + "proccat check: error: argument --cap: "
+     "expected an integer, got 'abc' (from --cap or PROCCAT_CAP)\n"),
+    (["check"], "", CHECK_USAGE + "proccat check: error: argument --cap: "
+     "expected an integer, got '' (from --cap or PROCCAT_CAP)\n"),
+    (["check", "--format", "xml"], None, CHECK_USAGE + "proccat check: error: argument "
+     "--format: invalid choice: 'xml' (choose from 'human', 'machine')\n"),
+    (["bogus"], None, "usage: proccat [-h] {check,scale,dump} ...\nproccat: error: argument "
+     "command: invalid choice: 'bogus' (choose from 'check', 'scale', 'dump')\n"),
+    (["dump", "unit"], None, "usage: proccat dump [-h] [--scale SCALE] descriptor t t0\n"
+     "proccat dump: error: the following arguments are required: t, t0\n"),
+], ids=["cap-option", "cap-environment", "format-choice", "unknown-command",
+        "missing-positionals"])
+def test_usage_errors_keep_the_argparse_wording(argv, cap_env, err):
+    # argparse wraps the usage line to the terminal; the table parser
+    # prints it whole.
+    (ref, _, ref_err), (got, out, got_err) = _both(argv, cap_env)
+    assert (got, out, got_err) == (2, "", err)
+    usage, error = ref_err.split("\nproccat")
+    assert (ref, " ".join(usage.split()) + "\nproccat" + error) == (2, err)
+
+
+def test_help_at_each_level_exits_0(capsys):
+    for argv in (["-h"], ["--help"], ["scale", "-h"], ["scale", "validate", "--he"],
+                 ["check", "--suites", "nonstop", "-h"], ["dump", "unit", "-h", "2"]):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("usage: proccat"), argv
+
+
+OPTION_WORDS = {"--scale", "--suites", "--cap", "--mutate", "--out", "--format"}
+INSERTED = st.sampled_from(["-h", "--help", "--he", "--", "--bogus", "-x", "-5", "-1/2",
+                            "--su", "--s", "--sc", "--cap=", "--cap=7", "--format=machine",
+                            "--scale=finite(0,1)", "nonstop", "check", "scale", "validate"])
+
+
+def _varied(data, argv):
+    """argv with its options joined to their values by `=` or cut to a
+    prefix, one option repeated, and tokens argparse reads in more than
+    one way put anywhere.  Never a second `--`: argparse turns it into an
+    empty list where a positional is due (`t0=[]`), where the table
+    parser takes `--` itself; nor `-hh`, help to argparse and an error to
+    the table parser."""
+    argv = list(argv)
+    out = []
+    k = 0
+    while k < len(argv):
+        token = argv[k]
+        k += 1
+        if token in OPTION_WORDS:
+            token = token[:data.draw(st.integers(3, len(token)))]
+            if k < len(argv) and data.draw(st.booleans()):
+                token, k = f"{token}={argv[k]}", k + 1
+        out.append(token)
+    flags = [k for k, token in enumerate(out) if token.startswith("--")]
+    if flags and data.draw(st.booleans()):
+        k = data.draw(st.sampled_from(flags))
+        out[len(out):] = out[k:k + 2]
+    for _ in range(data.draw(st.integers(0, 2))):
+        token = data.draw(INSERTED)
+        if token != "--" or "--" not in out:
+            out.insert(data.draw(st.integers(0, len(out))), token)
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_the_table_parser_agrees_with_argparse(out_paths, data):
+    argv = _varied(data, _argv(data, out_paths))
+    cap_env = data.draw(st.sampled_from([None, "1", "10", "0", "-5", "abc", ""]))
+    (ref, ref_out, ref_err), (got, out, err) = _both(argv, cap_env)
+    assert got == ref, (argv, cap_env)
+    assert bool(out) == bool(ref_out) and bool(err) == bool(ref_err), (argv, cap_env)
+    if ref == 2:
+        assert err.splitlines()[-1] == ref_err.splitlines()[-1], (argv, cap_env)
+
+
+def test_a_dump_and_a_scale_validation_import_no_argparse():
+    # argparse, and the gettext and locale modules it imports, took about
+    # 2 ms of every invocation.
+    for argv in (["dump", "flag(3) |>[2] unit", "0", "2"], ["scale", "validate", "finite(0,1,2)"]):
+        code = ("import sys, proccat.cli\n"
+                f"assert proccat.cli.main({argv!r}) == 0\n"
+                "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+        assert done.stdout.splitlines()[-1] == "[]", argv

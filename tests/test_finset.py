@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from proccat.finset import (
     Atom,
     CapExceeded,
+    DEFAULT_CAP,
     EMPTY,
     FinMor,
     FinObj,
@@ -97,6 +98,14 @@ def test_enumerate_mors_count_oracle(n, m):
         assert len(set(tuple(sorted(f.table.items(), key=lambda kv: elem_key(kv[0]))) for f in mors)) == len(mors)
     else:
         assert enumerate_mors(a, b) == []
+
+
+def test_a_product_of_exactly_the_cap_is_built():
+    # Sizes only: a product builds its elements on first read.
+    assert len(product([flag_obj(1000), flag_obj(1000)])) == DEFAULT_CAP
+    with pytest.raises(CapExceeded) as err:
+        product([flag_obj(1000), flag_obj(1001)])
+    assert err.value.count == 1001 * 1000 and err.value.cap == DEFAULT_CAP
 
 
 def test_enumerate_mors_respects_cap():

@@ -152,6 +152,13 @@ def test_process_carriers_over_the_cap_are_refused_before_enumeration():
     assert err.value.count == 1001 ** 2 and err.value.cap == DEFAULT_CAP
 
 
+def test_a_process_carrier_of_exactly_the_cap_is_built():
+    # 1000 values at each of two points: 10 ** 6 running views at (0, 2),
+    # which the cap admits.
+    sp = ProcSpace(UNBOUNDED, flag_temporal(SCALE, 1000), empty_obj(SCALE))
+    assert sum(map(len, sp.obj.layout[I02].summands)) == DEFAULT_CAP
+
+
 # -- value round trips and views --------------------------------------------
 
 

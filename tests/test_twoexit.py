@@ -4,9 +4,18 @@ import pytest
 
 from proccat.finset import Atom, CapExceeded, Inj, UNIT_ELEM
 from proccat.fixpoints import CoiterProblem
-from proccat.laws import coiter_problems, two_exit_problems
-from proccat.temporal import enumerate_nat_trans, mor_equal, naturality_witness
-from proccat.times import IndexPair, TimeScale
+from proccat.laws import V0, _natural, _stop_next, coiter_problems, two_exit_problems
+from proccat.process import LiveSpace
+from proccat.temporal import (
+    empty_obj,
+    enumerate_nat_trans,
+    flag_temporal,
+    mor_equal,
+    naturality_witness,
+    pointwise_coproduct,
+    unit_obj,
+)
+from proccat.times import IndexPair, TimeScale, UNBOUNDED
 from proccat.twoexit import (
     TwoExitProblem,
     answers_from_collapse,
@@ -77,6 +86,25 @@ def test_pointwise_check_agrees_with_the_graft():
             assert verdict == mor_equal(cand, pr.classify(pr.graft(cand))), name
             verdicts.append(verdict)
     assert len(verdicts) == 1200 and sum(verdicts) == 4
+
+
+def test_the_image_goes_through_a_round_at_the_first_process_position():
+    # With no answers, position n == 0 of the seed map's exit is the first
+    # process: stop at the next point with the seed.  The image must run
+    # that round through the candidate, as the graft does element by
+    # element, not read the position as an immediate answer.
+    u, f, e = unit_obj(SCALE), flag_temporal(SCALE), empty_obj(SCALE)
+    mixed = LiveSpace(UNBOUNDED, f, pointwise_coproduct([e, u]))
+    seed = _natural(u, mixed.obj, lambda i, z: mixed.encode(
+        i, V0, _stop_next(SCALE, i, Inj(1, UNIT_ELEM))))
+    pr = defer_all(UNBOUNDED, f, e, u, seed)
+    seeds = [(i, z) for i in SCALE.indices() for z in range(len(pr.c.at(i)))]
+    assert [pr.g.at(i).pos[z] for i, z in seeds] == [0] * 6
+    cands = enumerate_nat_trans(pr.c, pr.answers)
+    assert len(cands) == 64
+    for cand in cands:
+        image, graft = pr.image(cand), pr.classify(pr.graft(cand))
+        assert [image(i, z) for i, z in seeds] == [graft.at(i).pos[z] for i, z in seeds]
 
 
 def test_search_builds_no_graft(monkeypatch):
