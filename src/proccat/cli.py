@@ -151,7 +151,7 @@ class _DescriptorParser:
             raise DescriptorError(
                 f"stop bound {tok} is not a point of the scale {self.scale}; "
                 "use inf or a scale point")
-        return TermBound.at(time)
+        return time
 
     def term(self):
         tok = self.peek()

@@ -158,32 +158,19 @@ class FinMor:
     """A map dom -> cod, stored as `pos`: the codomain position of the
     image of each domain element, in domain order.
 
-    Give exactly one of `images` (the images in domain order) or `pos`.
-    Each is validated once: images must lie in the codomain, positions in
-    `range(len(cod))`.
+    The positions are validated once: they must lie in `range(len(cod))`.
     """
 
     __hash__ = None  # like the dict tables they replace, maps go in no set
 
-    def __init__(self, dom: FinObj, cod: FinObj, *,
-                 images: Sequence[Elem] | None = None,
-                 pos: Sequence[int] | None = None) -> None:
-        if images is not None:
-            if len(images) != dom.size:
-                raise ValueError("map images must cover the domain exactly")
-            try:
-                pos = tuple(map(cod.index.__getitem__, images))
-            except KeyError as missing:
-                raise ValueError(
-                    f"map value {missing.args[0]!r} is outside the codomain") from None
-        else:
-            pos = tuple(pos)
-            if len(pos) != dom.size:
-                raise ValueError("map positions must cover the domain exactly")
-            n = cod.size
-            if pos and (min(pos) < 0 or max(pos) >= n):
-                bad = next(p for p in pos if not 0 <= p < n)
-                raise ValueError(f"map position {bad} is outside the codomain")
+    def __init__(self, dom: FinObj, cod: FinObj, *, pos: Sequence[int]) -> None:
+        pos = tuple(pos)
+        if len(pos) != dom.size:
+            raise ValueError("map positions must cover the domain exactly")
+        n = cod.size
+        if pos and (min(pos) < 0 or max(pos) >= n):
+            bad = next(p for p in pos if not 0 <= p < n)
+            raise ValueError(f"map position {bad} is outside the codomain")
         self.dom, self.cod, self.pos = dom, cod, pos
 
     @cached_property
@@ -206,7 +193,13 @@ class FinMor:
 
 
 def fin_mor(dom: FinObj, cod: FinObj, fn: Callable[[Elem], Elem]) -> FinMor:
-    return FinMor(dom, cod, images=[fn(e) for e in dom.elements])
+    """The map sending each element e of dom to fn(e)."""
+    images = [fn(e) for e in dom.elements]
+    try:
+        pos = list(map(cod.index.__getitem__, images))
+    except KeyError as missing:
+        raise ValueError(f"map value {missing.args[0]!r} is outside the codomain") from None
+    return FinMor(dom, cod, pos=pos)
 
 
 def identity(obj: FinObj) -> FinMor:

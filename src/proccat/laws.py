@@ -189,16 +189,10 @@ _MAKERS = {"empty": empty_obj, "unit": unit_obj, "flag": flag_temporal}
 def _bound_choices(scale: TimeScale) -> list:
     """The three bound kinds, deduplicated by value (on a one-point scale
     the earliest and latest point coincide)."""
-    raw = [("min", TermBound.at(scale.start)),
-           ("max", TermBound.at(scale.end)),
-           ("inf", UNBOUNDED)]
-    out, seen = [], set()
-    for name, b in raw:
-        if b in seen:
-            continue
-        seen.add(b)
-        out.append((name, b))
-    return out
+    choices = [("min", scale.start), ("max", scale.end), ("inf", UNBOUNDED)]
+    if scale.start == scale.end:
+        del choices[1]
+    return choices
 
 
 @dataclass(eq=False)
@@ -239,11 +233,10 @@ def merge_extras() -> list:
     """Hand-picked asymmetric pairs that merging checks after the grid."""
     sc = TimeScale.of(0, 1, 2)
     u, f = unit_obj(sc), flag_temporal(sc)
-    bmax, bmin = TermBound.at(sc.end), TermBound.at(sc.start)
     return [
-        Case("extra=flag-inf x unit-max", f, f, UNBOUNDED, (bmax, u, u)),
-        Case("extra=unit-min x flag-inf", u, f, bmin, (UNBOUNDED, f, u)),
-        Case("extra=flag-max x unit-inf", f, u, bmax, (UNBOUNDED, u, f)),
+        Case("extra=flag-inf x unit-max", f, f, UNBOUNDED, (sc.end, u, u)),
+        Case("extra=unit-min x flag-inf", u, f, sc.start, (UNBOUNDED, f, u)),
+        Case("extra=flag-max x unit-inf", f, u, sc.end, (UNBOUNDED, u, f)),
     ]
 
 
@@ -431,8 +424,7 @@ def suite_nonstop(cap: int, mutated: bool, case: Curated):
     for pts in GRID_SCALES:
         scale = TimeScale.of(*pts)
         if mutated:
-            space = LiveSpace(TermBound.at(scale.end), unit_obj(scale),
-                              empty_obj(scale))
+            space = LiveSpace(scale.end, unit_obj(scale), empty_obj(scale))
         else:
             space = nonstop_space(scale)
         yield ("scale=" + "-".join(map(str, pts)),
@@ -492,13 +484,12 @@ def coiter_problems() -> list:
     out.append(("alternate_values",
                 CoiterProblem(UNBOUNDED, f, u, f, alternate)))
 
-    wb = TermBound.at(sc.end)
-    base = ProcSpace(wb, u, u)
-    mixed4 = LiveSpace(wb, u, pointwise_coproduct([u, base.obj]))
+    base = ProcSpace(sc.end, u, u)
+    mixed4 = LiveSpace(sc.end, u, pointwise_coproduct([u, base.obj]))
     relabel = proc_map(base, mixed4.proc, res=t_inj([u, base.obj], 0))
     replay = _natural(base.obj, mixed4.obj, lambda i, p: mixed4.encode(
         i, UNIT_ELEM, mixed4.proc.decode(i, relabel.at(i)(p))))
-    out.append(("bounded_replay", CoiterProblem(wb, u, u, base.obj, replay)))
+    out.append(("bounded_replay", CoiterProblem(sc.end, u, u, base.obj, replay)))
     return out
 
 

@@ -122,8 +122,8 @@ def _shape(scale: TimeScale, w: TermBound, i: IndexPair) -> tuple:
     which the value and result objects do not change."""
     times = scale.open_closed(i.t, i.t0)
     run = tuple(IndexPair(u, i.t0) for u in times)
-    if w.bounded and w.time <= i.t0:
-        return False, times, run, len(scale.open_closed(i.t, w.time))
+    if w is not None and w <= i.t0:
+        return False, times, run, len(scale.open_closed(i.t, w))
     return True, times, run, len(run)
 
 
@@ -262,7 +262,9 @@ def proc_map(src: ProcSpace, dst: ProcSpace, act: Optional[TemporalMor] = None,
     if res.dom != src.b or res.cod != dst.b:
         raise ValueError("result morphism endpoints do not match the spaces")
     if not w_leq(src.w, dst.w):
-        raise ValueError(f"bound may only weaken: {src.w} -> {dst.w}")
+        # Only a bounded dst.w fails, so only src.w may be UNBOUNDED here.
+        raise ValueError(f"bound may only weaken: {'inf' if src.w is None else src.w}"
+                         f" -> {dst.w}")
 
     def component(i: IndexPair) -> FinMor:
         s, d = src._layout[i], dst._layout[i]
@@ -311,12 +313,6 @@ def live_map(src: LiveSpace, dst: LiveSpace, act: Optional[TemporalMor] = None,
 # -- behaviors, events, and the nonstop process -----------------------------
 
 
-def strong_bound(scale: TimeScale) -> TermBound:
-    """Termination by the last point of the scale: the strongest guarantee
-    a finite scale can express."""
-    return TermBound.at(scale.end)
-
-
 def behavior_space(a: TemporalObj) -> ProcSpace:
     """Never-terminating time-varying values of `a`, strictly future.
 
@@ -334,12 +330,12 @@ def behavior_live_space(a: TemporalObj) -> LiveSpace:
 def event_space(b: TemporalObj) -> LiveSpace:
     """A value of `b` attached to a strictly-future time, guaranteed to
     occur by the end of the scale."""
-    return LiveSpace(strong_bound(b.scale), unit_obj(b.scale), b)
+    return LiveSpace(b.scale.end, unit_obj(b.scale), b)
 
 
 def event_step_space(b: TemporalObj) -> StepSpace:
     """An event that may also occur right now."""
-    return StepSpace(strong_bound(b.scale), unit_obj(b.scale), b)
+    return StepSpace(b.scale.end, unit_obj(b.scale), b)
 
 
 def nonstop_space(scale: TimeScale) -> LiveSpace:

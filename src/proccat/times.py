@@ -6,9 +6,8 @@ observation time) and exactly one morphism (t, t0') -> (t, t0) whenever
 t0 <= t0', recorded as the triple (t, t0, t0').  Restriction along such a
 morphism forgets everything learned after t0.
 
-Termination bounds live in the scale extended with an "unbounded" top
-element: bounded values compare by time, and every bound is below
-unbounded.
+A termination bound is a scale point, or `UNBOUNDED` (None) for the top
+element above every point.
 """
 from __future__ import annotations
 
@@ -173,51 +172,19 @@ class TimeScale:
         return "{" + ", ".join(str(p) for p in self.points) + "}"
 
 
-@dataclass(frozen=True)
-class TermBound:
-    """Upper bound on termination time: a scale point, or None for no bound."""
-
-    time: Optional[Fraction]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.time,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @classmethod
-    def at(cls, value: Union[int, str, Fraction]) -> "TermBound":
-        # A Fraction is kept as it is, so the bounds made from one scale
-        # point share it, and memo keys holding them (`process._shape`)
-        # match by identity rather than by comparing rationals.
-        return cls(value if isinstance(value, Fraction) else Fraction(value))
-
-    @property
-    def bounded(self) -> bool:
-        return self.time is not None
-
-    def __repr__(self) -> str:
-        return "inf" if self.time is None else str(self.time)
-
-
-UNBOUNDED = TermBound(None)
+# A termination bound: a scale point the process stops at or before, or
+# UNBOUNDED (None), which lies above every point.
+TermBound = Optional[Fraction]
+UNBOUNDED: TermBound = None
 
 
 def w_leq(a: TermBound, b: TermBound) -> bool:
-    """Order with unbounded on top: bounded values compare by time."""
-    if b.time is None:
-        return True
-    if a.time is None:
-        return False
-    return a.time <= b.time
+    """Order with unbounded on top: bounded values compare as points."""
+    return b is None or a is not None and a <= b
 
 
 def w_meet(a: TermBound, b: TermBound) -> TermBound:
-    if a.time is None:
-        return b
-    if b.time is None:
-        return a
-    return a if a.time <= b.time else b
+    return a if w_leq(a, b) else b
 
 
 # -- symbolic scale expressions and the well-foundedness validator ----------
@@ -493,8 +460,6 @@ def parse_scale_expr(text: str) -> ScaleExpr:
     expr = parser.expr()
     if parser.peek() is not None:
         raise ScaleParseError(f"trailing input after scale expression: {parser.peek()!r}")
-    if isinstance(expr, FiniteScale) and not expr.points:
-        raise ScaleParseError("finite scale needs at least one point")
     return expr
 
 

@@ -8,6 +8,7 @@ as an ordinary test file.
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from proccat.cli import main as cli_main
@@ -23,7 +24,7 @@ from proccat.process import (
     behavior_live_space,
     event_space,
 )
-from proccat.times import IndexPair, TermBound, TimeScale, UNBOUNDED
+from proccat.times import IndexPair, TimeScale, UNBOUNDED
 from proccat.temporal import unit_obj
 from proccat.twoexit import check_roundtrips
 
@@ -95,7 +96,7 @@ def test_criterion_5_two_exit_equivalence(full_reports, capsys):
 def test_criterion_6_frozen_carrier_counts(capsys):
     u = unit_obj(SCALE)
     full = ProcSpace(UNBOUNDED, u, u)
-    cut = ProcSpace(TermBound.at(1), u, u)
+    cut = ProcSpace(Fraction(1), u, u)
     expected = [
         (full.obj.at(IndexPair(0, 2)), 3),
         (full.obj.at(IndexPair(2, 2)), 1),

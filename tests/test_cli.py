@@ -190,6 +190,46 @@ def test_dump_rejects_off_scale_stop_bound(capsys, bound):
                    "{0, 1, 2}; use inf or a scale point\n")
 
 
+# One bad input per message of the scale and descriptor parsers, sent
+# through `scale validate`, `check --scale` and `dump`.  A refused
+# `check` creates no output directory.
+@pytest.mark.parametrize("argv, err", [
+    (["scale", "validate", "finite(0;1)"], "unexpected character ';' in scale expression"),
+    (["scale", "validate", "finite(0,"], "unexpected end of scale expression"),
+    (["scale", "validate", "finite(0 1)"], "expected ')', got '1'"),
+    (["check", "--scale", "asc_below(1,2)"], "asc_below takes one point, got 2"),
+    (["scale", "validate", "circle(0)"], "unknown scale constructor 'circle'"),
+    (["scale", "validate", "finite(0) finite(1)"],
+     "trailing input after scale expression: 'finite'"),
+    (["scale", "validate", "finite()"], "bad rational ')'"),
+    (["check", "--scale", "finite(0,1,0)"], "duplicate points in finite scale: finite(0, 1, 0)"),
+    (["scale", "validate", "finite(0, 1/0)"], "bad rational '1/0'"),
+    (["check", "--scale", "desc_above(0)"],
+     "only finite(..) scales can be evaluated, got desc_above(0)"),
+    (["dump", "unit", "0", "0", "--scale", "union(finite(0), finite(1))"],
+     "only finite(..) scales can be evaluated, got union(finite(0), finite(1))"),
+    (["dump", "unit ; unit", "0", "2"], "bad character ';' in descriptor"),
+    (["dump", "prod(unit,", "0", "2"], "descriptor ends unexpectedly"),
+    (["dump", "unit unit", "0", "2"], "trailing input: 'unit'"),
+    (["dump", "blob", "0", "2"], "unknown descriptor token 'blob'"),
+    (["dump", "exp(unit)", "0", "2"], "exp takes exactly two arguments"),
+    (["dump", "flag(x)", "0", "2"], "expected a count, got 'x'"),
+    (["dump", "unit |>[3] unit", "0", "2"],
+     "stop bound 3 is not a point of the scale {0, 1, 2}; use inf or a scale point"),
+    (["dump", "unit", "1", "3"], "(1, 3) is not an index of scale finite(0,1,2)"),
+], ids=["unexpected-character", "unexpected-end", "expected-paren", "chain-arity",
+        "unknown-constructor", "trailing-scale-input", "empty-finite", "duplicate-points",
+        "bad-rational", "check-non-finite", "dump-non-finite", "bad-character",
+        "descriptor-end", "trailing-descriptor-input", "unknown-token", "exp-arity",
+        "bad-count", "off-scale-bound", "off-scale-index"])
+def test_each_input_error_has_its_message(capsys, tmp_path, argv, err):
+    if argv[0] == "check":
+        argv = [*argv, "--out", str(tmp_path / "OUT")]
+    code, out, got = run(capsys, argv)
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+    assert not (tmp_path / "OUT").exists()
+
+
 def test_dump_respects_the_cap(capsys):
     code, out, err = run(capsys, ["dump", "exp(flag(9), flag(9))", "0", "2"])
     assert (code, out) == (3, "")

@@ -52,7 +52,7 @@ from proccat.temporal import (
     t_product_mor,
     unit_obj,
 )
-from proccat.times import IndexPair, TermBound, TimeScale, UNBOUNDED
+from proccat.times import IndexPair, TimeScale, UNBOUNDED
 from proccat.twoexit import check_roundtrips, defer_all
 
 from process_values import decode_live, render_value
@@ -340,8 +340,7 @@ SMALL_SCALES = (TimeScale.of(0), TimeScale.of(0, 1), SCALE)
 
 def bounds(scale):
     """The bounds at the first and last points, and none: each once."""
-    return tuple(dict.fromkeys((TermBound.at(scale.start), TermBound.at(scale.end),
-                                UNBOUNDED)))
+    return tuple(dict.fromkeys((scale.start, scale.end, UNBOUNDED)))
 
 
 def every_coiter_seed(scale=SCALE):

@@ -52,7 +52,7 @@ def test_build_case_resolves_bounds():
     case = next(c for c in law_grid() if c.label == label)
     scale = case.a.scale
     assert scale == TimeScale.of(0, 1, 2)
-    assert case.w.time == scale.end
+    assert case.w == scale.end
     assert len(case.a.at(scale.indices()[0])) == 2
     assert len(case.b.at(scale.indices()[0])) == 1
 

@@ -33,7 +33,7 @@ from proccat.temporal import (
     t_proj,
     unit_obj,
 )
-from proccat.times import IndexPair, TermBound, TimeScale, UNBOUNDED
+from proccat.times import IndexPair, TimeScale, UNBOUNDED
 
 SCALE = TimeScale.of(0, 1, 2)
 U = unit_obj(SCALE)
@@ -104,8 +104,8 @@ def test_joined_carrier_sizes():
 
 
 def test_operators_are_natural():
-    for a, b, w in [(U, U, UNBOUNDED), (F, U, TermBound.at(1)),
-                    (U, F, TermBound.at(2)), (F, F, UNBOUNDED)]:
+    for a, b, w in [(U, U, UNBOUNDED), (F, U, Fraction(1)),
+                    (U, F, Fraction(2)), (F, F, UNBOUNDED)]:
         sp = ProcSpace(w, a, b)
         lv, st = LiveSpace(w, a, b), StepSpace(w, a, b)
         m = MergeSpace(sp, ProcSpace(UNBOUNDED, b, a))
@@ -134,7 +134,7 @@ def test_join_live_acts_only_on_the_process_half():
 
 def test_merge_roundtrips_on_an_asymmetric_pair():
     left = ProcSpace(UNBOUNDED, F, U)
-    right = ProcSpace(TermBound.at(2), U, F)
+    right = ProcSpace(Fraction(2), U, F)
     m = MergeSpace(left, right)
     z, s = m.zip(), m.split()
     assert mor_equal(t_compose(s, z), t_identity(z.dom))
@@ -160,10 +160,10 @@ def test_merge_requires_one_scale():
 
 
 def test_merged_bound_is_the_meet():
-    left = ProcSpace(TermBound.at(1), U, U)
+    left = ProcSpace(Fraction(1), U, U)
     right = ProcSpace(UNBOUNDED, U, F)
     m = MergeSpace(left, right)
-    assert m.merged.w == TermBound.at(1)
+    assert m.merged.w == Fraction(1)
 
 
 def test_a_space_shares_its_operator_maps_while_held():

@@ -24,7 +24,6 @@ from proccat.process import (
     Terminated,
     live_map,
     proc_map,
-    strong_bound,
 )
 from proccat.temporal import (
     TemporalMor,
@@ -40,7 +39,7 @@ from proccat.temporal import (
     t_proj,
     unit_obj,
 )
-from proccat.times import IndexPair, TermBound, TimeScale, UNBOUNDED
+from proccat.times import IndexPair, TimeScale, UNBOUNDED
 
 from process_values import rest_after, seen_value
 
@@ -199,7 +198,7 @@ def assert_maps_match(a, b, w):
             src, into = LiveSpace(w, act.dom, res.dom), LiveSpace(w2, act.cod, res.cod)
             assert mor_equal(live_map(src, into, act, res),
                              ref_live_map(src, into, act, res))
-    for right in (sp, ProcSpace(UNBOUNDED, b, a), ProcSpace(strong_bound(a.scale), a, a)):
+    for right in (sp, ProcSpace(UNBOUNDED, b, a), ProcSpace(a.scale.end, a, a)):
         m = MergeSpace(sp, right)
         assert mor_equal(m.zip(), ref_zip(m))
         assert mor_equal(m.split(), ref_split(m))
@@ -232,7 +231,7 @@ KINDS = {"empty": empty_obj, "unit": unit_obj, "flag": flag_temporal,
 def test_off_grid_maps_match_the_references(a_kind):
     scale = TimeScale.of(Fraction(1, 2), 3, 7)
     for b_kind in KINDS:
-        for w in (*map(TermBound.at, scale.points), UNBOUNDED):
+        for w in (*scale.points, UNBOUNDED):
             assert_maps_match(KINDS[a_kind](scale), KINDS[b_kind](scale), w)
 
 
@@ -243,5 +242,5 @@ def test_off_grid_maps_match_the_references(a_kind):
 @settings(max_examples=25, deadline=None)
 def test_maps_match_the_references_on_drawn_scales(points, a_kind, b_kind, w_at):
     scale = TimeScale.of(*sorted(points))
-    w = UNBOUNDED if w_at is None else TermBound.at(scale.points[w_at % len(points)])
+    w = UNBOUNDED if w_at is None else scale.points[w_at % len(points)]
     assert_maps_match(KINDS[a_kind](scale), KINDS[b_kind](scale), w)

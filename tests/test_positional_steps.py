@@ -25,7 +25,7 @@ from proccat.temporal import (
     pointwise_product,
     unit_obj,
 )
-from proccat.times import IndexPair, TermBound, TimeScale, UNBOUNDED
+from proccat.times import IndexPair, TimeScale, UNBOUNDED
 
 from process_values import decode_live, rest_after
 
@@ -190,7 +190,7 @@ def relabeling(dom, cod):
 @settings(max_examples=25, deadline=None)
 def test_steps_match_the_references_on_drawn_scales(points, a_kind, b_kind, c_kind, w_at):
     scale = TimeScale.of(*sorted(points))
-    w = UNBOUNDED if w_at is None else TermBound.at(scale.points[w_at % len(points)])
+    w = UNBOUNDED if w_at is None else scale.points[w_at % len(points)]
     a, b, c = KINDS[a_kind](scale), KINDS[b_kind](scale), KINDS[c_kind](scale)
     target = LiveSpace(w, a, b)
     assert_rounds_match(LiveSpace(w, a, pointwise_coproduct([b, c])), target, c,

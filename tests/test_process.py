@@ -28,7 +28,6 @@ from proccat.process import (
     live_map,
     nonstop_space,
     proc_map,
-    strong_bound,
 )
 from proccat.temporal import (
     TemporalMor,
@@ -41,7 +40,7 @@ from proccat.temporal import (
     t_identity,
     unit_obj,
 )
-from proccat.times import IndexMor, IndexPair, TermBound, TimeScale, UNBOUNDED
+from proccat.times import IndexMor, IndexPair, TimeScale, UNBOUNDED
 
 from process_values import render_element, render_value, rest_after, seen_value
 
@@ -56,17 +55,17 @@ def count_processes(scale, w, size_a, size_b, i):
     size_a(u) and size_b(v) give carrier sizes of the value and result
     objects at (u, i.t0) and (v, i.t0).
     """
-    if w.bounded and w.time < i.t:
+    if w is not None and w < i.t:
         return 0
     total = 0
     for v in scale.open_closed(i.t, i.t0):
-        if w.bounded and v > w.time:
+        if w is not None and v > w:
             continue
         stopped = size_b(v)
         for u in (p for p in scale.points if i.t < p < v):
             stopped *= size_a(u)
         total += stopped
-    if not (w.bounded and w.time <= i.t0):
+    if not (w is not None and w <= i.t0):
         running = 1
         for u in scale.open_closed(i.t, i.t0):
             running *= size_a(u)
@@ -103,13 +102,13 @@ def test_behavior_of_unit_is_unique():
 
 def test_event_of_unit_counts():
     ev = event_space(unit_obj(SCALE))
-    w = strong_bound(SCALE)
+    w = SCALE.end
     assert count_processes(SCALE, w, const_sizes(1), const_sizes(1), I02) == 2
     assert len(ev.obj.at(I02)) == 2
 
 
 def test_tight_bound_empties_late_carriers():
-    w = TermBound.at(1)
+    w = Fraction(1)
     sp = ProcSpace(w, unit_obj(SCALE), unit_obj(SCALE))
     assert count_processes(SCALE, w, const_sizes(1), const_sizes(1), I22) == 0
     assert len(sp.obj.at(I22)) == 0
@@ -128,7 +127,7 @@ def test_tight_bound_empties_late_carriers():
        st.sampled_from([None, 0, 1, 2]), st.integers(0, 5))
 @settings(max_examples=60, deadline=None)
 def test_counting_oracle_matches_carriers(na, nb, wt, pick):
-    w = UNBOUNDED if wt is None else TermBound.at(wt)
+    w = UNBOUNDED if wt is None else Fraction(wt)
     sp = ProcSpace(w, flag_temporal(SCALE, na), flag_temporal(SCALE, nb))
     i = SCALE.indices()[pick % len(SCALE.indices())]
     assert len(sp.obj.at(i)) == count_processes(
@@ -139,7 +138,7 @@ def test_counting_oracle_matches_carriers(na, nb, wt, pick):
 @given(st.integers(0, 2), st.integers(0, 2), st.sampled_from([None, 0, 1, 2]))
 @settings(max_examples=30, deadline=None)
 def test_predicted_carrier_sizes_match_the_carriers(na, nb, wt):
-    w = UNBOUNDED if wt is None else TermBound.at(wt)
+    w = UNBOUNDED if wt is None else Fraction(wt)
     sp = ProcSpace(w, flag_temporal(SCALE, na), flag_temporal(SCALE, nb))
     for i in SCALE.indices():
         assert sum(map(len, sp.obj.layout[i].summands)) == len(sp.obj.at(i))
@@ -217,7 +216,7 @@ def test_process_maps_are_natural():
         f.at(i), f.at(i), lambda e: Atom("v1") if e == Atom("v0") else Atom("v0")))
     forget = TemporalMor(f, u, lambda i: fin_mor(f.at(i), u.at(i),
                                                   lambda e: UNIT_ELEM))
-    for w in (UNBOUNDED, TermBound.at(1)):
+    for w in (UNBOUNDED, Fraction(1)):
         for mor in (proc_map(ProcSpace(w, f, f), ProcSpace(UNBOUNDED, f, u),
                              act=flip, res=forget),
                     live_map(LiveSpace(w, f, f), LiveSpace(w, f, u),
@@ -225,8 +224,19 @@ def test_process_maps_are_natural():
             assert naturality_witness(mor) is None
 
 
+@pytest.mark.parametrize("src_w, dst_w, message", [
+    (UNBOUNDED, Fraction(1), "bound may only weaken: inf -> 1"),
+    (Fraction(2), Fraction(0), "bound may only weaken: 2 -> 0"),
+])
+def test_a_bound_may_only_weaken(src_w, dst_w, message):
+    u = unit_obj(SCALE)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        proc_map(ProcSpace(src_w, u, u), ProcSpace(dst_w, u, u))
+    proc_map(ProcSpace(dst_w, u, u), ProcSpace(src_w, u, u))
+
+
 def test_bound_beyond_horizon_is_required_for_running_views():
-    sp = ProcSpace(TermBound.at(2), unit_obj(SCALE), unit_obj(SCALE))
+    sp = ProcSpace(Fraction(2), unit_obj(SCALE), unit_obj(SCALE))
     with pytest.raises(ValueError):
         sp.encode(I02, Ongoing(((Fraction(1), UNIT_ELEM),
                                 (Fraction(2), UNIT_ELEM))))
@@ -314,13 +324,13 @@ def test_listing_matches_decoding_each_element(data):
 
 def test_process_spaces_share_one_carrier_object():
     a, b = unit_obj(SCALE), flag_temporal(SCALE, 2)
-    sp = ProcSpace(TermBound.at(1), a, b)
+    sp = ProcSpace(Fraction(1), a, b)
     # The bound is keyed by value, the value and result objects by identity.
-    assert ProcSpace(TermBound.at(1), a, b).obj is sp.obj
+    assert ProcSpace(Fraction(1), a, b).obj is sp.obj
     assert ProcSpace(UNBOUNDED, a, b).obj is not sp.obj
     assert sp._carriers is sp.obj.carrier
     # Equal but distinct objects are a different key with an equal value.
-    again = ProcSpace(TermBound.at(1), unit_obj(SCALE), flag_temporal(SCALE, 2))
+    again = ProcSpace(Fraction(1), unit_obj(SCALE), flag_temporal(SCALE, 2))
     assert again.obj is not sp.obj and again.obj == sp.obj
     assert TemporalObj(SCALE, sp._carrier_at, sp._restrict_at) == sp.obj
 
@@ -395,7 +405,7 @@ def test_off_grid_spaces_match_the_element_level_reference():
     scale = TimeScale.of(Fraction(1, 2), 3, 7)
     for a_kind in KINDS:
         for b_kind in KINDS:
-            for w in (*map(TermBound.at, scale.points), UNBOUNDED):
+            for w in (*scale.points, UNBOUNDED):
                 a, b = KINDS[a_kind](scale), KINDS[b_kind](scale)
                 assert_matches_reference(ProcSpace(w, a, b))
 
@@ -408,7 +418,7 @@ def test_off_grid_spaces_match_the_element_level_reference():
 def test_spaces_match_the_element_level_reference_on_drawn_scales(points, a_kind, b_kind,
                                                                   w_at):
     scale = TimeScale.of(*sorted(points))
-    w = UNBOUNDED if w_at is None else TermBound.at(scale.points[w_at % len(points)])
+    w = UNBOUNDED if w_at is None else scale.points[w_at % len(points)]
     assert_matches_reference(ProcSpace(w, KINDS[a_kind](scale), KINDS[b_kind](scale)))
 
 

@@ -44,7 +44,7 @@ from proccat.temporal import (
     t_identity,
     unit_obj,
 )
-from proccat.times import UNBOUNDED, IndexMor, IndexPair, TermBound, TimeScale
+from proccat.times import UNBOUNDED, IndexMor, IndexPair, TimeScale
 
 SCALE = TimeScale.of(0, 1, 2)
 SMALL = TimeScale.of(0, 1)
@@ -302,7 +302,7 @@ def test_res_matches_the_eager_reference_on_the_grid():
 @settings(max_examples=25, deadline=None)
 def test_res_matches_the_eager_reference_on_drawn_scales(points, w_at):
     scale = TimeScale.of(*sorted(points))
-    w = UNBOUNDED if w_at is None else TermBound.at(scale.points[w_at % len(points)])
+    w = UNBOUNDED if w_at is None else scale.points[w_at % len(points)]
     stamp = stamp_parity_obj(scale)
     value = ProcSpace(UNBOUNDED, unit_obj(scale), unit_obj(scale)).obj
     for obj in (stamp, flag_temporal(scale), ProcSpace(w, stamp, unit_obj(scale)).obj,

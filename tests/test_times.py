@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from proccat.cli import parse_descriptor
 from proccat.process import ProcSpace
 from proccat.temporal import flag_temporal, unit_obj
 from proccat.times import (
@@ -12,7 +13,6 @@ from proccat.times import (
     ScaleOverlapError,
     ScaleParseError,
     SEARCH_BUDGET,
-    TermBound,
     TimeScale,
     UNBOUNDED,
     _chain_points_equal_gap,
@@ -28,9 +28,7 @@ from proccat.times import (
 
 SCALE = TimeScale.of(0, 1, 2)
 
-bounds = st.sampled_from(
-    [UNBOUNDED, TermBound.at(0), TermBound.at(1), TermBound.at(2)]
-)
+bounds = st.sampled_from([UNBOUNDED, *SCALE.points])
 
 
 def test_scale_needs_ascending_points():
@@ -88,6 +86,16 @@ def test_meet_is_a_lower_bound(x, y):
     m = w_meet(x, y)
     assert w_leq(m, x) and w_leq(m, y)
     assert w_meet(y, x) == m
+
+
+@given(bounds, bounds)
+def test_bounds_compare_as_points_below_unbounded(x, y):
+    if x is None or y is None:
+        assert w_leq(x, y) == (y is None)
+        assert w_meet(x, y) == (y if x is None else x)
+    else:
+        assert w_leq(x, y) == (x <= y)
+        assert w_meet(x, y) == min(x, y)
 
 
 @given(bounds, bounds, bounds)
@@ -227,7 +235,7 @@ def _compares_like(x, y, fx, fy):
 def _times_made_from(a):
     """The time points the package makes for the rational a."""
     return (TimeScale((a,)).points[0], TimeScale.of(str(a)).points[0],
-            TermBound.at(a).time, TermBound.at(str(a)).time, parse_fraction(str(a)))
+            parse_fraction(str(a)))
 
 
 @given(rationals, rationals)
@@ -251,21 +259,16 @@ def test_time_compares_with_int_like_fraction(a, n):
 
 def test_every_time_the_package_makes_is_a_time():
     """Points, bounds and parsed rationals are exact, plain Fractions."""
+    scale = TimeScale.of(0, "3/4", 2)
+    parsed = [parse_descriptor(f"unit |>[{w}] unit", scale).w for w in ("3/4", "2")]
     made = [(TimeScale((Fraction(1, 2), 3)).points, (Fraction(1, 2), 3)),
             (TimeScale.of("1/2", 3, 7).points, (Fraction(1, 2), 3, 7)),
-            ((TermBound.at(2).time, TermBound.at("3/4").time), (2, Fraction(3, 4))),
+            (parsed, (Fraction(3, 4), 2)),
             ((parse_fraction("-5/2"), parse_fraction("4")), (Fraction(-5, 2), 4))]
     for points, values in made:
         for t, x in zip(points, values, strict=True):
             assert type(t) is Fraction
             assert t == x == Fraction(x) and hash(t) == hash(x) == hash(Fraction(x))
-
-
-def test_a_term_bound_hashes_once():
-    b = TermBound.at(1)
-    assert hash(b) == b._hash == hash(TermBound.at("1")) == hash((b.time,))
-    assert {b: "one", UNBOUNDED: "inf"}[TermBound.at(1)] == "one"
-    assert hash(UNBOUNDED) == hash((None,))
 
 
 def test_plain_fraction_keys_find_the_scales_own_entries():
