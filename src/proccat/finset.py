@@ -20,41 +20,50 @@ their elements only when something reads them.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, product as iter_product, repeat
 from math import prod
 from typing import Callable, Iterable, Sequence
 
+from .times import Value
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+
+class Atom(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Tup:
-    items: tuple
+class Tup(Value):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple) -> None:
+        object.__setattr__(self, "items", items)
 
     def __repr__(self) -> str:
         return "(" + ", ".join(repr(x) for x in self.items) + ")"
 
 
-@dataclass(frozen=True)
-class Inj:
-    tag: int
-    value: object
+class Inj(Value):
+    __slots__ = ("tag", "value")
+
+    def __init__(self, tag: int, value: object) -> None:
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "value", value)
 
     def __repr__(self) -> str:
         return f"in{self.tag}({self.value!r})"
 
 
-@dataclass(frozen=True)
-class FnTab:
-    entries: tuple  # ((input, output), ...) sorted by input key
+class FnTab(Value):
+    __slots__ = ("entries",)  # ((input, output), ...) sorted by input key
+
+    def __init__(self, entries: tuple) -> None:
+        object.__setattr__(self, "entries", entries)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}->{v!r}" for k, v in self.entries)

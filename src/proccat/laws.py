@@ -27,7 +27,6 @@ the cap allows, makes it `cap`, with the exception's text as the witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce, wraps
 from typing import Optional, Sequence
 
@@ -92,20 +91,23 @@ from .temporal import (
     t_proj,
     unit_obj,
 )
-from .times import IndexPair, TermBound, TimeScale, UNBOUNDED
+from .times import IndexPair, TermBound, TimeScale, UNBOUNDED, Value
 from .twoexit import TwoExitProblem, check_roundtrips, defer_all
 
 
 # -- diagrams and reports ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LawReport:
-    suite: str
-    instance: str
-    verdict: str
-    witness: Optional[str] = None
-    millis: int = 0
+class LawReport(Value):
+    __slots__ = ("suite", "instance", "verdict", "witness", "millis")
+
+    def __init__(self, suite: str, instance: str, verdict: str,
+                 witness: Optional[str] = None, millis: int = 0) -> None:
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "millis", millis)
 
 
 class Diagram:
@@ -195,7 +197,6 @@ def _bound_choices(scale: TimeScale) -> list:
     return choices
 
 
-@dataclass(eq=False)
 class Case:
     """One case as the grid suites receive it: the space `ProcSpace(w, a,
     b)` under `label`, and for merging the other side's (w, a, b) when it
@@ -203,12 +204,10 @@ class Case:
     alive until the case is dropped, so that each later suite finds those
     spaces and carriers still interned."""
 
-    label: str
-    a: TemporalObj
-    b: TemporalObj
-    w: TermBound
-    right: Optional[tuple] = None
-    held: list = field(default_factory=list)
+    def __init__(self, label: str, a: TemporalObj, b: TemporalObj, w: TermBound,
+                 right: Optional[tuple] = None) -> None:
+        self.label, self.a, self.b, self.w, self.right = label, a, b, w, right
+        self.held = []
 
     @cached_property
     def space(self) -> ProcSpace:

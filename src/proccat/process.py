@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import copy
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, product as iter_product, repeat
 from math import prod
@@ -67,29 +66,34 @@ from .times import (
     TermBound,
     TimeScale,
     UNBOUNDED,
+    Value,
     _per_scale,
     w_leq,
 )
 
 
-@dataclass(frozen=True)
-class Terminated:
+class Terminated(Value):
     """A process seen to stop at at_time, with its record and final result.
 
     seen is a tuple of (time, value) pairs, ascending, covering exactly the
     scale points strictly between the present time and at_time.
     """
 
-    at_time: Fraction
-    seen: tuple
-    result: object
+    __slots__ = ("at_time", "seen", "result")
+
+    def __init__(self, at_time: Fraction, seen: tuple, result: object) -> None:
+        object.__setattr__(self, "at_time", at_time)
+        object.__setattr__(self, "seen", seen)
+        object.__setattr__(self, "result", result)
 
 
-@dataclass(frozen=True)
-class Ongoing:
+class Ongoing(Value):
     """A process still running at the horizon; seen covers (t, t0]."""
 
-    seen: tuple
+    __slots__ = ("seen",)
+
+    def __init__(self, seen: tuple) -> None:
+        object.__setattr__(self, "seen", seen)
 
 
 ProcessValue = object  # Terminated | Ongoing

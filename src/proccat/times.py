@@ -14,10 +14,10 @@ from __future__ import annotations
 import functools
 import weakref
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import isqrt
+from operator import attrgetter
 from typing import Optional, Union
 
 
@@ -28,6 +28,43 @@ class ScaleParseError(ValueError):
 class ScaleOverlapError(ValueError):
     """Parts of a union overlap, or could not be shown disjoint within
     `SEARCH_BUDGET` steps."""
+
+
+class Value:
+    """A value: its fields are its `__slots__`, which its own `__init__`
+    sets with `object.__setattr__`; any later assignment or deletion
+    raises AttributeError.  Instances are equal only within one class,
+    when their fields are; the hash is that of the tuple of fields, and
+    the repr `Name(field=value, ...)` unless the class writes its own.
+    A slot whose name starts with `_` holds state, not a field: equality,
+    hash and repr leave it out."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._names = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        # One field reads bare, several as a tuple; not a method, so
+        # `self._get` is the getter itself.
+        cls._get = attrgetter(*cls._names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._get(self) == self._get(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        fields = self._get(self)
+        return hash(fields if len(self._names) > 1 else (fields,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._names)
+        return f"{type(self).__qualname__}({fields})"
 
 
 @functools.total_ordering
@@ -113,18 +150,20 @@ def _per_scale(method):
     return memoized
 
 
-@dataclass(frozen=True)
-class TimeScale:
-    points: tuple[Fraction, ...]
-    _memo: dict = field(default_factory=lambda: defaultdict(dict), init=False,
-                        repr=False, compare=False)
+class TimeScale(Value):
+    """Strictly ascending points, as Fractions; `_memo` holds the
+    `_per_scale` tables."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(map(Fraction, self.points)))
-        if not self.points:
+    __slots__ = ("points", "_memo")
+
+    def __init__(self, points: tuple[Union[int, str, Fraction], ...]) -> None:
+        points = tuple(map(Fraction, points))
+        if not points:
             raise ValueError("time scale needs at least one point")
-        if any(b <= a for a, b in zip(self.points, self.points[1:])):
-            raise ValueError(f"time scale points must be strictly ascending: {self.points}")
+        if any(b <= a for a, b in zip(points, points[1:])):
+            raise ValueError(f"time scale points must be strictly ascending: {points}")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_memo", defaultdict(dict))
 
     @classmethod
     def of(cls, *values: Union[int, str, Fraction]) -> "TimeScale":
@@ -199,33 +238,37 @@ def w_meet(a: TermBound, b: TermBound) -> TermBound:
 # union(..)       disjoint union of the above
 
 
-@dataclass(frozen=True)
-class FiniteScale:
-    points: tuple[Fraction, ...]
+class FiniteScale(Value):
+    __slots__ = ("points",)
 
-    def __post_init__(self) -> None:
-        if len(set(self.points)) != len(self.points):
+    def __init__(self, points: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "points", points)
+        if len(set(points)) != len(points):
             raise ScaleParseError(f"duplicate points in finite scale: {self}")
 
     def __str__(self) -> str:
         return "finite(" + ", ".join(map(str, self.points)) + ")"
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Value):
     """The points anchor + sign/n for n >= 1: desc_above(anchor) for sign
     1, asc_below(anchor) for sign -1."""
 
-    anchor: Fraction
-    sign: int
+    __slots__ = ("anchor", "sign")
+
+    def __init__(self, anchor: Fraction, sign: int) -> None:
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "sign", sign)
 
     def __str__(self) -> str:
         return f"{'desc_above' if self.sign > 0 else 'asc_below'}({self.anchor})"
 
 
-@dataclass(frozen=True)
-class ScaleUnion:
-    parts: tuple["ScaleExpr", ...]
+class ScaleUnion(Value):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple["ScaleExpr", ...]) -> None:
+        object.__setattr__(self, "parts", parts)
 
     def __str__(self) -> str:
         return "union(" + ", ".join(map(str, self.parts)) + ")"
@@ -429,7 +472,10 @@ class _ScaleParser:
     def expr(self) -> ScaleExpr:
         head = self.take()
         if head == "finite":
-            return FiniteScale(tuple(self.rational_args()))
+            args = self.rational_args()
+            if not args:
+                raise ScaleParseError("finite takes at least one point")
+            return FiniteScale(tuple(args))
         if head in ("desc_above", "asc_below"):
             args = self.rational_args()
             if len(args) != 1:
@@ -447,6 +493,9 @@ class _ScaleParser:
 
     def rational_args(self) -> list[Fraction]:
         self.take("(")
+        if self.peek() == ")":
+            self.take()
+            return []
         args = [parse_fraction(self.take())]
         while self.peek() == ",":
             self.take(",")

@@ -201,7 +201,8 @@ def test_dump_rejects_off_scale_stop_bound(capsys, bound):
     (["scale", "validate", "circle(0)"], "unknown scale constructor 'circle'"),
     (["scale", "validate", "finite(0) finite(1)"],
      "trailing input after scale expression: 'finite'"),
-    (["scale", "validate", "finite()"], "bad rational ')'"),
+    (["scale", "validate", "finite()"], "finite takes at least one point"),
+    (["dump", "unit", "0", "0", "--scale", "desc_above()"], "desc_above takes one point, got 0"),
     (["check", "--scale", "finite(0,1,0)"], "duplicate points in finite scale: finite(0, 1, 0)"),
     (["scale", "validate", "finite(0, 1/0)"], "bad rational '1/0'"),
     (["check", "--scale", "desc_above(0)"],
@@ -218,10 +219,10 @@ def test_dump_rejects_off_scale_stop_bound(capsys, bound):
      "stop bound 3 is not a point of the scale {0, 1, 2}; use inf or a scale point"),
     (["dump", "unit", "1", "3"], "(1, 3) is not an index of scale finite(0,1,2)"),
 ], ids=["unexpected-character", "unexpected-end", "expected-paren", "chain-arity",
-        "unknown-constructor", "trailing-scale-input", "empty-finite", "duplicate-points",
-        "bad-rational", "check-non-finite", "dump-non-finite", "bad-character",
-        "descriptor-end", "trailing-descriptor-input", "unknown-token", "exp-arity",
-        "bad-count", "off-scale-bound", "off-scale-index"])
+        "unknown-constructor", "trailing-scale-input", "empty-finite", "empty-chain",
+        "duplicate-points", "bad-rational", "check-non-finite", "dump-non-finite",
+        "bad-character", "descriptor-end", "trailing-descriptor-input", "unknown-token",
+        "exp-arity", "bad-count", "off-scale-bound", "off-scale-index"])
 def test_each_input_error_has_its_message(capsys, tmp_path, argv, err):
     if argv[0] == "check":
         argv = [*argv, "--out", str(tmp_path / "OUT")]
@@ -689,13 +690,16 @@ def test_the_table_parser_agrees_with_argparse(out_paths, data):
         assert err.splitlines()[-1] == ref_err.splitlines()[-1], (argv, cap_env)
 
 
-def test_a_dump_and_a_scale_validation_import_no_argparse():
+def test_a_dump_and_a_scale_validation_import_no_argparse(tmp_path):
     # argparse, and the gettext and locale modules it imports, took about
-    # 2 ms of every invocation.
-    for argv in (["dump", "flag(3) |>[2] unit", "0", "2"], ["scale", "validate", "finite(0,1,2)"]):
+    # 2 ms of every invocation; dataclasses, with the inspect module it
+    # imports and the methods it compiles, took about 15 ms.
+    forbidden = {"argparse", "gettext", "locale", "dataclasses", "inspect"}
+    for argv in (["dump", "flag(3) |>[2] unit", "0", "2"], ["scale", "validate", "finite(0,1,2)"],
+                 ["check", "--suites", "nonstop", "--out", str(tmp_path)]):
         code = ("import sys, proccat.cli\n"
                 f"assert proccat.cli.main({argv!r}) == 0\n"
-                "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+                f"print(sorted({forbidden!r} & set(sys.modules)))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (0, ""), argv
         assert done.stdout.splitlines()[-1] == "[]", argv
