@@ -403,6 +403,52 @@ def test_every_small_recur_consumer_has_exactly_the_solvers_solution():
     assert counts == [20, 40, 36]
 
 
+
+# The stamp object's restrictions drop stamps beyond the new horizon, so
+# they are not identities: solutions into it need not be constant, and
+# the solvers' non-identity restriction arrows get exercised.
+STAMP_SCALES = (TimeScale.of(0, 1), SCALE)
+
+
+def test_every_stamp_recur_consumer_has_exactly_the_solvers_solution():
+    """c is the stamp object, a and b unit or flag, under each bound: on
+    two points 172 consumers, 144 of them with a solution that is not
+    constant; on three points 439 and 348, with the cap refusing 7 of
+    the 12 (a, b, w) choices.  About 0.6 s of tier-1 together."""
+    counts = []
+    for scale in STAMP_SCALES:
+        u, f, s = unit_obj(scale), flag_temporal(scale), stamp_parity_obj(scale)
+        consumers, refused = [], 0
+        for a, b in iter_product((u, f), repeat=2):
+            for w in bounds(scale):
+                paired = ProcSpace(w, pointwise_product([a, s]), b)
+                spaces = (nat_trans_space(paired.obj, s),
+                          nat_trans_space(ProcSpace(w, a, b).obj, s))
+                if max(spaces) > DEFAULT_CAP:
+                    refused += 1
+                    continue
+                consumers += [(w, a, b, s, g) for g in enumerate_nat_trans(paired.obj, s)]
+        changed = sum(assert_unique_and_solved(RecurProblem(*g)) for g in consumers)
+        counts.append((len(consumers), changed, refused))
+    assert counts == [(172, 144, 0), (439, 348, 7)]
+
+
+def test_every_stamp_coiter_seed_has_exactly_the_solvers_solution():
+    """On two points, with the stamp object as the final or seed object:
+    (a, b, c) = (u, u, s), (u, s, u), (u, s, s) and (u, f, s) give 27, 3,
+    27 and 64 seeds over the three bounds, 90 of them with a solution
+    that is not constant."""
+    scale = STAMP_SCALES[0]
+    u, f, s = unit_obj(scale), flag_temporal(scale), stamp_parity_obj(scale)
+    counts = []
+    for a, b, c in ((u, u, s), (u, s, u), (u, s, s), (u, f, s)):
+        seeds = [(w, a, b, c, seed) for w in bounds(scale)
+                 for seed in enumerate_nat_trans(
+                     c, LiveSpace(w, a, pointwise_coproduct([b, c])).obj)]
+        changed = sum(assert_unique_and_solved(CoiterProblem(*x)) for x in seeds)
+        counts.append((len(seeds), changed))
+    assert counts == [(27, 18), (3, 0), (27, 18), (64, 54)]
+
 def test_two_exit_roundtrips_hold_on_sampled_seeds():
     # Every fifth seed, which keeps this under a second; all 827 take
     # about 2 s on a 2-core machine.
