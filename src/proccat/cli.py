@@ -36,7 +36,6 @@ from .temporal import (
     unit_obj,
 )
 from .times import (
-    IndexPair,
     ScaleOverlapError,
     ScaleParseError,
     TermBound,
@@ -277,7 +276,7 @@ def cmd_check(args) -> int:
             return _fail(str(exc))
         except RecursionError:
             return _fail(TOO_DEEP)
-        if scale != TimeScale.of(0, 1, 2):
+        if scale is not TimeScale.of(0, 1, 2):
             return _fail(f"the law grid is fixed to {GRID_SCALE_TEXT}; "
                          f"pass that scale or omit --scale")
     if args.cap < 1:
@@ -328,9 +327,9 @@ def cmd_dump(args) -> int:
         scale = scale_from_expr(parse_scale_expr(args.scale))
         space = parse_descriptor(args.descriptor, scale)
         t, t0 = parse_fraction(args.t), parse_fraction(args.t0)
-        if t not in scale.points or t0 not in scale.points or t > t0:
+        i = scale.pair(t, t0)
+        if i is None:
             return _fail(f"({t}, {t0}) is not an index of scale {args.scale}")
-        i = IndexPair(t, t0)
         size = _carrier_of(space).at(i).size
         lines = listing(space, i)
     except (ScaleParseError, DescriptorError) as exc:

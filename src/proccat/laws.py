@@ -451,8 +451,7 @@ def _stop_next(scale: TimeScale, i: IndexPair, result):
     i.t; still running when the horizon is empty."""
     if i.t == i.t0:
         return Ongoing(())
-    stop = min(u for u in scale.points if i.t < u <= i.t0)
-    return Terminated(stop, (), result)
+    return Terminated(scale.points[i.r + 1], (), result)
 
 
 V0, V1 = Atom("v0"), Atom("v1")

@@ -67,7 +67,6 @@ from .times import (
     TimeScale,
     UNBOUNDED,
     Value,
-    _per_scale,
     w_leq,
 )
 
@@ -120,23 +119,6 @@ class _Layout(NamedTuple):
         return k, q - self.offsets[k]
 
 
-@_per_scale
-def _shape(scale: TimeScale, w: TermBound, i: IndexPair) -> tuple:
-    """The (running, times, run, stops) fields of a layout at i under w,
-    which the value and result objects do not change."""
-    times = scale.open_closed(i.t, i.t0)
-    run = tuple(IndexPair(u, i.t0) for u in times)
-    if w is not None and w <= i.t0:
-        return False, times, run, len(scale.open_closed(i.t, w))
-    return True, times, run, len(run)
-
-
-@_per_scale
-def _along(scale: TimeScale, m: IndexMor) -> tuple:
-    """The morphism (u, m.t0, m.t0p) for each u in (m.t, m.t0]."""
-    return tuple(IndexMor(u, m.t0, m.t0p) for u in scale.open_closed(m.t, m.t0))
-
-
 class ProcSpace:
     """The time-indexed object of strictly-future processes with values
     drawn from `a`, results drawn from `b`, under termination bound `w`.
@@ -170,7 +152,10 @@ class ProcSpace:
         then if running the running record's value pools; CapExceeded
         before any is built when they hold more than DEFAULT_CAP
         elements."""
-        running, times, run, stops = _shape(self.scale, self.w, i)
+        times = self.scale.points[i.r + 1:i.r0 + 1]
+        run = self.scale.column(i.r0)[i.r + 1:]
+        running = self.w is None or self.w > i.t0
+        stops = len(run) if running else bisect_right(times, self.w)
         pools = [self.a.at(p) for p in run]
         ends = [self.b.at(p) for p in run[:stops]]
         counts = [len(y) * prod(map(len, pools[:k])) for k, y in enumerate(ends)]
@@ -231,7 +216,8 @@ class ProcSpace:
         image of their restriction repeats once per combination of the
         factors dropped."""
         src, dst = self._layout[m.src], self._layout[m.dst]
-        along = _along(self.scale, m)
+        # The arrow (u, m.t0, m.t0p) for each u in (m.t, m.t0].
+        along = self.scale.arrows(m.r0, m.r0p)[m.r + 1:]
         values = [*map(self.a.res, along)]
         pos = []
         for k, off in zip(range(dst.stops), dst.offsets):

@@ -79,11 +79,13 @@ class TemporalObj:
         if found is None:
             if mor.src is mor.dst:
                 found = f_identity(self.carrier[mor.dst])
+            elif mor.r0p - mor.r0 == 1:
+                found = self.restrict_at(mor)
             else:
-                *_, lo, hi = steps = self.scale.closed_closed(mor.t0, mor.t0p)
-                # A cover, or the arrow one cover shorter after the cover out of mor.src.
-                found = self.restrict_at(mor) if len(steps) == 2 else f_compose(
-                    self.res(IndexMor(mor.t, mor.t0, lo)), self.res(IndexMor(mor.t, lo, hi)))
+                # The arrow one cover shorter after the cover out of mor.src.
+                lo, arrows = mor.r0p - 1, self.scale.arrows
+                found = f_compose(self.res(arrows(mor.r0, lo)[mor.r]),
+                                  self.res(arrows(lo, mor.r0p)[mor.r]))
             self._derived[mor] = found
         return found
 
@@ -278,7 +280,7 @@ def pointwise_coproduct(summands: Sequence[TemporalObj]) -> TemporalObj:
 
 
 def t_identity(obj: TemporalObj) -> TemporalMor:
-    return TemporalMor(obj, obj, lambda i: obj.res(IndexMor(i.t, i.t0, i.t0)))
+    return TemporalMor(obj, obj, lambda i: obj.res(i.identity))
 
 
 def t_compose(f: TemporalMor, g: TemporalMor) -> TemporalMor:
@@ -342,17 +344,16 @@ def exponential_end(a: TemporalObj, b: TemporalObj) -> TemporalObj:
         raise ValueError("objects live over different scales")
 
     def carrier_at(i: IndexPair) -> FinObj:
-        times = scale.closed_closed(i.t, i.t0)
         total = 1
         spaces = []
-        for tq in times:
-            here = IndexPair(i.t, tq)
+        for q in range(i.r, i.r0 + 1):
+            here = scale.column(q)[i.r]
             total *= len(b.at(here)) ** len(a.at(here))
             if total > DEFAULT_CAP:
                 raise CapExceeded(total, DEFAULT_CAP)
             spaces.append(enumerate_mors(a.at(here), b.at(here)))
         # Squares along covers suffice, as in `naturality_witness`.
-        covers = [IndexMor(i.t, lo, hi) for lo, hi in zip(times, times[1:])]
+        covers = [scale.arrows(q, q + 1)[i.r] for q in range(i.r, i.r0)]
         return FinObj([
             Tup(tuple(_fn_tab(c) for c in choice))
             for choice in iter_product(*spaces)
@@ -363,7 +364,7 @@ def exponential_end(a: TemporalObj, b: TemporalObj) -> TemporalObj:
     carrier_cache = {i: carrier_at(i) for i in scale.indices()}
 
     def restrict_at(m: IndexMor) -> FinMor:
-        keep = len(scale.closed_closed(m.t, m.t0))
+        keep = m.r0 - m.r + 1
         return fin_mor(
             carrier_cache[m.src],
             carrier_cache[m.dst],

@@ -6,14 +6,15 @@ observation time) and exactly one morphism (t, t0') -> (t, t0) whenever
 t0 <= t0', recorded as the triple (t, t0, t0').  Restriction along such a
 morphism forgets everything learned after t0.
 
+The scale owns its index category: it makes each pair and arrow once,
+so they compare by identity, and hands them out by the ranks of their
+points.
+
 A termination bound is a scale point, or `UNBOUNDED` (None) for the top
 element above every point.
 """
 from __future__ import annotations
 
-import functools
-import weakref
-from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import isqrt
@@ -32,10 +33,11 @@ class ScaleOverlapError(ValueError):
 
 class Value:
     """A value: its fields are its `__slots__`, which its own `__init__`
-    sets with `object.__setattr__`; any later assignment or deletion
-    raises AttributeError.  Instances are equal only within one class,
-    when their fields are; the hash is that of the tuple of fields, and
-    the repr `Name(field=value, ...)` unless the class writes its own.
+    (a `TimeScale`'s `__new__`) sets with `object.__setattr__`; any later
+    assignment or deletion raises AttributeError.  Instances are equal
+    only within one class, when their fields are; the hash is that of the
+    tuple of fields, and the repr `Name(field=value, ...)` unless the
+    class writes its own.
     A slot whose name starts with `_` holds state, not a field: equality,
     hash and repr leave it out."""
 
@@ -67,103 +69,83 @@ class Value:
         return f"{type(self).__qualname__}({fields})"
 
 
-@functools.total_ordering
-class _Shared:
-    """One instance per value of its fields, as Fractions, while anything
-    holds it: the constructor hands back the live one from the subclass's
-    weak `_made` table, or makes one after `_rest` checks the fields and
-    gives the other slots.  So instances hash and compare by identity,
-    and order by their fields."""
+class IndexPair:
+    """Object (t, t0) of the index category: present time t, observed up
+    to t0.  r <= r0 are the ranks of t and t0 among the scale's points,
+    and `identity` is the pair's identity arrow.  The scale makes each
+    pair once, so pairs compare and hash by identity; they are immutable."""
 
-    __slots__ = ("_key", "__weakref__")
-    __eq__, __hash__ = object.__eq__, object.__hash__
+    __slots__ = ("t", "t0", "r", "r0", "identity")
+    __setattr__, __delattr__ = Value.__setattr__, Value.__delattr__
 
-    def __new__(cls, *key):
-        try:
-            return cls._made[key]
-        except KeyError:
-            key = tuple(map(Fraction, key))
-        made = cls._made.get(key)
-        if made is None:
-            rest = cls._rest(*key)
-            made = cls._made[key] = object.__new__(cls)
-            for name, value in zip(cls.__slots__, (*key, *rest)):
-                object.__setattr__(made, name, value)
-            object.__setattr__(made, "_key", key)
-        return made
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __lt__(self, other) -> bool:
-        return self._key < other._key if type(other) is type(self) else NotImplemented
+    def __init__(self, points: tuple, r: int, r0: int) -> None:
+        for name, value in (("t", points[r]), ("t0", points[r0]), ("r", r), ("r0", r0)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "identity", IndexMor(self, self))
 
     def __repr__(self) -> str:
-        return "(" + ", ".join(map(str, self._key)) + ")"
+        return f"({self.t}, {self.t0})"
 
 
-class IndexPair(_Shared):
-    """Object (t, t0) of the index category: present time t, observed up to t0."""
-
-    __slots__ = ("t", "t0")
-    _made = weakref.WeakValueDictionary()
-
-    @staticmethod
-    def _rest(t: Fraction, t0: Fraction) -> tuple:
-        if t > t0:
-            raise ValueError(f"index pair needs t <= t0, got ({t}, {t0})")
-        return ()
-
-
-class IndexMor(_Shared):
+class IndexMor:
     """Morphism (t, t0, t0'): forgets information acquired after t0.
 
-    Runs from the better-informed object `src` = (t, t0') to `dst` =
-    (t, t0); t0 <= t0'.  With one instance per value, an identity arrow
-    is one with `src is dst`."""
+    Runs from the better-informed pair `src` = (t, t0') to `dst` =
+    (t, t0); t0 <= t0', and r <= r0 <= r0p are the ranks of t, t0 and
+    t0'.  Made once by the scale, like a pair, so an identity arrow is one
+    with `src is dst`."""
 
-    __slots__ = ("t", "t0", "t0p", "src", "dst")
-    _made = weakref.WeakValueDictionary()
+    __slots__ = ("t", "t0", "t0p", "r", "r0", "r0p", "src", "dst")
+    __setattr__, __delattr__ = Value.__setattr__, Value.__delattr__
 
-    @staticmethod
-    def _rest(t: Fraction, t0: Fraction, t0p: Fraction) -> tuple:
-        if not t <= t0 <= t0p:
-            raise ValueError(f"index morphism needs t <= t0 <= t0', got ({t}, {t0}, {t0p})")
-        return IndexPair(t, t0p), IndexPair(t, t0)
+    def __init__(self, src: IndexPair, dst: IndexPair) -> None:
+        for name, value in (("t", dst.t), ("t0", dst.t0), ("t0p", src.t0), ("r", dst.r),
+                            ("r0", dst.r0), ("r0p", src.r0), ("src", src), ("dst", dst)):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        return f"({self.t}, {self.t0}, {self.t0p})"
 
 
-def _per_scale(method):
-    """Memoize a TimeScale method on its arguments, in that scale's own
-    table for the method: a scale of n points gives at most n * n
-    entries per method.  The argument tuple of the call is the key."""
-    name = method.__name__
-
-    @functools.wraps(method)
-    def memoized(self, *args):
-        table = self._memo[name]
-        try:
-            return table[args]
-        except KeyError:
-            value = table[args] = method(self, *args)
-            return value
-
-    return memoized
+_SCALES: dict = {}  # points -> the one TimeScale over them
 
 
 class TimeScale(Value):
-    """Strictly ascending points, as Fractions; `_memo` holds the
-    `_per_scale` tables."""
+    """Strictly ascending points, as Fractions, and the index category
+    over them.  There is one scale per tuple of points, which
+    `TimeScale(points)` returns, so scales compare by identity; the hash
+    is still that of the points.  A scale makes all its index pairs with
+    itself, and its arrows when first read, a column at a time: the
+    arrows (u, t0, t0') for every u, kept in `_arrows` under the ranks
+    of t0 and t0'."""
 
-    __slots__ = ("points", "_memo")
+    __slots__ = ("points", "_rank", "_columns", "_indices", "_arrows")
+    __eq__ = object.__eq__
+    __hash__ = Value.__hash__
 
-    def __init__(self, points: tuple[Union[int, str, Fraction], ...]) -> None:
+    def __new__(cls, points: tuple[Union[int, str, Fraction], ...]) -> "TimeScale":
         points = tuple(map(Fraction, points))
+        made = _SCALES.get(points)
+        if made is not None:
+            return made
         if not points:
             raise ValueError("time scale needs at least one point")
         if any(b <= a for a, b in zip(points, points[1:])):
             raise ValueError(f"time scale points must be strictly ascending: {points}")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "_memo", defaultdict(dict))
+        made, n = object.__new__(cls), len(points)
+        # _columns[r0][r] is the pair of ranks (r, r0).
+        columns = tuple(tuple(IndexPair(points, r, r0) for r in range(r0 + 1))
+                        for r0 in range(n))
+        for name, value in (
+                ("points", points),
+                ("_rank", {p: r for r, p in enumerate(points)}),
+                ("_columns", columns),
+                ("_indices", tuple(columns[r0][r] for r in range(n) for r0 in range(r, n))),
+                ("_arrows", {(r0, r0): tuple(i.identity for i in column)
+                             for r0, column in enumerate(columns)})):
+            object.__setattr__(made, name, value)
+        _SCALES[points] = made
+        return made
 
     @classmethod
     def of(cls, *values: Union[int, str, Fraction]) -> "TimeScale":
@@ -178,34 +160,51 @@ class TimeScale(Value):
         return self.points[-1]
 
     def __contains__(self, t: Fraction) -> bool:
-        return t in self.points
+        return t in self._rank
 
-    @_per_scale
     def open_closed(self, a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
-        return tuple(p for p in self.points if a < p <= b)
+        """The points in (a, b], for points a and b of the scale."""
+        return self.points[self._rank[a] + 1:self._rank[b] + 1]
 
-    @_per_scale
-    def closed_closed(self, a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
-        return tuple(p for p in self.points if a <= p <= b)
+    def pair(self, t: Fraction, t0: Fraction) -> Optional[IndexPair]:
+        """The index pair (t, t0); None unless t <= t0 are points of the scale."""
+        r, r0 = self._rank.get(t), self._rank.get(t0)
+        if r is None or r0 is None or r > r0:
+            return None
+        return self._columns[r0][r]
 
-    @_per_scale
+    def column(self, r0: int) -> tuple[IndexPair, ...]:
+        """The pairs (u, t0) for every point u <= t0, by rank of u, where
+        t0 is the point of rank r0."""
+        return self._columns[r0]
+
+    def arrows(self, r0: int, r0p: int) -> tuple[IndexMor, ...]:
+        """The arrows (u, t0, t0') for every point u <= t0, by rank of u,
+        where t0 <= t0' are the points of ranks r0 <= r0p; made on first
+        read."""
+        found = self._arrows.get((r0, r0p))
+        if found is None:
+            if not 0 <= r0 <= r0p:
+                raise ValueError(f"no arrows from rank {r0p} to rank {r0}")
+            found = self._arrows[r0, r0p] = tuple(
+                map(IndexMor, self._columns[r0p], self._columns[r0]))
+        return found
+
     def indices(self) -> tuple[IndexPair, ...]:
-        return tuple(
-            IndexPair(t, t0) for t in self.points for t0 in self.points if t <= t0
-        )
+        """Every index pair, ordered by t, then t0."""
+        return self._indices
 
-    @_per_scale
     def index_mors(self) -> tuple[IndexMor, ...]:
-        return tuple(IndexMor(t, t0, t0p)
-                     for t, t0, t0p in combinations_with_replacement(self.points, 3))
+        """Every index morphism, ordered by t, then t0, then t0'."""
+        return tuple(self.arrows(r0, r0p)[r]
+                     for r, r0, r0p in combinations_with_replacement(range(len(self.points)), 3))
 
-    @_per_scale
     def covers(self) -> tuple[IndexMor, ...]:
         """The index morphisms (t, p, q) with q the point after p, in
         `index_mors` order.  Every other non-identity morphism is a
         composite of covers."""
-        after = dict(zip(self.points, self.points[1:]))
-        return tuple(m for m in self.index_mors() if after.get(m.t0) == m.t0p)
+        n = len(self.points)
+        return tuple(self.arrows(r0, r0 + 1)[r] for r in range(n) for r0 in range(r, n - 1))
 
     def __repr__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.points) + "}"

@@ -1,4 +1,5 @@
-"""Element-level helpers on process values that several test files share."""
+"""Element-level helpers on process values, and an index lookup, that
+several test files share."""
 from proccat.process import LiveSpace, Ongoing, ProcSpace, StepSpace, Terminated
 
 
@@ -51,3 +52,9 @@ def render_element(space, i, e):
             return f"done({e.value!r})"
         return render_element(space.live, i, e.value)
     return repr(e)
+
+
+def arrow(scale, t, t0, t0p):
+    """The index morphism (t, t0, t0') of `scale`, found by its points."""
+    src, dst = scale.pair(t, t0p), scale.pair(t, t0)
+    return scale.arrows(dst.r0, src.r0)[dst.r]

@@ -24,7 +24,7 @@ from proccat.process import (
     behavior_live_space,
     event_space,
 )
-from proccat.times import IndexPair, TimeScale, UNBOUNDED
+from proccat.times import TimeScale, UNBOUNDED
 from proccat.temporal import unit_obj
 from proccat.twoexit import check_roundtrips
 
@@ -98,11 +98,11 @@ def test_criterion_6_frozen_carrier_counts(capsys):
     full = ProcSpace(UNBOUNDED, u, u)
     cut = ProcSpace(Fraction(1), u, u)
     expected = [
-        (full.obj.at(IndexPair(0, 2)), 3),
-        (full.obj.at(IndexPair(2, 2)), 1),
-        (behavior_live_space(u).obj.at(IndexPair(0, 2)), 1),
-        (event_space(u).obj.at(IndexPair(0, 2)), 2),
-        (cut.obj.at(IndexPair(2, 2)), 0),
+        (full.obj.at(SCALE.pair(0, 2)), 3),
+        (full.obj.at(SCALE.pair(2, 2)), 1),
+        (behavior_live_space(u).obj.at(SCALE.pair(0, 2)), 1),
+        (event_space(u).obj.at(SCALE.pair(0, 2)), 2),
+        (cut.obj.at(SCALE.pair(2, 2)), 0),
     ]
     ok = all(len(carrier) == n for carrier, n in expected)
     with capsys.disabled():

@@ -6,7 +6,6 @@ import os
 import shutil
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from proccat import cli, finset, laws
 from proccat.cli import main, parse_command_line
-from proccat.times import IndexPair
 
 GOLDEN_DUMPS = json.loads(
     (Path(__file__).parent / "fixtures" / "golden_dumps.json").read_text(encoding="utf-8"))
@@ -134,7 +132,7 @@ def test_dump_builds_no_element_of_the_listed_carrier(capsys, monkeypatch):
     code, out, _ = run(capsys, ["dump", "flag(10) |>[inf] unit", "0", "2"])
     assert code == 0 and out.startswith("index (0, 2)\nsize 1111\n")
     (space,) = parsed
-    todo, structured = [space.obj.at(IndexPair(Fraction(0), Fraction(2)))], 0
+    todo, structured = [space.obj.at(space.scale.pair(0, 2))], 0
     while todo:
         carrier = todo.pop()
         if carrier.kind:

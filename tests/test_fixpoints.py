@@ -52,13 +52,13 @@ from proccat.temporal import (
     t_product_mor,
     unit_obj,
 )
-from proccat.times import IndexPair, TimeScale, UNBOUNDED
+from proccat.times import TimeScale, UNBOUNDED
 from proccat.twoexit import check_roundtrips, defer_all
 
 from process_values import decode_live, render_value
 
 SCALE = TimeScale.of(0, 1, 2)
-I02 = IndexPair(Fraction(0), Fraction(2))
+I02 = SCALE.pair(0, 2)
 COITER = dict(coiter_problems())
 RECUR = dict(recur_problems())
 

@@ -1,5 +1,6 @@
-"""Every imported name is used, and every top-level function and class
-of the package is referenced from its code: AST scans."""
+"""Every imported name is used, every top-level function and class of
+the package is referenced from its code, and only `times` builds index
+values: AST scans."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -53,3 +54,25 @@ def unreferenced_definitions(paths: list) -> list:
 def test_every_definition_is_referenced():
     paths = sorted((ROOT / "src" / "proccat").glob("*.py"))
     assert unreferenced_definitions(paths) == []
+
+
+INDEX_CLASSES = ("IndexPair", "IndexMor")
+
+
+def index_value_calls(path: Path) -> list:
+    """`file:line: name` for each call in `path` that builds an index pair
+    or arrow, by bare or dotted name."""
+    tree = ast.parse(path.read_text(), str(path))
+    called = [(n.lineno, getattr(n.func, "id", getattr(n.func, "attr", None)))
+              for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for line, name in called if name in INDEX_CLASSES]
+
+
+def test_only_the_scale_builds_index_values():
+    # Every other module reads its pairs and arrows off a scale, so how an
+    # index is found is decided in `times` alone.
+    package = ROOT / "src" / "proccat"
+    assert len(index_value_calls(package / "times.py")) == 2
+    assert [found for path in sorted(package.glob("*.py")) if path.name != "times.py"
+            for found in index_value_calls(path)] == []

@@ -33,12 +33,12 @@ from proccat.temporal import (
     t_proj,
     unit_obj,
 )
-from proccat.times import IndexPair, TimeScale, UNBOUNDED
+from proccat.times import TimeScale, UNBOUNDED
 
 SCALE = TimeScale.of(0, 1, 2)
 U = unit_obj(SCALE)
 F = flag_temporal(SCALE)
-I02 = IndexPair(Fraction(0), Fraction(2))
+I02 = SCALE.pair(0, 2)
 
 
 def test_expand_forget_is_identity():
@@ -58,7 +58,7 @@ def test_expand_attaches_each_suffix():
     assert isinstance(out, Terminated) and out.at_time == Fraction(2)
     (u, pair), = out.seen
     assert u == Fraction(1)
-    inner = sp.decode(IndexPair(Fraction(1), Fraction(2)), pair.items[1])
+    inner = sp.decode(SCALE.pair(1, 2), pair.items[1])
     # the attached process is what remains after time 1
     assert inner == Terminated(Fraction(2), (), UNIT_ELEM)
 
@@ -66,7 +66,7 @@ def test_expand_attaches_each_suffix():
 def test_join_splices_a_handover():
     sp = ProcSpace(UNBOUNDED, U, U)
     js = joining_space(sp)
-    tail = sp.encode(IndexPair(Fraction(1), Fraction(2)),
+    tail = sp.encode(SCALE.pair(1, 2),
                      Terminated(Fraction(2), (), UNIT_ELEM))
     head = js.encode(
         I02,

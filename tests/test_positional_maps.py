@@ -39,7 +39,7 @@ from proccat.temporal import (
     t_proj,
     unit_obj,
 )
-from proccat.times import IndexPair, TimeScale, UNBOUNDED
+from proccat.times import TimeScale, UNBOUNDED
 
 from process_values import rest_after, seen_value
 
@@ -50,9 +50,9 @@ def ref_proc_map(src, dst, act, res):
     def component(i):
         def step(elem):
             v = src.decode(i, elem)
-            seen = tuple((u, act.at(IndexPair(u, i.t0))(x)) for u, x in v.seen)
+            seen = tuple((u, act.at(src.scale.pair(u, i.t0))(x)) for u, x in v.seen)
             if isinstance(v, Terminated):
-                y = res.at(IndexPair(v.at_time, i.t0))(v.result)
+                y = res.at(src.scale.pair(v.at_time, i.t0))(v.result)
                 return dst.encode(i, Terminated(v.at_time, seen, y))
             return dst.encode(i, Ongoing(seen))
 
@@ -75,7 +75,7 @@ def ref_expand(sp):
         def step(elem):
             v = sp.decode(i, elem)
             seen = tuple(
-                (u, Tup((x, sp.encode(IndexPair(u, i.t0), rest_after(v, u)))))
+                (u, Tup((x, sp.encode(sp.scale.pair(u, i.t0), rest_after(v, u)))))
                 for u, x in v.seen)
             if isinstance(v, Terminated):
                 return target.encode(i, Terminated(v.at_time, seen, v.result))
@@ -98,7 +98,7 @@ def ref_join(sp):
             if then.tag == 0:
                 return sp.encode(i, Terminated(v.at_time, v.seen, then.value))
             x, q_elem = then.value.items
-            q = sp.decode(IndexPair(v.at_time, i.t0), q_elem)
+            q = sp.decode(sp.scale.pair(v.at_time, i.t0), q_elem)
             seen = v.seen + ((v.at_time, x),) + q.seen
             if isinstance(q, Terminated):
                 return sp.encode(i, Terminated(q.at_time, seen, q.result))
@@ -129,7 +129,7 @@ def ref_zip(m):
                 stop, tag = t1, 0
             seen = tuple((u, Tup((seen_value(v1, u), seen_value(v2, u))))
                          for u in m.scale.points if i.t < u < stop)
-            here = IndexPair(stop, i.t0)
+            here = m.scale.pair(stop, i.t0)
             if tag == 0:
                 outcome = Inj(0, Tup((v1.result, v2.result)))
             elif tag == 1:

@@ -25,7 +25,7 @@ from proccat.temporal import (
     pointwise_product,
     unit_obj,
 )
-from proccat.times import IndexPair, TimeScale, UNBOUNDED
+from proccat.times import TimeScale, UNBOUNDED
 
 from process_values import decode_live, rest_after
 
@@ -38,7 +38,7 @@ def ref_splice(sp, t0, v, then):
     if then.tag == 0:
         return Terminated(v.at_time, v.seen, then.value)
     x, q_elem = then.value.items
-    q = sp.decode(IndexPair(v.at_time, t0), q_elem)
+    q = sp.decode(sp.scale.pair(v.at_time, t0), q_elem)
     seen = v.seen + ((v.at_time, x),) + q.seen
     if isinstance(q, Terminated):
         return Terminated(q.at_time, seen, q.result)
@@ -53,7 +53,7 @@ def ref_finish_round(mixed, target, i, elem, onward):
     if isinstance(v, Terminated):
         r = v.result
         if r.tag == 1:
-            r = onward(IndexPair(v.at_time, i.t0), r.value)
+            r = onward(target.scale.pair(v.at_time, i.t0), r.value)
         v = ref_splice(target.proc, i.t0, v, r)
     return target.encode(i, x, v)
 
@@ -64,7 +64,7 @@ def ref_consume(pr, i, elem, aux):
     v = pr.source.decode(i, elem)
     seen = []
     for u, x in v.seen:
-        here = IndexPair(u, i.t0)
+        here = pr.source.scale.pair(u, i.t0)
         suffix = pr.source.encode(here, rest_after(v, u))
         seen.append((u, Tup((x, aux(here, suffix)))))
     if isinstance(v, Terminated):

@@ -40,13 +40,13 @@ from proccat.temporal import (
     t_identity,
     unit_obj,
 )
-from proccat.times import IndexMor, IndexPair, TimeScale, UNBOUNDED
+from proccat.times import IndexPair, TimeScale, UNBOUNDED
 
-from process_values import render_element, render_value, rest_after, seen_value
+from process_values import arrow, render_element, render_value, rest_after, seen_value
 
 SCALE = TimeScale.of(0, 1, 2)
-I02 = IndexPair(Fraction(0), Fraction(2))
-I22 = IndexPair(Fraction(2), Fraction(2))
+I02 = SCALE.pair(0, 2)
+I22 = SCALE.pair(2, 2)
 
 
 def count_processes(scale, w, size_a, size_b, i):
@@ -180,9 +180,8 @@ def test_restriction_truncates_late_stops():
     sp = ProcSpace(UNBOUNDED, unit_obj(SCALE), unit_obj(SCALE))
     late = sp.encode(I02, Terminated(Fraction(2), ((Fraction(1), UNIT_ELEM),),
                                      UNIT_ELEM))
-    m = IndexMor(Fraction(0), Fraction(1), Fraction(2))
-    shorter = sp.obj.res(m)(late)
-    v = sp.decode(IndexPair(Fraction(0), Fraction(1)), shorter)
+    shorter = sp.obj.res(arrow(SCALE, 0, 1, 2))(late)
+    v = sp.decode(SCALE.pair(0, 1), shorter)
     assert isinstance(v, Ongoing)
     assert v.seen == ((Fraction(1), UNIT_ELEM),)
 
@@ -190,8 +189,7 @@ def test_restriction_truncates_late_stops():
 def test_early_stops_survive_restriction():
     sp = ProcSpace(UNBOUNDED, unit_obj(SCALE), unit_obj(SCALE))
     early = sp.encode(I02, Terminated(Fraction(1), (), UNIT_ELEM))
-    m = IndexMor(Fraction(0), Fraction(1), Fraction(2))
-    v = sp.decode(IndexPair(Fraction(0), Fraction(1)), sp.obj.res(m)(early))
+    v = sp.decode(SCALE.pair(0, 1), sp.obj.res(arrow(SCALE, 0, 1, 2))(early))
     assert isinstance(v, Terminated) and v.at_time == Fraction(1)
 
 
@@ -342,7 +340,7 @@ def reference_values(sp, i):
     """Every process value at i, enumerated from the value and result
     pools."""
     def pool(obj, u):
-        return obj.at(IndexPair(u, i.t0)).elements
+        return obj.at(sp.scale.pair(u, i.t0)).elements
 
     lay = sp.obj.layout[i]
     out = []
@@ -361,7 +359,7 @@ def reference_restrict(sp, m, v):
     """Restrict each recorded value and the result along m, and forget a
     stop after m.t0 together with the values recorded after m.t0."""
     def down(obj, u, x):
-        return obj.res(IndexMor(u, m.t0, m.t0p))(x)
+        return obj.res(arrow(sp.scale, u, m.t0, m.t0p))(x)
 
     seen = tuple((u, down(sp.a, u, x)) for u, x in v.seen if u <= m.t0)
     if isinstance(v, Terminated) and v.at_time <= m.t0:
@@ -423,8 +421,8 @@ def test_spaces_match_the_element_level_reference_on_drawn_scales(points, a_kind
 
 
 FOUR = TimeScale.of(0, 1, 2, 3)
-COVER = IndexMor(Fraction(0), Fraction(1), Fraction(2))
-COMPOSITE = IndexMor(Fraction(0), Fraction(1), Fraction(3))  # COVER after (0, 2, 3)
+COVER = arrow(FOUR, 0, 1, 2)
+COMPOSITE = arrow(FOUR, 0, 1, 3)  # COVER after (0, 2, 3)
 
 
 def swapped(f: FinMor) -> FinMor:
@@ -466,4 +464,4 @@ def test_the_functor_check_builds_each_restriction_once(monkeypatch):
     monkeypatch.setattr(ProcSpace, "_restrict_at", counted)
     sp = ProcSpace(UNBOUNDED, flag_temporal(FOUR), unit_obj(FOUR))
     assert check_functor(sp.obj) is None
-    assert sorted(asked) == sorted(FOUR.index_mors())
+    assert len(asked) == len(set(asked)) and set(asked) == set(FOUR.index_mors())

@@ -44,7 +44,9 @@ from proccat.temporal import (
     t_identity,
     unit_obj,
 )
-from proccat.times import UNBOUNDED, IndexMor, IndexPair, TimeScale
+from proccat.times import UNBOUNDED, TimeScale
+
+from process_values import arrow
 
 SCALE = TimeScale.of(0, 1, 2)
 SMALL = TimeScale.of(0, 1)
@@ -250,7 +252,7 @@ def test_exponential_collects_compatible_families():
     # maps 1 -> Flag pick one flag per observation level, coherently
     e = exponential_end(unit_obj(SMALL), flag_temporal(SMALL, 2))
     assert check_functor(e) is None
-    i = IndexPair(SMALL.points[0], SMALL.points[1])
+    i = SMALL.pair(SMALL.points[0], SMALL.points[1])
     # at (0,1) a family fixes images at (0,0) and (0,1); restriction of a
     # constant object forces them equal, so exactly two families remain
     assert len(e.at(i)) == 2
@@ -277,8 +279,8 @@ def test_an_object_is_built_from_its_covers(points):
         if m.t0 == m.t0p:
             assert obj.res(m).table == {e: e for e in obj.at(m.src)}
             continue
-        steps = scale.closed_closed(m.t0, m.t0p)
-        covers = [base.restrict_at(IndexMor(m.t, lo, hi))
+        steps = [p for p in scale.points if m.t0 <= p <= m.t0p]
+        covers = [base.restrict_at(arrow(scale, m.t, lo, hi))
                   for lo, hi in reversed(list(zip(steps, steps[1:])))]
         for e in obj.at(m.src):
             image = e
@@ -353,7 +355,7 @@ def test_a_derived_restriction_is_built_once():
         assert obj.res(m) is obj.res(m)
     ident, again = t_identity(obj), t_identity(obj)
     for i in SCALE.indices():
-        assert ident.at(i) is again.at(i) is obj.res(IndexMor(i.t, i.t0, i.t0))
+        assert ident.at(i) is again.at(i) is obj.res(arrow(SCALE, i.t, i.t0, i.t0))
 
 
 def test_the_covers_decide_equality():

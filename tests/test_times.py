@@ -8,8 +8,6 @@ from proccat.cli import parse_descriptor
 from proccat.process import ProcSpace
 from proccat.temporal import flag_temporal, unit_obj
 from proccat.times import (
-    IndexMor,
-    IndexPair,
     ScaleOverlapError,
     ScaleParseError,
     SEARCH_BUDGET,
@@ -26,6 +24,8 @@ from proccat.times import (
     w_meet,
 )
 
+from process_values import arrow
+
 SCALE = TimeScale.of(0, 1, 2)
 
 bounds = st.sampled_from([UNBOUNDED, *SCALE.points])
@@ -41,10 +41,12 @@ def test_scale_needs_ascending_points():
 
 
 def test_index_pair_and_mor_validation():
-    with pytest.raises(ValueError):
-        IndexPair(Fraction(2), Fraction(1))
-    with pytest.raises(ValueError):
-        IndexMor(Fraction(0), Fraction(2), Fraction(1))
+    # Only the scale makes index values; a lookup outside its index
+    # category finds none.
+    assert SCALE.pair(Fraction(2), Fraction(1)) is None
+    assert SCALE.pair(0, 3) is None and SCALE.pair(Fraction(1, 2), 1) is None
+    with pytest.raises(ValueError, match=r"^no arrows from rank 1 to rank 2$"):
+        SCALE.arrows(2, 1)
 
 
 def test_index_counts_match_direct_enumeration():
@@ -71,8 +73,7 @@ def test_index_counts_match_direct_enumeration():
 def test_interval_helpers():
     two = Fraction(2)
     assert SCALE.open_closed(Fraction(0), two) == (Fraction(1), two)
-    assert SCALE.closed_closed(Fraction(0), two) == SCALE.points
-    assert SCALE.open_closed(two, two) == ()
+    assert SCALE.open_closed(two, two) == () == SCALE.open_closed(two, 0)
     assert SCALE.start == Fraction(0) and SCALE.end == two
 
 
@@ -209,14 +210,17 @@ def test_memoized_intervals_match_the_direct_filter(n):
     scale = TimeScale(tuple(points))
     for a in points:
         for b in points:
-            for _ in range(2):  # the first call fills the table, the second reads it
-                assert scale.open_closed(a, b) == tuple(p for p in points if a < p <= b)
-                assert scale.closed_closed(a, b) == tuple(p for p in points if a <= p <= b)
-    assert scale.indices() == tuple(
-        IndexPair(t, t0) for t in points for t0 in points if t <= t0)
-    assert scale.index_mors() == tuple(
-        IndexMor(t, t0, t0p) for t in points for t0 in points for t0p in points
-        if t <= t0 <= t0p)
+            assert scale.open_closed(a, b) == tuple(p for p in points if a < p <= b)
+    pairs = [(t, t0) for t in points for t0 in points if t <= t0]
+    assert [(i.t, i.t0) for i in scale.indices()] == pairs
+    assert scale.indices() == tuple(scale.pair(t, t0) for t, t0 in pairs)
+    triples = [(t, t0, t0p) for t in points for t0 in points for t0p in points
+               if t <= t0 <= t0p]
+    assert [(m.t, m.t0, m.t0p) for m in scale.index_mors()] == triples
+    assert scale.index_mors() == tuple(arrow(scale, *x) for x in triples)
+    assert [(m.t, m.t0, m.t0p) for m in scale.covers()] == [
+        (t, t0, t0p) for t, t0, t0p in triples
+        if t0p in points[1:] and points[points.index(t0p) - 1] == t0]
 
 
 # -- time points are plain Fractions ---------------------------------------
@@ -274,48 +278,68 @@ def test_every_time_the_package_makes_is_a_time():
 def test_plain_fraction_keys_find_the_scales_own_entries():
     scale = TimeScale.of("1/2", 3, 7)
     obj = ProcSpace(UNBOUNDED, flag_temporal(scale), unit_obj(scale)).obj
-    i = IndexPair(Fraction(1, 2), Fraction(7))
-    m = IndexMor(Fraction(1, 2), Fraction(3), Fraction(7))
-    own_i = next(k for k in obj.carrier if k == i)
-    own_m = next(k for k in obj.restrict if k == m)
+    i = scale.pair(Fraction(1, 2), 7)
+    m = arrow(scale, Fraction(1, 2), Fraction(3), Fraction(7))
+    own_i = next(k for k in obj.carrier if (k.t, k.t0) == (Fraction(1, 2), 7))
+    own_m = next(k for k in obj.restrict if (k.t, k.t0, k.t0p) == (Fraction(1, 2), 3, 7))
     assert own_i is i and own_m is m
-    assert hash(i) == hash(own_i) and hash(m) == hash(own_m)
     assert obj.at(i) is obj.carrier[own_i]
     assert obj.res(m) is obj.restrict[own_m]
     assert len(obj.at(i)) == 7  # stop at 3 or 7, or run on through both
 
 
 def test_an_index_value_has_one_instance():
-    i = IndexPair(Fraction(1, 2), 7)
-    assert i is IndexPair(Fraction(1, 2), Fraction(7)) is IndexPair("1/2", "7")
+    # One per value per scale: the scale makes each pair and arrow once.
+    scale = TimeScale.of("1/2", 7)
+    i = scale.pair(Fraction(1, 2), 7)
+    assert i is scale.pair(Fraction(1, 2), Fraction(7)) is scale.column(1)[0]
+    assert i in scale.indices() and i.identity is arrow(scale, Fraction(1, 2), 7, 7)
     assert type(i.t) is Fraction and type(i.t0) is Fraction and repr(i) == "(1/2, 7)"
-    m = IndexMor(0, 1, Fraction(2))
-    assert m is IndexMor(Fraction(0), 1, 2) and repr(m) == "(0, 1, 2)"
+    assert (i.r, i.r0) == (0, 1)
+    m = arrow(SCALE, 0, 1, 2)
+    assert m is arrow(SCALE, Fraction(0), 1, 2) is SCALE.arrows(1, 2)[0]
+    assert m in SCALE.index_mors() and m in SCALE.covers() and repr(m) == "(0, 1, 2)"
     assert all(type(x) is Fraction for x in (m.t, m.t0, m.t0p))
-    assert m.src is IndexPair(0, 2) and m.dst is IndexPair(0, 1)
-    # Identity hash, value order.
+    assert (m.r, m.r0, m.r0p) == (0, 1, 2)
+    assert m.src is SCALE.pair(0, 2) and m.dst is SCALE.pair(0, 1)
+    # Identity hash and equality; no order.
     assert hash(i) == object.__hash__(i) and hash(m) == object.__hash__(m)
-    pairs = [IndexPair(1, 2), IndexPair(0, 2), IndexPair(1, 1), IndexPair(0, 0)]
-    assert sorted(pairs) == sorted(pairs, key=lambda p: (p.t, p.t0))
-    assert IndexPair(0, 1) < IndexPair(0, 2) <= IndexPair(0, 2) < IndexPair(1, 1)
-    assert max(SCALE.index_mors()) == IndexMor(2, 2, 2)
-    with pytest.raises(ValueError, match=r"index pair needs t <= t0, got \(2, 1\)"):
-        IndexPair(2, 1)
-    with pytest.raises(ValueError, match=r"needs t <= t0 <= t0', got \(0, 2, 1\)"):
-        IndexMor(0, 2, 1)
+    with pytest.raises(TypeError):
+        SCALE.pair(0, 1) < SCALE.pair(0, 2)
     with pytest.raises(AttributeError):
         i.t = Fraction(0)
     for scale in (SCALE, TimeScale.of("1/2", 3, 7)):
         identities = [m for m in scale.index_mors() if m.t0 == m.t0p]
-        assert identities and all(m.src is m.dst for m in identities)
+        assert identities == [i.identity for i in scale.indices()]
+        assert all(m.src is m.dst for m in identities)
         assert all(m.src is not m.dst for m in scale.index_mors() if m.t0 != m.t0p)
 
 
-def test_an_index_instance_dies_with_its_last_holder():
-    m = IndexMor(Fraction(5, 7), 8, 9)
-    key = (Fraction(5, 7), Fraction(8))
-    assert IndexPair._made[key] is m.dst and IndexMor._made[key + (Fraction(9),)] is m
-    del m
-    assert key not in IndexPair._made and key + (Fraction(9),) not in IndexMor._made
-    # A value built again after that is a fresh, valid instance.
-    assert IndexPair(Fraction(5, 7), 8).t0 == 8
+def test_equal_points_give_one_scale():
+    s = TimeScale.of(0, "1/2", 1)
+    assert s is TimeScale((Fraction(0), Fraction(1, 2), 1)) is TimeScale.of(0, Fraction(1, 2), 1)
+    assert scale_from_expr(parse_scale_expr("finite(1, 0, 1/2)")) is s
+    assert s is not TimeScale.of(0, 1) and s.pair(0, 1) is not TimeScale.of(0, 1).pair(0, 1)
+
+
+def test_a_pair_from_an_equal_scale_keys_the_carriers():
+    # The grid's and the CLI's scale over (0, 1, 2) are one scale, so a
+    # pair read off either keys an object built on the other.
+    obj = ProcSpace(UNBOUNDED, flag_temporal(SCALE), unit_obj(SCALE)).obj
+    other = scale_from_expr(parse_scale_expr("finite(0, 1, 2)"))
+    i = other.pair(Fraction(0), Fraction(2))
+    assert len(obj.at(i)) == 7
+    assert obj.res(arrow(other, 0, 1, 2)).dom is obj.at(i)
+
+
+def test_arrows_are_made_when_first_read():
+    scale = TimeScale.of(*range(64))
+    # The identity arrows come with the pairs; of the 45,760 arrows no
+    # other is made until read, and then its column alone.
+    assert len(scale.indices()) == 2080
+    assert sorted(scale._arrows) == [(r, r) for r in range(64)]
+    m = arrow(scale, 5, 10, 63)
+    assert (m.t, m.t0, m.t0p) == (5, 10, 63)
+    assert sorted(scale._arrows) == sorted([(r, r) for r in range(64)] + [(10, 63)])
+    assert len(scale.arrows(10, 63)) == 11
+    assert len(scale.index_mors()) == 45760 and len(scale._arrows) == 64 * 65 // 2

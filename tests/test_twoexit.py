@@ -15,7 +15,7 @@ from proccat.temporal import (
     pointwise_coproduct,
     unit_obj,
 )
-from proccat.times import IndexPair, TimeScale, UNBOUNDED
+from proccat.times import TimeScale, UNBOUNDED
 from proccat.twoexit import (
     TwoExitProblem,
     answers_from_collapse,
@@ -27,7 +27,7 @@ from proccat.twoexit import (
 from process_values import decode_live
 
 SCALE = TimeScale.of(0, 1, 2)
-I02 = IndexPair(Fraction(0), Fraction(2))
+I02 = SCALE.pair(0, 2)
 PROBLEMS = {name: (pr, one_exit) for name, pr, one_exit in two_exit_problems(coiter_problems())}
 
 
