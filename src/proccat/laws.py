@@ -449,7 +449,7 @@ def _natural(dom: TemporalObj, cod: TemporalObj, image) -> TemporalMor:
 def _stop_next(scale: TimeScale, i: IndexPair, result):
     """The process at i that stops with `result` at the first point after
     i.t; still running when the horizon is empty."""
-    if i.t == i.t0:
+    if i.r == i.r0:
         return Ongoing(())
     return Terminated(scale.points[i.r + 1], (), result)
 

@@ -386,7 +386,7 @@ def nat_trans_space(a: TemporalObj, b: TemporalObj) -> int:
 
 def solve_order(scale: TimeScale) -> list[IndexPair]:
     """Every index, latest stop first: t descending, then t0 ascending."""
-    return sorted(scale.indices(), key=lambda i: (-i.t, i.t0))
+    return sorted(scale.indices(), key=lambda i: (-i.r, i.r0))
 
 
 def _unfixed(index: IndexPair) -> FinMor:
