@@ -36,23 +36,21 @@ from .temporal import (
     unit_obj,
 )
 from .times import (
+    ParseError,
+    Reader,
     ScaleOverlapError,
-    ScaleParseError,
     TermBound,
     TimeScale,
     UNBOUNDED,
     parse_fraction,
     parse_scale_expr,
     scale_from_expr,
+    tokenize,
     validate_scale,
 )
 
 CAP_ENV_VAR = "PROCCAT_CAP"
 GRID_SCALE_TEXT = "finite(0,1,2)"
-
-
-class DescriptorError(ValueError):
-    """Raised on any syntax or shape problem in a space descriptor."""
 
 
 # -- space descriptors ------------------------------------------------------
@@ -68,59 +66,17 @@ class DescriptorError(ValueError):
 _SYMBOLS = ("|>''", "|>'", "|>", "[", "]", "(", ")", ",")
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(sym)
-                i += len(sym)
-                break
-        else:
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_'/-."):
-                j += 1
-            if j == i:
-                raise DescriptorError(f"bad character {ch!r} in descriptor")
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+def _word_char(ch: str) -> bool:
+    return ch.isalnum() or ch in "_'/-."
 
 
-class _DescriptorParser:
+class _DescriptorParser(Reader):
     """Recursive-descent parser producing a temporal object plus, when the
     top level describes a process-like space, that space for rendering."""
 
-    def __init__(self, text: str, scale: TimeScale):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+    def __init__(self, tokens: list, scale: TimeScale):
+        super().__init__(tokens, "descriptor ends unexpectedly")
         self.scale = scale
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise DescriptorError("descriptor ends unexpectedly")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise DescriptorError(f"expected {tok!r}, got {got!r}")
-
-    def parse(self):
-        space = self.expr()
-        if self.peek() is not None:
-            raise DescriptorError(f"trailing input: {self.peek()!r}")
-        return space
 
     def expr(self):
         left = self.term()
@@ -130,24 +86,17 @@ class _DescriptorParser:
             bound = self.bound()
             self.expect("]")
             right = self.expr()
-            a, b = _carrier_of(left), _carrier_of(right)
-            if op == "|>''":
-                return ProcSpace(bound, a, b)
-            if op == "|>'":
-                return LiveSpace(bound, a, b)
-            return StepSpace(bound, a, b)
+            space = {"|>''": ProcSpace, "|>'": LiveSpace, "|>": StepSpace}[op]
+            return space(bound, _carrier_of(left), _carrier_of(right))
         return left
 
     def bound(self) -> TermBound:
         tok = self.take()
         if tok == "inf":
             return UNBOUNDED
-        try:
-            time = parse_fraction(tok)
-        except ScaleParseError as exc:
-            raise DescriptorError(str(exc)) from exc
+        time = parse_fraction(tok)
         if time not in self.scale:
-            raise DescriptorError(
+            raise ParseError(
                 f"stop bound {tok} is not a point of the scale {self.scale}; "
                 "use inf or a scale point")
         return time
@@ -174,31 +123,25 @@ class _DescriptorParser:
             return empty_obj(self.scale)
         if tok == "flag":
             n = 2
-            if self.peek() == "(":
-                self.take()
-                n = self._int(self.take())
+            if self.accept("("):
+                count = self.take()
+                if not count.isdecimal():
+                    raise ParseError(f"expected a count, got {count!r}")
+                n = int(count)
                 self.expect(")")
             return flag_temporal(self.scale, n)
         if tok in ("prod", "sum", "exp"):
             self.expect("(")
             args = [_carrier_of(self.expr())]
-            while self.peek() == ",":
-                self.take()
+            while self.accept(","):
                 args.append(_carrier_of(self.expr()))
             self.expect(")")
-            if tok == "exp":
-                if len(args) != 2:
-                    raise DescriptorError("exp takes exactly two arguments")
-                return exponential_end(args[0], args[1])
-            if tok == "prod":
-                return pointwise_product(args)
-            return pointwise_coproduct(args)
-        raise DescriptorError(f"unknown descriptor token {tok!r}")
-
-    def _int(self, tok: str) -> int:
-        if not tok.isdecimal():
-            raise DescriptorError(f"expected a count, got {tok!r}")
-        return int(tok)
+            if tok != "exp":
+                return (pointwise_product if tok == "prod" else pointwise_coproduct)(args)
+            if len(args) != 2:
+                raise ParseError("exp takes exactly two arguments")
+            return exponential_end(*args)
+        raise ParseError(f"unknown descriptor token {tok!r}")
 
 
 def _carrier_of(space) -> TemporalObj:
@@ -207,7 +150,10 @@ def _carrier_of(space) -> TemporalObj:
 
 def parse_descriptor(text: str, scale: TimeScale):
     """The space or bare temporal object a descriptor denotes."""
-    return _DescriptorParser(text, scale).parse()
+    tokens = tokenize(text, _SYMBOLS, ((_word_char, _word_char),),
+                      "bad character {!r} in descriptor")
+    parser = _DescriptorParser(tokens, scale)
+    return parser.done(parser.expr(), "trailing input: {!r}")
 
 
 # -- report formatting ------------------------------------------------------
@@ -272,7 +218,7 @@ def cmd_check(args) -> int:
             if rejection is not None:
                 return _fail("scale rejected: " + rejection)
             scale = scale_from_expr(expr)
-        except (ScaleParseError, ScaleOverlapError) as exc:
+        except (ParseError, ScaleOverlapError) as exc:
             return _fail(str(exc))
         except RecursionError:
             return _fail(TOO_DEEP)
@@ -311,7 +257,7 @@ def cmd_scale_validate(args) -> int:
     try:
         expr = parse_scale_expr(args.expr)
         rejection = validate_scale(expr)
-    except (ScaleParseError, ScaleOverlapError) as exc:
+    except (ParseError, ScaleOverlapError) as exc:
         return _fail(str(exc))
     except RecursionError:
         return _fail(TOO_DEEP)
@@ -332,7 +278,7 @@ def cmd_dump(args) -> int:
             return _fail(f"({t}, {t0}) is not an index of scale {args.scale}")
         size = _carrier_of(space).at(i).size
         lines = listing(space, i)
-    except (ScaleParseError, DescriptorError) as exc:
+    except ParseError as exc:
         return _fail(str(exc))
     except RecursionError:
         return _fail(TOO_DEEP)

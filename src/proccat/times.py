@@ -22,8 +22,9 @@ from operator import attrgetter
 from typing import Optional, Union
 
 
-class ScaleParseError(ValueError):
-    pass
+class ParseError(ValueError):
+    """Raised on any syntax or shape problem in a scale expression or a
+    space descriptor."""
 
 
 class ScaleOverlapError(ValueError):
@@ -243,7 +244,7 @@ class FiniteScale(Value):
     def __init__(self, points: tuple[Fraction, ...]) -> None:
         object.__setattr__(self, "points", points)
         if len(set(points)) != len(points):
-            raise ScaleParseError(f"duplicate points in finite scale: {self}")
+            raise ParseError(f"duplicate points in finite scale: {self}")
 
     def __str__(self) -> str:
         return "finite(" + ", ".join(map(str, self.points)) + ")"
@@ -421,98 +422,119 @@ def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ScaleParseError(f"bad rational {text!r}") from exc
+        raise ParseError(f"bad rational {text!r}") from exc
 
 
-def _tokenize_scale(text: str) -> list[str]:
+def tokenize(text: str, symbols: tuple, words: tuple, bad: str) -> list[str]:
+    """The tokens of `text`, which spaces separate.  At each position the
+    token is the first of `symbols` that starts there, else the longest
+    run read by the first `(first, rest)` character test in `words` whose
+    `first` holds; any other character is refused with `bad.format(ch)`."""
     tokens: list[str] = []
-    i = 0
-    while i < len(text):
+    i, n = 0, len(text)
+    while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch in "(),":
-            tokens.append(ch)
-            i += 1
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isdigit() or ch == "-":
-            j = i + 1
-            while j < len(text) and (text[j].isdigit() or text[j] == "/"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+            continue
+        for sym in symbols:
+            if text.startswith(sym, i):
+                j = i + len(sym)
+                break
         else:
-            raise ScaleParseError(f"unexpected character {ch!r} in scale expression")
+            for first, rest in words:
+                if first(ch):
+                    break
+            else:
+                raise ParseError(bad.format(ch))
+            j = i + 1
+            while j < n and rest(text[j]):
+                j += 1
+        tokens.append(text[i:j])
+        i = j
     return tokens
 
 
-class _ScaleParser:
-    def __init__(self, tokens: list[str]):
+class Reader:
+    """A cursor over a token list for a recursive-descent parser; `end` is
+    the message when the tokens run out.  A subclass keeps its grammar, and
+    reads a comma list inside a recursive production inline: a helper that
+    called the item reader would add a frame per level of nesting."""
+
+    def __init__(self, tokens: list[str], end: str) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.end = end
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self, expected: Optional[str] = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ScaleParseError("unexpected end of scale expression")
-        if expected is not None and tok != expected:
-            raise ScaleParseError(f"expected {expected!r}, got {tok!r}")
+    def take(self) -> str:
+        if self.pos == len(self.tokens):
+            raise ParseError(self.end)
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
+    def accept(self, tok: str) -> bool:
+        if self.peek() == tok:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, tok: str) -> None:
+        got = self.take()
+        if got != tok:
+            raise ParseError(f"expected {tok!r}, got {got!r}")
+
+    def done(self, value, trailing: str):
+        """`value` once every token is read; else `trailing.format(token)`."""
+        if self.peek() is not None:
+            raise ParseError(trailing.format(self.peek()))
+        return value
+
+
+# Names, then numbers: `1a` reads as `1` and `a`, and `.` is no token.
+_SCALE_WORDS = ((lambda ch: ch.isalpha() or ch == "_", lambda ch: ch.isalnum() or ch == "_"),
+                (lambda ch: ch.isdigit() or ch == "-", lambda ch: ch.isdigit() or ch == "/"))
+
+
+class _ScaleParser(Reader):
     def expr(self) -> ScaleExpr:
         head = self.take()
-        if head == "finite":
-            args = self.rational_args()
-            if not args:
-                raise ScaleParseError("finite takes at least one point")
-            return FiniteScale(tuple(args))
-        if head in ("desc_above", "asc_below"):
-            args = self.rational_args()
-            if len(args) != 1:
-                raise ScaleParseError(f"{head} takes one point, got {len(args)}")
-            return Chain(args[0], 1 if head == "desc_above" else -1)
+        if head in ("finite", "desc_above", "asc_below"):
+            self.expect("(")
+            points = []
+            if not self.accept(")"):
+                points.append(parse_fraction(self.take()))
+                while self.accept(","):
+                    points.append(parse_fraction(self.take()))
+                self.expect(")")
+            if head == "finite":
+                if not points:
+                    raise ParseError("finite takes at least one point")
+                return FiniteScale(tuple(points))
+            if len(points) != 1:
+                raise ParseError(f"{head} takes one point, got {len(points)}")
+            return Chain(points[0], 1 if head == "desc_above" else -1)
         if head == "union":
-            self.take("(")
+            self.expect("(")
             parts = [self.expr()]
-            while self.peek() == ",":
-                self.take(",")
+            while self.accept(","):
                 parts.append(self.expr())
-            self.take(")")
+            self.expect(")")
             return ScaleUnion(tuple(parts))
-        raise ScaleParseError(f"unknown scale constructor {head!r}")
-
-    def rational_args(self) -> list[Fraction]:
-        self.take("(")
-        if self.peek() == ")":
-            self.take()
-            return []
-        args = [parse_fraction(self.take())]
-        while self.peek() == ",":
-            self.take(",")
-            args.append(parse_fraction(self.take()))
-        self.take(")")
-        return args
+        raise ParseError(f"unknown scale constructor {head!r}")
 
 
 def parse_scale_expr(text: str) -> ScaleExpr:
-    parser = _ScaleParser(_tokenize_scale(text))
-    expr = parser.expr()
-    if parser.peek() is not None:
-        raise ScaleParseError(f"trailing input after scale expression: {parser.peek()!r}")
-    return expr
+    tokens = tokenize(text, ("(", ")", ","), _SCALE_WORDS,
+                      "unexpected character {!r} in scale expression")
+    parser = _ScaleParser(tokens, "unexpected end of scale expression")
+    return parser.done(parser.expr(), "trailing input after scale expression: {!r}")
 
 
 def scale_from_expr(expr: ScaleExpr) -> TimeScale:
     """Concrete scale for a finite expression; chains have no finite model."""
     if isinstance(expr, FiniteScale):
         return TimeScale(tuple(sorted(expr.points)))
-    raise ScaleParseError(f"only finite(..) scales can be evaluated, got {expr}")
+    raise ParseError(f"only finite(..) scales can be evaluated, got {expr}")

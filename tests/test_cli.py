@@ -174,6 +174,22 @@ def test_deeply_nested_input_is_a_usage_error(capsys, monkeypatch, tmp_path, arg
     assert not (tmp_path / "reports").exists()
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["dump", "(" * 250 + "unit" + ")" * 250, "0", "2"], 0, ""),
+    (["dump", "prod(" * 150 + "unit" + ")" * 150, "0", "2"], 0, ""),
+    (["dump", "box " * 800 + "unit", "0", "2"], 0, ""),
+    (["scale", "validate", "union(" * 800 + "finite(1)" + ")" * 800], 0, ""),
+    (["dump", "unit", "0", "0", "--scale", "union(" * 200 + "finite(1)" + ")" * 200], 2,
+     "error: only finite(..) scales can be evaluated, got "
+     + "union(" * 200 + "finite(1)" + ")" * 200 + "\n"),
+], ids=["dump-parentheses", "dump-products", "dump-prefixes", "scale-unions",
+        "dump-scale-unions"])
+def test_moderately_nested_input_is_read(capsys, argv, code, err):
+    # The parsers take a fixed number of frames per level of nesting; these
+    # depths lie well inside what they read at the default recursion limit.
+    assert run(capsys, argv)[::2] == (code, err)
+
+
 def test_dump_rejects_off_scale_index(capsys):
     code, _, err = run(capsys, ["dump", "unit", "2", "1"])
     assert code == 2 and "not an index" in err
@@ -216,11 +232,19 @@ def test_dump_rejects_off_scale_stop_bound(capsys, bound):
     (["dump", "unit |>[3] unit", "0", "2"],
      "stop bound 3 is not a point of the scale {0, 1, 2}; use inf or a scale point"),
     (["dump", "unit", "1", "3"], "(1, 3) is not an index of scale finite(0,1,2)"),
+    (["scale", "validate", "finite(0.5)"], "unexpected character '.' in scale expression"),
+    (["scale", "validate", "finite(1a)"], "expected ')', got 'a'"),
+    (["scale", "validate", "union()"], "unknown scale constructor ')'"),
+    (["dump", "prod()", "0", "2"], "unknown descriptor token ')'"),
+    (["dump", "flag(1,2)", "0", "2"], "expected ')', got ','"),
+    (["dump", "unit |>[1/0] unit", "0", "2"], "bad rational '1/0'"),
 ], ids=["unexpected-character", "unexpected-end", "expected-paren", "chain-arity",
         "unknown-constructor", "trailing-scale-input", "empty-finite", "empty-chain",
         "duplicate-points", "bad-rational", "check-non-finite", "dump-non-finite",
         "bad-character", "descriptor-end", "trailing-descriptor-input", "unknown-token",
-        "exp-arity", "bad-count", "off-scale-bound", "off-scale-index"])
+        "exp-arity", "bad-count", "off-scale-bound", "off-scale-index",
+        "scale-decimal-point", "scale-number-then-name", "empty-union", "empty-prod",
+        "flag-arity", "bad-rational-bound"])
 def test_each_input_error_has_its_message(capsys, tmp_path, argv, err):
     if argv[0] == "check":
         argv = [*argv, "--out", str(tmp_path / "OUT")]

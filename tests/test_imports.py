@@ -1,6 +1,6 @@
 """Every imported name is used, every top-level function and class of
-the package is referenced from its code, and only `times` builds index
-values: AST scans."""
+the package is referenced from its code, only `times` builds index
+values, and one class holds the parsers' cursor: AST scans."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -76,3 +76,24 @@ def test_only_the_scale_builds_index_values():
     assert len(index_value_calls(package / "times.py")) == 2
     assert [found for path in sorted(package.glob("*.py")) if path.name != "times.py"
             for found in index_value_calls(path)] == []
+
+
+CURSOR = ("peek", "take", "expect")
+
+
+def cursor_methods(path: Path) -> list:
+    """`file:Class.method` for each cursor method a class in `path` defines."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [f"{path.name}:{cls.name}.{node.name}"
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name in CURSOR]
+
+
+def test_one_class_reads_tokens():
+    # Both input languages read their tokens through `times.Reader`; each
+    # parser keeps only its grammar.
+    package = ROOT / "src" / "proccat"
+    assert [found for path in sorted(package.glob("*.py"))
+            for found in cursor_methods(path)] == [
+        "times.py:Reader.peek", "times.py:Reader.take", "times.py:Reader.expect"]

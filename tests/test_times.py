@@ -8,8 +8,8 @@ from proccat.cli import parse_descriptor
 from proccat.process import ProcSpace
 from proccat.temporal import flag_temporal, unit_obj
 from proccat.times import (
+    ParseError,
     ScaleOverlapError,
-    ScaleParseError,
     SEARCH_BUDGET,
     TimeScale,
     UNBOUNDED,
@@ -119,7 +119,7 @@ def test_parse_accepts_fractions_and_nesting():
 def test_parse_errors():
     for bad in ["finite()", "finite(0", "finite(0,0)", "finite(0) junk",
                 "mystery(1)", "finite(one)", "desc_above(0,1)", "asc_below(1,2)"]:
-        with pytest.raises(ScaleParseError):
+        with pytest.raises(ParseError):
             parse_scale_expr(bad)
 
 
@@ -200,7 +200,7 @@ def test_tiny_gaps_are_decided_or_refused_never_scanned():
 
 
 def test_only_finite_expressions_evaluate():
-    with pytest.raises(ScaleParseError):
+    with pytest.raises(ParseError):
         scale_from_expr(parse_scale_expr("desc_above(0)"))
 
 
