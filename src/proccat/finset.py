@@ -15,7 +15,8 @@ a step function or a table, or applied to an element.
 Products and coproducts are hash-consed: the same factor objects give the
 identical result object for as long as anything holds it (see
 `_interned`).  Their carriers keep the factors and the size, and build
-their elements only when something reads them.
+their elements, or the elements' printed names, only when something
+reads them.
 """
 from __future__ import annotations
 
@@ -116,6 +117,18 @@ class FinObj:
         if self.kind == "product":
             return tuple(map(Tup, iter_product(*(f.elements for f in self._parts))))
         return tuple(Inj(tag, e) for tag, s in enumerate(self._parts) for e in s.elements)
+
+    @cached_property
+    def names(self) -> tuple:
+        """Each element's `repr`, in order, built as `elements` is: a
+        structured carrier's from its parts' names, so each part is
+        printed once and no element is built."""
+        if self.kind == "product":
+            return tuple("(" + ", ".join(combo) + ")"
+                         for combo in iter_product(*(f.names for f in self._parts)))
+        if self.kind == "coproduct":
+            return tuple(f"in{tag}({n})" for tag, s in enumerate(self._parts) for n in s.names)
+        return tuple(map(repr, self.elements))
 
     @cached_property
     def index(self) -> dict:

@@ -35,7 +35,7 @@ import copy
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, chain, product as iter_product, repeat
-from math import prod
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .finset import (
@@ -158,9 +158,10 @@ class ProcSpace:
         stops = len(run) if running else bisect_right(times, self.w)
         pools = [self.a.at(p) for p in run]
         ends = [self.b.at(p) for p in run[:stops]]
-        counts = [len(y) * prod(map(len, pools[:k])) for k, y in enumerate(ends)]
+        sizes = [*accumulate(map(len, pools), mul, initial=1)]  # of the pools' prefixes
+        counts = [len(y) * sizes[k] for k, y in enumerate(ends)]
         if running:
-            counts.append(prod(map(len, pools)))
+            counts.append(sizes[-1])
         if sum(counts) > DEFAULT_CAP:
             raise CapExceeded(sum(counts), DEFAULT_CAP)
         summands = [product([product(pools[:k]), y]) for k, y in enumerate(ends)]
@@ -339,20 +340,21 @@ def nonstop_space(scale: TimeScale) -> LiveSpace:
 
 def listing(space, i: IndexPair) -> list:
     """The `dump` lines of the carrier at i, in carrier order, read off
-    the layout: each pool element is printed once, and no carrier element
-    is built or decoded.  A bare temporal object lists its elements."""
+    the layout: each pool element is printed once, as its `names` entry,
+    and no carrier element is built or decoded.  A bare temporal object
+    lists its carrier's `names`."""
     if isinstance(space, StepSpace):
-        return [f"done({y!r})" for y in space.b.at(i)] + listing(space.live, i)
+        return [f"done({y})" for y in space.b.at(i).names] + listing(space.live, i)
     if isinstance(space, LiveSpace):
         lines = listing(space.proc, i)
-        return [f"now {x!r}; {line}" for x in space.a.at(i) for line in lines]
+        return [f"now {x}; {line}" for x in space.a.at(i).names for line in lines]
     if not isinstance(space, ProcSpace):
-        return [repr(e) for e in space.at(i)]
+        return list(space.at(i).names)
     lay = space._layout[i]
-    pieces = [[f"{u} -> {x!r}" for x in space.a.at(p)] for u, p in zip(lay.times, lay.run)]
+    pieces = [[f"{u} -> {x}" for x in space.a.at(p).names] for u, p in zip(lay.times, lay.run)]
     lines = []
     for k in range(lay.stops):
-        head, ends = f"term({lay.times[k]}; ", [f"; {y!r})" for y in space.b.at(lay.run[k])]
+        head, ends = f"term({lay.times[k]}; ", [f"; {y})" for y in space.b.at(lay.run[k]).names]
         lines += [head + seen + end for seen in map(", ".join, iter_product(*pieces[:k]))
                   for end in ends]
     if lay.running:

@@ -23,7 +23,6 @@ be built raises where it is first read.
 """
 from __future__ import annotations
 
-from itertools import product as iter_product
 from typing import Callable, Optional, Sequence
 
 from .finset import (
@@ -41,7 +40,6 @@ from .finset import (
     coproduct,
     coproduct_mor,
     enumerate_mors,
-    fin_mor,
     flag_obj,
     identity as f_identity,
     inj,
@@ -333,44 +331,51 @@ def exponential_end(a: TemporalObj, b: TemporalObj) -> TemporalObj:
     a(t, t'') -> b(t, t'') for every scale point t'' in [t, t0].
 
     Compatible means every restriction square between two family members
-    commutes.  Elements are tuples of function tables in ascending t''
-    order; restriction drops the members beyond the new horizon.  A
-    carrier whose candidate families number more than DEFAULT_CAP raises
-    CapExceeded before they are listed.
+    commutes; squares along covers suffice, as in `naturality_witness`.
+    Elements are tuples of function tables in ascending t'' order;
+    restriction drops the members beyond the new horizon.  A carrier whose
+    candidate families, all maps at every point, number more than
+    DEFAULT_CAP raises CapExceeded before any is listed.
+
+    The families are joined one cover at a time, not filtered from all
+    candidates: the carrier at (t, t0) extends each family of the one at
+    (t, p), p the point before t0, by exactly the maps c at (t, t0) with
+    ``rb . c == d . ra`` for its last member d, the cover's square (see
+    `_commutes`), found by that key.  Extending each family in order by
+    its matches in `enumerate_mors` order gives the families in element
+    order, and each family's position at (t, p) is where its restriction
+    along the cover sends it.
     """
     scale = a.scale
     if b.scale != scale:
         raise ValueError("objects live over different scales")
-
-    def carrier_at(i: IndexPair) -> FinObj:
-        total = 1
-        spaces = []
-        for q in range(i.r, i.r0 + 1):
-            here = scale.column(q)[i.r]
-            total *= len(b.at(here)) ** len(a.at(here))
-            if total > DEFAULT_CAP:
-                raise CapExceeded(total, DEFAULT_CAP)
-            spaces.append(enumerate_mors(a.at(here), b.at(here)))
-        # Squares along covers suffice, as in `naturality_witness`.
-        covers = [scale.arrows(q, q + 1)[i.r] for q in range(i.r, i.r0)]
-        return FinObj([
-            Tup(tuple(_fn_tab(c) for c in choice))
-            for choice in iter_product(*spaces)
-            if all(_commutes(a, b, m, choice[x + 1], choice[x])
-                   for x, m in enumerate(covers))
-        ])
-
-    carrier_cache = {i: carrier_at(i) for i in scale.indices()}
+    carriers, cut = {}, {}  # cut[m]: the cover m as the position of each prefix
+    for i in scale.indices():  # t ascending, then t0: each row joins onward
+        total = (1 if i.r0 == i.r else total) * len(b.at(i)) ** len(a.at(i))
+        if total > DEFAULT_CAP:
+            raise CapExceeded(total, DEFAULT_CAP)
+        maps = [(_fn_tab(c), c) for c in enumerate_mors(a.at(i), b.at(i))]
+        if i.r0 == i.r:
+            families = [((tab,), c, 0) for tab, c in maps]  # (tables, last map, prefix)
+        else:
+            m = scale.arrows(i.r0 - 1, i.r0)[i.r]
+            rb, ra = b.res(m).pos, a.res(m).pos
+            matches = {}
+            for tab, c in maps:
+                matches.setdefault(tuple(map(rb.__getitem__, c.pos)), []).append((tab, c))
+            families = [(tabs + (tab,), c, k) for k, (tabs, d, _) in enumerate(families)
+                        for tab, c in matches.get(tuple(map(d.pos.__getitem__, ra)), ())]
+            cut[m] = [k for _, _, k in families]
+        carriers[i] = FinObj([Tup(tabs) for tabs, _, _ in families])
 
     def restrict_at(m: IndexMor) -> FinMor:
-        keep = m.r0 - m.r + 1
-        return fin_mor(
-            carrier_cache[m.src],
-            carrier_cache[m.dst],
-            lambda fam: Tup(fam.items[:keep]),
-        )
+        """Each family's prefix, one cover at a time from m.src."""
+        pos = range(carriers[m.src].size)
+        for q in range(m.r0p, m.r0, -1):
+            pos = map(cut[scale.arrows(q - 1, q)[m.r]].__getitem__, pos)
+        return FinMor(carriers[m.src], carriers[m.dst], pos=pos)
 
-    return require_functor(TemporalObj(scale, carrier_cache.__getitem__, restrict_at))
+    return require_functor(TemporalObj(scale, carriers.__getitem__, restrict_at))
 
 
 # -- exhaustive enumeration of natural families -----------------------------

@@ -161,13 +161,15 @@ def test_dump_rejects_a_count_that_is_not_a_decimal(capsys):
     ["dump", "box " * 1200 + "unit", "0", "2"],
     ["scale", "validate", "union(" * 1200 + "finite(1)" + ")" * 1200],
     ["check", "--scale", "union(" * 700 + "finite(1)" + ")" * 700],
-    ["dump", "prod(" * 300 + "unit" + ")" * 300, "0", "2"],
-    ["dump", "prod(" * 300 + "unit" + ")" * 300 + " |>''[inf] unit", "0", "2"],
+    ["dump", "prod(" * 400 + "unit" + ")" * 400, "0", "2"],
+    ["dump", "prod(" * 400 + "unit" + ")" * 400 + " |>''[inf] unit", "0", "2"],
 ], ids=["dump-parentheses", "dump-prefixes", "scale-unions", "check-scale-unions",
         "dump-printed-tuples", "dump-printed-process-values"])
 def test_deeply_nested_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
     # The parsers and printers recurse once per level of nesting; each of
-    # these used to end in a RecursionError traceback.
+    # these used to end in a RecursionError traceback.  The printed tuples
+    # were refused at 300 levels while their elements were printed by
+    # `repr`; their names take fewer frames per level than the parser.
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, argv)
     assert (code, out, err) == (2, "", "error: input nests too deeply\n")
@@ -188,6 +190,28 @@ def test_moderately_nested_input_is_read(capsys, argv, code, err):
     # The parsers take a fixed number of frames per level of nesting; these
     # depths lie well inside what they read at the default recursion limit.
     assert run(capsys, argv)[::2] == (code, err)
+
+
+@pytest.mark.parametrize("tail, lines", [
+    ("", ["{}"]),
+    (" |>''[inf] unit", ["term(1; ; ())", "term(2; 1 -> {}; ())", "ongoing(1 -> {}, 2 -> {})"]),
+], ids=["dump-printed-tuples", "dump-printed-process-values"])
+def test_deeply_nested_tuples_are_printed(capsys, tail, lines):
+    # The one element of 300 nested one-factor products of unit, printed
+    # by `repr` with room for its recursion.
+    element = finset.UNIT_ELEM
+    for _ in range(300):
+        element = finset.Tup((element,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)
+    try:
+        nested = repr(element)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert nested == "(" * 300 + "()" + ")" * 300
+    argv = ["dump", "prod(" * 300 + "unit" + ")" * 300 + tail, "0", "2"]
+    expected = "".join(f"  {line.format(nested, nested)}\n" for line in lines)
+    assert run(capsys, argv) == (0, f"index (0, 2)\nsize {len(lines)}\n" + expected, "")
 
 
 def test_dump_rejects_off_scale_index(capsys):

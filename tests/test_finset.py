@@ -198,6 +198,27 @@ def test_an_interned_entry_dies_with_its_last_holder():
     assert key not in _INTERNED
 
 
+# Flags, UNIT, EMPTY and plain carriers of drawn elements, under nested
+# products (empty and single-factor ones too) and coproducts.
+named = st.recursive(
+    st.one_of(st.integers(min_value=0, max_value=3).map(flag_obj),
+              st.sampled_from([UNIT, EMPTY]),
+              st.lists(elements, unique=True, max_size=3).map(FinObj)),
+    lambda kids: st.one_of(st.lists(kids, max_size=3).map(product),
+                           st.lists(kids, max_size=3).map(coproduct)),
+    max_leaves=6,
+)
+
+
+@given(named)
+@settings(max_examples=100, deadline=None)
+def test_names_are_the_reprs_of_the_elements(x):
+    built = "elements" in vars(x)
+    names = x.names
+    assert ("elements" in vars(x)) == built  # read off the parts' names
+    assert names == tuple(map(repr, x.elements))
+
+
 # -- positional maps against their elementwise definitions -------------------
 
 # Small flags, and products and coproducts of them nested up to two deep.

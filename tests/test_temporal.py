@@ -9,18 +9,23 @@ import sys
 import weakref
 from itertools import product as iter_product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import proccat
+from proccat import temporal
 from proccat.finset import (
-    Atom, CapExceeded, DEFAULT_CAP, FinMor, FinObj, Inj, Tup, _INTERNED, compose,
+    Atom, CapExceeded, DEFAULT_CAP, FinMor, FinObj, FnTab, Inj, Tup, _INTERNED, compose,
     enumerate_mors, fin_mor, flag_obj, identity,
 )
 from proccat.laws import law_grid, poison, stamp_parity_obj
 from proccat.operators import expanded_space, joining_space
-from proccat.process import ProcSpace
+from proccat.process import (
+    LiveSpace, ProcSpace, StepSpace, behavior_live_space, behavior_space, event_space,
+    event_step_space,
+)
 from proccat.temporal import (
     TemporalMor,
     TemporalObj,
@@ -256,6 +261,104 @@ def test_exponential_collects_compatible_families():
     # at (0,1) a family fixes images at (0,0) and (0,1); restriction of a
     # constant object forces them equal, so exactly two families remain
     assert len(e.at(i)) == 2
+
+
+def ref_exponential_end(a, b, cap=DEFAULT_CAP):
+    """b^a as a filter over every choice of one map per point in [t, t0],
+    kept when each cover's square commutes as composite maps; restriction
+    truncates the tuple of tables and looks the prefix up by element."""
+    scale = a.scale
+
+    def carrier_at(i):
+        total, spaces = 1, []
+        for q in range(i.r, i.r0 + 1):
+            here = scale.column(q)[i.r]
+            total *= len(b.at(here)) ** len(a.at(here))
+            if total > cap:
+                raise CapExceeded(total, cap)
+            spaces.append(enumerate_mors(a.at(here), b.at(here)))
+        covers = [scale.arrows(q, q + 1)[i.r] for q in range(i.r, i.r0)]
+        return FinObj(
+            Tup(tuple(FnTab(tuple(c.table.items())) for c in choice))
+            for choice in iter_product(*spaces)
+            if all(compose(b.res(m), choice[x + 1]) == compose(choice[x], a.res(m))
+                   for x, m in enumerate(covers)))
+
+    carriers = {i: carrier_at(i) for i in scale.indices()}
+
+    def restrict_at(m):
+        keep = m.r0 - m.r + 1
+        return fin_mor(carriers[m.src], carriers[m.dst], lambda fam: Tup(fam.items[:keep]))
+
+    return TemporalObj(scale, carriers.__getitem__, restrict_at)
+
+
+def exp_operands(scale, w):
+    """Builders of the objects `exp` is tested on: constant ones, process
+    spaces and their views under the bound w, sums and the stamp object."""
+    unit, flag, stamp = unit_obj(scale), flag_temporal(scale), stamp_parity_obj(scale)
+    return {
+        "unit": lambda: unit,
+        "empty": lambda: empty_obj(scale),
+        "flag": lambda: flag,
+        "flag(3)": lambda: flag_temporal(scale, 3),
+        "|>''": lambda: ProcSpace(w, flag, unit).obj,
+        "|>'": lambda: LiveSpace(w, unit, flag).obj,
+        "|>": lambda: StepSpace(w, unit, unit).obj,
+        "box'": lambda: behavior_live_space(unit).obj,
+        "box": lambda: behavior_space(flag).obj,
+        "dia'": lambda: event_space(flag).obj,
+        "dia": lambda: event_step_space(unit).obj,
+        "sum": lambda: pointwise_coproduct([unit, stamp]),
+        "stamp": lambda: stamp,
+    }
+
+
+def assert_exp_matches_the_reference(a, b, cap=DEFAULT_CAP):
+    """Equal carriers and elements at every index, and equal restrictions
+    along every arrow; or the same CapExceeded text from both."""
+    try:
+        expected = ref_exponential_end(a, b, cap)
+    except CapExceeded as refused:
+        with pytest.raises(CapExceeded) as exc:
+            exponential_end(a, b)
+        assert str(exc.value) == str(refused)
+        return
+    got = exponential_end(a, b)
+    for i in a.scale.indices():
+        assert got.at(i) == expected.at(i)
+        assert got.at(i).elements == expected.at(i).elements, i
+    for m in a.scale.index_mors():
+        assert got.res(m).pos == expected.restrict_at(m).pos, m
+
+
+OPERANDS = sorted(exp_operands(SCALE, UNBOUNDED))
+
+
+@given(st.sampled_from([1, 2, 3, 4]).flatmap(lambda n: st.lists(
+           st.fractions(-3, 5, max_denominator=3), min_size=n, max_size=n, unique=True)),
+       st.one_of(st.none(), st.integers(0, 3)),
+       st.sampled_from(OPERANDS), st.sampled_from(OPERANDS))
+@settings(max_examples=80, deadline=None)
+def test_exponential_matches_the_filter_over_every_choice(points, w_at, a, b):
+    # A low cap keeps the reference's filter small; both read the same one.
+    scale = TimeScale.of(*sorted(points))
+    w = UNBOUNDED if w_at is None else scale.points[w_at % len(points)]
+    build = exp_operands(scale, w)
+    with mock.patch.object(temporal, "DEFAULT_CAP", 3000):
+        assert_exp_matches_the_reference(build[a](), build[b](), cap=3000)
+
+
+@pytest.mark.parametrize("a, b, points", [
+    ("flag", "stamp", (0, 1, 2)), ("stamp", "flag", (0, 1, 2)),
+    ("|>''", "dia", (0, 1, 2)), ("flag(3)", "|>'", (0, 1)),
+    ("box", "flag(3)", (0, 1, 2, 3)), ("|>''", "flag", (0, 1, 2, 3)),
+])
+def test_exponential_matches_the_filter_at_the_default_cap(a, b, points):
+    # The last two are refused with the count of every candidate family.
+    scale = TimeScale.of(*points)
+    build = exp_operands(scale, UNBOUNDED)
+    assert_exp_matches_the_reference(build[a](), build[b]())
 
 
 @pytest.mark.parametrize("points", [(0,), (0, 1), (0, "1/2", 1, 3)])
