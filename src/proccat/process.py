@@ -159,7 +159,7 @@ class ProcSpace:
         pools = [self.a.at(p) for p in run]
         ends = [self.b.at(p) for p in run[:stops]]
         sizes = [*accumulate(map(len, pools), mul, initial=1)]  # of the pools' prefixes
-        counts = [len(y) * sizes[k] for k, y in enumerate(ends)]
+        counts = [len(y) * n for y, n in zip(ends, sizes)]
         if running:
             counts.append(sizes[-1])
         if sum(counts) > DEFAULT_CAP:

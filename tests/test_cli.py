@@ -167,9 +167,9 @@ def test_dump_rejects_a_count_that_is_not_a_decimal(capsys):
         "dump-printed-tuples", "dump-printed-process-values"])
 def test_deeply_nested_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
     # The parsers and printers recurse once per level of nesting; each of
-    # these used to end in a RecursionError traceback.  The printed tuples
-    # were refused at 300 levels while their elements were printed by
-    # `repr`; their names take fewer frames per level than the parser.
+    # these used to end in a RecursionError traceback.  Nested products
+    # are printed from their parts' names at every depth the parser
+    # reads, so the two printed forms nest past what it reads.
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, argv)
     assert (code, out, err) == (2, "", "error: input nests too deeply\n")
