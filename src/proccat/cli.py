@@ -71,8 +71,9 @@ def _word_char(ch: str) -> bool:
 
 
 class _DescriptorParser(Reader):
-    """Recursive-descent parser producing a temporal object plus, when the
-    top level describes a process-like space, that space for rendering."""
+    """Recursive-descent parser producing the descriptor's tree: each node
+    is (builder, args, children), denoting ``builder(*args, *carriers)``
+    with the carriers those of the children's spaces (`_build`)."""
 
     def __init__(self, tokens: list, scale: TimeScale):
         super().__init__(tokens, "descriptor ends unexpectedly")
@@ -85,9 +86,8 @@ class _DescriptorParser(Reader):
             self.expect("[")
             bound = self.bound()
             self.expect("]")
-            right = self.expr()
             space = {"|>''": ProcSpace, "|>'": LiveSpace, "|>": StepSpace}[op]
-            return space(bound, _carrier_of(left), _carrier_of(right))
+            return space, (bound,), (left, self.expr())
         return left
 
     def bound(self) -> TermBound:
@@ -105,10 +105,9 @@ class _DescriptorParser(Reader):
         tok = self.peek()
         if tok in ("box'", "box", "dia'", "dia"):
             self.take()
-            arg = _carrier_of(self.term())
             builder = {"box'": behavior_live_space, "box": behavior_space,
                        "dia'": event_space, "dia": event_step_space}[tok]
-            return builder(arg)
+            return builder, (), (self.term(),)
         return self.atom()
 
     def atom(self):
@@ -118,9 +117,9 @@ class _DescriptorParser(Reader):
             self.expect(")")
             return inner
         if tok == "unit":
-            return unit_obj(self.scale)
+            return unit_obj, (self.scale,), ()
         if tok == "empty":
-            return empty_obj(self.scale)
+            return empty_obj, (self.scale,), ()
         if tok == "flag":
             n = 2
             if self.accept("("):
@@ -129,31 +128,49 @@ class _DescriptorParser(Reader):
                     raise ParseError(f"expected a count, got {count!r}")
                 n = int(count)
                 self.expect(")")
-            return flag_temporal(self.scale, n)
+            return flag_temporal, (self.scale, n), ()
         if tok in ("prod", "sum", "exp"):
             self.expect("(")
-            args = [_carrier_of(self.expr())]
+            args = [self.expr()]
             while self.accept(","):
-                args.append(_carrier_of(self.expr()))
+                args.append(self.expr())
             self.expect(")")
-            if tok != "exp":
-                return (pointwise_product if tok == "prod" else pointwise_coproduct)(args)
-            if len(args) != 2:
+            if tok == "exp" and len(args) != 2:
                 raise ParseError("exp takes exactly two arguments")
-            return exponential_end(*args)
+            return _LIST_BUILDERS[tok], (), tuple(args)
         raise ParseError(f"unknown descriptor token {tok!r}")
+
+
+_LIST_BUILDERS = {"prod": lambda *factors: pointwise_product(factors),
+                  "sum": lambda *summands: pointwise_coproduct(summands),
+                  "exp": exponential_end}
 
 
 def _carrier_of(space) -> TemporalObj:
     return space if isinstance(space, TemporalObj) else space.obj
 
 
+def _build(tree):
+    """The space a descriptor tree denotes, built children first, left to
+    right, without a frame per level of nesting."""
+    order, todo = [], [tree]
+    while todo:  # each node before its children, the last child first
+        order.append(todo.pop())
+        todo.extend(order[-1][2])
+    built = []
+    for builder, args, children in reversed(order):
+        k = len(built) - len(children)
+        built[k:] = [builder(*args, *map(_carrier_of, built[k:]))]
+    return built[0]
+
+
 def parse_descriptor(text: str, scale: TimeScale):
-    """The space or bare temporal object a descriptor denotes."""
+    """The space or bare temporal object a descriptor denotes, built once
+    the whole descriptor is read."""
     tokens = tokenize(text, _SYMBOLS, ((_word_char, _word_char),),
                       "bad character {!r} in descriptor")
     parser = _DescriptorParser(tokens, scale)
-    return parser.done(parser.expr(), "trailing input: {!r}")
+    return _build(parser.done(parser.expr(), "trailing input: {!r}"))
 
 
 # -- report formatting ------------------------------------------------------

@@ -23,6 +23,7 @@ be built raises where it is first read.
 """
 from __future__ import annotations
 
+from math import prod
 from typing import Callable, Optional, Sequence
 
 from .finset import (
@@ -170,13 +171,11 @@ def require_natural(mor: TemporalMor) -> TemporalMor:
     return mor
 
 
-def _commutes(a: TemporalObj, b: TemporalObj, m: IndexMor,
-              at_src: FinMor, at_dst: FinMor) -> bool:
-    """Whether the naturality square of `m` commutes for the components
-    `at_src` (at m.src) and `at_dst` (at m.dst) of a family a -> b, by
-    positions: restrict-after-map equals map-after-restrict."""
-    rb, ra = b.res(m), a.res(m)
-    return [*map(rb.pos.__getitem__, at_src.pos)] == [*map(at_dst.pos.__getitem__, ra.pos)]
+def _square(a: TemporalObj, b: TemporalObj, m: IndexMor) -> tuple:
+    """The two sides of the naturality square of the cover `m` for a -> b,
+    by positions: ``rb . c`` of c at m.src, and ``d . ra`` of d at m.dst."""
+    rb, ra = b.res(m).pos.__getitem__, a.res(m).pos
+    return lambda c: tuple(map(rb, c.pos)), lambda d: tuple(map(d.pos.__getitem__, ra))
 
 
 def naturality_witness(mor: TemporalMor) -> Optional[str]:
@@ -187,11 +186,13 @@ def naturality_witness(mor: TemporalMor) -> Optional[str]:
     # Covers suffice: every other restriction of both ends is a composite
     # of covers, and squares paste.
     for i in mor.dom.scale.covers():
-        if not _commutes(mor.dom, mor.cod, i, mor.at(i.src), mor.at(i.dst)):
-            left = f_compose(mor.cod.res(i), mor.at(i.src))
-            right = f_compose(mor.at(i.dst), mor.dom.res(i))
-            bad = next(e for e in mor.dom.at(i.src) if left(e) != right(e))
-            return f"square for {i} fails at {bad!r}: {left(bad)!r} vs {right(bad)!r}"
+        after, before = _square(mor.dom, mor.cod, i)
+        left, right = after(mor.at(i.src)), before(mor.at(i.dst))
+        if left != right:
+            p = next(p for p, (x, y) in enumerate(zip(left, right)) if x != y)
+            cod = mor.cod.at(i.dst).elements
+            return (f"square for {i} fails at {mor.dom.at(i.src).elements[p]!r}: "
+                    f"{cod[left[p]]!r} vs {cod[right[p]]!r}")
     return None
 
 
@@ -326,6 +327,36 @@ def _fn_tab(m: FinMor) -> FnTab:
     return FnTab(tuple(zip(m.dom.elements, map(m.cod.elements.__getitem__, m.pos))))
 
 
+def _row(a: TemporalObj, b: TemporalObj, r: int, candidates: Callable,
+         keep: Optional[Callable] = None):
+    """For each index (t, t0) of row r, t0 ascending (every arrow keeps
+    the present time t, of rank r), the index and the compatible families
+    of maps a -> b up to it, as (members, last map, prefix position).
+
+    `candidates(i)` lists (member, map) pairs in `enumerate_mors` order,
+    and a map joins only if `keep(i, map)` (when given) holds.  Families
+    at (t, q) extend each family at the point before q by every map c
+    whose cover square commutes with its last map d, found by the key
+    ``rb . c == d . ra``; `keep` is asked only of maps whose key some
+    family needs.  Families come out in element order."""
+    for q in range(r, len(a.scale.points)):
+        i = a.scale.column(q)[r]
+        if q == r:
+            families = [((x,), c, 0) for x, c in candidates(i)
+                        if keep is None or keep(i, c)]
+        else:
+            after, before = _square(a, b, a.scale.arrows(q - 1, q)[r])
+            keys = [before(d) for _, d, _ in families]
+            matches = {key: [] for key in keys}
+            for x, c in candidates(i) if families else ():
+                found = matches.get(after(c))
+                if found is not None and (keep is None or keep(i, c)):
+                    found.append((x, c))
+            families = [(xs + (x,), c, k) for k, (xs, _, _) in enumerate(families)
+                        for x, c in matches[keys[k]]]
+        yield i, families
+
+
 def exponential_end(a: TemporalObj, b: TemporalObj) -> TemporalObj:
     """Internal hom b^a: at (t, t0), the compatible families of maps
     a(t, t'') -> b(t, t'') for every scale point t'' in [t, t0].
@@ -335,38 +366,24 @@ def exponential_end(a: TemporalObj, b: TemporalObj) -> TemporalObj:
     Elements are tuples of function tables in ascending t'' order;
     restriction drops the members beyond the new horizon.  A carrier whose
     candidate families, all maps at every point, number more than
-    DEFAULT_CAP raises CapExceeded before any is listed.
-
-    The families are joined one cover at a time, not filtered from all
-    candidates: the carrier at (t, t0) extends each family of the one at
-    (t, p), p the point before t0, by exactly the maps c at (t, t0) with
-    ``rb . c == d . ra`` for its last member d, the cover's square (see
-    `_commutes`), found by that key.  Extending each family in order by
-    its matches in `enumerate_mors` order gives the families in element
-    order, and each family's position at (t, p) is where its restriction
-    along the cover sends it.
+    DEFAULT_CAP raises CapExceeded before any is listed.  The carriers
+    of a row are the families `_row` joins along it, and restriction
+    along a cover sends each to its prefix's position.
     """
     scale = a.scale
     if b.scale != scale:
         raise ValueError("objects live over different scales")
-    carriers, cut = {}, {}  # cut[m]: the cover m as the position of each prefix
-    for i in scale.indices():  # t ascending, then t0: each row joins onward
+    for i in scale.indices():  # t ascending, then t0: a running product per row
         total = (1 if i.r0 == i.r else total) * len(b.at(i)) ** len(a.at(i))
         if total > DEFAULT_CAP:
             raise CapExceeded(total, DEFAULT_CAP)
-        maps = [(_fn_tab(c), c) for c in enumerate_mors(a.at(i), b.at(i))]
-        if i.r0 == i.r:
-            families = [((tab,), c, 0) for tab, c in maps]  # (tables, last map, prefix)
-        else:
-            m = scale.arrows(i.r0 - 1, i.r0)[i.r]
-            rb, ra = b.res(m).pos, a.res(m).pos
-            matches = {}
-            for tab, c in maps:
-                matches.setdefault(tuple(map(rb.__getitem__, c.pos)), []).append((tab, c))
-            families = [(tabs + (tab,), c, k) for k, (tabs, d, _) in enumerate(families)
-                        for tab, c in matches.get(tuple(map(d.pos.__getitem__, ra)), ())]
-            cut[m] = [k for _, _, k in families]
-        carriers[i] = FinObj([Tup(tabs) for tabs, _, _ in families])
+    carriers, cut = {}, {}  # cut[m]: the cover m as the position of each prefix
+    for r in range(len(scale.points)):
+        for i, families in _row(a, b, r, lambda i: [
+                (_fn_tab(c), c) for c in enumerate_mors(a.at(i), b.at(i))]):
+            carriers[i] = FinObj([Tup(tabs) for tabs, _, _ in families])
+            if i.r0 > i.r:
+                cut[scale.arrows(i.r0 - 1, i.r0)[i.r]] = [k for _, _, k in families]
 
     def restrict_at(m: IndexMor) -> FinMor:
         """Each family's prefix, one cover at a time from m.src."""
@@ -382,10 +399,7 @@ def exponential_end(a: TemporalObj, b: TemporalObj) -> TemporalObj:
 
 
 def nat_trans_space(a: TemporalObj, b: TemporalObj) -> int:
-    count = 1
-    for i in a.scale.indices():
-        count *= len(b.at(i)) ** len(a.at(i))
-    return count
+    return prod(len(b.at(i)) ** len(a.at(i)) for i in a.scale.indices())
 
 
 def solve_order(scale: TimeScale) -> list[IndexPair]:
@@ -417,58 +431,42 @@ def enumerate_nat_trans(
     a: TemporalObj, b: TemporalObj, cap: int = DEFAULT_CAP,
     equation: Optional[Callable[[TemporalMor], Callable]] = None,
 ) -> list[TemporalMor]:
-    """Every natural family a -> b, by pruned depth-first search; with an
-    `equation`, only the families equal to ``equation(f)``, their own
-    pointwise image ``(i, p) -> position``.
+    """Every natural family a -> b; with an `equation`, only the families
+    equal to ``equation(f)``, their own pointwise image ``(i, p) -> position``.
 
-    Fixes one index at a time in `solve_order`, as `fixpoint` does, and
-    drops a partial assignment as soon as a naturality square along a
-    cover between fixed indices fails, or the image at the index just
-    fixed differs from its component.  The image may read the candidate
-    only where it is fixed, as every solver equation does (it restarts
-    strictly later); reading elsewhere raises LookupError.
-    The cap bounds the whole candidate space, and the result comes in the
-    order of a plain filter over it: indices ascending, maps in
-    enumerate_mors order.
+    Each row of a natural family is one that `_row` joins, as
+    `exponential_end` lists them at (t, end).  Rows are fixed latest
+    first, as `fixpoint` fixes indices, and the image at index i is read
+    with the later rows and i itself fixed: it may read the candidate
+    only there, as every solver equation does (it restarts strictly
+    later); reading an earlier index raises LookupError.  The cap bounds
+    the whole candidate space, and the result comes in the order of a
+    plain filter over it: indices ascending, maps in enumerate_mors order.
     """
     space = nat_trans_space(a, b)
     if space > cap:
         raise CapExceeded(space, cap)
-    indices = a.scale.indices()
-    order = solve_order(a.scale)
-    per_index = {i: enumerate_mors(a.at(i), b.at(i), cap) for i in indices}
-    pos_of = {i: k for k, i in enumerate(order)}
-    mors_by_pos: dict[int, list[IndexMor]] = {}
-    for m in a.scale.covers():
-        latest = max(pos_of[m.src], pos_of[m.dst])
-        mors_by_pos.setdefault(latest, []).append(m)
-
-    found: list[TemporalMor] = []
-    # The components fixed so far, kept as if read: reading any other raises.
+    scale, n = a.scale, len(a.scale.points)
+    maps = {i: [(c, c) for c in enumerate_mors(a.at(i), b.at(i), cap)]
+            for i in scale.indices()}
     searched = TemporalMor(a, b, _unfixed)
-    chosen = searched._built
     image = None if equation is None else equation(searched)
 
-    def fits(index: IndexPair, cand: FinMor, k: int) -> bool:
-        return (all(_commutes(a, b, m, chosen[m.src], chosen[m.dst])
-                    for m in mors_by_pos.get(k, ()))
-                and (image is None
-                     or all(q == image(index, p) for p, q in enumerate(cand.pos))))
+    def keep(i: IndexPair, c: FinMor) -> bool:
+        searched._built[i] = c
+        kept = all(q == image(i, p) for p, q in enumerate(c.pos))
+        del searched._built[i]
+        return kept
 
-    def descend(k: int) -> None:
-        if k == len(order):
-            found.append(TemporalMor(a, b, dict(chosen).__getitem__))
-            return
-        index = order[k]
-        for cand in per_index[index]:
-            chosen[index] = cand
-            if fits(index, cand, k):
-                descend(k + 1)
-        chosen.pop(index, None)
-
-    try:
-        descend(0)
-    finally:
-        del descend  # a self-reference: the search state dies with the call
+    fixed = [{}]  # the components of each family at the rows fixed so far
+    for r in range(n - 1, -1, -1):
+        row, grown = [scale.column(q)[r] for q in range(r, n)], []
+        for known in fixed:
+            # The components fixed so far, kept as if read: reading any other raises.
+            searched._built = dict(known)
+            *_, (_, families) = _row(a, b, r, maps.__getitem__, keep if image else None)
+            grown += [{**known, **dict(zip(row, members))} for members, _, _ in families]
+        fixed = grown
     # enumerate_mors lists maps in position order.
-    return sorted(found, key=lambda f: [f.at(i).pos for i in indices])
+    return sorted((TemporalMor(a, b, f.__getitem__) for f in fixed),
+                  key=lambda f: [f.at(i).pos for i in scale.indices()])

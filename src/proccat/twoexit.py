@@ -6,8 +6,8 @@ solution assigns to every seed either an immediate answer or a finished
 process.  The two formulations determine each other; the translations in
 both directions are provided, along with an exhaustive search for
 solutions that does not involve the solver at all, so uniqueness can be
-established independently.  The search is pruned by the equation, read
-latest stop first as in `fixpoints`.
+established independently.  The search keeps, row by row latest stop
+first as in `fixpoints`, the natural families equal to their image.
 """
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -22,6 +23,12 @@ GOLDEN_DUMPS = json.loads(
 # The caps sit on and around the candidate counts the searches meet.
 GOLDEN_CAPPED = json.loads(
     (Path(__file__).parent / "fixtures" / "golden_capped.json").read_text(encoding="utf-8"))
+
+# Per descriptor of the benchmark's dump pool, the SHA-256 of the JSON list
+# [exit code, stdout, stderr] of `dump <descriptor> 0 2`, saved before
+# natural families were joined row by row.
+POOL_DUMPS = json.loads(
+    (Path(__file__).parent / "fixtures" / "pool_dumps.json").read_text(encoding="utf-8"))
 
 DUMP_FULL = """\
 index (0, 2)
@@ -114,6 +121,25 @@ def test_dump_matches_golden_listing(capsys, case):
     # covers the order of function-table entries.
     code, out, _ = run(capsys, case["argv"])
     assert (code, out) == (0, case["stdout"])
+
+
+def test_pool_dumps_match_their_digests(capsys):
+    changed = []
+    for case in POOL_DUMPS:
+        blob = json.dumps(run(capsys, ["dump", case["descriptor"], "0", "2"]))
+        if hashlib.sha256(blob.encode()).hexdigest() != case["sha256"]:
+            changed.append(case["descriptor"])
+    assert len(POOL_DUMPS) == 72 and changed == []
+
+
+def test_a_descriptor_is_read_before_it_is_built(capsys, monkeypatch):
+    # A space too large to build is refused only once the whole
+    # descriptor parses; a parse error comes first, and nothing is built.
+    code, out, err = run(capsys, ["dump", "flag(2000000)", "0", "2"])
+    assert (code, out) == (3, "") and "exceeds cap 1000000" in err
+    monkeypatch.setattr(cli, "flag_temporal", None)
+    code, out, err = run(capsys, ["dump", "flag(2000000) |>[", "0", "2"])
+    assert (code, out, err) == (2, "", "error: descriptor ends unexpectedly\n")
 
 
 def test_dump_builds_no_element_of_the_listed_carrier(capsys, monkeypatch):

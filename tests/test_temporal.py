@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import weakref
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +21,7 @@ from proccat.finset import (
     enumerate_mors, fin_mor, flag_obj, identity,
 )
 from proccat.laws import law_grid, poison, stamp_parity_obj
-from proccat.operators import expanded_space, joining_space
+from proccat.operators import expand, expanded_space, join, joining_space
 from proccat.process import (
     LiveSpace, ProcSpace, StepSpace, behavior_live_space, behavior_space, event_space,
     event_step_space,
@@ -35,6 +35,7 @@ from proccat.temporal import (
     enumerate_nat_trans,
     exponential_end,
     first_difference,
+    first_mismatch,
     fixpoint,
     flag_temporal,
     mor_equal,
@@ -93,6 +94,39 @@ def brute_nat_trans(a, b, cap=DEFAULT_CAP):
     return out
 
 
+def ref_naturality_witness(mor):
+    """The witness as first written: each cover's square compared by
+    positions, and for the first that fails, the element where the two
+    composite maps first differ."""
+    for index in mor.dom.scale.indices():
+        comp = mor.at(index)
+        if comp.dom != mor.dom.at(index) or comp.cod != mor.cod.at(index):
+            return f"component at {index} has wrong endpoints"
+    for i in mor.dom.scale.covers():
+        rb, ra = mor.cod.res(i), mor.dom.res(i)
+        at_src, at_dst = mor.at(i.src), mor.at(i.dst)
+        if [*map(rb.pos.__getitem__, at_src.pos)] != [*map(at_dst.pos.__getitem__, ra.pos)]:
+            left = compose(mor.cod.res(i), mor.at(i.src))
+            right = compose(mor.at(i.dst), mor.dom.res(i))
+            bad = next(e for e in mor.dom.at(i.src) if left(e) != right(e))
+            return f"square for {i} fails at {bad!r}: {left(bad)!r} vs {right(bad)!r}"
+    return None
+
+
+def single_swaps(mor):
+    """Every family that differs from `mor` at one index by swapping the
+    images of two domain elements with different images there."""
+    for i in mor.dom.scale.indices():
+        pos = mor.at(i).pos
+        for p, q in combinations(range(len(pos)), 2):
+            if pos[p] != pos[q]:
+                swapped = list(pos)
+                swapped[p], swapped[q] = pos[q], pos[p]
+                comp = FinMor(mor.dom.at(i), mor.cod.at(i), pos=swapped)
+                yield TemporalMor(mor.dom, mor.cod,
+                                  lambda j, i=i, comp=comp: comp if j is i else mor.at(j))
+
+
 def assert_res_matches_the_reference(obj):
     expected = ref_restrict(obj)
     for m in obj.scale.index_mors():
@@ -138,6 +172,23 @@ def test_naturality_witness_localizes_the_failure():
     assert witness is not None and "square" in witness
     with pytest.raises(ValueError, match="not natural"):
         require_natural(mor)
+
+
+def test_the_witness_matches_the_reference_on_every_single_swap():
+    # Every expand and join map of the standard grid, each swapped at one
+    # index in every way that changes it.
+    maps = {}
+    for case in law_grid():
+        for op in (expand, join):
+            maps.setdefault(id(op(case.space)), op(case.space))
+    caught = missed = 0
+    for mor in maps.values():
+        assert naturality_witness(mor) is None
+        for mutant in single_swaps(mor):
+            witness = naturality_witness(mutant)
+            assert witness == ref_naturality_witness(mutant)
+            caught, missed = caught + (witness is not None), missed + (witness is None)
+    assert caught > 100 and missed > 100
 
 
 def test_first_difference_reports_the_first_index():
@@ -205,6 +256,24 @@ def test_enumeration_keeps_the_brute_filter_order():
     fast, slow = enumerate_nat_trans(a, b), brute_nat_trans(a, b)
     assert len(fast) > 1
     assert [f.components for f in fast] == [g.components for g in slow]
+
+
+def test_an_equation_reading_an_earlier_index_of_its_row_raises():
+    # The image at (t, t0) is read with the later rows and (t, t0) itself
+    # fixed, so even the point before t0 in the same row is not fixed.
+    a = flag_temporal(SCALE, 2)
+
+    def equation(f):
+        def image(i, p):
+            here = i if i.r0 == i.r else SCALE.column(i.r0 - 1)[i.r]
+            return f.at(here).pos[p]
+        return image
+
+    with pytest.raises(LookupError, match="not fixed"):
+        enumerate_nat_trans(a, a, equation=equation)
+    # Reading its own index is allowed; every natural family passes.
+    own = enumerate_nat_trans(a, a, equation=lambda f: lambda i, p: f.at(i).pos[p])
+    assert [f.components for f in own] == [g.components for g in brute_nat_trans(a, a)]
 
 
 def test_an_equation_reading_an_unfixed_index_raises():
@@ -359,6 +428,64 @@ def test_exponential_matches_the_filter_at_the_default_cap(a, b, points):
     scale = TimeScale.of(*points)
     build = exp_operands(scale, UNBOUNDED)
     assert_exp_matches_the_reference(build[a](), build[b]())
+
+
+def drawn_equation(salt):
+    """An equation whose image of position p at (t, t0), by the salt k for
+    p, reads the candidate at its own index (k divisible by 3), else at
+    the next row's (t', t0) when there is one, else nowhere."""
+    def equation(f):
+        def image(i, p):
+            n, k = len(f.cod.at(i)), salt[p % len(salt)]
+            if k % 3 == 0:
+                return f.at(i).pos[p]
+            if i.r0 > i.r:
+                later = f.dom.scale.column(i.r0)[i.r + 1]
+                width = len(f.dom.at(later))
+                return (k + (f.at(later).pos[p % width] if width else 0)) % n
+            return k % n
+        return image
+    return equation
+
+
+@given(st.sampled_from([1, 2, 3]).flatmap(lambda n: st.lists(
+           st.fractions(-3, 5, max_denominator=3), min_size=n, max_size=n, unique=True)),
+       st.one_of(st.none(), st.integers(0, 2)),
+       st.sampled_from(OPERANDS), st.sampled_from(OPERANDS),
+       st.one_of(st.none(), st.lists(st.integers(0, 5), min_size=1, max_size=3)))
+@settings(max_examples=80, deadline=None)
+def test_enumeration_matches_the_brute_filter_on_drawn_objects(points, w_at, a, b, salt):
+    # Components and order; with an equation, the brute survivors that
+    # equal their image.  A low cap keeps the brute filter small.
+    scale = TimeScale.of(*sorted(points))
+    w = UNBOUNDED if w_at is None else scale.points[w_at % len(points)]
+    build = exp_operands(scale, w)
+    a, b = build[a](), build[b]()
+    equation = None if salt is None else drawn_equation(salt)
+    try:
+        slow = brute_nat_trans(a, b, 3000)
+    except CapExceeded as refused:
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_nat_trans(a, b, 3000, equation)
+        assert str(exc.value) == str(refused)
+        return
+    if equation is not None:
+        slow = [g for g in slow if first_mismatch(g, equation(g)) is None]
+    fast = enumerate_nat_trans(a, b, 3000, equation)
+    assert [f.components for f in fast] == [g.components for g in slow]
+
+
+@pytest.mark.parametrize("a", ["unit", "flag", "stamp", "empty"])
+def test_a_row_without_candidates_leaves_no_family(a):
+    # Stopped by the first point, the space is empty at every later
+    # present time, so a nonempty `a` has no map there and no family.
+    scale = TimeScale.of(0, 1, 2)
+    build = exp_operands(scale, scale.start)
+    src, dst = build[a](), build["|>''"]()
+    assert not dst.at(scale.pair(1, 2)) and not dst.at(scale.pair(2, 2))
+    fast = enumerate_nat_trans(src, dst)
+    assert [f.components for f in fast] == [g.components for g in brute_nat_trans(src, dst)]
+    assert len(fast) == (1 if a == "empty" else 0)
 
 
 @pytest.mark.parametrize("points", [(0,), (0, 1), (0, "1/2", 1, 3)])
