@@ -109,6 +109,11 @@ def test_dump_behavior_space(capsys):
     assert (code, out) == (0, DUMP_BEHAVIOR)
 
 
+def test_dump_a_one_summand_sum(capsys):
+    code, out, _ = run(capsys, ["dump", "sum(unit)", "0", "0"])
+    assert (code, out) == (0, "index (0, 0)\nsize 1\n  in0(())\n")
+
+
 def test_dump_expired_bound_is_empty(capsys):
     code, out, _ = run(capsys, ["dump", "unit |>''[1] unit", "2", "2"])
     assert code == 0

@@ -47,7 +47,11 @@ from proccat.temporal import (
     require_natural,
     solve_order,
     t_compose,
+    t_copairing,
+    t_coproduct_mor,
     t_identity,
+    t_pairing,
+    t_product_mor,
     unit_obj,
 )
 from proccat.times import UNBOUNDED, TimeScale
@@ -155,6 +159,20 @@ def test_broken_restriction_is_caught():
     assert check_functor(broken)
     with pytest.raises(ValueError, match="not a functor"):
         require_functor(broken)
+
+
+def test_the_functor_witness_names_an_element_where_a_long_arrow_differs():
+    # The covers are identities, so the composite along (0, 0, 2) is too;
+    # the direct restriction there moves v0 alone.
+    flag = flag_obj(2)
+    moved = FinMor(flag, flag, pos=[1, 1])
+
+    def restrict(m):
+        return moved if (m.r, m.r0, m.r0p) == (0, 0, 2) else identity(flag)
+
+    obj = TemporalObj(SCALE, lambda i: flag, restrict)
+    assert check_functor(obj) == ("restriction along (0, 0, 2) is not the composite "
+                                  "of its covers at v0: v1 vs v0")
 
 
 def test_naturality_witness_localizes_the_failure():
@@ -320,6 +338,43 @@ def test_products_and_coproducts_are_pointwise():
         assert len(p.at(i)) == 6
         assert len(s.at(i)) == 5
     assert check_functor(p) is None and check_functor(s) is None
+
+
+def test_one_element_lists_build_the_one_factor_or_summand():
+    # A one-factor product holds (x,), a one-summand coproduct in0(x),
+    # both restricting as the factor does; the one-component (co)pairing,
+    # product and coproduct maps act on their one component.
+    b = ProcSpace(UNBOUNDED, flag_temporal(SMALL, 2), unit_obj(SMALL)).obj
+    prod_at = {i: FinObj(Tup((x,)) for x in b.at(i)) for i in SMALL.indices()}
+    sum_at = {i: FinObj(Inj(0, x) for x in b.at(i)) for i in SMALL.indices()}
+    assert pointwise_product([b]) == TemporalObj(
+        SMALL, prod_at.__getitem__, lambda m: fin_mor(
+            prod_at[m.src], prod_at[m.dst], lambda e: Tup((b.res(m)(e.items[0]),))))
+    assert pointwise_coproduct([b]) == TemporalObj(
+        SMALL, sum_at.__getitem__, lambda m: fin_mor(
+            sum_at[m.src], sum_at[m.dst], lambda e: Inj(0, b.res(m)(e.value))))
+    a = flag_temporal(SMALL, 2)
+    swap = TemporalMor(a, a, lambda i: FinMor(a.at(i), a.at(i), pos=[1, 0]))
+    swapped = {Atom("v0"): Atom("v1"), Atom("v1"): Atom("v0")}
+    for mor, image in [
+            (t_pairing([swap]), lambda e: Tup((swapped[e],))),
+            (t_product_mor([swap]), lambda e: Tup((swapped[e.items[0]],))),
+            (t_copairing([swap]), lambda e: swapped[e.value]),
+            (t_coproduct_mor([swap]), lambda e: Inj(0, swapped[e.value]))]:
+        assert naturality_witness(mor) is None
+        for i in SMALL.indices():
+            assert mor.at(i).table == {e: image(e) for e in mor.dom.at(i)}
+
+
+def test_the_exponential_builds_at_its_cap_and_refuses_one_over(monkeypatch):
+    # Maps unit -> flag: 2 at each index, so 2 * 2 families of maps at
+    # (0, 1), the most of any index of the scale (0, 1).
+    a, b = unit_obj(SMALL), flag_temporal(SMALL, 2)
+    monkeypatch.setattr(temporal, "DEFAULT_CAP", 4)
+    assert len(exponential_end(a, b).at(SMALL.pair(0, 1))) == 2
+    monkeypatch.setattr(temporal, "DEFAULT_CAP", 3)
+    with pytest.raises(CapExceeded, match="^enumeration of 4 candidates exceeds cap 3$"):
+        exponential_end(a, b)
 
 
 def test_exponential_collects_compatible_families():
