@@ -8,7 +8,7 @@ in the package deterministic.
 
 A map is stored by position, as in Catlab.jl's finite functions: the
 codomain position of each domain element's image.  Identity, composition,
-equality, projections, injections and (co)pairings are then integer
+equality, projections, injections and copairings are then integer
 arithmetic, and the element trees are only read where a map is built from
 a step function or a table, or applied to an element.
 
@@ -250,22 +250,22 @@ DEFAULT_CAP = 10**6
 _INTERNED: dict = {}  # key -> weakref.ref to the shared object
 
 
-def _interned(kind, parts: Sequence, build: Callable[[], object]):
-    """The object `build()` makes from `parts`, shared by every call with
-    the identical `parts` while anything still holds it.
+def _interned(kind, parts: Sequence, build: Callable, arg):
+    """The object `build(arg)` makes from `parts`, shared by every call
+    with the identical `parts` while anything still holds it.
 
-    The key is `kind` plus the identities of the parts, so a lookup never
-    compares carriers.  The result pins its parts: while it lives none of
-    its keyed ids can be reused by another object.  The table holds weak
-    references, so it keeps nothing alive that no caller does.
+    The key is `kind` plus the identities of the parts, so a hit probes
+    the table once and compares no carrier.  The result pins a tuple of
+    its parts: while it lives none of its keyed ids can be reused.  The
+    table holds weak references, so it keeps nothing alive that no
+    caller does.
     """
-    parts = tuple(parts)
     key = (kind, *map(id, parts))
     ref = _INTERNED.get(key)
     found = None if ref is None else ref()
     if found is None:
-        found = build()
-        object.__setattr__(found, "_parts", parts)
+        found = build(arg)
+        object.__setattr__(found, "_parts", tuple(parts))
         _INTERNED[key] = weakref.ref(found, partial(_forget, key))
     return found
 
@@ -287,16 +287,17 @@ def _forget(key: tuple, ref: weakref.ref) -> None:
 # build their elements in that order, with no sort, on first read.
 
 
+def _product(factors: Sequence[FinObj]) -> FinObj:
+    count = prod(f.size for f in factors)
+    if count > DEFAULT_CAP:
+        raise CapExceeded(count, DEFAULT_CAP)
+    return FinObj._structured("product", count)
+
+
 def product(factors: Sequence[FinObj]) -> FinObj:
     """Chosen product: tuples in factor order; the empty product is UNIT.
     CapExceeded when it would have more than DEFAULT_CAP elements."""
-    def build() -> FinObj:
-        count = prod(f.size for f in factors)
-        if count > DEFAULT_CAP:
-            raise CapExceeded(count, DEFAULT_CAP)
-        return FinObj._structured("product", count)
-
-    return _interned("product", factors, build)
+    return _interned("product", factors, _product, factors)
 
 
 def _digits(sizes: Sequence[int], k: int) -> tuple:
@@ -309,21 +310,6 @@ def _digits(sizes: Sequence[int], k: int) -> tuple:
 def proj(factors: Sequence[FinObj], k: int) -> FinMor:
     return FinMor(product(factors), factors[k],
                   pos=_digits([len(f) for f in factors], k))
-
-
-def pairing(fs: Sequence[FinMor]) -> FinMor:
-    """Unique map into the product commuting with every projection."""
-    if not fs:
-        raise ValueError("pairing needs at least one component")
-    dom = fs[0].dom
-    if any(f.dom != dom for f in fs):
-        raise ValueError("pairing components must share a domain")
-    cod = product([f.cod for f in fs])
-    pos = fs[0].pos
-    for f in fs[1:]:
-        n = len(f.cod)
-        pos = [p * n + q for p, q in zip(pos, f.pos)]
-    return FinMor(dom, cod, pos=pos)
 
 
 def product_pos(fs: Sequence[FinMor]) -> list:
@@ -343,9 +329,12 @@ def product_mor(fs: Sequence[FinMor]) -> FinMor:
 # -- coproducts -------------------------------------------------------------
 
 
+def _coproduct(summands: Sequence[FinObj]) -> FinObj:
+    return FinObj._structured("coproduct", sum(s.size for s in summands))
+
+
 def coproduct(summands: Sequence[FinObj]) -> FinObj:
-    return _interned("coproduct", summands, lambda: FinObj._structured(
-        "coproduct", sum(s.size for s in summands)))
+    return _interned("coproduct", summands, _coproduct, summands)
 
 
 def inj(summands: Sequence[FinObj], k: int) -> FinMor:

@@ -21,19 +21,7 @@ from math import prod
 
 from .finset import FinMor, _interned
 from .process import LiveSpace, ProcSpace, StepSpace
-from .temporal import (
-    TemporalMor,
-    pointwise_coproduct,
-    pointwise_product,
-    t_compose,
-    t_copairing,
-    t_coproduct_mor,
-    t_identity,
-    t_inj,
-    t_pairing,
-    t_product_mor,
-    t_proj,
-)
+from .temporal import TemporalMor, pointwise_coproduct, pointwise_product
 from .times import IndexPair, w_meet
 
 
@@ -43,7 +31,7 @@ def _per_space(build):
     `laws.poison` breaks a copy, never the shared map."""
     @wraps(build)
     def shared(sp: ProcSpace):
-        return _interned(build.__name__, (sp.obj,), lambda: build(sp))
+        return _interned(build.__name__, (sp.obj,), build, sp)
 
     return shared
 
@@ -100,14 +88,30 @@ def expand(sp: ProcSpace) -> TemporalMor:
 
 def expand_live(sp: LiveSpace) -> TemporalMor:
     """Pair the whole running process with itself expanded: the first
-    component is kept, the future part is expanded."""
-    future = t_compose(expand(sp.proc), t_proj([sp.a, sp.proc.obj], 1))
-    return t_pairing([t_identity(sp.obj), future])
+    component is kept, the future part is expanded.  By position, a pair
+    q of a value and a process p goes to q paired with p's expansion."""
+    ex = expand(sp.proc)
+    cod = pointwise_product([sp.obj, ex.cod])
+
+    def component(i: IndexPair) -> FinMor:
+        n, dom = len(ex.cod.at(i)), sp.obj.at(i)
+        pos = [q * n + e for q, e in zip(range(len(dom)), cycle(ex.at(i).pos))]
+        return FinMor(dom, cod.at(i), pos=pos)
+
+    return TemporalMor(sp.obj, cod, component)
 
 
 def expand_step(sp: StepSpace) -> TemporalMor:
-    """Already-stopped results pass through; running processes expand."""
-    return t_coproduct_mor([t_identity(sp.b), expand_live(sp.live)])
+    """Already-stopped results pass through; running processes expand,
+    each by `expand_live` into the summand after the results."""
+    live = expand_live(sp.live)
+    cod = pointwise_coproduct([sp.b, live.cod])
+
+    def component(i: IndexPair) -> FinMor:
+        n = len(sp.b.at(i))
+        return FinMor(sp.obj.at(i), cod.at(i), pos=[*range(n), *map(n.__add__, live.at(i).pos)])
+
+    return TemporalMor(sp.obj, cod, component)
 
 
 # -- joining ----------------------------------------------------------------
@@ -171,15 +175,31 @@ def join(sp: ProcSpace) -> TemporalMor:
 
 
 def join_live(sp: LiveSpace) -> TemporalMor:
-    """Keep the current value; concatenate the future part."""
-    return t_product_mor([t_identity(sp.a), join(sp.proc)])
+    """Keep the current value; concatenate the future part: by position,
+    `join` once per current value."""
+    inner = join(sp.proc)
+    dom = pointwise_product([sp.a, inner.dom])
+
+    def component(i: IndexPair) -> FinMor:
+        n, pos = len(sp.proc.obj.at(i)), inner.at(i).pos
+        return FinMor(dom.at(i), sp.obj.at(i),
+                      pos=[x * n + p for x in range(len(sp.a.at(i))) for p in pos])
+
+    return TemporalMor(dom, sp.obj, component)
 
 
 def join_step(sp: StepSpace) -> TemporalMor:
     """A step whose non-stopped branch carries a step-valued process: the
-    already-stopped branch passes through, the other concatenates."""
-    live_part = t_compose(t_inj([sp.b, sp.live.obj], 1), join_live(sp.live))
-    return t_copairing([t_identity(sp.obj), live_part])
+    already-stopped branch passes through, the other concatenates by
+    `join_live` into the summand after the results."""
+    live = join_live(sp.live)
+    dom = pointwise_coproduct([sp.obj, live.dom])
+
+    def component(i: IndexPair) -> FinMor:
+        here, n = sp.obj.at(i), len(sp.b.at(i))
+        return FinMor(dom.at(i), here, pos=[*range(len(here)), *map(n.__add__, live.at(i).pos)])
+
+    return TemporalMor(dom, sp.obj, component)
 
 
 # -- merging ----------------------------------------------------------------

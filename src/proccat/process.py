@@ -31,7 +31,6 @@ order from its pools.
 """
 from __future__ import annotations
 
-import copy
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, chain, product as iter_product, repeat
@@ -124,23 +123,29 @@ class ProcSpace:
     drawn from `a`, results drawn from `b`, under termination bound `w`.
 
     Instances are cheap views: the carrier object is hash-consed on the
-    bound's value and the identities of `a` and `b`, so spaces built from
-    the same objects share one `obj`, and with it `obj.layout`, the
-    `_Layout` per index that everything below reads.
+    bound's rank (UNBOUNDED ranks above every point) and the identities
+    of `a` and `b`, so spaces built from the same objects share one `obj`,
+    and with it `obj.layout`, the `_Layout` per index that everything
+    below reads.  A bound that is no point of the scale raises ValueError.
     """
 
     def __init__(self, w: TermBound, a: TemporalObj, b: TemporalObj):
         if a.scale != b.scale:
             raise ValueError("value and result objects live over different scales")
         self.w, self.a, self.b, self.scale = w, a, b, a.scale
-        self.obj = _interned(("ProcSpace", w), (a, b), self._build)
+        try:
+            self.rank = len(a.scale.points) if w is None else a.scale.points.index(w)
+        except ValueError:
+            raise ValueError(f"bound {w} is not a point of the scale {a.scale}") from None
+        self.obj = _interned(("ProcSpace", self.rank), (a, b), ProcSpace._build, self)
         self._carriers = self.obj.carrier
         self._layout = self.obj.layout
 
     def _build(self) -> TemporalObj:
-        # The object keeps `_restrict_at` for `check_functor`: a copy with
-        # no `obj` builds it, so that the two form no reference cycle.
-        builder = copy.copy(self)
+        # The object keeps `_restrict_at` for `check_functor`: a builder
+        # with no `obj` builds it, so that the two form no reference cycle.
+        builder = object.__new__(ProcSpace)
+        vars(builder).update(vars(self))
         builder._layout = {i: builder._layout_at(i) for i in self.scale.indices()}
         obj = TemporalObj(self.scale, builder._carrier_at, builder._restrict_at)
         builder._carriers = obj.carrier
@@ -154,10 +159,10 @@ class ProcSpace:
         elements."""
         times = self.scale.points[i.r + 1:i.r0 + 1]
         run = self.scale.column(i.r0)[i.r + 1:]
-        running = self.w is None or self.w > i.t0
-        stops = len(run) if running else bisect_right(times, self.w)
-        pools = [self.a.at(p) for p in run]
-        ends = [self.b.at(p) for p in run[:stops]]
+        running = self.rank > i.r0
+        stops = len(run) if running else max(0, self.rank - i.r)
+        pools = [*map(self.a.carrier.__getitem__, run)]
+        ends = [*map(self.b.carrier.__getitem__, run[:stops])]
         sizes = [*accumulate(map(len, pools), mul, initial=1)]  # of the pools' prefixes
         counts = [len(y) * n for y, n in zip(ends, sizes)]
         if running:

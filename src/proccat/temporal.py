@@ -44,7 +44,6 @@ from .finset import (
     flag_obj,
     identity as f_identity,
     inj,
-    pairing,
     product,
     product_mor,
     proj,
@@ -249,29 +248,31 @@ def flag_temporal(scale: TimeScale, n: int = 2) -> TemporalObj:
     return const_obj(scale, flag_obj(n))
 
 
-def pointwise_product(factors: Sequence[TemporalObj]) -> TemporalObj:
-    """Hash-consed like `product`: the same factor objects give the
-    identical result while it is held."""
+def _pointwise_product(factors: Sequence[TemporalObj]) -> TemporalObj:
     scale = factors[0].scale
     if any(f.scale != scale for f in factors):
         raise ValueError("factors live over different scales")
-    return _interned("pointwise_product", factors, lambda: TemporalObj(
-        scale,
-        lambda i: product([f.at(i) for f in factors]),
-        lambda m: product_mor([f.res(m) for f in factors]),
-    ))
+    return TemporalObj(scale, lambda i: product([f.at(i) for f in factors]),
+                       lambda m: product_mor([f.res(m) for f in factors]))
+
+
+def pointwise_product(factors: Sequence[TemporalObj]) -> TemporalObj:
+    """Hash-consed like `product`: the same factor objects give the
+    identical result while it is held."""
+    return _interned("pointwise_product", factors, _pointwise_product, factors)
+
+
+def _pointwise_coproduct(summands: Sequence[TemporalObj]) -> TemporalObj:
+    scale = summands[0].scale
+    if any(s.scale != scale for s in summands):
+        raise ValueError("summands live over different scales")
+    return TemporalObj(scale, lambda i: coproduct([s.at(i) for s in summands]),
+                       lambda m: coproduct_mor([s.res(m) for s in summands]))
 
 
 def pointwise_coproduct(summands: Sequence[TemporalObj]) -> TemporalObj:
     """Hash-consed like `coproduct`."""
-    scale = summands[0].scale
-    if any(s.scale != scale for s in summands):
-        raise ValueError("summands live over different scales")
-    return _interned("pointwise_coproduct", summands, lambda: TemporalObj(
-        scale,
-        lambda i: coproduct([s.at(i) for s in summands]),
-        lambda m: coproduct_mor([s.res(m) for s in summands]),
-    ))
+    return _interned("pointwise_coproduct", summands, _pointwise_coproduct, summands)
 
 
 # -- combinators on morphisms ----------------------------------------------
@@ -291,11 +292,6 @@ def t_compose(f: TemporalMor, g: TemporalMor) -> TemporalMor:
 def t_proj(factors: Sequence[TemporalObj], k: int) -> TemporalMor:
     src = pointwise_product(factors)
     return TemporalMor(src, factors[k], lambda i: proj([f.at(i) for f in factors], k))
-
-
-def t_pairing(fs: Sequence[TemporalMor]) -> TemporalMor:
-    cod = pointwise_product([f.cod for f in fs])
-    return TemporalMor(fs[0].dom, cod, lambda i: pairing([f.at(i) for f in fs]))
 
 
 def t_product_mor(fs: Sequence[TemporalMor]) -> TemporalMor:

@@ -27,7 +27,6 @@ from proccat.finset import (
     flag_obj,
     identity,
     inj,
-    pairing,
     product,
     product_mor,
     proj,
@@ -68,15 +67,6 @@ def test_empty_product_is_unit():
     assert product([]) == UNIT
     assert UNIT.elements == (UNIT_ELEM,)
     assert EMPTY.elements == ()
-
-
-def test_pairing_satisfies_projection_equations():
-    a, b = flag_obj(2), flag_obj(3)
-    f = fin_mor(a, b, lambda e: Atom("v1"))
-    g = identity(a)
-    both = pairing([f, g])
-    assert compose(proj([b, a], 0), both) == f
-    assert compose(proj([b, a], 1), both) == g
 
 
 def test_copairing_satisfies_injection_equations():
@@ -309,14 +299,6 @@ def test_proj_is_elementwise(factors, data):
     k = data.draw(st.integers(min_value=0, max_value=len(factors) - 1))
     assert_defined_by(proj(factors, k), product(factors), factors[k],
                       lambda e: e.items[k])
-
-
-@positional
-@given(objects, st.lists(objects, min_size=1, max_size=3), st.data())
-def test_pairing_is_elementwise(x, cods, data):
-    fs = [draw_map(data, x, c) for c in cods]
-    assert_defined_by(pairing(fs), x, product(cods),
-                      lambda e: Tup(tuple(f(e) for f in fs)))
 
 
 @positional

@@ -1,6 +1,7 @@
 import ast
 import gc
 import json
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proccat
-from proccat import fixpoints, laws, operators, twoexit
+from proccat import finset, fixpoints, laws, operators, twoexit
 from proccat.laws import (
     Case,
     Diagram,
@@ -305,6 +306,26 @@ def test_the_suites_on_a_case_build_each_space_once(monkeypatch):
                 SUITES[name](case=shared)
             counts.append(built["n"] - start)
         assert counts[0] > 0 and counts[1] == counts[0], case.label
+
+
+def test_no_interned_key_holds_a_fraction(monkeypatch):
+    # A space is keyed by its bound's rank, every other entry by a kind
+    # and the identities of its parts, so no lookup hashes a Fraction.
+    keys = []
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            keys.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(finset, "_INTERNED", Recording())
+    for case in law_grid():
+        shared = Case(case.label, case.a, case.b, case.w)
+        for name in GRID_SUITES:
+            SUITES[name](case=shared)
+    parts = [p for key in keys for k in key for p in (k if isinstance(k, tuple) else (k,))]
+    assert not [p for p in parts if isinstance(p, Fraction)]
+    assert {key[0][1] for key in keys if key[0][:1] == ("ProcSpace",)} == {0, 1, 2, 3}
 
 
 SOLVER_SUITES = ["corecursion", "derived", "recursion", "two_exit", "uniqueness"]

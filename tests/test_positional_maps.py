@@ -6,7 +6,10 @@ references.
 references below decode every element, rebuild its image as a process
 value and encode it, the way the package built these maps before its
 layout existed; `ref_split` maps the merged process onto each side's
-step space and joins, as `split` did before it was positional.
+step space and joins, as `split` did before it was positional.  The
+live and step forms of `expand` and `join` are checked against the
+composites of identities, projections, injections and pairings they
+were built from before they were positional.
 """
 from fractions import Fraction
 
@@ -15,7 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from proccat.finset import Inj, Tup, fin_mor
 from proccat.laws import law_grid, merge_extras, merge_pair, stamp_parity_obj
-from proccat.operators import MergeSpace, expand, expanded_space, join, joining_space
+from proccat.operators import (
+    MergeSpace, expand, expand_live, expand_step, expanded_space, join, join_live, join_step,
+    joining_space,
+)
 from proccat.process import (
     LiveSpace,
     Ongoing,
@@ -33,9 +39,10 @@ from proccat.temporal import (
     pointwise_product,
     t_compose,
     t_copairing,
+    t_coproduct_mor,
     t_identity,
     t_inj,
-    t_pairing,
+    t_product_mor,
     t_proj,
     unit_obj,
 )
@@ -145,6 +152,13 @@ def ref_zip(m):
     return TemporalMor(pair_obj, m.merged.obj, component)
 
 
+def ref_pair(f, g):
+    """The map sending e to the pair of its images under f and g."""
+    cod = pointwise_product([f.cod, g.cod])
+    return TemporalMor(f.dom, cod, lambda i: fin_mor(
+        f.dom.at(i), cod.at(i), lambda e: Tup((f.at(i)(e), g.at(i)(e)))))
+
+
 def ref_split(m):
     """Both sides recovered by mapping the merged values and outcome onto
     each side's step space and joining."""
@@ -162,7 +176,7 @@ def ref_split(m):
         widen = ref_proc_map(m.merged, ProcSpace(sp.w, sp.a, step.obj), act, to_step)
         return t_compose(ref_join(sp), widen)
 
-    return t_pairing([side(True), side(False)])
+    return ref_pair(side(True), side(False))
 
 
 # -- agreement ----------------------------------------------------------------
@@ -170,7 +184,7 @@ def ref_split(m):
 
 def diagonal(x):
     """x -> x * x: a natural map that moves every position."""
-    return t_pairing([t_identity(x), t_identity(x)])
+    return ref_pair(t_identity(x), t_identity(x))
 
 
 def bang(x):
@@ -191,6 +205,14 @@ def assert_maps_match(a, b, w):
     sp = ProcSpace(w, a, b)
     assert mor_equal(expand(sp), ref_expand(sp))
     assert mor_equal(join(sp), ref_join(sp))
+    lv, st = LiveSpace(w, a, b), StepSpace(w, a, b)
+    expanded = ref_pair(t_identity(lv.obj), t_compose(expand(sp), t_proj([a, sp.obj], 1)))
+    joined = t_product_mor([t_identity(a), join(sp)])
+    assert mor_equal(expand_live(lv), expanded)
+    assert mor_equal(expand_step(st), t_coproduct_mor([t_identity(b), expanded]))
+    assert mor_equal(join_live(lv), joined)
+    assert mor_equal(join_step(st), t_copairing(
+        [t_identity(st.obj), t_compose(t_inj([b, lv.obj], 1), joined)]))
     for act, res in ((diagonal(a), bang(b)), (bang(a), diagonal(b)), (swap(a), swap(b))):
         for w2 in dict.fromkeys((w, UNBOUNDED)):
             src, dst = ProcSpace(w, act.dom, res.dom), ProcSpace(w2, act.cod, res.cod)

@@ -233,6 +233,14 @@ def test_a_bound_may_only_weaken(src_w, dst_w, message):
     proc_map(ProcSpace(dst_w, u, u), ProcSpace(src_w, u, u))
 
 
+@pytest.mark.parametrize("w", [Fraction(1, 2), Fraction(3)])
+def test_a_bound_off_the_scale_is_refused(w):
+    u = unit_obj(SCALE)
+    with pytest.raises(ValueError, match=f"^bound {w} is not a point of the scale "
+                                         r"\{0, 1, 2\}$"):
+        ProcSpace(w, u, u)
+
+
 def test_bound_beyond_horizon_is_required_for_running_views():
     sp = ProcSpace(Fraction(2), unit_obj(SCALE), unit_obj(SCALE))
     with pytest.raises(ValueError):
@@ -323,7 +331,7 @@ def test_listing_matches_decoding_each_element(data):
 def test_process_spaces_share_one_carrier_object():
     a, b = unit_obj(SCALE), flag_temporal(SCALE, 2)
     sp = ProcSpace(Fraction(1), a, b)
-    # The bound is keyed by value, the value and result objects by identity.
+    # The bound is keyed by rank, the value and result objects by identity.
     assert ProcSpace(Fraction(1), a, b).obj is sp.obj
     assert ProcSpace(UNBOUNDED, a, b).obj is not sp.obj
     assert sp._carriers is sp.obj.carrier

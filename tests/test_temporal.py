@@ -50,7 +50,6 @@ from proccat.temporal import (
     t_copairing,
     t_coproduct_mor,
     t_identity,
-    t_pairing,
     t_product_mor,
     unit_obj,
 )
@@ -342,7 +341,7 @@ def test_products_and_coproducts_are_pointwise():
 
 def test_one_element_lists_build_the_one_factor_or_summand():
     # A one-factor product holds (x,), a one-summand coproduct in0(x),
-    # both restricting as the factor does; the one-component (co)pairing,
+    # both restricting as the factor does; the one-component copairing,
     # product and coproduct maps act on their one component.
     b = ProcSpace(UNBOUNDED, flag_temporal(SMALL, 2), unit_obj(SMALL)).obj
     prod_at = {i: FinObj(Tup((x,)) for x in b.at(i)) for i in SMALL.indices()}
@@ -357,7 +356,6 @@ def test_one_element_lists_build_the_one_factor_or_summand():
     swap = TemporalMor(a, a, lambda i: FinMor(a.at(i), a.at(i), pos=[1, 0]))
     swapped = {Atom("v0"): Atom("v1"), Atom("v1"): Atom("v0")}
     for mor, image in [
-            (t_pairing([swap]), lambda e: Tup((swapped[e],))),
             (t_product_mor([swap]), lambda e: Tup((swapped[e.items[0]],))),
             (t_copairing([swap]), lambda e: swapped[e.value]),
             (t_coproduct_mor([swap]), lambda e: Inj(0, swapped[e.value]))]:
