@@ -196,7 +196,7 @@ def _machine_lines(reports) -> list:
     for r in reports:
         record = {"suite": r.suite, "instance": r.instance,
                   "verdict": r.verdict, "witness": r.witness,
-                  "millis": r.millis}
+                  "millis": 0}  # the format keeps the key; no timing
         lines.append(json.dumps(record, sort_keys=True))
     return lines
 

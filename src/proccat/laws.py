@@ -99,15 +99,14 @@ from .twoexit import TwoExitProblem, check_roundtrips, defer_all
 
 
 class LawReport(Value):
-    __slots__ = ("suite", "instance", "verdict", "witness", "millis")
+    __slots__ = ("suite", "instance", "verdict", "witness")
 
     def __init__(self, suite: str, instance: str, verdict: str,
-                 witness: Optional[str] = None, millis: int = 0) -> None:
+                 witness: Optional[str] = None) -> None:
         object.__setattr__(self, "suite", suite)
         object.__setattr__(self, "instance", instance)
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "millis", millis)
 
 
 class Diagram:
@@ -275,23 +274,19 @@ MUTATIONS = ("expansion", "joining", "interaction", "merging", "nonstop",
 
 
 def _suite(body):
-    """The entry point `suite_<name>(cap, mutated, case)` of a suite from
+    """The entry point `suite_<name>(case, cap, mutated)` of a suite from
     its body, a generator of `(label, witness_of)` pairs given the same
     arguments: one report per pair, each `witness_of` called before the
-    body resumes.  A grid suite's body checks one `Case`; called with
-    no case, it runs the whole grid (and, for merging, the extra pairs).
-    The other suites take the run's `Curated` problems as their case, or
-    build their own when called with none."""
+    body resumes.  A grid suite's case is one `Case`; the other suites
+    take the run's `Curated` problems.  `run_suites([name])` runs a suite
+    alone."""
     name = body.__name__.removeprefix("suite_")
 
     @wraps(body)
-    def suite(cap: int = DEFAULT_CAP, mutated: bool = False,
-              case: Optional[Case | Curated] = None) -> list:
-        if case is None and name in GRID_SUITES:
-            return _run([name], cap, name if mutated else None)
-        case = Curated() if case is None else case
+    def suite(case: Case | Curated, cap: int = DEFAULT_CAP,
+              mutated: bool = False) -> list:
         return [_report(name, label, witness_of)
-                for label, witness_of in body(cap, mutated, case)]
+                for label, witness_of in body(case, cap, mutated)]
 
     return suite
 
@@ -307,12 +302,12 @@ def _checked(case: Case, d: Diagram,
 
 
 @_suite
-def suite_functor(cap: int, mutated: bool, case: Case):
+def suite_functor(case: Case, cap: int, mutated: bool):
     yield case.label, partial(check_functor, case.space.obj)
 
 
 @_suite
-def suite_expansion(cap: int, mutated: bool, case: Case):
+def suite_expansion(case: Case, cap: int, mutated: bool):
     """The comonad laws of expansion in the value slot: expansion is
     undone by forgetting the attached suffixes, and expanding twice
     agrees with expanding each attached suffix."""
@@ -337,7 +332,7 @@ def suite_expansion(cap: int, mutated: bool, case: Case):
 
 
 @_suite
-def suite_joining(cap: int, mutated: bool, case: Case):
+def suite_joining(case: Case, cap: int, mutated: bool):
     """The monad laws of joining in the result slot: joining undoes
     wrapping a result as already-finished, and collapsing nested
     handovers inside-first or outside-first agrees."""
@@ -361,7 +356,7 @@ def suite_joining(cap: int, mutated: bool, case: Case):
 
 
 @_suite
-def suite_interaction(cap: int, mutated: bool, case: Case):
+def suite_interaction(case: Case, cap: int, mutated: bool):
     """Joining then expanding equals expanding both layers and joining the
     expanded ones."""
     a, b, w = case.a, case.b, case.w
@@ -386,7 +381,7 @@ def suite_interaction(cap: int, mutated: bool, case: Case):
 
 
 @_suite
-def suite_merging(cap: int, mutated: bool, case: Case):
+def suite_merging(case: Case, cap: int, mutated: bool):
     """Running two processes side by side until the first stop is a
     bijection: splitting recovers both, and zipping the split recovers
     the merged process."""
@@ -400,7 +395,7 @@ def suite_merging(cap: int, mutated: bool, case: Case):
 
 
 @_suite
-def suite_naturality(cap: int, mutated: bool, case: Case):
+def suite_naturality(case: Case, cap: int, mutated: bool):
     """Expansion and joining commute with restriction at every instance."""
     for opname, op in (("expand", expand), ("join", join)):
         yield (case.label + " op=" + opname,
@@ -416,7 +411,7 @@ def _one_element_each(space: LiveSpace) -> Optional[str]:
 
 
 @_suite
-def suite_nonstop(cap: int, mutated: bool, case: Curated):
+def suite_nonstop(case: Curated, cap: int, mutated: bool):
     """With no stop bound and no possible results, exactly one process
     exists at every index: the one that runs forever.  The mutated run
     tightens the bound to the last point, which empties late carriers."""
@@ -685,17 +680,17 @@ def _equation_gaps(problems: list, mutated: bool):
 
 
 @_suite
-def suite_corecursion(cap: int, mutated: bool, case: Curated):
+def suite_corecursion(case: Curated, cap: int, mutated: bool):
     return _equation_gaps(case.coiter, mutated)
 
 
 @_suite
-def suite_recursion(cap: int, mutated: bool, case: Curated):
+def suite_recursion(case: Curated, cap: int, mutated: bool):
     return _equation_gaps(case.recur, mutated)
 
 
 @_suite
-def suite_derived(cap: int, mutated: bool, case: Curated):
+def suite_derived(case: Curated, cap: int, mutated: bool):
     """Each derived solver satisfies its one-step unfolding identity."""
     name, w, a, b, c, f = step_variant_problem()
     sol = coiter_step(w, a, b, c, f)
@@ -736,7 +731,7 @@ def _uniqueness_witness(pr, cap: int) -> Optional[str]:
 
 
 @_suite
-def suite_uniqueness(cap: int, mutated: bool, case: Curated):
+def suite_uniqueness(case: Curated, cap: int, mutated: bool):
     """Exhaustive search over all natural candidates confirms that exactly
     one satisfies each defining equation, and that it is the solver's."""
     for name, pr in case.uniqueness:
@@ -744,7 +739,7 @@ def suite_uniqueness(cap: int, mutated: bool, case: Curated):
 
 
 @_suite
-def suite_two_exit(cap: int, mutated: bool, case: Curated):
+def suite_two_exit(case: Curated, cap: int, mutated: bool):
     for name, pr, one_exit in case.two_exit:
         yield ("problem=" + name,
                partial(check_roundtrips, pr, one_exit, cap))
@@ -781,14 +776,14 @@ def _run(chosen: Sequence[str], cap: int, mutate: Optional[str]) -> list:
     reports = []
     for case in law_grid() if grid else ():
         for n in grid:
-            reports.extend(SUITES[n](cap, n == mutate, case))
+            reports.extend(SUITES[n](case, cap, n == mutate))
     if "merging" in grid:
         for case in merge_extras():
-            reports.extend(SUITES["merging"](cap, mutate == "merging", case))
+            reports.extend(SUITES["merging"](case, cap, mutate == "merging"))
     curated = Curated()
     for n in chosen:
         if n not in GRID_SUITES:
-            reports.extend(SUITES[n](cap, n == mutate, curated))
+            reports.extend(SUITES[n](curated, cap, n == mutate))
     return reports
 
 

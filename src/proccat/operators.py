@@ -5,8 +5,8 @@
 * join: a process whose final result is itself a (possibly already stopped)
   process becomes the concatenation of the two.
 * merge: two processes over the same scale combine into one process over
-  paired values, running until the first of them stops; this is a bijection
-  and both directions are provided.
+  paired values, running until the first of them stops; `split` is a
+  bijection, and `zip`, its inverse, is read off `split`.
 
 Every map here is position arithmetic on the carrier layouts of the spaces
 involved.  `expand`, `join`, `expanded_space` and `joining_space` are
@@ -16,7 +16,7 @@ checked on one space share one map for as long as any of them holds it.
 from __future__ import annotations
 
 from functools import wraps
-from itertools import chain, cycle, product
+from itertools import cycle, product
 from math import prod
 
 from .finset import FinMor, _interned
@@ -228,16 +228,16 @@ class MergeSpace:
                                 pointwise_product([left.a, right.a]), self.outcome)
 
     def split(self) -> TemporalMor:
-        """The inverse of zip: merged -> left x right.
+        """Merged -> left x right, the one place that matches merged
+        positions with pair positions; zip is its inverse.
 
-        By position, the inverse arithmetic of `_zip_rows`.  Merged
-        summand k stops at the k-th point of the run (past its end, it is
-        the running record).  A side that stopped there is in its own
-        summand k, a side still running is in a later one, and a
-        running record is the side's running record.  Each side's value
-        digits are its half of each paired value digit, and its position
-        the (base, width) of `_stopped` or `_onward` taken at its
-        prefix."""
+        By position, merged summand k stops at the k-th point of the run
+        (past its end, it is the running record).  A side that stopped
+        there is in its own summand k, a side still running is in a
+        later one, and a running record is the side's running record.
+        Each side's value digits are its half of each paired value digit,
+        and its position the (base, width) of `_stopped` or `_onward`
+        taken at its prefix."""
         left, right = self.left, self.right
         pair_obj = pointwise_product([left.obj, right.obj])
 
@@ -265,54 +265,16 @@ class MergeSpace:
 
     def zip(self) -> TemporalMor:
         """The inverse of split: run two processes side by side until the
-        first stop.
-
-        By position, a case split on the summands of the two sides: the
-        pair stops with the one that stops first (or runs on when both
-        run).  Summand k of a carrier stops at the k-th point of the
-        run, and summand len(run) is the running record."""
-        pair_obj = pointwise_product([self.left.obj, self.right.obj])
+        first stop.  By position, split read backwards at each index.  A
+        pair position split reaches from no merged position goes to 0, so
+        a split that is no bijection fails the merging law with a witness."""
+        split = self.split()
 
         def component(i: IndexPair) -> FinMor:
-            pos = []
-            for k1 in range(len(self.left._layout[i].summands)):
-                blocks = [self._zip_rows(i, k1, k2)
-                          for k2 in range(len(self.right._layout[i].summands))]
-                pos.extend(chain.from_iterable(chain.from_iterable(zip(*blocks))))
-            return FinMor(pair_obj.at(i), self.merged._carriers[i], pos=pos)
+            there = split.at(i)
+            pos = [0] * len(there.cod)
+            for m, p in enumerate(there.pos):
+                pos[p] = m
+            return FinMor(there.cod, there.dom, pos=pos)
 
-        return TemporalMor(pair_obj, self.merged.obj, component)
-
-    def _zip_rows(self, i: IndexPair, k1: int, k2: int) -> list:
-        """Per element of summand k1 of the left carrier at i, the merged
-        positions of its pairs with summand k2 of the right one.
-
-        The pair stops (or runs) as merged summand k = min(k1, k2).  Its
-        result is both results, or the result of the side that stopped
-        with the other side's value and suffix there.  Going back from
-        it, each of the first k points pairs one value from each side."""
-        left, right = self.left, self.right
-        run = left._layout[i].run
-        k = min(k1, k2)
-        base = self.merged._layout[i].offsets[k]
-        rows, width = [[base]], 1
-        if k < len(run):
-            here = run[k]
-            lb, rb = len(left.b.at(here)), len(right.b.at(here))
-            live_l = len(self.live_left.obj.at(here))
-            live_r = len(self.live_right.obj.at(here))
-            if k1 == k2:
-                rows = [[base + y1 * rb + y2 for y2 in range(rb)] for y1 in range(lb)]
-            elif k1 < k2:
-                live = _live(right, here, k2 - k - 1)
-                rows = [[base + lb * rb + y1 * live_r + q for q in live] for y1 in range(lb)]
-            else:
-                rows = [[base + lb * rb + lb * live_r + q * rb + y2 for y2 in range(rb)]
-                        for q in _live(left, here, k1 - k - 1)]
-            width = lb * rb + lb * live_r + live_l * rb
-        for j in reversed(range(k)):
-            la, ra = len(left.a.at(run[j])), len(right.a.at(run[j]))
-            rows = [[(x * ra + z) * width + c for z in range(ra) for c in row]
-                    for x in range(la) for row in rows]
-            width *= la * ra
-        return rows
+        return TemporalMor(split.cod, split.dom, component)

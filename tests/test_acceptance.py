@@ -16,7 +16,6 @@ from proccat.laws import (
     MUTATIONS,
     coiter_problems,
     run_suites,
-    suite_functor,
     two_exit_problems,
 )
 from proccat.process import (
@@ -41,7 +40,7 @@ def _report(num: int, name: str, ok: bool) -> None:
 
 def test_criterion_1_functor_grid(capsys):
     started = time.perf_counter()
-    reports = suite_functor()
+    reports = run_suites(["functor"])
     elapsed = time.perf_counter() - started
     ok = all([
         len(reports) == 72,

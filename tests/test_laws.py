@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proccat
-from proccat import finset, fixpoints, laws, operators, twoexit
+from proccat import cli, finset, fixpoints, laws, operators, twoexit
 from proccat.laws import (
     Case,
     Diagram,
@@ -198,8 +198,11 @@ def test_only_report_makes_a_law_report():
 
 
 def test_law_report_has_no_timing_jitter(full_reports):
-    assert all(r.millis == 0 for r in full_reports)
+    # A report holds no timing; the machine record pins `millis` to 0.
     assert all(isinstance(r, LawReport) for r in full_reports)
+    assert not hasattr(full_reports[0], "millis")
+    records = map(json.loads, cli._machine_lines(full_reports))
+    assert {rec["millis"] for rec in records} == {0}
 
 
 @pytest.mark.parametrize("suite", ["uniqueness", "two_exit"])
@@ -241,8 +244,8 @@ def test_the_grid_suites_leave_no_cyclic_garbage():
 
 
 def test_a_broken_split_fails_merging_with_a_witness(monkeypatch):
-    # split and zip share no code, so the merging law must catch a broken
-    # split on its own.
+    # zip inverts the unbroken split, so the merging law must catch a
+    # broken split edge on its own.
     checked = laws._checked
     monkeypatch.setattr(laws, "_checked",
                         lambda case, d, poisoned: checked(case, d, "split"))
@@ -250,6 +253,31 @@ def test_a_broken_split_fails_merging_with_a_witness(monkeypatch):
               if r.verdict == "fail"]
     assert failed
     assert all(" maps to " in r.witness for r in failed)
+
+
+def test_a_split_that_is_no_bijection_fails_merging_with_a_witness(monkeypatch):
+    # zip is built from split, so a split that sends two merged positions
+    # to one pair must still give a failing report, not an exception.
+    split = operators.MergeSpace.split
+
+    def colliding(self):
+        good = split(self)
+
+        def component(i):
+            pos = list(good.at(i).pos)
+            if len(pos) > 1:
+                pos[1] = pos[0]
+            return FinMor(good.at(i).dom, good.at(i).cod, pos=pos)
+
+        return TemporalMor(good.dom, good.cod, component)
+
+    monkeypatch.setattr(operators.MergeSpace, "split", colliding)
+    case = next(c for c in law_grid() if c.label == "scale=0-1 a=flag b=flag w=inf")
+    [report] = SUITES["merging"](case)
+    assert report.verdict == "fail" and " maps to " in report.witness
+    reports = [r for case in law_grid() for r in SUITES["merging"](case)]
+    assert {r.verdict for r in reports} == {"pass", "fail"}
+    assert all(" maps to " in r.witness for r in reports if r.verdict == "fail")
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
@@ -260,7 +288,7 @@ def test_mutated_full_runs_match_the_golden_reports(mutation):
               GOLDEN_MUTATIONS.read_text(encoding="utf-8").splitlines()]
     want = [g for g in golden if g["mutate"] == mutation]
     got = [{"mutate": mutation, "suite": r.suite, "instance": r.instance,
-            "verdict": r.verdict, "witness": r.witness, "millis": r.millis}
+            "verdict": r.verdict, "witness": r.witness, "millis": 0}
            for r in run_suites(None, mutate=mutation)]
     assert got == want
 
@@ -361,8 +389,8 @@ def test_a_run_builds_and_solves_each_curated_problem_once(monkeypatch):
     # the tuples keep every problem alive, so their ids are distinct.
     solved = {id(image.__self__) for _, _, image in calls["fixpoint"]}
     assert len(solved) == 17
-    # Called on its own, a suite builds its own problems and says the same.
-    alone = sorted(laws.suite_corecursion(), key=lambda r: r.instance)
+    # Run alone, a suite builds its own problems and says the same.
+    alone = run_suites(["corecursion"])
     assert alone == [r for r in reports if r.suite == "corecursion"]
     assert len(calls["coiter_problems"]) == 2
 

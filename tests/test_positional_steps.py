@@ -10,6 +10,8 @@ with an arbitrary onward map, and on drawn scales of one to four points;
 `join`'s components are checked against the splice reference on the
 same target spaces.
 """
+from itertools import product
+
 from hypothesis import given, settings, strategies as st
 
 from proccat.finset import FinMor, Tup
@@ -198,3 +200,19 @@ def test_steps_match_the_references_on_drawn_scales(points, a_kind, b_kind, c_ki
     assert_splices_match(target.proc)
     paired = ProcSpace(w, pointwise_product([a, c]), b).obj
     assert_consumes_match(RecurProblem(w, a, b, c, relabeling(paired, c)), arbitrary(c))
+
+
+def test_consumes_match_the_reference_over_every_kind():
+    # Every non-empty value and auxiliary kind, every result kind, both
+    # bound kinds, on three and four points: a deterministic sweep of
+    # the digit arithmetic in `RecurProblem._consume`.
+    checked = 0
+    for points in ((0, 1, 2), (0, 1, 2, 3)):
+        scale = TimeScale.of(*points)
+        for a_kind, c_kind, b_kind in product(NONEMPTY, NONEMPTY, sorted(KINDS)):
+            a, b, c = KINDS[a_kind](scale), KINDS[b_kind](scale), KINDS[c_kind](scale)
+            for w in (UNBOUNDED, scale.end):
+                paired = ProcSpace(w, pointwise_product([a, c]), b).obj
+                pr = RecurProblem(w, a, b, c, relabeling(paired, c))
+                checked += assert_consumes_match(pr, arbitrary(c))
+    assert checked == 3516

@@ -776,3 +776,36 @@ def test_no_function_takes_a_check_flag():
                         and "check" in inspect.signature(fn).parameters):
                     flagged.append(f"{module.__name__}.{qualname}")
     assert flagged == []
+
+
+def global_sections(a, b) -> list:
+    """Every family of the exponential's (t, end) carriers, one per row:
+    a Tup of function tables per row, rows ascending."""
+    exp, scale = exponential_end(a, b), a.scale
+    ends = scale.column(len(scale.points) - 1)
+    return list(iter_product(*(exp.at(i).elements for i in ends)))
+
+
+def test_the_global_sections_of_the_exponential_are_the_natural_families():
+    # b^a's families at (t, end), one row each, multiply out to exactly
+    # the natural families a -> b, in the same order.
+    checked = 0
+    for points in ((0,), (0, 1), (0, 1, 2)):
+        scale = TimeScale.of(*points)
+        unit, flag = unit_obj(scale), flag_temporal(scale)
+        objs = [empty_obj(scale), unit, flag, pointwise_coproduct([unit, flag]),
+                stamp_parity_obj(scale), ProcSpace(scale.end, unit, flag).obj]
+        for a, b in iter_product(objs, repeat=2):
+            try:
+                sections = global_sections(a, b)
+                families = enumerate_nat_trans(a, b)
+            except CapExceeded:
+                continue
+            rows = [[scale.column(q)[r] for q in range(r, len(points))]
+                    for r in range(len(points))]
+            assert sections == [
+                tuple(Tup(tuple(FnTab(tuple(f.at(i).table.items())) for i in row))
+                      for row in rows)
+                for f in families]
+            checked += 1
+    assert checked == 105

@@ -27,8 +27,8 @@ FROZEN = [
     (ScaleUnion, ((FiniteScale((F0,)), Chain(F1, 1)),), ("parts",)),
     (Terminated, (F1, ((F0, A),), Tup(())), ("at_time", "seen", "result")),
     (Ongoing, (((F0, A),),), ("seen",)),
-    (LawReport, ("functor", "grid", "fail", "w", 3),
-     ("suite", "instance", "verdict", "witness", "millis")),
+    (LawReport, ("functor", "grid", "fail", "w"),
+     ("suite", "instance", "verdict", "witness")),
 ]
 IDS = [cls.__name__ for cls, _, _ in FROZEN]
 
@@ -69,15 +69,15 @@ def test_equality_is_class_exact():
 
 def test_defaults():
     r = LawReport("functor", "grid", "pass")
-    assert (r.witness, r.millis) == (None, 0)
-    assert r == LawReport("functor", "grid", "pass", None, 0)
-    assert hash(r) == hash(("functor", "grid", "pass", None, 0))
+    assert r.witness is None
+    assert r == LawReport("functor", "grid", "pass", None)
+    assert hash(r) == hash(("functor", "grid", "pass", None))
 
 
 def test_default_reprs():
     assert repr(LawReport("functor", "grid", "fail", "w")) == (
         "LawReport(suite='functor', instance='grid', verdict='fail', "
-        "witness='w', millis=0)")
+        "witness='w')")
     assert repr(Terminated(F1, ((F0, A),), Tup(()))) == (
         "Terminated(at_time=Fraction(1, 1), seen=((Fraction(0, 1), a),), result=())")
     assert repr(Ongoing(())) == "Ongoing(seen=())"
